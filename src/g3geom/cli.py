@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -47,14 +48,24 @@ def _defaults(**extra) -> dict:
     return base
 
 
-def _emit_json(path: str, command: str, result, defaults: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, "command": command,
-               "defaults": defaults, "result": result}
+def _write_json(path: str, payload) -> None:
     data = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if path == "-":
         sys.stdout.write(data)
     else:
         Path(path).write_bytes(data.encode("utf-8"))
+
+
+def _emit_json(path: str, command: str, result, defaults: dict) -> None:
+    _write_json(path, {"schema_version": SCHEMA_VERSION, "command": command,
+                       "defaults": defaults, "result": result})
+
+
+def _finite(text: str, what: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise G3Error(f"{what} must be finite, got {text!r}")
+    return value
 
 
 def _parse_params(items) -> dict[str, float]:
@@ -63,7 +74,7 @@ def _parse_params(items) -> dict[str, float]:
         if "=" not in item:
             raise G3Error(f"--param needs name=value, got {item!r}")
         k, v = item.split("=", 1)
-        params[k.strip()] = float(v)
+        params[k.strip()] = _finite(v, f"--param {k.strip()}")
     return params
 
 
@@ -71,7 +82,7 @@ def _parse_interval(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
         raise G3Error(f"interval must be written lo:hi, got {text!r}")
-    a, b = float(parts[0]), float(parts[1])
+    a, b = (_finite(p, "interval end") for p in parts)
     if not a < b:
         raise G3Error(f"empty interval {text!r}")
     return a, b
@@ -196,13 +207,9 @@ def cmd_axis(args) -> int:
     scene = _load_scene_opt(args)
     surface = _resolve_surface(args, scene)
     trace = _resolve_trace(args, scene)
+    reconstruct = axis_isotropic if args.case == "isotropic" else axis_nonisotropic
     try:
-        if args.case == "isotropic":
-            rep = axis_isotropic(surface, trace, args.angle,
-                                 samples=args.samples, tol=args.tol)
-        else:
-            rep = axis_nonisotropic(surface, trace, args.angle,
-                                    samples=args.samples, tol=args.tol)
+        rep = reconstruct(surface, trace, args.angle, samples=args.samples, tol=args.tol)
     except AxisError as e:
         print(f"axis reconstruction failed: {e}", file=sys.stderr)
         return 1
@@ -316,11 +323,7 @@ def cmd_verify(args) -> int:
     if counts["total"] == 0:
         print(f"no checks matched filter {args.filter!r}", file=sys.stderr)
     if args.json:
-        data = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        if args.json == "-":
-            sys.stdout.write(data)
-        else:
-            Path(args.json).write_bytes(data.encode("utf-8"))
+        _write_json(args.json, report)
     return 0 if report["passed"] else 1
 
 

@@ -78,16 +78,9 @@ def _curve_arrays(curve: CurveSpec, S: np.ndarray, kappa_min: float = KAPPA_MIN)
 
 
 def frenet(curve: CurveSpec, s: float, kappa_min: float = KAPPA_MIN) -> FrenetSample:
-    """Frenet frame and invariants at one parameter value."""
-    a = _curve_arrays(curve, np.asarray(float(s)), kappa_min)
-    return FrenetSample(
-        s=float(s),
-        T=GVec3(1.0, float(a["fp"]), float(a["gp"])),
-        N=GVec3(0.0, float(a["Ny"]), float(a["Nz"])),
-        B=GVec3(0.0, float(a["By"]), float(a["Bz"])),
-        kappa=float(a["kappa"]),
-        tau=float(a["tau"]),
-    )
+    """Frenet frame and invariants at one parameter value (a one-sample
+    `frenet_samples` call)."""
+    return frenet_samples(curve, [float(s)], kappa_min)[0]
 
 
 def frenet_samples(curve: CurveSpec, S, kappa_min: float = KAPPA_MIN) -> list[FrenetSample]:

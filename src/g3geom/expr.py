@@ -310,6 +310,9 @@ def combine(op: str, a: ExprAST, b: ExprAST,
         variables = merged
     params = _merge_params(a.params, b.params)
     root = Bin(op, a.root, b.root)
+    missing = free_variables(root) - set(variables)
+    if missing:
+        raise ValueError(f"combination leaves undeclared variables {sorted(missing)}")
     return ExprAST(root, f"({a.source}){op}({b.source})", tuple(variables), params)
 
 
@@ -317,41 +320,54 @@ def combine(op: str, a: ExprAST, b: ExprAST,
 # Jets
 # ---------------------------------------------------------------------------
 
+class _JetOps:
+    """Operators Jet and Jet2 share; each class supplies +, -, *, the
+    reciprocal and the chain rule for its own slots."""
+
+    @classmethod
+    def _coerce(cls, x):
+        return x if isinstance(x, cls) else cls(np.asarray(x, dtype=float))
+
+    def __rsub__(self, other):
+        return self._coerce(other).__sub__(self)
+
+    def __truediv__(self, other):
+        return self * self._coerce(other).reciprocal()
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) * self.reciprocal()
+
+
 @dataclass(frozen=True)
-class Jet:
+class Jet(_JetOps):
     """Value plus derivatives w.r.t. one variable, up to order 3.
 
     Fields may be scalars or numpy arrays of a common broadcast shape;
     arithmetic follows the Leibniz and chain rules exactly.
     """
 
+    ORDER = 3  # highest derivative order carried
+
     value: Real
     d1: Real = 0.0
     d2: Real = 0.0
     d3: Real = 0.0
 
-    @staticmethod
-    def _coerce(x) -> "Jet":
-        return x if isinstance(x, Jet) else Jet(np.asarray(x, dtype=float))
-
     def __add__(self, other):
-        o = Jet._coerce(other)
+        o = self._coerce(other)
         return Jet(self.value + o.value, self.d1 + o.d1, self.d2 + o.d2, self.d3 + o.d3)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = Jet._coerce(other)
+        o = self._coerce(other)
         return Jet(self.value - o.value, self.d1 - o.d1, self.d2 - o.d2, self.d3 - o.d3)
-
-    def __rsub__(self, other):
-        return Jet._coerce(other).__sub__(self)
 
     def __neg__(self):
         return Jet(-self.value, -self.d1, -self.d2, -self.d3)
 
     def __mul__(self, other):
-        o = Jet._coerce(other)
+        o = self._coerce(other)
         f0, f1, f2, f3 = self.value, self.d1, self.d2, self.d3
         g0, g1, g2, g3 = o.value, o.d1, o.d2, o.d3
         return Jet(
@@ -374,12 +390,6 @@ class Jet:
             6.0 * g1 * g2 * inv2 * inv - 6.0 * g1 ** 3 * inv2 * inv2 - g3 * inv2,
         )
 
-    def __truediv__(self, other):
-        return self * Jet._coerce(other).reciprocal()
-
-    def __rtruediv__(self, other):
-        return Jet._coerce(other) * self.reciprocal()
-
     def compose(self, f0, f1, f2, f3) -> "Jet":
         """Chain rule through an outer function with derivatives f0..f3 at self.value."""
         g1, g2, g3 = self.d1, self.d2, self.d3
@@ -392,11 +402,13 @@ class Jet:
 
 
 @dataclass(frozen=True)
-class Jet2:
+class Jet2(_JetOps):
     """Value, first partials and second partials w.r.t. two variables.
 
     The mixed partial is stored once (du1u2); symmetry holds by construction.
     """
+
+    ORDER = 2  # highest derivative order carried
 
     value: Real
     du1: Real = 0.0
@@ -405,30 +417,23 @@ class Jet2:
     du1u2: Real = 0.0
     du2u2: Real = 0.0
 
-    @staticmethod
-    def _coerce(x) -> "Jet2":
-        return x if isinstance(x, Jet2) else Jet2(np.asarray(x, dtype=float))
-
     def __add__(self, other):
-        o = Jet2._coerce(other)
+        o = self._coerce(other)
         return Jet2(self.value + o.value, self.du1 + o.du1, self.du2 + o.du2,
                     self.du1u1 + o.du1u1, self.du1u2 + o.du1u2, self.du2u2 + o.du2u2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = Jet2._coerce(other)
+        o = self._coerce(other)
         return Jet2(self.value - o.value, self.du1 - o.du1, self.du2 - o.du2,
                     self.du1u1 - o.du1u1, self.du1u2 - o.du1u2, self.du2u2 - o.du2u2)
-
-    def __rsub__(self, other):
-        return Jet2._coerce(other).__sub__(self)
 
     def __neg__(self):
         return Jet2(-self.value, -self.du1, -self.du2, -self.du1u1, -self.du1u2, -self.du2u2)
 
     def __mul__(self, other):
-        o = Jet2._coerce(other)
+        o = self._coerce(other)
         f, g = self, o
         return Jet2(
             f.value * g.value,
@@ -454,12 +459,6 @@ class Jet2:
             2.0 * g.du1 * g.du2 * inv3 - g.du1u2 * inv2,
             2.0 * g.du2 * g.du2 * inv3 - g.du2u2 * inv2,
         )
-
-    def __truediv__(self, other):
-        return self * Jet2._coerce(other).reciprocal()
-
-    def __rtruediv__(self, other):
-        return Jet2._coerce(other) * self.reciprocal()
 
     def compose(self, f0, f1, f2) -> "Jet2":
         g = self
@@ -558,86 +557,59 @@ def _eval_pow(base, expo, node: Node, check: bool):
             n = int(c)
             if n < 0 and check and np.any(base.value == 0.0):
                 raise ExprDomainError("zero raised to a negative power", node.offset)
-            d = _pow_derivs(base.value, float(n), 3 if isinstance(base, Jet) else 2)
+            d = _pow_derivs(base.value, float(n), base.ORDER)
         else:
             if check and np.any(base.value <= 0.0):
                 raise ExprDomainError(
                     "non-integer power of a non-positive base", node.offset)
-            d = _pow_derivs(base.value, c, 3 if isinstance(base, Jet) else 2)
-        if isinstance(base, Jet):
-            return base.compose(d[0], d[1], d[2], d[3])
-        return base.compose(d[0], d[1], d[2])
+            d = _pow_derivs(base.value, c, base.ORDER)
+        return base.compose(*d)
     # variable exponent: a^b = exp(b log a), needs a > 0
     if check and np.any(base.value <= 0.0):
         raise ExprDomainError("variable power of a non-positive base", node.offset)
-    if isinstance(base, Jet):
-        logb = base.compose(*_outer_derivs("log", base.value))
-        prod = expo * logb
-        return prod.compose(*_outer_derivs("exp", prod.value))
-    logb = base.compose(*_outer_derivs("log", base.value)[:3])
+    logb = base.compose(*_outer_derivs("log", base.value)[:base.ORDER + 1])
     prod = expo * logb
-    return prod.compose(*_outer_derivs("exp", prod.value)[:3])
+    return prod.compose(*_outer_derivs("exp", prod.value)[:prod.ORDER + 1])
 
 
-def _eval1(node: Node, ast: ExprAST, seed: Jet, order: int, check: bool) -> Jet:
-    if isinstance(node, Num):
-        return Jet(np.float64(node.value))
-    if isinstance(node, Param):
-        return Jet(np.float64(ast.params[node.name]))
-    if isinstance(node, Var):
-        return seed
-    if isinstance(node, Neg):
-        return -_eval1(node.arg, ast, seed, order, check)
-    if isinstance(node, Call):
-        arg = _eval1(node.arg, ast, seed, order, check)
-        _check_function_domain(node.fn, arg.value, order, node, check)
-        return arg.compose(*_outer_derivs(node.fn, arg.value))
-    if isinstance(node, Bin):
-        lhs = _eval1(node.lhs, ast, seed, order, check)
-        if node.op == "^":
-            rhs = _eval1(node.rhs, ast, seed, order, check)
-            return _eval_pow(lhs, rhs, node, check)
-        rhs = _eval1(node.rhs, ast, seed, order, check)
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
-        if node.op == "*":
-            return lhs * rhs
-        if check and np.any(rhs.value == 0.0):
-            raise ExprDomainError("division by zero", node.offset)
-        return lhs / rhs
-    raise TypeError(f"unknown node {node!r}")
+def _eval(ast: ExprAST, seeds: dict, order: int, check: bool):
+    """Evaluate `ast` with each variable bound to its seed jet.
 
+    The jet class (Jet or Jet2) of the result is the class of the seeds;
+    `order` only gates the derivative-domain checks.
+    """
+    kind = type(next(iter(seeds.values())))
 
-def _eval2(node: Node, ast: ExprAST, seeds: dict, check: bool) -> Jet2:
-    if isinstance(node, Num):
-        return Jet2(np.float64(node.value))
-    if isinstance(node, Param):
-        return Jet2(np.float64(ast.params[node.name]))
-    if isinstance(node, Var):
-        return seeds[node.name]
-    if isinstance(node, Neg):
-        return -_eval2(node.arg, ast, seeds, check)
-    if isinstance(node, Call):
-        arg = _eval2(node.arg, ast, seeds, check)
-        _check_function_domain(node.fn, arg.value, 2, node, check)
-        return arg.compose(*_outer_derivs(node.fn, arg.value)[:3])
-    if isinstance(node, Bin):
-        lhs = _eval2(node.lhs, ast, seeds, check)
-        rhs = _eval2(node.rhs, ast, seeds, check)
-        if node.op == "^":
-            return _eval_pow(lhs, rhs, node, check)
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
-        if node.op == "*":
-            return lhs * rhs
-        if check and np.any(rhs.value == 0.0):
-            raise ExprDomainError("division by zero", node.offset)
-        return lhs / rhs
-    raise TypeError(f"unknown node {node!r}")
+    def ev(node: Node):
+        if isinstance(node, Num):
+            return kind(np.float64(node.value))
+        if isinstance(node, Param):
+            return kind(np.float64(ast.params[node.name]))
+        if isinstance(node, Var):
+            return seeds[node.name]
+        if isinstance(node, Neg):
+            return -ev(node.arg)
+        if isinstance(node, Call):
+            arg = ev(node.arg)
+            _check_function_domain(node.fn, arg.value, order, node, check)
+            return arg.compose(*_outer_derivs(node.fn, arg.value)[:kind.ORDER + 1])
+        if isinstance(node, Bin):
+            lhs = ev(node.lhs)
+            rhs = ev(node.rhs)
+            if node.op == "^":
+                return _eval_pow(lhs, rhs, node, check)
+            if node.op == "+":
+                return lhs + rhs
+            if node.op == "-":
+                return lhs - rhs
+            if node.op == "*":
+                return lhs * rhs
+            if check and np.any(rhs.value == 0.0):
+                raise ExprDomainError("division by zero", node.offset)
+            return lhs / rhs
+        raise TypeError(f"unknown node {node!r}")
+
+    return ev(ast.root)
 
 
 def eval_jet(ast: ExprAST, at, order: int = 3, *, check: bool = True) -> Jet:
@@ -653,9 +625,9 @@ def eval_jet(ast: ExprAST, at, order: int = 3, *, check: bool = True) -> Jet:
         raise ArityError(
             f"eval_jet needs exactly one declared variable, got {ast.variables}")
     at = np.asarray(at, dtype=float)
-    seed = Jet(at, np.float64(1.0))
+    seeds = {ast.variables[0]: Jet(at, np.float64(1.0))}
     with np.errstate(all="ignore"):
-        j = _eval1(ast.root, ast, seed, order, check)
+        j = _eval(ast, seeds, order, check)
     # broadcast constant subresults to the sample shape, zero unused slots
     shaped = at * 0.0 if np.ndim(at) else np.float64(0.0)
     d1 = j.d1 + shaped if order >= 1 else shaped
@@ -678,7 +650,7 @@ def eval_jet2(ast: ExprAST, at, *, check: bool = True) -> Jet2:
         ast.variables[1]: Jet2(u2, np.float64(0.0), np.float64(1.0)),
     }
     with np.errstate(all="ignore"):
-        j = _eval2(ast.root, ast, seeds, check)
+        j = _eval(ast, seeds, 2, check)
     if np.ndim(u1) or np.ndim(u2):
         shaped = (u1 + u2) * 0.0
         return Jet2(j.value + shaped, j.du1 + shaped, j.du2 + shaped,

@@ -41,24 +41,26 @@ def worker_count() -> int:
 
 
 def field(surface: SurfaceSpec, axis: GVec3, u1: float, u2: float) -> float:
-    """Shading value at one parameter point (axis must be unit, either kind)."""
+    """Shading value at one parameter point (axis must be unit, either kind):
+    a one-sample call into the `field_grid` kernel that raises where it gives NaN."""
     if not is_unit_axis(axis):
         raise G3Error("axis must be normalized (see normalize_axis)")
-    jx, jy, jz = _coordinate_jets(surface, float(u1), float(u2))
-    A, B, omega = _normal_parts(jx, jy, jz)
-    if omega <= OMEGA_MIN:
+    value, omega = _field_block(surface, axis, np.array([float(u1)]),
+                                np.array([float(u2)]), check=True)
+    if omega[0] <= OMEGA_MIN:
         raise SingularNormalError(
-            f"omega = {float(omega):.3g} at (u1,u2)=({u1:.6g},{u2:.6g})")
-    return float((A * axis.y + B * axis.z) / omega)
+            f"omega = {float(omega[0]):.3g} at (u1,u2)=({u1:.6g},{u2:.6g})")
+    return float(value[0])
 
 
-def _field_block(surface: SurfaceSpec, axis: GVec3, U1, U2) -> np.ndarray:
-    jx, jy, jz = _coordinate_jets(surface, U1, U2, check=False)
+def _field_block(surface: SurfaceSpec, axis: GVec3, U1, U2, check: bool = False):
+    """Shading values (NaN where omega <= OMEGA_MIN) and omega."""
+    jx, jy, jz = _coordinate_jets(surface, U1, U2, check=check)
     with np.errstate(all="ignore"):
         A, B, omega = _normal_parts(jx, jy, jz)
         out = (A * axis.y + B * axis.z) / omega
         out = np.where(omega > OMEGA_MIN, out, np.nan)
-    return np.asarray(out, dtype=float)
+    return np.asarray(out, dtype=float), omega
 
 
 def field_grid(surface: SurfaceSpec, axis: GVec3, U1, U2,
@@ -74,10 +76,10 @@ def field_grid(surface: SurfaceSpec, axis: GVec3, U1, U2,
         blocks = np.array_split(np.arange(U1b.shape[0]), n)
         with ThreadPoolExecutor(max_workers=n) as pool:
             parts = list(pool.map(
-                lambda idx: _field_block(surface, axis, U1b[idx], U2b[idx]),
+                lambda idx: _field_block(surface, axis, U1b[idx], U2b[idx])[0],
                 blocks))
         return np.concatenate(parts, axis=0)
-    return _field_block(surface, axis, U1b, U2b)
+    return _field_block(surface, axis, U1b, U2b)[0]
 
 
 @dataclass(frozen=True)
@@ -181,24 +183,23 @@ class IsophoteSet:
         }
 
 
-def _signs(F: np.ndarray, level: float) -> np.ndarray:
-    """Sign grid: +1 above level, -1 at or below, 0 where undefined.
-
-    Samples exactly at the level count as below, so a level set running
-    through grid nodes is still caught by the adjacent edges.
-    """
-    s = np.where(F > level, 1, -1)
-    return np.where(np.isfinite(F), s, 0)
-
-
-def crossing_cells(F: np.ndarray, level: float) -> set[tuple[int, int]]:
-    """Cells with at least one sign-change edge (NaN corners excluded)."""
-    s = _signs(F, level)
+def _cell_masks(F: np.ndarray, level: float):
+    """Sign grid (+1 above level, -1 at or below, 0 where undefined), the
+    sign-change edge masks, the cells with a crossing edge, and the cells
+    with no undefined corner.  Samples exactly at the level count as below,
+    so a level set running through grid nodes is still caught."""
+    s = np.where(np.isfinite(F), np.where(F > level, 1, -1), 0)
     ch = s[:-1, :] * s[1:, :] == -1   # edges along u1
     cv = s[:, :-1] * s[:, 1:] == -1   # edges along u2
     cell = (ch[:, :-1] | ch[:, 1:] | cv[:-1, :] | cv[1:, :])
     valid = ((s[:-1, :-1] != 0) & (s[1:, :-1] != 0)
              & (s[1:, 1:] != 0) & (s[:-1, 1:] != 0))
+    return s, ch, cv, cell, valid
+
+
+def crossing_cells(F: np.ndarray, level: float) -> set[tuple[int, int]]:
+    """Cells with at least one sign-change edge (NaN corners excluded)."""
+    *_, cell, valid = _cell_masks(F, level)
     return {(int(i), int(j)) for i, j in np.argwhere(cell & valid)}
 
 
@@ -265,27 +266,19 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery,
                            matches_level=abs(value - level) <= query.refine_tol)
         return IsophoteSet([], level, cf, stats)
 
-    s = _signs(F, level)
-    cross_h = s[:-1, :] * s[1:, :] == -1
-    cross_v = s[:, :-1] * s[:, 1:] == -1
+    s, cross_h, cross_v, cell, cell_ok = _cell_masks(F, level)
 
     # gather crossing edges: ("h", i, j) spans samples (i,j)-(i+1,j)
     edge_ids: list[tuple[str, int, int]] = []
     p0s, p1s, f0s, f1s = [], [], [], []
-    for kind, mask in (("h", cross_h), ("v", cross_v)):
+    for kind, mask, di, dj in (("h", cross_h, 1, 0), ("v", cross_v, 0, 1)):
         for i, j in np.argwhere(mask):
             i, j = int(i), int(j)
-            if kind == "h":
-                a, b = (U1[i], U2[j]), (U1[i + 1], U2[j])
-                fa, fb = F[i, j], F[i + 1, j]
-            else:
-                a, b = (U1[i], U2[j]), (U1[i], U2[j + 1])
-                fa, fb = F[i, j], F[i, j + 1]
             edge_ids.append((kind, i, j))
-            p0s.append(a)
-            p1s.append(b)
-            f0s.append(fa - level)
-            f1s.append(fb - level)
+            p0s.append((U1[i], U2[j]))
+            p1s.append((U1[i + di], U2[j + dj]))
+            f0s.append(F[i, j] - level)
+            f1s.append(F[i + di, j + dj] - level)
 
     points: dict[tuple[str, int, int], tuple[float, float]] = {}
     failed_edges: set[tuple[str, int, int]] = set()
@@ -307,15 +300,10 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery,
     # per-cell segments; saddles resolved by the center sample
     segments: list[tuple[tuple, tuple]] = []
     saddle_cells = []
-    cell_ok = ((s[:-1, :-1] != 0) & (s[1:, :-1] != 0)
-               & (s[1:, 1:] != 0) & (s[:-1, 1:] != 0))
     crossing = 0
     skipped = int(np.count_nonzero(~cell_ok))
-    for i, j in np.argwhere(cross_h[:, :-1] | cross_h[:, 1:]
-                            | cross_v[:-1, :] | cross_v[1:, :]):
+    for i, j in np.argwhere(cell & cell_ok):
         i, j = int(i), int(j)
-        if not cell_ok[i, j]:
-            continue
         edges = []
         if cross_h[i, j]:
             edges.append(("h", i, j))          # bottom

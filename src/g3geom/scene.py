@@ -8,6 +8,7 @@ cross references must resolve.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,12 +43,30 @@ class Scene:
 
 
 def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str):
+    if not isinstance(obj, dict):
+        raise SceneError(f"{where} must be a JSON object, got {obj!r}")
     extra = set(obj) - allowed
     if extra:
         raise SceneError(f"unknown keys {sorted(extra)} in {where}")
     missing = required - set(obj)
     if missing:
         raise SceneError(f"missing keys {sorted(missing)} in {where}")
+
+
+def _number(v, what: str, where: str) -> float:
+    """A finite JSON number (booleans excluded)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise SceneError(f"{what} must be a finite number in {where}, got {v!r}")
+    return v
+
+
+def _params(obj: dict, where: str) -> dict[str, float]:
+    params = obj.get("params") or {}
+    if not isinstance(params, dict):
+        raise SceneError(f"params must be a JSON object in {where}")
+    for k, v in params.items():
+        _number(v, f"params.{k}", where)
+    return params
 
 
 def _domain1(v, where: str) -> tuple[float, float]:
@@ -64,7 +83,7 @@ def _load_curve(name: str, obj: dict) -> CurveSpec:
     where = f"curves.{name}"
     _check_keys(obj, {"f", "g", "domain", "params"}, {"f", "g", "domain"}, where)
     return CurveSpec.from_strings(obj["f"], obj["g"], _domain1(obj["domain"], where),
-                                  obj.get("params") or {})
+                                  _params(obj, where))
 
 
 def _load_surface(name: str, obj: dict) -> SurfaceSpec:
@@ -77,14 +96,14 @@ def _load_surface(name: str, obj: dict) -> SurfaceSpec:
     return SurfaceSpec.from_strings(
         obj["x"], obj["y"], obj["z"],
         (_domain1(dom[0], where), _domain1(dom[1], where)),
-        obj.get("params") or {})
+        _params(obj, where))
 
 
 def _load_trace(name: str, obj: dict) -> TraceSpec:
     where = f"traces.{name}"
     _check_keys(obj, {"u1", "u2", "domain", "params"}, {"u1", "u2", "domain"}, where)
     return TraceSpec.from_strings(obj["u1"], obj["u2"], _domain1(obj["domain"], where),
-                                  obj.get("params") or {})
+                                  _params(obj, where))
 
 
 def _load_profile(name: str, obj: dict) -> ProfileEntry:
@@ -96,15 +115,16 @@ def _load_profile(name: str, obj: dict) -> ProfileEntry:
         raise SceneError(f"mode must be euclidean or isotropic in {where}")
     profile = ProfileSpec.from_string(
         obj["g"], _domain1(obj["domain"], where),
-        c=float(obj.get("c", 1.0)), A=float(obj.get("A", 0.0)),
-        parameters=obj.get("params") or {})
+        c=float(_number(obj.get("c", 1.0), "c", where)),
+        A=float(_number(obj.get("A", 0.0), "A", where)),
+        parameters=_params(obj, where))
     return ProfileEntry(profile, mode)
 
 
 def _load_axis(name: str, obj) -> GVec3:
     if not isinstance(obj, (list, tuple)) or len(obj) != 3:
         raise SceneError(f"axes.{name} must be a [x, y, z] array")
-    return GVec3.from_seq(obj)
+    return GVec3.from_seq(_number(v, "axis component", f"axes.{name}") for v in obj)
 
 
 def _load_query(name: str, obj: dict, scene: Scene) -> QueryEntry:
@@ -122,15 +142,20 @@ def _load_query(name: str, obj: dict, scene: Scene) -> QueryEntry:
     else:
         axis = _load_axis(name, axis_ref)
     axis = normalize_axis(axis)
-    grid = tuple(obj.get("grid", DEFAULT_GRID))
-    tol = float(obj.get("refine_tol", DEFAULT_REFINE_TOL))
+    grid = obj.get("grid", DEFAULT_GRID)
+    if (not isinstance(grid, (list, tuple)) or len(grid) != 2
+            or not all(type(n) is int and n >= 2 for n in grid)):
+        raise SceneError(f"grid must be two integers >= 2 in {where}, got {grid!r}")
+    tol = float(_number(obj.get("refine_tol", DEFAULT_REFINE_TOL), "refine_tol", where))
     chosen = [k for k in ("beta", "level", "silhouette") if obj.get(k) is not None]
     if len(chosen) != 1:
         raise SceneError(f"{where} needs exactly one of beta | level | silhouette")
     if chosen[0] == "beta":
-        query = IsophoteQuery.for_angle(axis, float(obj["beta"]), grid, tol)
+        query = IsophoteQuery.for_angle(axis, float(_number(obj["beta"], "beta", where)),
+                                        grid, tol)
     elif chosen[0] == "level":
-        query = IsophoteQuery.raw_level(axis, float(obj["level"]), grid, tol)
+        query = IsophoteQuery.raw_level(axis, float(_number(obj["level"], "level", where)),
+                                        grid, tol)
     else:
         query = IsophoteQuery.for_silhouette(axis, grid, tol)
     return QueryEntry(sname, query)
@@ -144,18 +169,14 @@ def load_scene_dict(doc: dict) -> Scene:
         raise SceneError("scene document must be a JSON object")
     _check_keys(doc, set(_SECTIONS), set(), "scene")
     scene = Scene()
-    for name, obj in (doc.get("curves") or {}).items():
-        scene.curves[name] = _load_curve(name, obj)
-    for name, obj in (doc.get("surfaces") or {}).items():
-        scene.surfaces[name] = _load_surface(name, obj)
-    for name, obj in (doc.get("traces") or {}).items():
-        scene.traces[name] = _load_trace(name, obj)
-    for name, obj in (doc.get("profiles") or {}).items():
-        scene.profiles[name] = _load_profile(name, obj)
-    for name, obj in (doc.get("axes") or {}).items():
-        scene.axes[name] = _load_axis(name, obj)
-    for name, obj in (doc.get("queries") or {}).items():
-        scene.queries[name] = _load_query(name, obj, scene)
+    loaders = (_load_curve, _load_surface, _load_trace, _load_profile, _load_axis,
+               lambda name, obj: _load_query(name, obj, scene))
+    for key, load in zip(_SECTIONS, loaders):
+        section = doc.get(key) or {}
+        if not isinstance(section, dict):
+            raise SceneError(f"{key} must be a JSON object of named entries")
+        for name, obj in section.items():
+            getattr(scene, key)[name] = load(name, obj)
     return scene
 
 

@@ -229,16 +229,10 @@ def darboux(surface: SurfaceSpec, trace: TraceSpec, s: float) -> DarbouxSample:
 
         T' = k_g Q + k_n n,   Q' = tau_g n,   n' = -tau_g Q
         k_g = kappa cos(phi), k_n = -kappa sin(phi)
+
+    A one-sample `darboux_samples` call.
     """
-    a = _darboux_arrays(surface, trace, np.asarray(float(s)))
-    return DarbouxSample(
-        s=float(s),
-        T=GVec3(1.0, float(a["Ty"]), float(a["Tz"])),
-        Q=GVec3(0.0, float(a["Qy"]), float(a["Qz"])),
-        n=GVec3(0.0, float(a["ny"]), float(a["nz"])),
-        kg=float(a["kg"]), kn=float(a["kn"]),
-        tau_g=float(a["taug"]), phi=float(a["phi"]),
-    )
+    return darboux_samples(surface, trace, [float(s)])[0]
 
 
 def darboux_samples(surface: SurfaceSpec, trace: TraceSpec, S) -> list[DarbouxSample]:
@@ -303,10 +297,15 @@ class AxisReport:
     note: str = ""
 
 
-def _axis_residual(S: np.ndarray, dy: np.ndarray, dz: np.ndarray) -> float:
+def _axis_residual(S: np.ndarray, dy: np.ndarray, dz: np.ndarray, residual_tol: float,
+                   msg: str = "reconstructed axis is not constant (residual {:.3g})") -> float:
+    """Max finite-difference |d'|; above residual_tol the axis is rejected."""
     gy = np.gradient(dy, S)
     gz = np.gradient(dz, S)
-    return float(np.hypot(gy, gz).max())
+    residual = float(np.hypot(gy, gz).max())
+    if residual > residual_tol:
+        raise AxisConstraintError(msg.format(residual))
+    return residual
 
 
 def axis_isotropic(surface: SurfaceSpec, trace: TraceSpec, theta: float,
@@ -328,11 +327,9 @@ def axis_isotropic(surface: SurfaceSpec, trace: TraceSpec, theta: float,
 
     if asymptotic and abs(theta) <= tol:
         dy, dz = a["ny"], a["nz"]
-        residual = _axis_residual(S, dy, dz)
-        if residual > residual_tol:
-            raise AxisConstraintError(
-                f"d = n is not constant along the trace (residual {residual:.3g}); "
-                "the trace is not a line of curvature")
+        residual = _axis_residual(
+            S, dy, dz, residual_tol, "d = n is not constant along the trace "
+            "(residual {:.3g}); the trace is not a line of curvature")
         return AxisReport(d=GVec3(0.0, float(dy[0]), float(dz[0])),
                           theta_or_phi=theta, branch="C5-trivial",
                           residual=residual, status="ok")
@@ -357,10 +354,7 @@ def axis_isotropic(surface: SurfaceSpec, trace: TraceSpec, theta: float,
         ct = math.cos(theta)
         dy = -ratio * ct * a["Qy"] + ct * a["ny"]
         dz = -ratio * ct * a["Qz"] + ct * a["nz"]
-        residual = _axis_residual(S, dy, dz)
-        if residual > residual_tol:
-            raise AxisConstraintError(
-                f"reconstructed axis is not constant (residual {residual:.3g})")
+        residual = _axis_residual(S, dy, dz, residual_tol)
         return AxisReport(d=GVec3(0.0, float(dy[0]), float(dz[0])),
                           theta_or_phi=theta, branch="C6-line-of-curvature",
                           residual=residual, status="ok", sign=sign)
@@ -395,10 +389,7 @@ def axis_nonisotropic(surface: SurfaceSpec, trace: TraceSpec, phi_measure: float
                 f"s = {float(S[i]):.6g} (deviation {float(dev[i]):.3g})")
         dy = a["Ty"] + phi_measure * a["ny"]
         dz = a["Tz"] + phi_measure * a["nz"]
-        residual = _axis_residual(S, dy, dz)
-        if residual > residual_tol:
-            raise AxisConstraintError(
-                f"reconstructed axis is not constant (residual {residual:.3g})")
+        residual = _axis_residual(S, dy, dz, residual_tol)
         return AxisReport(d=GVec3(1.0, float(dy[0]), float(dz[0])),
                           theta_or_phi=phi_measure, branch="C13-asymptotic",
                           residual=residual, status="ok")
@@ -532,6 +523,15 @@ def verify_theorems(surface: SurfaceSpec, trace: TraceSpec,
         out[name] = TheoremReport(name, hyp, concl if hyp else None,
                                   {**common, **details})
 
+    def plane_curve():
+        """(is the trace a plane curve, max |tau|); None if tau is unknown."""
+        if straight:
+            return True, 0.0
+        if fren is not None:
+            tau_max = float(np.abs(fren["tau"]).max())
+            return tau_max <= tol, tau_max
+        return None, float("nan")
+
     # 3.1 (i): a geodesic isophote with isotropic axis is a straight line
     report("thm_3_1_i", iso and isophote and geodesic, straight,
            max_abs_kg=float(np.abs(a["kg"]).max()))
@@ -603,13 +603,7 @@ def verify_theorems(surface: SurfaceSpec, trace: TraceSpec,
                                axis.z - proj * a["Qz"]).max())
         unit = float(np.abs(np.abs(proj) - 1.0).max())
         if off_q <= tol and unit <= tol:
-            if straight:
-                concl, tau_max = True, 0.0
-            elif fren is not None:
-                tau_max = float(np.abs(fren["tau"]).max())
-                concl = tau_max <= tol
-            else:
-                concl, tau_max = None, float("nan")
+            concl, tau_max = plane_curve()
             report("thm_3_4", True, concl, axis_off_Q=off_q,
                    max_abs_tau=tau_max,
                    max_abs_kg=float(np.abs(a["kg"]).max()),
@@ -631,13 +625,7 @@ def verify_theorems(surface: SurfaceSpec, trace: TraceSpec,
         b_comp = (axis.y - a["Ty"]) * a["ny"] + (axis.z - a["Tz"]) * a["nz"]
         in_span = float(np.abs(b_comp).max()) <= tol
         if in_span:
-            if straight:
-                concl, tau_max = True, 0.0
-            elif fren is not None:
-                tau_max = float(np.abs(fren["tau"]).max())
-                concl = tau_max <= tol
-            else:
-                concl, tau_max = None, float("nan")
+            concl, tau_max = plane_curve()
             report("thm_3_6_i", True, concl, max_abs_tau=tau_max,
                    max_span_defect=float(np.abs(b_comp).max()))
         else:

@@ -28,7 +28,7 @@ from .curve import (
 from .errors import G3Error
 from .galilean import GVec3, normalize_axis
 from .isophote import field_grid
-from .surface import SurfaceSpec, sample_surface
+from .surface import SurfaceSpec, TheoremReport, sample_surface
 
 S_MIN_DEFAULT = 1e-3
 EUCLIDEAN_T_RANGE = (0.0, 2.0 * math.pi)
@@ -121,75 +121,56 @@ def frame_normal_decomposition(profile: ProfileSpec, mode: str,
     return (n.y * fr.N.y + n.z * fr.N.z, n.y * fr.B.y + n.z * fr.B.z)
 
 
-@dataclass
-class PropReport:
-    name: str
-    hypothesis_met: bool
-    conclusion_verified: bool | None
-    details: dict
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "hypothesis_met": self.hypothesis_met,
-                "conclusion_verified": self.conclusion_verified,
-                "details": self.details}
+def _verify_helix_prop(name: str, detect, t0s: tuple[float, float], reason: str,
+                       profile: ProfileSpec, d: GVec3, tol: float,
+                       samples: int) -> TheoremReport:
+    """Gate on the helix detector; then the shading field along each
+    parallel t = t0 of the Euclidean revolution must be constant."""
+    curve = profile_curve(profile)
+    helix = detect(curve, d, samples=samples, tol=tol)
+    details: dict = {"helix_value": helix.value, "helix_spread": helix.spread}
+    if not helix.is_helix:
+        return TheoremReport(name, False, None, {**details, "reason": reason})
+    surf = revolve_euclidean(profile)
+    S = np.linspace(profile.domain[0], profile.domain[1], samples)
+    ok = True
+    for k, t0 in enumerate(t0s):
+        vals = field_grid(surf, d, S, np.full_like(S, t0))
+        spread = float(vals.max() - vals.min())
+        details[f"t0_{k}"] = t0
+        details[f"field_spread_{k}"] = spread
+        details[f"field_value_{k}"] = float(vals.mean())
+        ok = ok and spread <= tol
+    return TheoremReport(name, True, ok, details)
 
 
 def verify_prop_4_1(profile: ProfileSpec, d: GVec3, tol: float = 1e-9,
-                    samples: int = 128) -> PropReport:
+                    samples: int = 128) -> TheoremReport:
     """General-helix profiles give isophotes along t = (2k+1) pi/2.
 
     Gate: <B, d> constant for the profile.  Assertion: the shading field
     along the parallels t0 = pi/2, 3pi/2 is constant to within tol, and
     the surface normal there is -+ the profile binormal.
     """
-    curve = profile_curve(profile)
-    helix = detect_general_helix(curve, d, samples=samples, tol=tol)
-    details: dict = {"helix_value": helix.value, "helix_spread": helix.spread}
-    if not helix.is_helix:
-        return PropReport("prop_4_1", False, None,
-                          {**details, "reason": "profile is not a general helix for d"})
-    surf = revolve_euclidean(profile)
-    S = np.linspace(profile.domain[0], profile.domain[1], samples)
-    ok = True
-    for k in (0, 1):
-        t0 = (2 * k + 1) * math.pi / 2.0
-        vals = field_grid(surf, d, S, np.full_like(S, t0))
-        spread = float(vals.max() - vals.min())
-        details[f"t0_{k}"] = t0
-        details[f"field_spread_{k}"] = spread
-        details[f"field_value_{k}"] = float(vals.mean())
-        ok = ok and spread <= tol
-    return PropReport("prop_4_1", True, ok, details)
+    return _verify_helix_prop("prop_4_1", detect_general_helix,
+                              (math.pi / 2.0, 3 * math.pi / 2.0),
+                              "profile is not a general helix for d",
+                              profile, d, tol, samples)
 
 
 def verify_prop_4_2(profile: ProfileSpec, d: GVec3, tol: float = 1e-9,
-                    samples: int = 128) -> PropReport:
+                    samples: int = 128) -> TheoremReport:
     """Slant-helix profiles give isophotes along t = k pi."""
-    curve = profile_curve(profile)
-    helix = detect_slant_helix(curve, d, samples=samples, tol=tol)
-    details: dict = {"helix_value": helix.value, "helix_spread": helix.spread}
-    if not helix.is_helix:
-        return PropReport("prop_4_2", False, None,
-                          {**details, "reason": "profile is not a slant helix for d"})
-    surf = revolve_euclidean(profile)
-    S = np.linspace(profile.domain[0], profile.domain[1], samples)
-    ok = True
-    for k in (0, 1):
-        t0 = k * math.pi
-        vals = field_grid(surf, d, S, np.full_like(S, t0))
-        spread = float(vals.max() - vals.min())
-        details[f"t0_{k}"] = t0
-        details[f"field_spread_{k}"] = spread
-        details[f"field_value_{k}"] = float(vals.mean())
-        ok = ok and spread <= tol
-    return PropReport("prop_4_2", True, ok, details)
+    return _verify_helix_prop("prop_4_2", detect_slant_helix, (0.0, math.pi),
+                              "profile is not a slant helix for d",
+                              profile, d, tol, samples)
 
 
 def verify_prop_4_3(c: float, A: float, lam: float, branch: str,
                     tol: float = 1e-12,
                     s_range: tuple[float, float] = (S_MIN_DEFAULT, 5.0),
                     t_range: tuple[float, float] = ISOTROPIC_T_RANGE,
-                    grid: tuple[int, int] = (64, 64)) -> PropReport:
+                    grid: tuple[int, int] = (64, 64)) -> TheoremReport:
     """The quadratic profile g = s^2/(2c) + A makes the whole isotropic
     surface of revolution one isophote with constant <n, d> = lam/sqrt(2).
 
@@ -220,7 +201,7 @@ def verify_prop_4_3(c: float, A: float, lam: float, branch: str,
     sla = detect_slant_helix(cu, unit, samples=64, tol=1e-10)
     ok = (spread <= tol * scale and abs(value - expected) <= max(tol, 1e-12) * scale
           and gen.is_helix and sla.is_helix)
-    return PropReport("prop_4_3_" + branch, True, ok, {
+    return TheoremReport("prop_4_3_" + branch, True, ok, {
         "value": value, "spread": spread, "expected": expected,
         "corollary_4_4": {"general_helix": gen.is_helix, "slant_helix": sla.is_helix,
                           "B_dot_d": gen.value, "N_dot_d": sla.value},

@@ -138,14 +138,14 @@ def check_frenet_closed_form() -> CheckResult:
                        {"max_kappa_dev": dk, "max_tau_dev": dt, "tol": 1e-12})
 
 
+def _central(arrays, S: np.ndarray, h: float):
+    """The batch data at S and its central-difference derivative by key."""
+    a0, ap, am = arrays(S), arrays(S + h), arrays(S - h)
+    return a0, lambda key: (ap[key] - am[key]) / (2.0 * h)
+
+
 def _frenet_ode_residuals(curve: CurveSpec, S: np.ndarray, h: float = FD_STEP):
-    a0 = _curve_arrays(curve, S)
-    ap = _curve_arrays(curve, S + h)
-    am = _curve_arrays(curve, S - h)
-
-    def fd(key):
-        return (ap[key] - am[key]) / (2.0 * h)
-
+    a0, fd = _central(lambda X: _curve_arrays(curve, X), S, h)
     rT = np.hypot(fd("fp") - a0["kappa"] * a0["Ny"],
                   fd("gp") - a0["kappa"] * a0["Nz"])
     rN = np.hypot(fd("Ny") - a0["tau"] * a0["By"],
@@ -201,11 +201,8 @@ def check_b5_tau() -> CheckResult:
     for surface, trace in random_corpus():
         S = trace.samples(40)
         S = S[(S > trace.domain[0] + 2 * h) & (S < trace.domain[1] - 2 * h)]
-        a0 = _darboux_arrays(surface, trace, S)
-        ap = _darboux_arrays(surface, trace, S + h)
-        am = _darboux_arrays(surface, trace, S - h)
-        kgp = (ap["kg"] - am["kg"]) / (2.0 * h)
-        knp = (ap["kn"] - am["kn"]) / (2.0 * h)
+        a0, fd = _central(lambda X: _darboux_arrays(surface, trace, X), S, h)
+        kgp, knp = fd("kg"), fd("kn")
         k2 = a0["kg"] ** 2 + a0["kn"] ** 2
         tau_darboux = a0["taug"] + (a0["kg"] * knp - kgp * a0["kn"]) / k2
         fr = _curve_arrays(induced_curve(surface, trace), S)
@@ -238,13 +235,7 @@ def check_b4_ode() -> CheckResult:
     for surface, trace in random_corpus():
         S = trace.samples(40)
         S = S[(S > trace.domain[0] + 2 * h) & (S < trace.domain[1] - 2 * h)]
-        a0 = _darboux_arrays(surface, trace, S)
-        ap = _darboux_arrays(surface, trace, S + h)
-        am = _darboux_arrays(surface, trace, S - h)
-
-        def fd(key):
-            return (ap[key] - am[key]) / (2.0 * h)
-
+        a0, fd = _central(lambda X: _darboux_arrays(surface, trace, X), S, h)
         rT = np.hypot(fd("Ty") - (a0["kg"] * a0["Qy"] + a0["kn"] * a0["ny"]),
                       fd("Tz") - (a0["kg"] * a0["Qz"] + a0["kn"] * a0["nz"]))
         rQ = np.hypot(fd("Qy") - a0["taug"] * a0["ny"],
@@ -335,16 +326,17 @@ def _prop_profile() -> ProfileSpec:
     return ProfileSpec.from_string("s^2/2 + 1", (0.0, 2.0))
 
 
-def check_prop_4_1() -> CheckResult:
-    rep = verify_prop_4_1(_prop_profile(), GVec3(0.0, 1.0, 0.0), tol=1e-9)
-    return CheckResult("prop_4_1", bool(rep.hypothesis_met and rep.conclusion_verified),
+def _prop_check(rep) -> CheckResult:
+    return CheckResult(rep.name, bool(rep.hypothesis_met and rep.conclusion_verified),
                        rep.details)
+
+
+def check_prop_4_1() -> CheckResult:
+    return _prop_check(verify_prop_4_1(_prop_profile(), GVec3(0.0, 1.0, 0.0), tol=1e-9))
 
 
 def check_prop_4_2() -> CheckResult:
-    rep = verify_prop_4_2(_prop_profile(), GVec3(0.0, 0.0, 1.0), tol=1e-9)
-    return CheckResult("prop_4_2", bool(rep.hypothesis_met and rep.conclusion_verified),
-                       rep.details)
+    return _prop_check(verify_prop_4_2(_prop_profile(), GVec3(0.0, 0.0, 1.0), tol=1e-9))
 
 
 def check_prop_4_3_i() -> CheckResult:

@@ -56,6 +56,36 @@ def test_scene_rejects_unknown_keys():
     with pytest.raises(SceneError):
         load_scene_dict({"curves": {"c": {"f": "s", "g": "s", "domain": [0, 1],
                                           "extra": 1}}})
+    # entries and sections that are not objects
+    for bad in ({"curves": {"c": 5}}, {"surfaces": {"s": [1, 2]}},
+                {"queries": {"q": "cyl"}}, {"traces": [1]}):
+        with pytest.raises(SceneError):
+            load_scene_dict(bad)
+    # params that are not finite numbers
+    curve = {"f": "a*s^2", "g": "s^3", "domain": [0, 1]}
+    for value in ("x", float("nan"), float("inf"), None, [1], True):
+        with pytest.raises(SceneError, match="params.a must be a finite number"):
+            load_scene_dict({"curves": {"c": {**curve, "params": {"a": value}}}})
+
+
+def test_scene_rejects_non_finite_numbers():
+    profile = {"g": "s^2/2", "domain": [0.001, 5], "mode": "isotropic"}
+    query = {"surface": "cyl", "axis": "zhat", "beta": 0.5}
+    bad_docs = [
+        {"profiles": {"p": {**profile, "c": "x"}}},
+        {"profiles": {"p": {**profile, "A": float("inf")}}},
+        {"axes": {"a": [0, "1", 0]}},
+        {"axes": {"a": [0, float("nan"), 1]}},
+        {"surfaces": SCENE["surfaces"], "axes": SCENE["axes"],
+         "queries": {"q": {**query, "beta": "0.5"}}},
+        {"surfaces": SCENE["surfaces"], "axes": SCENE["axes"],
+         "queries": {"q": {**query, "refine_tol": float("nan")}}},
+        {"surfaces": SCENE["surfaces"], "axes": SCENE["axes"],
+         "queries": {"q": {"surface": "cyl", "axis": "zhat", "level": [0.5]}}},
+    ]
+    for doc in bad_docs:
+        with pytest.raises(SceneError, match="must be a finite number"):
+            load_scene_dict(doc)
 
 
 def test_scene_rejects_bad_references():
@@ -70,6 +100,13 @@ def test_scene_rejects_bad_references():
         load_scene_dict({
             "surfaces": SCENE["surfaces"],
             "queries": {"q": {"surface": "cyl", "axis": [0, 0, 1]}}})  # no level
+    # a query grid must be two integers >= 2
+    for grid in ("ab", [64], [64, 1], [64.0, 64], 64, [64, "64"], [True, 64]):
+        with pytest.raises(SceneError, match="grid must be two integers"):
+            load_scene_dict({
+                "surfaces": SCENE["surfaces"],
+                "queries": {"q": {"surface": "cyl", "axis": [0, 0, 1],
+                                  "beta": 0.5, "grid": grid}}})
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +235,29 @@ def test_verify_unmatched_filter_fails(capsys):
 
 def test_scene_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"curvez": {}}))
-    rc = main(["frenet", "--curve", "cubic", "--scene", str(bad)])
+    for doc in ({"curvez": {}}, {"curves": {"c": 5}},
+                {"curves": {"c": {"f": "a*s^2", "g": "s^3", "domain": [0, 1],
+                                  "params": {"a": "x"}}}},
+                {"surfaces": SCENE["surfaces"],
+                 "queries": {"q": {"surface": "cyl", "axis": [0, 0, 1],
+                                   "beta": 0.5, "grid": "ab"}}}):
+        bad.write_text(json.dumps(doc))
+        rc = main(["frenet", "--curve", "cubic", "--scene", str(bad)])
+        assert rc == 2
+        assert "error" in capsys.readouterr().err
+
+
+def test_frenet_rejects_infinite_domain(capsys):
+    rc = main(["frenet", "--curve", "s^2/2,s^3/6", "--domain", "0:inf"])
     assert rc == 2
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err
+    assert "nan" not in captured.out
+
+
+def test_param_rejects_nan(capsys):
+    rc = main(["frenet", "--curve", "a*s^2,s^3", "--param", "a=nan"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err
+    assert "nan" not in captured.out

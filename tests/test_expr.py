@@ -313,3 +313,6 @@ def test_combine_merges_parameters():
     conflicting = expr.parse("k", [], {"k": 5.0})
     with pytest.raises(ValueError):
         expr.combine("+", a, conflicting)
+    # the evaluator looks variables up by name, so every one must be declared
+    with pytest.raises(ValueError, match="undeclared variables"):
+        expr.combine("+", a, expr.parse("t", ["t"]), ["s"])

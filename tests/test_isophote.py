@@ -207,10 +207,17 @@ def test_crossing_cells_match_brute_force_oracle(cylinder, plane, corpus):
         (corpus[0][0], Z_AXIS, 0.3),
         (corpus[1][0], normalize_axis(GVec3(0.0, 2.0, 1.0)), -0.1),
     ]
+    compared = 0
     for surf, axis, level in cases:
         U1, U2 = surf.grid(17, 17)
         F = field_grid(surf, axis, U1[:, None], U2[None, :])
         assert crossing_cells(F, level) == _brute_crossing_cells(F, level)
+        # extract builds its cells from the same masks as crossing_cells
+        stats = extract(surf, IsophoteQuery.raw_level(axis, level, grid=(16, 16))).stats
+        if stats.failed_edges == 0:
+            assert stats.cells_crossing == len(crossing_cells(F, level))
+            compared += 1
+    assert compared > 0
 
 
 def test_grid_doubling_keeps_polylines(cylinder):
