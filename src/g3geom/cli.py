@@ -6,7 +6,8 @@ comma-separated expressions for quick experiments.  Exit codes: 0 ok,
 1 numerical verification failure, 2 usage or parse error.
 
 The environment variable G3_THREADS caps worker concurrency for grid
-evaluation (0 or unset = auto).
+evaluation (0 or unset = auto) on grids of at least 2^19 points; smaller
+grids run on the calling thread.
 """
 
 from __future__ import annotations
@@ -66,6 +67,15 @@ def _finite(text: str, what: str) -> float:
     if not math.isfinite(value):
         raise G3Error(f"{what} must be finite, got {text!r}")
     return value
+
+
+def _finite_option(text: str) -> float:
+    """argparse type for float options: text that is not a finite number,
+    inf and nan included, is a usage error (exit 2)."""
+    try:
+        return _finite(text, "value")
+    except (G3Error, ValueError) as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _parse_params(items) -> dict[str, float]:
@@ -377,17 +387,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="geodesic / asymptotic / line-of-curvature flags")
     _add_surface_trace(p)
     p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--tol", type=float, default=ANALYTIC_TOL)
+    p.add_argument("--tol", type=_finite_option, default=ANALYTIC_TOL)
     _add_common(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("axis", help="reconstruct the isophote axis along a trace")
     p.add_argument("--case", choices=("isotropic", "nonisotropic"), required=True)
     _add_surface_trace(p)
-    p.add_argument("--angle", type=float, required=True,
+    p.add_argument("--angle", type=_finite_option, required=True,
                    help="theta (isotropic case) or the raw measure phi")
     p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--tol", type=float, default=ANALYTIC_TOL)
+    p.add_argument("--tol", type=_finite_option, default=ANALYTIC_TOL)
     _add_common(p)
     p.set_defaults(func=cmd_axis)
 
@@ -397,11 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface-domain", metavar="A:B,C:D")
     p.add_argument("--axis", required=True, help="scene axis name or inline 'x,y,z'")
     level = p.add_mutually_exclusive_group(required=True)
-    level.add_argument("--beta", type=float, help="angle level (isotropic axis)")
-    level.add_argument("--level", type=float, help="raw field level")
+    level.add_argument("--beta", type=_finite_option, help="angle level (isotropic axis)")
+    level.add_argument("--level", type=_finite_option, help="raw field level")
     level.add_argument("--silhouette", action="store_true", help="level 0")
     p.add_argument("--grid", metavar="N1xN2", help="cell grid (default 256x256)")
-    p.add_argument("--refine-tol", type=float, default=DEFAULT_REFINE_TOL)
+    p.add_argument("--refine-tol", type=_finite_option, default=DEFAULT_REFINE_TOL)
     p.add_argument("--obj", metavar="PATH", help="write polylines as OBJ")
     p.add_argument("--svg", metavar="PATH", help="write a parameter-domain SVG")
     _add_common(p)
@@ -412,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scene profile name or inline g(s) expression")
     p.add_argument("--mode", choices=("euclidean", "isotropic"))
     p.add_argument("--domain", metavar="A:B", help="profile domain (inline)")
-    p.add_argument("--c", type=float, default=1.0, help="isotropic rotation radius")
-    p.add_argument("--A", type=float, default=0.0, help="profile constant")
+    p.add_argument("--c", type=_finite_option, default=1.0, help="isotropic rotation radius")
+    p.add_argument("--A", type=_finite_option, default=0.0, help="profile constant")
     p.add_argument("--mesh", metavar="N1xN2", help="tessellate to a mesh")
     p.add_argument("--obj", metavar="PATH", help="write the mesh as OBJ")
     _add_common(p)

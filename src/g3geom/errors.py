@@ -62,7 +62,7 @@ class AxisConstraintError(AxisError):
 
 
 class AxisUndefinedError(AxisError):
-    """k_g vanishes while k_n does not: the line-of-curvature axis formula is undefined."""
+    """k_g vanishes on a line-of-curvature trace: the axis formula k_n/k_g is undefined."""
 
 
 class SceneError(G3Error):

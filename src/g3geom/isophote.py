@@ -26,10 +26,14 @@ DEFAULT_GRID = (256, 256)
 DEFAULT_REFINE_TOL = 1e-9
 MAX_BISECT = 30
 CLOSE_TOL = 1e-9
+# field_grid starts a thread pool only for grids of at least this many
+# points; below it the pool costs more than it saves
+PARALLEL_MIN_POINTS = 1 << 19
 
 
 def worker_count() -> int:
-    """Worker cap from G3_THREADS (0 or unset = auto)."""
+    """Worker cap from G3_THREADS (0 or unset = auto) for field grids of at
+    least PARALLEL_MIN_POINTS points."""
     raw = os.environ.get("G3_THREADS", "0")
     try:
         n = int(raw)
@@ -65,21 +69,31 @@ def _field_block(surface: SurfaceSpec, axis: GVec3, U1, U2, check: bool = False)
 
 def field_grid(surface: SurfaceSpec, axis: GVec3, U1, U2,
                workers: int | None = None) -> np.ndarray:
-    """Vectorized shading field; singular or undefined points become NaN."""
+    """Vectorized shading field; singular or undefined points become NaN.
+
+    U1 and U2 are evaluated on their own shapes and broadcast only where
+    they meet, so a tensor grid passed as (n1, 1) and (1, n2) operands
+    evaluates each u1-only or u2-only subexpression once per row or column.
+    A 2-D grid of at least PARALLEL_MIN_POINTS points is split by rows over
+    `workers` threads (default worker_count()); smaller ones run here.
+    """
     if not is_unit_axis(axis):
         raise G3Error("axis must be normalized (see normalize_axis)")
     U1 = np.asarray(U1, dtype=float)
     U2 = np.asarray(U2, dtype=float)
-    U1b, U2b = np.broadcast_arrays(U1, U2)
-    n = workers if workers is not None else worker_count()
-    if n > 1 and U1b.ndim == 2 and U1b.shape[0] >= 2 * n:
-        blocks = np.array_split(np.arange(U1b.shape[0]), n)
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            parts = list(pool.map(
-                lambda idx: _field_block(surface, axis, U1b[idx], U2b[idx])[0],
-                blocks))
-        return np.concatenate(parts, axis=0)
-    return _field_block(surface, axis, U1b, U2b)[0]
+    shape = np.broadcast_shapes(U1.shape, U2.shape)
+    if len(shape) == 2 and shape[0] * shape[1] >= PARALLEL_MIN_POINTS:
+        n = workers if workers is not None else worker_count()
+        if n > 1 and shape[0] >= 2 * n:
+            def block(k: int) -> np.ndarray:
+                rows = slice(shape[0] * k // n, shape[0] * (k + 1) // n)
+                U1k, U2k = (U[rows] if U.ndim == 2 and U.shape[0] > 1 else U
+                            for U in (U1, U2))
+                return _field_block(surface, axis, U1k, U2k)[0]
+
+            with ThreadPoolExecutor(max_workers=n) as pool:
+                return np.concatenate(list(pool.map(block, range(n))), axis=0)
+    return _field_block(surface, axis, U1, U2)[0]
 
 
 @dataclass(frozen=True)
@@ -244,6 +258,13 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery,
             workers: int | None = None) -> IsophoteSet:
     """Marching-squares extraction of the level set field == level.
 
+    Edges between grid samples carry integer ids: the edge from sample
+    (i, j) to (i+1, j) is i*(n2+1) + j, and the edge from (i, j) to
+    (i, j+1) is n1*(n2+1) + i*n2 + j.  Cell (i, j) has the edges bottom
+    (i, j)-(i+1, j), right (i+1, j)-(i+1, j+1), top (i, j+1)-(i+1, j+1) and
+    left (i, j)-(i, j+1), taken in that order.  Two-edge cells give their
+    segments in row-major cell order, then the saddle cells theirs.
+
     Saddle cells are disambiguated by the cell-center sample.  Singular
     normals abort only the affected cells and are counted in stats.  When
     the whole grid is constant to within refine_tol, no tracing happens
@@ -267,96 +288,64 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery,
         return IsophoteSet([], level, cf, stats)
 
     s, cross_h, cross_v, cell, cell_ok = _cell_masks(F, level)
+    nh = n1 * (n2 + 1)  # the first v-edge id
 
-    # gather crossing edges: ("h", i, j) spans samples (i,j)-(i+1,j)
-    edge_ids: list[tuple[str, int, int]] = []
-    p0s, p1s, f0s, f1s = [], [], [], []
-    for kind, mask, di, dj in (("h", cross_h, 1, 0), ("v", cross_v, 0, 1)):
-        for i, j in np.argwhere(mask):
-            i, j = int(i), int(j)
-            edge_ids.append((kind, i, j))
-            p0s.append((U1[i], U2[j]))
-            p1s.append((U1[i + di], U2[j + dj]))
-            f0s.append(F[i, j] - level)
-            f1s.append(F[i + di, j + dj] - level)
-
-    points: dict[tuple[str, int, int], tuple[float, float]] = {}
-    failed_edges: set[tuple[str, int, int]] = set()
-    if edge_ids:
+    # crossing edges in id order, with the endpoints (I0, J0) and (I1, J1)
+    hi, hj = np.nonzero(cross_h)
+    vi, vj = np.nonzero(cross_v)
+    ids = np.concatenate((hi * (n2 + 1) + hj, nh + vi * n2 + vj))
+    I0, J0 = np.concatenate((hi, vi)), np.concatenate((hj, vj))
+    I1, J1 = np.concatenate((hi + 1, vi)), np.concatenate((hj, vj + 1))
+    failed_ids = ids[:0]
+    if len(ids):
         pu, err, failed, iters, max_used = _refine_edges(
             surface, query.axis, level,
-            np.asarray(p0s), np.asarray(p1s),
-            np.asarray(f0s), np.asarray(f1s), query.refine_tol)
-        stats.refined_edges = len(edge_ids)
+            np.column_stack((U1[I0], U2[J0])), np.column_stack((U1[I1], U2[J1])),
+            F[I0, J0] - level, F[I1, J1] - level, query.refine_tol)
+        failed_ids = ids[failed | ~np.isfinite(err)]
+        stats.refined_edges = len(ids)
         stats.refine_iterations_total = iters
         stats.refine_iterations_max = max_used
-        for k, eid in enumerate(edge_ids):
-            if failed[k] or not np.isfinite(err[k]):
-                failed_edges.add(eid)
-            else:
-                points[eid] = (float(pu[k, 0]), float(pu[k, 1]))
-        stats.failed_edges = len(failed_edges)
+        stats.failed_edges = len(failed_ids)
 
-    # per-cell segments; saddles resolved by the center sample
-    segments: list[tuple[tuple, tuple]] = []
-    saddle_cells = []
-    crossing = 0
-    skipped = int(np.count_nonzero(~cell_ok))
-    for i, j in np.argwhere(cell & cell_ok):
-        i, j = int(i), int(j)
-        edges = []
-        if cross_h[i, j]:
-            edges.append(("h", i, j))          # bottom
-        if cross_v[i + 1, j]:
-            edges.append(("v", i + 1, j))      # right
-        if cross_h[i, j + 1]:
-            edges.append(("h", i, j + 1))      # top
-        if cross_v[i, j]:
-            edges.append(("v", i, j))          # left
-        if any(e in failed_edges for e in edges):
-            skipped += 1
-            continue
-        crossing += 1
-        if len(edges) == 2:
-            segments.append((edges[0], edges[1]))
-        elif len(edges) == 4:
-            saddle_cells.append((i, j, edges))
-        else:
-            # can only happen with refinement failures already filtered
-            skipped += 1
-    if saddle_cells:
-        cu1 = np.array([0.5 * (U1[i] + U1[i + 1]) for i, j, _ in saddle_cells])
-        cu2 = np.array([0.5 * (U2[j] + U2[j + 1]) for i, j, _ in saddle_cells])
-        centers = field_grid(surface, query.axis, cu1, cu2)
-        for (i, j, edges), cf in zip(saddle_cells, centers):
-            bottom, right, top, left = edges
-            center_sign = 1 if (np.isfinite(cf) and cf > level) else -1
-            if center_sign == s[i, j]:
-                segments.append((bottom, right))
-                segments.append((left, top))
-            else:
-                segments.append((left, bottom))
-                segments.append((top, right))
-    stats.cells_crossing = crossing
-    stats.cells_skipped = skipped
+    # per-cell segments; a cell with a failed edge is skipped.  All corners
+    # are finite, so a cell has two crossing edges or four (a saddle).
+    ci, cj = np.nonzero(cell & cell_ok)
+    edges = np.stack((ci * (n2 + 1) + cj, nh + (ci + 1) * n2 + cj,
+                      ci * (n2 + 1) + cj + 1, nh + ci * n2 + cj), axis=1)
+    has = np.stack((cross_h[ci, cj], cross_v[ci + 1, cj],
+                    cross_h[ci, cj + 1], cross_v[ci, cj]), axis=1)
+    lost = np.isin(edges, failed_ids).any(axis=1)
+    stats.cells_crossing = int(np.count_nonzero(~lost))
+    stats.cells_skipped = int(np.count_nonzero(~cell_ok) + np.count_nonzero(lost))
+    two = ~lost & (has.sum(axis=1) == 2)
+    segments = [edges[two][has[two]].reshape(-1, 2)]
+    saddle = ~lost & has.all(axis=1)
+    if saddle.any():
+        si, sj = ci[saddle], cj[saddle]
+        centers = field_grid(surface, query.axis, 0.5 * (U1[si] + U1[si + 1]),
+                             0.5 * (U2[sj] + U2[sj + 1]))
+        # a NaN center counts as below the level
+        same = (np.where(centers > level, 1, -1) == s[si, sj])[:, None]
+        bottom, right, top, left = edges[saddle].T
+        segments.append(np.stack((
+            np.where(same, np.column_stack((bottom, right)), np.column_stack((left, bottom))),
+            np.where(same, np.column_stack((left, top)), np.column_stack((top, right))),
+        ), axis=1).reshape(-1, 2))
 
-    polylines = _link_segments(segments, points)
+    chains = _link_segments(np.concatenate(segments).tolist())
     out = []
-    if polylines:
+    if chains:
         # ambient coordinates for every vertex, in one vectorized pass
-        allpts = [p for chain in polylines for p in chain]
-        au1 = np.array([p[0] for p in allpts])
-        au2 = np.array([p[1] for p in allpts])
+        rows = np.searchsorted(ids, [e for chain in chains for e in chain])
+        au1, au2 = pu[rows, 0], pu[rows, 1]
         jx, jy, jz = _coordinate_jets(surface, au1, au2, check=False)
+        vertices = list(zip(au1.tolist(), au2.tolist(), jx.value.ravel().tolist(),
+                            jy.value.ravel().tolist(), jz.value.ravel().tolist()))
         k = 0
-        for chain in polylines:
-            pts = []
-            for _ in chain:
-                pts.append((float(au1[k]), float(au2[k]),
-                            float(np.ravel(jx.value)[k]),
-                            float(np.ravel(jy.value)[k]),
-                            float(np.ravel(jz.value)[k])))
-                k += 1
+        for chain in chains:
+            pts = vertices[k:k + len(chain)]
+            k += len(chain)
             closed = (len(pts) > 2 and
                       math.hypot(pts[0][0] - pts[-1][0],
                                  pts[0][1] - pts[-1][1]) <= CLOSE_TOL)
@@ -364,42 +353,41 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery,
     return IsophoteSet(out, level, None, stats)
 
 
-def _link_segments(segments, points):
-    """Join cell segments sharing an edge into ordered vertex chains."""
-    by_edge: dict[tuple, list[int]] = {}
+def _link_segments(segments: list[list[int]]) -> list[list[int]]:
+    """Join cell segments sharing an edge into ordered chains of edge ids.
+
+    Each chain starts at the first unused segment, extends forward from its
+    second edge and backward from its first; a closed chain repeats its
+    first edge at the end.
+    """
+    by_edge: dict[int, list[int]] = {}
     for k, (ea, eb) in enumerate(segments):
         by_edge.setdefault(ea, []).append(k)
         by_edge.setdefault(eb, []).append(k)
     used = [False] * len(segments)
+
+    def walk(edge: int, stop: int) -> list[int]:
+        path = []
+        while True:
+            nxt = [k for k in by_edge[edge] if not used[k]]
+            if not nxt:
+                return path
+            used[nxt[0]] = True
+            a, b = segments[nxt[0]]
+            edge = b if a == edge else a
+            path.append(edge)
+            if edge == stop:
+                return path
+
     chains = []
-    for start in range(len(segments)):
+    for start, (ea, eb) in enumerate(segments):
         if used[start]:
             continue
         used[start] = True
-        ea, eb = segments[start]
-        chain = [ea, eb]
-        # extend forward from eb, backward from ea
-        for tip, append in ((eb, True), (ea, False)):
-            cur_edge = tip
-            cur_seg = start
-            while True:
-                nxt = [k for k in by_edge.get(cur_edge, []) if k != cur_seg and not used[k]]
-                if not nxt:
-                    break
-                k = nxt[0]
-                used[k] = True
-                a, b = segments[k]
-                other = b if a == cur_edge else a
-                if append:
-                    chain.append(other)
-                else:
-                    chain.insert(0, other)
-                cur_edge = other
-                cur_seg = k
-                if other == (chain[0] if append else chain[-1]):
-                    break
-        chains.append([points[e] for e in chain if e in points])
-    return [c for c in chains if len(c) >= 2]
+        forward = walk(eb, ea)
+        backward = walk(ea, forward[-1] if forward else eb)
+        chains.append(backward[::-1] + [ea, eb] + forward)
+    return chains
 
 
 def silhouette(surface: SurfaceSpec, axis: GVec3, grid=DEFAULT_GRID,

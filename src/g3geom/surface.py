@@ -303,7 +303,7 @@ def _axis_residual(S: np.ndarray, dy: np.ndarray, dz: np.ndarray, residual_tol: 
     gy = np.gradient(dy, S)
     gz = np.gradient(dz, S)
     residual = float(np.hypot(gy, gz).max())
-    if residual > residual_tol:
+    if not residual <= residual_tol:  # a NaN residual is rejected too
         raise AxisConstraintError(msg.format(residual))
     return residual
 
@@ -335,12 +335,12 @@ def axis_isotropic(surface: SurfaceSpec, trace: TraceSpec, theta: float,
                           residual=residual, status="ok")
 
     if line_of_curvature:
-        undef = (np.abs(a["kg"]) <= tol) & (np.abs(a["kn"]) > tol)
+        undef = np.abs(a["kg"]) <= tol
         if np.any(undef):
             i = int(np.argmax(undef))
             raise AxisUndefinedError(
-                f"k_g vanishes while k_n does not at s = {float(S[i]):.6g}; "
-                "the line-of-curvature axis formula is undefined")
+                f"k_g vanishes at s = {float(S[i]):.6g}; "
+                "the line-of-curvature axis formula k_n/k_g is undefined")
         t = math.tan(theta)
         minus = np.abs(a["kn"] + t * a["kg"]).max()
         plus = np.abs(a["kn"] - t * a["kg"]).max()

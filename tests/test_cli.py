@@ -256,8 +256,29 @@ def test_frenet_rejects_infinite_domain(capsys):
 
 
 def test_param_rejects_nan(capsys):
-    rc = main(["frenet", "--curve", "a*s^2,s^3", "--param", "a=nan"])
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert "must be finite" in captured.err
-    assert "nan" not in captured.out
+    # --param, and every float option: argparse's float() accepts inf and nan
+    for argv in [
+        ["frenet", "--curve", "a*s^2,s^3", "--param", "a=nan"],
+        ["isophote", "--surface", "u1,sin(u2),cos(u2)", "--surface-domain", "0:2,0:6",
+         "--axis", "1,0,1", "--level", "nan"],
+        ["isophote", "--surface", "u1,sin(u2),cos(u2)", "--surface-domain", "0:2,0:6",
+         "--axis", "0,0,1", "--beta", "inf"],
+        ["isophote", "--surface", "u1,sin(u2),cos(u2)", "--surface-domain", "0:2,0:6",
+         "--axis", "0,0,1", "--beta", "1", "--refine-tol", "inf"],
+        ["classify", "--surface", "u1,u2,0", "--trace", "s,2*s", "--surface-domain",
+         "0:1,0:2", "--trace-domain", "0:1", "--tol", "nan"],
+        ["axis", "--case", "isotropic", "--surface", "u1,u2,0", "--trace", "s,2*s",
+         "--surface-domain", "0:1,0:2", "--trace-domain", "0:1", "--angle=-inf"],
+        ["axis", "--case", "nonisotropic", "--surface", "u1,u2,0", "--trace", "s,2*s",
+         "--surface-domain", "0:1,0:2", "--trace-domain", "0:1", "--angle", "0.5",
+         "--tol", "inf"],
+        ["revolve", "--profile", "s^2/2", "--mode", "isotropic", "--domain", "0.1:1",
+         "--c", "nan"],
+        ["revolve", "--profile", "s^2/2", "--mode", "isotropic", "--domain", "0.1:1",
+         "--A", "inf"],
+    ]:
+        rc = main(argv)
+        assert rc == 2, argv
+        captured = capsys.readouterr()
+        assert "must be finite" in captured.err
+        assert "nan" not in captured.out

@@ -20,6 +20,7 @@ from g3geom import (
     silhouette,
     transform_surface,
 )
+from g3geom import isophote
 from g3geom.isophote import crossing_cells
 from g3geom.verify import random_motions
 
@@ -74,6 +75,58 @@ def test_field_grid_nan_at_singular_points():
     surf = SurfaceSpec.from_strings("0", "u1", "u2", ((0, 1), (0, 1)))
     vals = field_grid(surf, Z_AXIS, np.array([0.2, 0.5]), np.array([0.2, 0.5]))
     assert np.all(np.isnan(vals))
+
+
+def _grid_surfaces(cylinder):
+    wavy = SurfaceSpec.from_strings("u1", "u2", "0.8*sin(3*u1)*cos(3*u2)",
+                                    ((0.0, 2 * math.pi), (0.0, 2 * math.pi)))
+    rev = revolve_euclidean(ProfileSpec.from_string("1.5 + 0.2*s^2 + 0.1*sin(2*s)",
+                                                    (0.1, 2.0)))
+    return [(wavy, normalize_axis(GVec3(0.0, 0.2, 1.0))), (cylinder, Z_AXIS),
+            (rev, normalize_axis(GVec3(0.0, 0.3, 1.0)))]
+
+
+def test_field_grid_separable_operands_equal_meshgrid(cylinder):
+    for surf, axis in _grid_surfaces(cylinder):
+        U1, U2 = surf.grid(41, 33)
+        M1, M2 = np.meshgrid(U1, U2, indexing="ij")
+        sep = field_grid(surf, axis, U1[:, None], U2[None, :])
+        full = field_grid(surf, axis, M1, M2)
+        assert sep.shape == (41, 33)
+        assert sep.tobytes() == full.tobytes()
+
+
+def test_field_grid_threads_equal_one_thread_on_large_grid(cylinder, monkeypatch):
+    built = []
+
+    class CountingPool(isophote.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(isophote, "ThreadPoolExecutor", CountingPool)
+    n = 725
+    assert n * n >= isophote.PARALLEL_MIN_POINTS
+    for surf, axis in _grid_surfaces(cylinder):
+        U1, U2 = surf.grid(n, n)
+        one = field_grid(surf, axis, U1[:, None], U2[None, :], workers=1)
+        two = field_grid(surf, axis, U1[:, None], U2[None, :], workers=2)
+        assert two.tobytes() == one.tobytes()
+    assert built == [2, 2, 2]
+
+
+def test_field_grid_below_threshold_builds_no_pool(cylinder, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thread pool started below the size threshold")
+
+    monkeypatch.setattr(isophote, "ThreadPoolExecutor", no_pool)
+    n = 724
+    assert n * n < isophote.PARALLEL_MIN_POINTS
+    U1, U2 = cylinder.grid(n, n)
+    field_grid(cylinder, Z_AXIS, U1[:, None], U2[None, :], workers=2)
+    iso = extract(cylinder, IsophoteQuery.for_angle(Z_AXIS, math.pi / 3, grid=(64, 64)),
+                  workers=4)
+    assert len(iso.polylines) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from g3geom import (
     AxisConstraintError,
+    AxisUndefinedError,
     GVec3,
     InadmissibleTraceError,
     NotAsymptoticError,
@@ -23,7 +24,7 @@ from g3geom import (
     sample_surface,
     verify_theorems,
 )
-from g3geom.surface import _darboux_arrays
+from g3geom.surface import _axis_residual, _darboux_arrays
 from g3geom.curve import _curve_arrays
 
 
@@ -232,6 +233,19 @@ def test_axis_isotropic_c6_branches():
         assert rep.d.to_list() == pytest.approx(expected, abs=1e-12)
         # reconstructed axis is unit isotropic
         assert math.hypot(rep.d.y, rep.d.z) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_axis_isotropic_straight_trace_is_undefined(plane):
+    # k_g = k_n = 0 everywhere: k_n/k_g is 0/0, so no axis, not a NaN one
+    trace = TraceSpec.from_strings("s", "2*s", (0.0, 2.0))
+    with pytest.raises(AxisUndefinedError, match=r"k_g vanishes at s = 0\b"):
+        axis_isotropic(plane, trace, 0.3)
+
+
+def test_axis_residual_rejects_nan():
+    S = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(AxisConstraintError, match="residual nan"):
+        _axis_residual(S, np.full(5, np.nan), np.zeros(5), 1e-6)
 
 
 def test_axis_nonisotropic_straight_trace(plane):
