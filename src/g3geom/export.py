@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 from xml.etree import ElementTree as ET
 
@@ -25,22 +26,32 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriMesh:
-    """Vertices, triangle faces (0-based index triples), and the grid
-    dimensions the mesh was tessellated from."""
+    """Vertices as an (N,3) float64 array, triangle faces as an (M,3) int64
+    array of 0-based index triples, and the grid dimensions the mesh was
+    tessellated from.  Sequences of triples are converted."""
 
-    vertices: list[tuple[float, float, float]]
-    faces: list[tuple[int, int, int]]
+    vertices: np.ndarray
+    faces: np.ndarray
     provenance: tuple[int, int]
 
     def __post_init__(self):
-        nv = len(self.vertices)
-        for f in self.faces:
-            if len(set(f)) != 3:
-                raise G3Error(f"degenerate face {f}")
-            if any(i < 0 or i >= nv for i in f):
-                raise G3Error(f"face index out of range in {f}")
+        vertices = np.asarray(self.vertices, dtype=np.float64).reshape(len(self.vertices), 3)
+        try:
+            faces = np.asarray(self.faces, dtype=np.int64).reshape(len(self.faces), 3)
+        except ValueError:
+            bad = [f for f in self.faces if len(f) != 3]
+            raise G3Error(f"degenerate face {bad[0]}" if bad
+                          else "face indices must be integers") from None
+        degenerate = (faces[:, [0, 1, 0]] == faces[:, [1, 2, 2]]).any(axis=1)
+        bad = degenerate | ((faces < 0) | (faces >= len(vertices))).any(axis=1)
+        if bad.any():
+            k = int(bad.argmax())
+            raise G3Error(f"degenerate face {self.faces[k]}" if degenerate[k]
+                          else f"face index out of range in {self.faces[k]}")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "faces", faces)
 
 
 def tessellate(surface: SurfaceSpec, n1: int, n2: int) -> TriMesh:
@@ -60,85 +71,66 @@ def tessellate(surface: SurfaceSpec, n1: int, n2: int) -> TriMesh:
         raise G3Error(
             f"surface evaluation failed at grid point ({i},{j}) = "
             f"(u1,u2)=({float(U1[i]):.6g},{float(U2[j]):.6g})") from None
-    X = np.broadcast_to(jx.value, (n1 + 1, n2 + 1))
-    Y = np.broadcast_to(jy.value, (n1 + 1, n2 + 1))
-    Z = np.broadcast_to(jz.value, (n1 + 1, n2 + 1))
-    vertices = [(float(X[i, j]), float(Y[i, j]), float(Z[i, j]))
-                for i in range(n1 + 1) for j in range(n2 + 1)]
-    faces = []
-    for i in range(n1):
-        for j in range(n2):
-            v00 = i * (n2 + 1) + j
-            v10 = (i + 1) * (n2 + 1) + j
-            v11 = (i + 1) * (n2 + 1) + j + 1
-            v01 = i * (n2 + 1) + j + 1
-            faces.append((v00, v10, v11))
-            faces.append((v00, v11, v01))
+    shape = (n1 + 1, n2 + 1)
+    vertices = np.stack([np.broadcast_to(j.value, shape) for j in (jx, jy, jz)],
+                        axis=-1).reshape(-1, 3)
+    # cell (i, j) has corners v00 = i*(n2+1) + j, v10 = v00 + n2+1, v11, v01
+    v00 = (np.arange(n1)[:, None] * (n2 + 1) + np.arange(n2)).ravel()
+    v10, v01 = v00 + (n2 + 1), v00 + 1
+    faces = np.stack([v00, v10, v10 + 1, v00, v10 + 1, v01], axis=1).reshape(-1, 3)
     return TriMesh(vertices, faces, (n1, n2))
+
+
+def _points(polylines) -> np.ndarray:
+    """The (u1, u2, x, y, z) points of all polylines as one (n, 5) array."""
+    return np.concatenate([np.asarray(pl.points, dtype=np.float64).reshape(-1, 5)
+                           for pl in polylines] or [np.empty((0, 5))])
 
 
 def write_obj(obj: TriMesh | IsophoteSet | list[Polyline]) -> bytes:
     """Wavefront OBJ bytes: `v` lines then 1-based `f` triangles for a
     mesh, or `l` polylines for extracted level sets."""
-    out = io.StringIO()
-    out.write("# g3geom OBJ export\n")
+    head = "# g3geom OBJ export\n"
     if isinstance(obj, TriMesh):
-        for v in obj.vertices:
-            out.write(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
-        for f in obj.faces:
-            out.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
-        return out.getvalue().encode("ascii")
+        v = "v %.17g %.17g %.17g\n" * len(obj.vertices) % tuple(obj.vertices.ravel().tolist())
+        f = "f %d %d %d\n" * len(obj.faces) % tuple((obj.faces + 1).ravel().tolist())
+        return (head + v + f).encode("ascii")
     polylines = obj.polylines if isinstance(obj, IsophoteSet) else obj
-    base = 1
-    chunks = []
+    xyz = _points(polylines)[:, 2:]
+    v = "v %.17g %.17g %.17g\n" * len(xyz) % tuple(xyz.ravel().tolist())
+    lines, base = [], 1
     for pl in polylines:
-        for p in pl.points:
-            out.write(f"v {_fmt(p[2])} {_fmt(p[3])} {_fmt(p[4])}\n")
-        idx = list(range(base, base + len(pl.points)))
-        if pl.closed:
-            idx.append(base)
-        chunks.append(idx)
+        idx = tuple(range(base, base + len(pl.points))) + (base,) * pl.closed
+        lines.append("l " + " ".join(["%d"] * len(idx)) % idx + "\n")
         base += len(pl.points)
-    for idx in chunks:
-        out.write("l " + " ".join(str(i) for i in idx) + "\n")
-    return out.getvalue().encode("ascii")
-
-
-_CSV_COLUMNS = {
-    FrenetSample: ("s", "kappa", "tau"),
-    DarbouxSample: ("s", "kg", "kn", "taug", "phi"),
-}
+    return (head + v + "".join(lines)).encode("ascii")
 
 
 def write_csv(samples, columns: tuple[str, ...] | None = None) -> bytes:
     """CSV bytes with a header row; columns are inferred from the sample
     type (Frenet: s,kappa,tau; Darboux: s,kg,kn,taug,phi; IsophoteSet:
     polyline,u1,u2,x,y,z) or passed explicitly for mapping rows."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
     if isinstance(samples, IsophoteSet):
-        writer.writerow(columns or ("polyline", "u1", "u2", "x", "y", "z"))
-        for k, pl in enumerate(samples.polylines):
-            for p in pl.points:
-                writer.writerow([str(k)] + [_fmt(v) for v in p])
-        return out.getvalue().encode("ascii")
-    samples = list(samples)
-    if not samples:
-        writer.writerow(columns or ())
-        return out.getvalue().encode("ascii")
-    first = samples[0]
-    if isinstance(first, FrenetSample):
-        cols = columns or _CSV_COLUMNS[FrenetSample]
-        rows = [(x.s, x.kappa, x.tau) for x in samples]
-    elif isinstance(first, DarbouxSample):
-        cols = columns or _CSV_COLUMNS[DarbouxSample]
-        rows = [(x.s, x.kg, x.kn, x.tau_g, x.phi) for x in samples]
+        cols = columns or ("polyline", "u1", "u2", "x", "y", "z")
+        counts = [len(pl.points) for pl in samples.polylines]
+        rows = np.column_stack([np.repeat(np.arange(len(counts)), counts),
+                                _points(samples.polylines)]).tolist()
     else:
-        cols = tuple(columns) if columns else tuple(sorted(first))
-        rows = [tuple(row[c] for c in cols) for row in samples]
-    writer.writerow(cols)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+        samples = list(samples)
+        first = samples[0] if samples else {}
+        if isinstance(first, FrenetSample):
+            cols = columns or ("s", "kappa", "tau")
+            rows = [(x.s, x.kappa, x.tau) for x in samples]
+        elif isinstance(first, DarbouxSample):
+            cols = columns or ("s", "kg", "kn", "taug", "phi")
+            rows = [(x.s, x.kg, x.kn, x.tau_g, x.phi) for x in samples]
+        else:
+            cols = tuple(columns) if columns else tuple(sorted(first))
+            rows = [tuple(row[c] for c in cols) for row in samples]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(cols)  # names may need quoting
+    fmt = ",".join(["%.17g"] * len(rows[0])) + "\n" if rows else ""
+    out.write(fmt * len(rows) % tuple(map(float, itertools.chain.from_iterable(rows))))
     return out.getvalue().encode("ascii")
 
 
@@ -155,12 +147,6 @@ def write_svg(isoset: IsophoteSet, domain) -> bytes:
     """
     (a1, b1), (a2, b2) = domain
     span = _SVG_SIZE - 2 * _SVG_MARGIN
-
-    def sx(u1: float) -> float:
-        return _SVG_MARGIN + (u1 - a1) / (b1 - a1) * span
-
-    def sy(u2: float) -> float:
-        return _SVG_SIZE - _SVG_MARGIN - (u2 - a2) / (b2 - a2) * span
 
     svg = ET.Element("svg", {
         "xmlns": "http://www.w3.org/2000/svg",
@@ -200,11 +186,12 @@ def write_svg(isoset: IsophoteSet, domain) -> bytes:
         note.text = (f"{kind}: value = {_fmt(isoset.constant_field.value)}, "
                      f"spread = {_fmt(isoset.constant_field.spread)}")
     for pl in isoset.polylines:
-        pts = [(sx(p[0]), sy(p[1])) for p in pl.points]
-        if pl.closed and pts:
-            pts.append(pts[0])
+        u = _points([pl])
+        u = np.concatenate([u, u[:int(pl.closed)]])
+        xy = np.column_stack([_SVG_MARGIN + (u[:, 0] - a1) / (b1 - a1) * span,
+                              _SVG_SIZE - _SVG_MARGIN - (u[:, 1] - a2) / (b2 - a2) * span])
         ET.SubElement(svg, "polyline", {
-            "points": " ".join(f"{x:.3f},{y:.3f}" for x, y in pts),
+            "points": " ".join(["%.3f,%.3f"] * len(xy)) % tuple(xy.ravel().tolist()),
             "fill": "none", "stroke": "#d62728", "stroke-width": "1.5",
         })
     return ET.tostring(svg, encoding="utf-8", xml_declaration=True) + b"\n"

@@ -39,6 +39,10 @@ Real = Union[float, np.ndarray]
 
 _FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "abs")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
+# deepest expression `parse` accepts, both as nesting while parsing and as
+# tree depth (a chain s+s+...+s is as deep as it is long); the parser and
+# the evaluators recurse once per level
+MAX_DEPTH = 100
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +140,7 @@ class _Parser:
         self.i = 0
         self.variables = variables
         self.params = params
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -172,10 +177,16 @@ class _Parser:
 
     def unary(self) -> Node:
         kind, text, pos = self.peek()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
         if kind == "op" and text == "-":
             self.take()
-            return Neg(self.unary(), pos)
-        return self.power()
+            node = Neg(self.unary(), pos)
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Node:
         base = self.atom()
@@ -238,7 +249,22 @@ def parse(
     kind, text, pos = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(f"unexpected trailing token {text!r}", pos)
+    _check_depth(root)
     return ExprAST(root, source, tuple(variables), params)
+
+
+def _check_depth(root: Node) -> None:
+    """Raise at the first node found deeper than MAX_DEPTH in the tree."""
+    stack = [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels",
+                                  node.offset)
+        if isinstance(node, Bin):
+            stack += [(node.lhs, depth + 1), (node.rhs, depth + 1)]
+        elif isinstance(node, (Neg, Call)):
+            stack.append((node.arg, depth + 1))
 
 
 # ---------------------------------------------------------------------------

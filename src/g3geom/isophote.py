@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -67,15 +67,14 @@ def _field_block(surface: SurfaceSpec, axis: GVec3, U1, U2, check: bool = False)
     return np.asarray(out, dtype=float), omega
 
 
-def field_grid(surface: SurfaceSpec, axis: GVec3, U1, U2,
-               workers: int | None = None) -> np.ndarray:
+def field_grid(surface: SurfaceSpec, axis: GVec3, U1, U2) -> np.ndarray:
     """Vectorized shading field; singular or undefined points become NaN.
 
     U1 and U2 are evaluated on their own shapes and broadcast only where
     they meet, so a tensor grid passed as (n1, 1) and (1, n2) operands
     evaluates each u1-only or u2-only subexpression once per row or column.
     A 2-D grid of at least PARALLEL_MIN_POINTS points is split by rows over
-    `workers` threads (default worker_count()); smaller ones run here.
+    worker_count() threads; smaller ones run here.
     """
     if not is_unit_axis(axis):
         raise G3Error("axis must be normalized (see normalize_axis)")
@@ -83,7 +82,7 @@ def field_grid(surface: SurfaceSpec, axis: GVec3, U1, U2,
     U2 = np.asarray(U2, dtype=float)
     shape = np.broadcast_shapes(U1.shape, U2.shape)
     if len(shape) == 2 and shape[0] * shape[1] >= PARALLEL_MIN_POINTS:
-        n = workers if workers is not None else worker_count()
+        n = worker_count()
         if n > 1 and shape[0] >= 2 * n:
             def block(k: int) -> np.ndarray:
                 rows = slice(shape[0] * k // n, shape[0] * (k + 1) // n)
@@ -179,21 +178,9 @@ class IsophoteSet:
             "level": self.level,
             "polylines": [{"closed": p.closed, "points": p.to_json_list()}
                           for p in self.polylines],
-            "constant_field": None if self.constant_field is None else {
-                "value": self.constant_field.value,
-                "spread": self.constant_field.spread,
-                "matches_level": self.constant_field.matches_level,
-            },
-            "stats": {
-                "grid": list(self.stats.grid),
-                "cells_total": self.stats.cells_total,
-                "cells_crossing": self.stats.cells_crossing,
-                "cells_skipped": self.stats.cells_skipped,
-                "refined_edges": self.stats.refined_edges,
-                "failed_edges": self.stats.failed_edges,
-                "refine_iterations_total": self.stats.refine_iterations_total,
-                "refine_iterations_max": self.stats.refine_iterations_max,
-            },
+            "constant_field": (None if self.constant_field is None
+                               else asdict(self.constant_field)),
+            "stats": {**asdict(self.stats), "grid": list(self.stats.grid)},
         }
 
 
@@ -254,8 +241,7 @@ def _refine_edges(surface, axis, level, p0, p1, f0, f1, refine_tol):
     return pu, best_err, failed, iterations, max_iter_used
 
 
-def extract(surface: SurfaceSpec, query: IsophoteQuery,
-            workers: int | None = None) -> IsophoteSet:
+def extract(surface: SurfaceSpec, query: IsophoteQuery) -> IsophoteSet:
     """Marching-squares extraction of the level set field == level.
 
     Edges between grid samples carry integer ids: the edge from sample
@@ -272,7 +258,7 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery,
     """
     n1, n2 = query.grid
     U1, U2 = surface.grid(n1 + 1, n2 + 1)
-    F = field_grid(surface, query.axis, U1[:, None], U2[None, :], workers=workers)
+    F = field_grid(surface, query.axis, U1[:, None], U2[None, :])
     stats = ExtractStats(grid=(n1, n2), cells_total=n1 * n2)
     level = query.level
 
@@ -391,8 +377,6 @@ def _link_segments(segments: list[list[int]]) -> list[list[int]]:
 
 
 def silhouette(surface: SurfaceSpec, axis: GVec3, grid=DEFAULT_GRID,
-               tol: float = DEFAULT_REFINE_TOL,
-               workers: int | None = None) -> IsophoteSet:
+               tol: float = DEFAULT_REFINE_TOL) -> IsophoteSet:
     """Level-0 isophote: the normal is orthogonal to the axis."""
-    return extract(surface, IsophoteQuery.for_silhouette(axis, grid, tol),
-                   workers=workers)
+    return extract(surface, IsophoteQuery.for_silhouette(axis, grid, tol))

@@ -19,6 +19,7 @@ unit cylinder it gives +1 against the directly computed tau = -1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,7 +87,8 @@ def _trace(u1: str, u2: str, domain=(0.0, 2.0)) -> TraceSpec:
 # Randomized corpus of surface/trace pairs
 # ---------------------------------------------------------------------------
 
-def random_corpus(seed: int = CORPUS_SEED, count: int = CORPUS_SIZE):
+@functools.cache
+def random_corpus(seed: int = CORPUS_SEED, count: int = CORPUS_SIZE) -> tuple:
     """Smooth random surfaces with admissible traces, curvature bounded
     away from zero and well-defined normals.  Deterministic in the seed."""
     rng = np.random.default_rng(seed)
@@ -121,7 +123,7 @@ def random_corpus(seed: int = CORPUS_SEED, count: int = CORPUS_SIZE):
         pairs.append((surface, trace))
     if len(pairs) < count:
         raise RuntimeError("corpus generation failed to converge")
-    return pairs
+    return tuple(pairs)
 
 
 # ---------------------------------------------------------------------------

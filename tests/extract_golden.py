@@ -1,9 +1,11 @@
-"""Extraction cases pinned by `tests/golden/extract.json`.
+"""Writer outputs pinned by `tests/golden/extract.json` and
+`tests/golden/export.json`.
 
-Each case records the SHA-256 of the OBJ, SVG and CSV bytes of one
-`extract` result and its `to_json_dict()["stats"]`.  `test_golden.py`
-compares a fresh run with the committed file; running this module writes
-the file again:
+Each extraction case records the SHA-256 of the OBJ, SVG and CSV bytes of
+one `extract` result and its `to_json_dict()["stats"]`.  Each export case
+records the SHA-256 of one writer call on a tessellation, a sample table or
+a hand-made polyline set.  `test_golden.py` compares fresh runs with the
+committed files; running this module writes both files again:
 
     PYTHONPATH=src python tests/extract_golden.py
 """
@@ -13,23 +15,35 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+from unittest import mock
 from pathlib import Path
 
+import numpy as np
+
 from g3geom import (
+    CurveSpec,
     GVec3,
     IsophoteQuery,
     ProfileSpec,
     SurfaceSpec,
+    TraceSpec,
+    darboux_samples,
     extract,
+    frenet_samples,
     normalize_axis,
     revolve_euclidean,
     revolve_isotropic,
+    tessellate,
     write_csv,
     write_obj,
     write_svg,
 )
+from g3geom.export import TriMesh
+from g3geom.isophote import ExtractStats, IsophoteSet, Polyline
 
 GOLDEN = Path(__file__).parent / "golden" / "extract.json"
+EXPORT_GOLDEN = Path(__file__).parent / "golden" / "export.json"
 
 TWO_PI = 2.0 * math.pi
 Z_AXIS = GVec3(0.0, 0.0, 1.0)
@@ -67,7 +81,7 @@ def _failed_edges():
         ((-1.0, 1.0), (-1.0, 1.0)))
 
 
-# name -> () -> (surface, query, workers)
+# name -> () -> (surface, query, G3_THREADS or None)
 CASES = {
     "wavy_17": lambda: (_wavy(), IsophoteQuery.raw_level(WAVY_AXIS, 0.5, (17, 17)), None),
     "wavy_256": lambda: (_wavy(), IsophoteQuery.raw_level(WAVY_AXIS, 0.5, (256, 256)), None),
@@ -91,21 +105,87 @@ CASES = {
 }
 
 
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def record(name: str) -> dict:
     """Digests of the written outputs and the stats of one case."""
-    surface, query, workers = CASES[name]()
-    iso = extract(surface, query, workers=workers)
-
-    def sha(data: bytes) -> str:
-        return hashlib.sha256(data).hexdigest()
-
-    return {"obj": sha(write_obj(iso)),
-            "svg": sha(write_svg(iso, surface.domain)),
-            "csv": sha(write_csv(iso)),
+    surface, query, threads = CASES[name]()
+    with mock.patch.dict(os.environ, {} if threads is None else {"G3_THREADS": str(threads)}):
+        iso = extract(surface, query)
+    return {"obj": _sha(write_obj(iso)),
+            "svg": _sha(write_svg(iso, surface.domain)),
+            "csv": _sha(write_csv(iso)),
             "stats": iso.to_json_dict()["stats"]}
 
 
+def _plane():
+    return SurfaceSpec.from_strings("u1", "u2", "0", ((-1.0, 3.0), (-1.0, 6.0)))
+
+
+def _frenet():
+    curve = CurveSpec.from_strings("s^2/2", "s^3/6", (0.0, 2.0))
+    return frenet_samples(curve, np.linspace(0.0, 2.0, 25))
+
+
+def _darboux():
+    trace = TraceSpec.from_strings("s", "s", (0.0, 2.0))
+    return darboux_samples(_cylinder(), trace, np.linspace(0.0, 2.0, 25))
+
+
+# field values the writers must print exactly as format(float(v), ".17g")
+_SPECIAL = [0.0, -0.0, 1.0, -2.5, 1 / 3, 5e-324, 2.2250738585072014e-308,
+            1e300, -1e-300, float("inf"), float("-inf"), float("nan"),
+            np.float64(0.1), 7, 123456789012345678]
+
+
+def _mapping_rows():
+    return [{"u1": v, "field": _SPECIAL[-1 - k], "extra": k}
+            for k, v in enumerate(_SPECIAL)]
+
+
+def _handmade_set():
+    # an empty, a one-point closed and a closed polyline with signed zeros
+    pts = [(0.0, -0.0, -0.0, 1e-320, 2.0), (1.5, 2.0, 1 / 3, -1e300, 0.1),
+           (6.25, 0.5, 7.0, float("inf"), -2.5)]
+    polylines = [Polyline([], False), Polyline([pts[1]], True), Polyline(pts, True)]
+    return IsophoteSet(polylines, 0.25, None, ExtractStats(grid=(2, 2), cells_total=4))
+
+
+# name -> () -> bytes
+EXPORT_CASES = {
+    "obj_plane_1x1": lambda: write_obj(tessellate(_plane(), 1, 1)),
+    "obj_cylinder_2x4": lambda: write_obj(tessellate(_cylinder(), 2, 4)),
+    "obj_wavy_7x300": lambda: write_obj(tessellate(_wavy(), 7, 300)),
+    "obj_isotropic_revolution_64": lambda: write_obj(tessellate(
+        revolve_isotropic(ProfileSpec.from_string("s^2/2", (1e-3, 5.0), c=1.0)), 64, 64)),
+    "obj_trimesh_from_tuples": lambda: write_obj(TriMesh(
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.5, -0.0, 1e-310)],
+        [(0, 1, 2), (1, 3, 2)], (1, 1))),
+    "obj_polyline_list": lambda: write_obj(_handmade_set().polylines),
+    "obj_empty": lambda: write_obj([]),
+    "csv_frenet": lambda: write_csv(_frenet()),
+    "csv_frenet_two_columns": lambda: write_csv(_frenet(), columns=("s", "kappa")),
+    "csv_darboux": lambda: write_csv(_darboux()),
+    "csv_mapping_columns": lambda: write_csv(_mapping_rows(), columns=("field", "u1")),
+    "csv_mapping_sorted_keys": lambda: write_csv(_mapping_rows()),
+    "csv_isophote_three_columns": lambda: write_csv(_handmade_set(), columns=("a", "b,c", "d")),
+    "csv_handmade_set": lambda: write_csv(_handmade_set()),
+    "csv_empty": lambda: write_csv([]),
+    "csv_empty_columns": lambda: write_csv([], columns=("u1", "field")),
+    "svg_handmade_set": lambda: write_svg(_handmade_set(), ((0, 8), (-1.0, 3.0))),
+}
+
+
+def record_export(name: str) -> str:
+    """Digest of the bytes one export case writes."""
+    return _sha(EXPORT_CASES[name]())
+
+
 if __name__ == "__main__":
-    doc = {name: record(name) for name in CASES}
-    GOLDEN.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {len(doc)} cases to {GOLDEN}")
+    for path, cases, rec in ((GOLDEN, CASES, record),
+                             (EXPORT_GOLDEN, EXPORT_CASES, record_export)):
+        doc = {name: rec(name) for name in cases}
+        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        print(f"wrote {len(doc)} cases to {path}")

@@ -301,7 +301,8 @@ def test_acceptance_9_export_integrity(tmp_path):
             verts.append(tuple(float(v) for v in parts[1:4]))
         elif parts and parts[0] == "f":
             faces.append(tuple(int(v) - 1 for v in parts[1:4]))
-    obj_ok = (verts == list(mesh.vertices) and faces == list(mesh.faces)
+    obj_ok = (verts == [tuple(r) for r in mesh.vertices.tolist()]
+              and faces == [tuple(r) for r in mesh.faces.tolist()]
               and write_obj(mesh) == data)
 
     iso = extract(surf, IsophoteQuery.for_angle(Z, math.pi / 4, grid=(32, 32)))

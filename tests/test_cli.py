@@ -134,6 +134,13 @@ def test_frenet_bad_expression_exit_2(capsys):
     assert rc == 2
 
 
+def test_frenet_deep_expression_exit_2(capsys):
+    for curve in ("(" * 3000 + "s" + ")" * 3000 + ",s^3", "+".join(["s"] * 1500) + ",s^3"):
+        rc = main(["frenet", "--curve", curve, "--domain", "0:1"])
+        assert rc == 2
+        assert "nested deeper" in capsys.readouterr().err
+
+
 def test_missing_subcommand_exit_2(capsys):
     assert main([]) == 2
     assert main(["frenet"]) == 2  # --curve is required

@@ -1,6 +1,7 @@
 import math
 from xml.etree import ElementTree as ET
 
+import numpy as np
 import pytest
 
 from g3geom import (
@@ -67,6 +68,23 @@ def test_trimesh_validation():
         TriMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 1)], (1, 1))
     with pytest.raises(G3Error):
         TriMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 5)], (1, 1))
+    # the message names the first bad face, whatever check it fails
+    for faces, message in (
+            ([(0, 1, 2), (2, 2, 1), (0, 1, 9)], "degenerate face (2, 2, 1)"),
+            ([(0, 1, 2), (0, 1, 9), (2, 2, 1)], "face index out of range in (0, 1, 9)"),
+            ([(0, 1, 2), (0, 1)], "degenerate face (0, 1)"),
+            ([(0, 1, 2, 0)], "degenerate face (0, 1, 2, 0)"),
+            ([(0, -1, 2)], "face index out of range in (0, -1, 2)")):
+        with pytest.raises(G3Error) as exc:
+            TriMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], faces, (1, 1))
+        assert str(exc.value) == message
+
+
+def test_trimesh_holds_arrays(plane):
+    mesh = tessellate(plane, 3, 2)
+    assert mesh.vertices.shape == (12, 3) and mesh.vertices.dtype == np.float64
+    assert mesh.faces.shape == (12, 3) and mesh.faces.dtype == np.int64
+    assert mesh != tessellate(plane, 3, 2)  # identity, not element-wise truth
 
 
 def test_obj_mesh_round_trip(plane):
@@ -79,8 +97,8 @@ def test_obj_mesh_round_trip(plane):
 
     vertices, faces, _ = _parse_obj(data)
     assert len(vertices) == len(mesh.vertices)
-    assert faces == list(mesh.faces)
-    for got, want in zip(vertices, mesh.vertices):
+    assert faces == [tuple(r) for r in mesh.faces.tolist()]
+    for got, want in zip(vertices, [tuple(r) for r in mesh.vertices.tolist()]):
         assert got == want  # 17 significant digits round-trip exactly
 
     assert write_obj(mesh) == data  # byte determinism

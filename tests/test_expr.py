@@ -50,6 +50,26 @@ def test_parse_empty_and_trailing():
         expr.parse("(s", ["s"])
 
 
+def test_parse_bounds_depth():
+    # 3000 nested brackets overflow a recursive parser, and a 1500-term
+    # sum parses flat but is 1500 levels deep for a recursive evaluator
+    nested = "(" * 3000 + "s" + ")" * 3000
+    chain = "+".join(["s"] * 1500)
+    for source in (nested, chain, "-" * 3000 + "s", "s" + "^s" * 3000):
+        with pytest.raises(ExprSyntaxError, match="nested deeper") as exc:
+            expr.parse(source, ["s"])
+        assert 0 < exc.value.offset < len(source)
+    depth = expr.MAX_DEPTH
+    at_limit = "(" * (depth - 1) + "s" + ")" * (depth - 1)
+    assert float(expr.eval_jet(expr.parse(at_limit, ["s"]), 0.5).value) == 0.5
+    longest = "+".join(["s"] * depth)
+    assert float(expr.eval_jet(expr.parse(longest, ["s"]), 0.5).value) == 0.5 * depth
+    with pytest.raises(ExprSyntaxError):
+        expr.parse("(" + at_limit + ")", ["s"])
+    with pytest.raises(ExprSyntaxError):
+        expr.parse(longest + "+s", ["s"])
+
+
 def test_parse_function_arity():
     with pytest.raises(ArityError):
         expr.parse("sin + 1", ["s"])

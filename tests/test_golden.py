@@ -1,14 +1,15 @@
 """Outputs pinned byte for byte to committed goldens: the `g3geom verify
---json` report, and the OBJ/SVG/CSV digests and stats of the extraction
-cases in `extract_golden.py`."""
+--json` report, the OBJ/SVG/CSV digests and stats of the extraction cases
+in `extract_golden.py`, and the digests of its export cases."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from extract_golden import CASES, GOLDEN as EXTRACT_GOLDEN, record
-from g3geom.verify import run_suite
+from extract_golden import (CASES, EXPORT_CASES, EXPORT_GOLDEN, GOLDEN as EXTRACT_GOLDEN,
+                            record, record_export)
+from g3geom.verify import random_corpus, run_suite
 
 GOLDEN = Path(__file__).parent / "golden" / "verify.json"
 
@@ -18,8 +19,20 @@ def test_verify_report_matches_golden():
     assert report == GOLDEN.read_text(encoding="utf-8")
 
 
+def test_verify_corpus_built_once():
+    corpus = random_corpus()
+    assert isinstance(corpus, tuple) and random_corpus() is corpus
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_extract_matches_golden(name):
     golden = json.loads(EXTRACT_GOLDEN.read_text(encoding="utf-8"))
     assert sorted(golden) == sorted(CASES)
     assert record(name) == golden[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_CASES))
+def test_export_matches_golden(name):
+    golden = json.loads(EXPORT_GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(golden) == sorted(EXPORT_CASES)
+    assert record_export(name) == golden[name]

@@ -109,8 +109,10 @@ def test_field_grid_threads_equal_one_thread_on_large_grid(cylinder, monkeypatch
     assert n * n >= isophote.PARALLEL_MIN_POINTS
     for surf, axis in _grid_surfaces(cylinder):
         U1, U2 = surf.grid(n, n)
-        one = field_grid(surf, axis, U1[:, None], U2[None, :], workers=1)
-        two = field_grid(surf, axis, U1[:, None], U2[None, :], workers=2)
+        monkeypatch.setenv("G3_THREADS", "1")
+        one = field_grid(surf, axis, U1[:, None], U2[None, :])
+        monkeypatch.setenv("G3_THREADS", "2")
+        two = field_grid(surf, axis, U1[:, None], U2[None, :])
         assert two.tobytes() == one.tobytes()
     assert built == [2, 2, 2]
 
@@ -123,9 +125,10 @@ def test_field_grid_below_threshold_builds_no_pool(cylinder, monkeypatch):
     n = 724
     assert n * n < isophote.PARALLEL_MIN_POINTS
     U1, U2 = cylinder.grid(n, n)
-    field_grid(cylinder, Z_AXIS, U1[:, None], U2[None, :], workers=2)
-    iso = extract(cylinder, IsophoteQuery.for_angle(Z_AXIS, math.pi / 3, grid=(64, 64)),
-                  workers=4)
+    monkeypatch.setenv("G3_THREADS", "2")
+    field_grid(cylinder, Z_AXIS, U1[:, None], U2[None, :])
+    monkeypatch.setenv("G3_THREADS", "4")
+    iso = extract(cylinder, IsophoteQuery.for_angle(Z_AXIS, math.pi / 3, grid=(64, 64)))
     assert len(iso.polylines) == 2
 
 
