@@ -17,13 +17,20 @@ univariate `Jet` carries value and derivatives up to order 3 (enough for
 the torsion formula, which needs third derivatives), a bivariate `Jet2`
 carries value, both first partials and all second partials.  Jet fields
 accept numpy arrays, so one evaluation can cover a whole sample grid.
+
+The shading field reads only first partials, so it evaluates on the
+private first-order `_Jet1` (value, du1, du2), whose slots are the first
+three slots of `Jet2` bit for bit.  That path (`_eval_first`) also skips
+the final broadcast of `eval_jet2`: each result keeps the shape of the
+operands it depends on, so with (n1, 1) and (1, n2) operands a u2-only
+coordinate stays a (1, n2) row.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -347,8 +354,8 @@ def combine(op: str, a: ExprAST, b: ExprAST,
 # ---------------------------------------------------------------------------
 
 class _JetOps:
-    """Operators Jet and Jet2 share; each class supplies +, -, *, the
-    reciprocal and the chain rule for its own slots."""
+    """Operators the jet classes share; each class supplies +, -, *, the
+    reciprocal, the chain rule and the list of its derivative slots."""
 
     @classmethod
     def _coerce(cls, x):
@@ -382,6 +389,9 @@ class Jet(_JetOps):
     def __add__(self, other):
         o = self._coerce(other)
         return Jet(self.value + o.value, self.d1 + o.d1, self.d2 + o.d2, self.d3 + o.d3)
+
+    def derivatives(self) -> tuple:
+        return self.d1, self.d2, self.d3
 
     __radd__ = __add__
 
@@ -443,6 +453,9 @@ class Jet2(_JetOps):
     du1u2: Real = 0.0
     du2u2: Real = 0.0
 
+    def derivatives(self) -> tuple:
+        return self.du1, self.du2, self.du1u1, self.du1u2, self.du2u2
+
     def __add__(self, other):
         o = self._coerce(other)
         return Jet2(self.value + o.value, self.du1 + o.du1, self.du2 + o.du2,
@@ -496,6 +509,50 @@ class Jet2(_JetOps):
             f2 * g.du1 * g.du2 + f1 * g.du1u2,
             f2 * g.du2 * g.du2 + f1 * g.du2u2,
         )
+
+
+@dataclass(frozen=True)
+class _Jet1(_JetOps):
+    """Value and first partials w.r.t. two variables: the first three slots
+    of Jet2, computed by the same formulas, so they are equal bit for bit."""
+
+    ORDER = 1  # highest derivative order carried
+
+    value: Real
+    du1: Real = 0.0
+    du2: Real = 0.0
+
+    def derivatives(self) -> tuple:
+        return self.du1, self.du2
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return _Jet1(self.value + o.value, self.du1 + o.du1, self.du2 + o.du2)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return _Jet1(self.value - o.value, self.du1 - o.du1, self.du2 - o.du2)
+
+    def __neg__(self):
+        return _Jet1(-self.value, -self.du1, -self.du2)
+
+    def __mul__(self, other):
+        f, g = self, self._coerce(other)
+        return _Jet1(f.value * g.value,
+                     f.du1 * g.value + f.value * g.du1,
+                     f.du2 * g.value + f.value * g.du2)
+
+    __rmul__ = __mul__
+
+    def reciprocal(self) -> "_Jet1":
+        inv = 1.0 / self.value
+        inv2 = inv * inv
+        return _Jet1(inv, -self.du1 * inv2, -self.du2 * inv2)
+
+    def compose(self, f0, f1) -> "_Jet1":
+        return _Jet1(f0, f1 * self.du1, f1 * self.du2)
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +610,7 @@ def _constant_exponent(j) -> float | None:
     """Return the exponent as a plain float if it has no variable dependence."""
     if np.ndim(j.value) != 0:
         return None
-    slots = (j.d1, j.d2, j.d3) if isinstance(j, Jet) else (
-        j.du1, j.du2, j.du1u1, j.du1u2, j.du2u2)
-    if any(np.any(s != 0.0) for s in slots):
+    if any(np.any(s != 0.0) for s in j.derivatives()):
         return None
     return float(j.value)
 
@@ -576,8 +631,8 @@ def _pow_derivs(v, c: float, max_order: int):
     return out
 
 
-def _eval_pow(base, expo, node: Node, check: bool):
-    c = _constant_exponent(expo)
+def _eval_pow(base, expo, c: float | None, node: Node, check: bool):
+    """base ** expo, where c is the exponent as a constant, or None."""
     if c is not None and math.isfinite(c):
         if c == int(c) and abs(c) < 2 ** 31:
             n = int(c)
@@ -601,8 +656,8 @@ def _eval_pow(base, expo, node: Node, check: bool):
 def _eval(ast: ExprAST, seeds: dict, order: int, check: bool):
     """Evaluate `ast` with each variable bound to its seed jet.
 
-    The jet class (Jet or Jet2) of the result is the class of the seeds;
-    `order` only gates the derivative-domain checks.
+    The jet class (Jet, Jet2 or _Jet1) of the result is the class of the
+    seeds; `order` only gates the derivative-domain checks.
     """
     kind = type(next(iter(seeds.values())))
 
@@ -623,7 +678,16 @@ def _eval(ast: ExprAST, seeds: dict, order: int, check: bool):
             lhs = ev(node.lhs)
             rhs = ev(node.rhs)
             if node.op == "^":
-                return _eval_pow(lhs, rhs, node, check)
+                c = _constant_exponent(rhs)
+                if c is not None and kind is _Jet1 and not isinstance(node.rhs, (Num, Param)):
+                    # Jet2 calls an exponent constant only if its second
+                    # partials vanish too (at a scalar point, or where they
+                    # are NaN), so decide on its slots
+                    c = _constant_exponent(_eval(
+                        replace(ast, root=node.rhs),
+                        {v: Jet2(j.value, j.du1, j.du2) for v, j in seeds.items()},
+                        order, check))
+                return _eval_pow(lhs, rhs, c, node, check)
             if node.op == "+":
                 return lhs + rhs
             if node.op == "-":
@@ -662,19 +726,35 @@ def eval_jet(ast: ExprAST, at, order: int = 3, *, check: bool = True) -> Jet:
     return Jet(j.value + shaped, d1, d2, d3)
 
 
+def _bivariate_seeds(ast: ExprAST, at, kind) -> tuple:
+    if len(ast.variables) != 2:
+        raise ArityError(
+            f"eval_jet2 needs exactly two declared variables, got {ast.variables}")
+    u1, u2 = (np.asarray(v, dtype=float) for v in at)
+    return u1, u2, {
+        ast.variables[0]: kind(u1, np.float64(1.0), np.float64(0.0)),
+        ast.variables[1]: kind(u2, np.float64(0.0), np.float64(1.0)),
+    }
+
+
+def _eval_first(ast: ExprAST, at, *, check: bool = True) -> _Jet1:
+    """Value and first partials of a bivariate expression, not broadcast.
+
+    The slots equal the first three of `eval_jet2` before its final
+    broadcast, bit for bit; each keeps the shape of the operands it
+    depends on (a scalar where it depends on none).
+    """
+    _, _, seeds = _bivariate_seeds(ast, at, _Jet1)
+    with np.errstate(all="ignore"):
+        return _eval(ast, seeds, 1, check)
+
+
 def eval_jet2(ast: ExprAST, at, *, check: bool = True) -> Jet2:
     """Evaluate a bivariate expression: value, first and second partials.
 
     `at` is a pair (u1, u2) of scalars or broadcastable numpy arrays.
     """
-    if len(ast.variables) != 2:
-        raise ArityError(
-            f"eval_jet2 needs exactly two declared variables, got {ast.variables}")
-    u1, u2 = (np.asarray(v, dtype=float) for v in at)
-    seeds = {
-        ast.variables[0]: Jet2(u1, np.float64(1.0), np.float64(0.0)),
-        ast.variables[1]: Jet2(u2, np.float64(0.0), np.float64(1.0)),
-    }
+    u1, u2, seeds = _bivariate_seeds(ast, at, Jet2)
     with np.errstate(all="ignore"):
         j = _eval(ast, seeds, 2, check)
     if np.ndim(u1) or np.ndim(u2):

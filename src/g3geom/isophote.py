@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import G3Error, SingularNormalError
 from .galilean import GVec3, is_unit_axis
-from .surface import OMEGA_MIN, SurfaceSpec, _coordinate_jets, _normal_parts
+from .surface import OMEGA_MIN, SurfaceSpec, _coordinate_partials, _normal_parts
 
 DEFAULT_GRID = (256, 256)
 DEFAULT_REFINE_TOL = 1e-9
@@ -49,17 +49,19 @@ def field(surface: SurfaceSpec, axis: GVec3, u1: float, u2: float) -> float:
     a one-sample call into the `field_grid` kernel that raises where it gives NaN."""
     if not is_unit_axis(axis):
         raise G3Error("axis must be normalized (see normalize_axis)")
-    value, omega = _field_block(surface, axis, np.array([float(u1)]),
-                                np.array([float(u2)]), check=True)
-    if omega[0] <= OMEGA_MIN:
+    # a surface whose partials are all constant gives 0-d results
+    value, omega = (float(np.ravel(a)[0]) for a in _field_block(
+        surface, axis, np.array([float(u1)]), np.array([float(u2)]), check=True))
+    if omega <= OMEGA_MIN:
         raise SingularNormalError(
-            f"omega = {float(omega[0]):.3g} at (u1,u2)=({u1:.6g},{u2:.6g})")
-    return float(value[0])
+            f"omega = {omega:.3g} at (u1,u2)=({u1:.6g},{u2:.6g})")
+    return value
 
 
 def _field_block(surface: SurfaceSpec, axis: GVec3, U1, U2, check: bool = False):
-    """Shading values (NaN where omega <= OMEGA_MIN) and omega."""
-    jx, jy, jz = _coordinate_jets(surface, U1, U2, check=check)
+    """Shading values (NaN where omega <= OMEGA_MIN) and omega, on the
+    broadcast shape of the operands the field depends on."""
+    jx, jy, jz = _coordinate_partials(surface, U1, U2, check=check)
     with np.errstate(all="ignore"):
         A, B, omega = _normal_parts(jx, jy, jz)
         out = (A * axis.y + B * axis.z) / omega
@@ -70,29 +72,42 @@ def _field_block(surface: SurfaceSpec, axis: GVec3, U1, U2, check: bool = False)
 def field_grid(surface: SurfaceSpec, axis: GVec3, U1, U2) -> np.ndarray:
     """Vectorized shading field; singular or undefined points become NaN.
 
-    U1 and U2 are evaluated on their own shapes and broadcast only where
-    they meet, so a tensor grid passed as (n1, 1) and (1, n2) operands
-    evaluates each u1-only or u2-only subexpression once per row or column.
-    A 2-D grid of at least PARALLEL_MIN_POINTS points is split by rows over
-    worker_count() threads; smaller ones run here.
+    The field needs only the first partials of the surface, so x, y and z
+    are evaluated as first-order jets, each on the shape of the operands it
+    depends on: a tensor grid passed as (n1, 1) and (1, n2) operands
+    evaluates each u1-only or u2-only subexpression once per row or column,
+    and a field that depends on u2 alone is computed as one (1, n2) row.
+    Only the field is broadcast, into a new writable array of the
+    broadcast shape of U1 and U2.  A 2-D grid of at least
+    PARALLEL_MIN_POINTS points is split by rows over worker_count()
+    threads; smaller ones run here.
     """
     if not is_unit_axis(axis):
         raise G3Error("axis must be normalized (see normalize_axis)")
-    U1 = np.asarray(U1, dtype=float)
-    U2 = np.asarray(U2, dtype=float)
+    F = _field(surface, axis, np.asarray(U1, dtype=float), np.asarray(U2, dtype=float))
+    return F if F.flags.writeable else F.copy()
+
+
+def _field(surface: SurfaceSpec, axis: GVec3, U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
+    """The field of field_grid, as a read-only broadcast view where it
+    depends on fewer operand dimensions than the grid has."""
     shape = np.broadcast_shapes(U1.shape, U2.shape)
     if len(shape) == 2 and shape[0] * shape[1] >= PARALLEL_MIN_POINTS:
         n = worker_count()
         if n > 1 and shape[0] >= 2 * n:
-            def block(k: int) -> np.ndarray:
+            F = np.empty(shape)
+
+            def block(k: int) -> None:
                 rows = slice(shape[0] * k // n, shape[0] * (k + 1) // n)
                 U1k, U2k = (U[rows] if U.ndim == 2 and U.shape[0] > 1 else U
                             for U in (U1, U2))
-                return _field_block(surface, axis, U1k, U2k)[0]
+                F[rows] = _field_block(surface, axis, U1k, U2k)[0]
 
             with ThreadPoolExecutor(max_workers=n) as pool:
-                return np.concatenate(list(pool.map(block, range(n))), axis=0)
-    return _field_block(surface, axis, U1, U2)[0]
+                list(pool.map(block, range(n)))
+            return F
+    F = _field_block(surface, axis, U1, U2)[0]
+    return F if F.shape == shape else np.broadcast_to(F, shape)
 
 
 @dataclass(frozen=True)
@@ -222,7 +237,7 @@ def _refine_edges(surface, axis, level, p0, p1, f0, f1, refine_tol):
     max_iter_used = 0
     for it in range(MAX_BISECT):
         pu = p0 + t[:, None] * (p1 - p0)
-        fv = field_grid(surface, axis, pu[:, 0], pu[:, 1]) - level
+        fv = _field(surface, axis, pu[:, 0], pu[:, 1]) - level
         bad = ~np.isfinite(fv)
         failed |= bad
         err = np.abs(fv)
@@ -258,7 +273,7 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery) -> IsophoteSet:
     """
     n1, n2 = query.grid
     U1, U2 = surface.grid(n1 + 1, n2 + 1)
-    F = field_grid(surface, query.axis, U1[:, None], U2[None, :])
+    F = _field(surface, query.axis, U1[:, None], U2[None, :])
     stats = ExtractStats(grid=(n1, n2), cells_total=n1 * n2)
     level = query.level
 
@@ -268,7 +283,8 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery) -> IsophoteSet:
         return IsophoteSet([], level, None, stats)
     fmin, fmax = float(F[finite].min()), float(F[finite].max())
     if finite.all() and fmax - fmin <= query.refine_tol:
-        value = float(F.mean())
+        # summed in the order of a contiguous grid, whatever F's strides
+        value = float(np.ascontiguousarray(F).mean())
         cf = ConstantField(value=value, spread=fmax - fmin,
                            matches_level=abs(value - level) <= query.refine_tol)
         return IsophoteSet([], level, cf, stats)
@@ -309,8 +325,8 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery) -> IsophoteSet:
     saddle = ~lost & has.all(axis=1)
     if saddle.any():
         si, sj = ci[saddle], cj[saddle]
-        centers = field_grid(surface, query.axis, 0.5 * (U1[si] + U1[si + 1]),
-                             0.5 * (U2[sj] + U2[sj + 1]))
+        centers = _field(surface, query.axis, 0.5 * (U1[si] + U1[si + 1]),
+                         0.5 * (U2[sj] + U2[sj + 1]))
         # a NaN center counts as below the level
         same = (np.where(centers > level, 1, -1) == s[si, sj])[:, None]
         bottom, right, top, left = edges[saddle].T
@@ -325,9 +341,12 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery) -> IsophoteSet:
         # ambient coordinates for every vertex, in one vectorized pass
         rows = np.searchsorted(ids, [e for chain in chains for e in chain])
         au1, au2 = pu[rows, 0], pu[rows, 1]
-        jx, jy, jz = _coordinate_jets(surface, au1, au2, check=False)
-        vertices = list(zip(au1.tolist(), au2.tolist(), jx.value.ravel().tolist(),
-                            jy.value.ravel().tolist(), jz.value.ravel().tolist()))
+        # the zero of eval_jet2's broadcast: it gives a constant coordinate
+        # the vertex count and turns -0.0 to 0.0 as eval_jet2 does
+        zero = (au1 + au2) * 0.0
+        xyz = [(j.value + zero).tolist()
+               for j in _coordinate_partials(surface, au1, au2, check=False)]
+        vertices = list(zip(au1.tolist(), au2.tolist(), *xyz))
         k = 0
         for chain in chains:
             pts = vertices[k:k + len(chain)]

@@ -81,6 +81,14 @@ def _coordinate_jets(surface: SurfaceSpec, U1, U2, check: bool = True):
             expr.eval_jet2(surface.z, at, check=check))
 
 
+def _coordinate_partials(surface: SurfaceSpec, U1, U2, check: bool = True):
+    """Values and first partials of x, y and z, each on the shape of the
+    operands it depends on, not broadcast (see expr._eval_first)."""
+    at = (U1, U2)
+    return tuple(expr._eval_first(c, at, check=check)
+                 for c in (surface.x, surface.y, surface.z))
+
+
 def _normal_parts(jx, jy, jz):
     """Unnormalized normal components and omega from first partials."""
     A = jx.du2 * jz.du1 - jx.du1 * jz.du2

@@ -312,6 +312,85 @@ def test_jet2_mixed_partial_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
+# the first-order path of the shading field
+# ---------------------------------------------------------------------------
+
+_FIRST_ORDER_CORPUS = [
+    "u1*sin(u2) + u2^2*cos(u1)",
+    "exp(u1/3)*u2 + u1*u2^2",
+    "sinh(u1)*cosh(u2) - u1^2*u2",
+    "-u1^3 + u2^-2 - tan(u1*u2)",
+    "sqrt(u1 + 1)*log(u2 + 1) + sqrt(u1*u2)",
+    "log(u1) - abs(u2 - 0.5)/(u1 - 1)",
+    "abs(u1) + u1^0.5 + (u2 + 1)^1.5",
+    "u1^u2 + (u1 + 2)^(u2/3) + 2^u1",
+    "(u2 + 1)^(2 + u1^2) + k*u1^(1/3)",
+    "u1^(1 + 0^1.5) + 5",
+]
+
+
+def _operands():
+    u1 = np.linspace(-1.0, 2.0, 7)
+    u2 = np.linspace(-0.5, 1.5, 5)
+    yield 0.7, 0.3
+    yield 0.0, 0.0     # first partials of every variable exponent vanish
+    yield -1.0, 0.5
+    yield u1, np.linspace(-0.2, 1.8, 7)
+    yield u1, 0.25
+    yield u1[:, None], u2[None, :]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ExprDomainError as e:
+        return (type(e), e.offset)
+
+
+def test_first_order_jets_equal_jet2_slots_bit_for_bit():
+    for src in _FIRST_ORDER_CORPUS:
+        ast = expr.parse(src, ["u1", "u2"], {"k": -0.4})
+        for u1, u2 in _operands():
+            for check in (True, False):
+                full = _outcome(lambda: expr.eval_jet2(ast, (u1, u2), check=check))
+                first = _outcome(lambda: expr._eval_first(ast, (u1, u2), check=check))
+                if isinstance(full, tuple):
+                    assert first == full, (src, u1, u2, check)
+                    continue
+                assert isinstance(first, expr._Jet1)
+                # eval_jet2's broadcast, applied to the unbroadcast slots
+                zero = ((np.asarray(u1) + np.asarray(u2)) * 0.0
+                        if np.ndim(u1) or np.ndim(u2) else 0.0)
+                for name in ("value", "du1", "du2"):
+                    want = np.asarray(getattr(full, name), dtype=float)
+                    got = np.asarray(getattr(first, name), dtype=float)
+                    if np.ndim(u1) or np.ndim(u2):
+                        got = got + zero
+                    assert got.shape == want.shape, (src, name)
+                    assert got.tobytes() == want.tobytes(), (src, name, u1, u2, check)
+
+
+def test_first_order_jets_keep_operand_shapes():
+    u1, u2 = np.linspace(0.0, 1.0, 5)[:, None], np.linspace(0.0, 1.0, 3)[None, :]
+    j = expr._eval_first(expr.parse("sin(u2) + 2", ["u1", "u2"]), (u1, u2))
+    assert np.shape(j.value) == (1, 3)
+    j = expr._eval_first(expr.parse("u1 + sin(u2)", ["u1", "u2"]), (u1, u2))
+    assert np.shape(j.value) == (5, 3)
+    assert np.shape(j.du1) == np.shape(j.du2) == (1, 3)
+    assert np.shape(expr._eval_first(expr.parse("4", ["u1", "u2"]), (u1, u2)).value) == ()
+
+
+def test_first_order_constant_exponent_decided_on_second_partials():
+    # at u1 = 0 the exponent 2 + u1^2 has zero first partials but a second
+    # partial of 2, so Jet2 takes the variable-exponent path
+    ast = expr.parse("(u2 + 1)^(2 + u1^2)", ["u1", "u2"])
+    full = expr.eval_jet2(ast, (0.0, 0.3))
+    first = expr._eval_first(ast, (0.0, 0.3))
+    assert full.value != 1.3 ** 2
+    assert (first.value, first.du1, first.du2) == (full.value, full.du1, full.du2)
+
+
+# ---------------------------------------------------------------------------
 # tree building utilities
 # ---------------------------------------------------------------------------
 

@@ -96,6 +96,38 @@ def test_field_grid_separable_operands_equal_meshgrid(cylinder):
         assert sep.tobytes() == full.tobytes()
 
 
+def test_field_grid_returns_a_new_full_array(cylinder):
+    # the cylinder's field depends on u2 alone, the others on both
+    for surf, axis in _grid_surfaces(cylinder):
+        U1, U2 = surf.grid(17, 9)
+        F = field_grid(surf, axis, U1[:, None], U2[None, :])
+        assert F.shape == (17, 9) and F.dtype == np.float64
+        assert F.flags.writeable and F.flags.c_contiguous and F.flags.owndata
+    plane = SurfaceSpec.from_strings("u1", "u2", "0", ((0.0, 1.0), (0.0, 1.0)))
+    F = field_grid(plane, Y_AXIS, np.zeros(4), np.zeros(1))
+    assert F.shape == (4,) and F.flags.writeable and np.all(F == 0.0)
+
+
+@pytest.mark.parametrize("family, bound", [("wavy", 14), ("cylinder", 2), ("revolution", 14)])
+def test_field_grid_peak_allocation(cylinder, monkeypatch, family, bound):
+    """Peak traced allocation of a 257^2 field, in multiples of its bytes:
+    x, y and z carry first partials only, on their operands' shapes."""
+    import tracemalloc
+
+    monkeypatch.setenv("G3_THREADS", "1")
+    surf, axis = dict(zip(("wavy", "cylinder", "revolution"), _grid_surfaces(cylinder)))[family]
+    U1, U2 = surf.grid(257, 257)
+    G1, G2 = U1[:, None], U2[None, :]
+    field_grid(surf, axis, G1, G2)
+    tracemalloc.start()
+    try:
+        field_grid(surf, axis, G1, G2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 257 * 257 * 8
+
+
 def test_field_grid_threads_equal_one_thread_on_large_grid(cylinder, monkeypatch):
     built = []
 
