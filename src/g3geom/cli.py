@@ -49,12 +49,20 @@ def _defaults(**extra) -> dict:
     return base
 
 
+def _write(path: str, data: bytes) -> None:
+    """Write an output file; failing to is a G3Error that names the path."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as e:
+        raise G3Error(f"cannot write {path!r}: {e.strerror or e}") from None
+
+
 def _write_json(path: str, payload) -> None:
     data = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if path == "-":
         sys.stdout.write(data)
     else:
-        Path(path).write_bytes(data.encode("utf-8"))
+        _write(path, data.encode("utf-8"))
 
 
 def _emit_json(path: str, command: str, result, defaults: dict) -> None:
@@ -78,6 +86,17 @@ def _finite_option(text: str) -> float:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
+def _count_option(text: str) -> int:
+    """argparse type for --samples: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _parse_params(items) -> dict[str, float]:
     params = {}
     for item in items or []:
@@ -98,11 +117,12 @@ def _parse_interval(text: str) -> tuple[float, float]:
     return a, b
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise G3Error(f"grid must be written N1xN2, got {text!r}")
-    return int(parts[0]), int(parts[1])
+def _parse_grid(text: str, option: str) -> tuple[int, int]:
+    try:
+        n1, n2 = (int(p) for p in text.lower().split("x"))
+    except ValueError:
+        raise G3Error(f"{option} must be two integers written N1xN2, got {text!r}") from None
+    return n1, n2
 
 
 def _parse_axis(text: str) -> GVec3:
@@ -169,7 +189,7 @@ def cmd_frenet(args) -> int:
     for f in samples:
         print(f"{f.s:12.6g} {f.kappa:16.10g} {f.tau:16.10g}")
     if args.csv:
-        Path(args.csv).write_bytes(export.write_csv(samples))
+        _write(args.csv, export.write_csv(samples))
     if args.json:
         result = [{"s": f.s, "kappa": f.kappa, "tau": f.tau,
                    "T": f.T.to_list(), "N": f.N.to_list(), "B": f.B.to_list()}
@@ -247,7 +267,7 @@ def cmd_isophote(args) -> int:
         axis = normalize_axis(scene.axes[args.axis])
     else:
         axis = _parse_axis(args.axis)
-    grid = _parse_grid(args.grid) if args.grid else DEFAULT_GRID
+    grid = _parse_grid(args.grid, "--grid") if args.grid else DEFAULT_GRID
     tol = args.refine_tol
     if args.silhouette:
         query = IsophoteQuery.for_silhouette(axis, grid, tol)
@@ -266,9 +286,9 @@ def cmd_isophote(args) -> int:
     print(f"cells       crossing={iso.stats.cells_crossing} "
           f"skipped={iso.stats.cells_skipped} of {iso.stats.cells_total}")
     if args.obj:
-        Path(args.obj).write_bytes(export.write_obj(iso))
+        _write(args.obj, export.write_obj(iso))
     if args.svg:
-        Path(args.svg).write_bytes(export.write_svg(iso, surface.domain))
+        _write(args.svg, export.write_svg(iso, surface.domain))
     if args.json:
         _emit_json(args.json, "isophote", iso.to_json_dict(),
                    _defaults(grid=list(grid), refine_tol=tol))
@@ -300,11 +320,11 @@ def cmd_revolve(args) -> int:
           f"u2 in [{surf.domain[1][0]:g}, {surf.domain[1][1]:g}]")
     mesh = None
     if args.mesh:
-        n1, n2 = _parse_grid(args.mesh)
+        n1, n2 = _parse_grid(args.mesh, "--mesh")
         mesh = export.tessellate(surf, n1, n2)
         print(f"mesh    {len(mesh.vertices)} vertices, {len(mesh.faces)} triangles")
         if args.obj:
-            Path(args.obj).write_bytes(export.write_obj(mesh))
+            _write(args.obj, export.write_obj(mesh))
     if args.json:
         result = {"mode": mode,
                   "x": surf.x.source, "y": surf.y.source, "z": surf.z.source,
@@ -373,20 +393,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", required=True,
                    help="scene curve name or inline 'f,g' in the variable s")
     p.add_argument("--domain", metavar="A:B", help="domain for an inline curve")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_count_option, default=100)
     p.add_argument("--csv", metavar="PATH", help="write samples as CSV")
     _add_common(p)
     p.set_defaults(func=cmd_frenet)
 
     p = sub.add_parser("darboux", help="Darboux frame along a surface trace")
     _add_surface_trace(p)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_count_option, default=100)
     _add_common(p)
     p.set_defaults(func=cmd_darboux)
 
     p = sub.add_parser("classify", help="geodesic / asymptotic / line-of-curvature flags")
     _add_surface_trace(p)
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--samples", type=_count_option, default=64)
     p.add_argument("--tol", type=_finite_option, default=ANALYTIC_TOL)
     _add_common(p)
     p.set_defaults(func=cmd_classify)
@@ -396,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_surface_trace(p)
     p.add_argument("--angle", type=_finite_option, required=True,
                    help="theta (isotropic case) or the raw measure phi")
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--samples", type=_count_option, default=64)
     p.add_argument("--tol", type=_finite_option, default=ANALYTIC_TOL)
     _add_common(p)
     p.set_defaults(func=cmd_axis)
