@@ -386,12 +386,12 @@ class Jet(_JetOps):
     d2: Real = 0.0
     d3: Real = 0.0
 
+    def derivatives(self) -> tuple:
+        return self.d1, self.d2, self.d3
+
     def __add__(self, other):
         o = self._coerce(other)
         return Jet(self.value + o.value, self.d1 + o.d1, self.d2 + o.d2, self.d3 + o.d3)
-
-    def derivatives(self) -> tuple:
-        return self.d1, self.d2, self.d3
 
     __radd__ = __add__
 

@@ -289,3 +289,56 @@ def test_param_rejects_nan(capsys):
         captured = capsys.readouterr()
         assert "must be finite" in captured.err
         assert "nan" not in captured.out
+
+
+def test_write_failure_exit_2(tmp_path, capsys):
+    # every write option, to a path whose directory does not exist
+    missing = tmp_path / "no" / "such"
+    cyl = ["--surface", "u1,sin(u2),cos(u2)", "--surface-domain", "0:2,0:6.2832",
+           "--axis", "0,0,1", "--beta", "1", "--grid", "16x16"]
+    for option, argv in [
+        ("--obj", ["revolve", "--profile", "1+s^2", "--mode", "euclidean",
+                   "--mesh", "2x2"]),
+        ("--obj", ["isophote", *cyl]),
+        ("--svg", ["isophote", *cyl]),
+        ("--json", ["isophote", *cyl]),
+        ("--csv", ["frenet", "--curve", "s^2/2,s^3/6", "--samples", "5"]),
+        ("--json", ["frenet", "--curve", "s^2/2,s^3/6", "--samples", "5"]),
+        ("--json", ["verify", "--filter", "prop43"]),
+    ]:
+        path = str(missing / f"out{option.replace('-', '.')}")
+        rc = main([*argv, option, path])
+        assert rc == 2, (argv, option)
+        err = capsys.readouterr().err
+        assert f"cannot write {path!r}" in err
+        assert "Traceback" not in err
+
+
+def test_samples_must_be_a_positive_integer(capsys):
+    surface_trace = ["--surface", "u1,sin(u2),cos(u2)", "--trace", "s,s"]
+    for argv in [
+        ["frenet", "--curve", "s^2/2,s^3/6"],
+        ["darboux", *surface_trace],
+        ["classify", *surface_trace],
+        ["axis", "--case", "isotropic", "--angle", "0.3", *surface_trace],
+    ]:
+        for samples in ("-3", "0", "2.5", "many"):
+            rc = main([*argv, "--samples", samples])
+            assert rc == 2, (argv, samples)
+            captured = capsys.readouterr()
+            assert "argument --samples: must be an integer >= 1" in captured.err
+            assert captured.out == ""
+    assert main(["frenet", "--curve", "s^2/2,s^3/6", "--samples", "1"]) == 0
+
+
+def test_grid_parts_must_be_integers(capsys):
+    for option, argv in [
+        ("--grid", ["isophote", "--surface", "u1,sin(u2),cos(u2)", "--axis", "0,0,1",
+                    "--silhouette"]),
+        ("--mesh", ["revolve", "--profile", "1+s^2", "--mode", "euclidean"]),
+    ]:
+        for text in ("64xab", "2.5x4", "8x", "8x8x8", "64"):
+            rc = main([*argv, option, text])
+            assert rc == 2, (option, text)
+            err = capsys.readouterr().err
+            assert f"{option} must be two integers written N1xN2, got {text!r}" in err
