@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,8 +113,6 @@ def test_field_grid_returns_a_new_full_array(cylinder):
 def test_field_grid_peak_allocation(cylinder, monkeypatch, family, bound):
     """Peak traced allocation of a 257^2 field, in multiples of its bytes:
     x, y and z carry first partials only, on their operands' shapes."""
-    import tracemalloc
-
     monkeypatch.setenv("G3_THREADS", "1")
     surf, axis = dict(zip(("wavy", "cylinder", "revolution"), _grid_surfaces(cylinder)))[family]
     U1, U2 = surf.grid(257, 257)
