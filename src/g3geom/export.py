@@ -19,7 +19,7 @@ import numpy as np
 from .curve import FrenetSample
 from .errors import ExprDomainError, G3Error
 from .isophote import IsophoteSet, Polyline
-from .surface import DarbouxSample, SurfaceSpec, _coordinate_jets
+from .surface import DarbouxSample, SurfaceSpec, _coordinate_partials
 
 
 def _fmt(v: float) -> str:
@@ -61,19 +61,23 @@ def tessellate(surface: SurfaceSpec, n1: int, n2: int) -> TriMesh:
         raise ValueError("n1 and n2 must be >= 1")
     U1, U2 = surface.grid(n1 + 1, n2 + 1)
     G1, G2 = U1[:, None], U2[None, :]
+    shape = (n1 + 1, n2 + 1)
     try:
-        jx, jy, jz = _coordinate_jets(surface, G1, G2)
+        jets = _coordinate_partials(surface, G1, G2)
     except ExprDomainError:
         # locate the offending grid point for the report
-        jx, jy, jz = _coordinate_jets(surface, G1, G2, check=False)
+        jx, jy, jz = _coordinate_partials(surface, G1, G2, check=False)
         bad = ~(np.isfinite(jx.value) & np.isfinite(jy.value) & np.isfinite(jz.value))
-        i, j = map(int, np.argwhere(bad)[0])
+        i, j = map(int, np.argwhere(np.broadcast_to(bad, shape))[0])
         raise G3Error(
             f"surface evaluation failed at grid point ({i},{j}) = "
             f"(u1,u2)=({float(U1[i]):.6g},{float(U2[j]):.6g})") from None
-    shape = (n1 + 1, n2 + 1)
-    vertices = np.stack([np.broadcast_to(j.value, shape) for j in (jx, jy, jz)],
-                        axis=-1).reshape(-1, 3)
+    # the zero of eval_jet2's broadcast, so that -0.0 turns to 0.0 as there
+    zero = (G1 + G2) * 0.0
+    vertices = np.empty(shape + (3,))
+    for k, j in enumerate(jets):
+        np.add(j.value, zero, out=vertices[..., k])
+    vertices = vertices.reshape(-1, 3)
     # cell (i, j) has corners v00 = i*(n2+1) + j, v10 = v00 + n2+1, v11, v01
     v00 = (np.arange(n1)[:, None] * (n2 + 1) + np.arange(n2)).ravel()
     v10, v01 = v00 + (n2 + 1), v00 + 1

@@ -29,6 +29,9 @@ CLOSE_TOL = 1e-9
 # field_grid starts a thread pool only for grids of at least this many
 # points; below it the pool costs more than it saves
 PARALLEL_MIN_POINTS = 1 << 19
+# points per row block of a 2-D field grid, so that the temporaries of one
+# block stay in cache (2^15 and 2^17 timed no better at 1025^2)
+BLOCK_POINTS = 1 << 16
 
 
 def worker_count() -> int:
@@ -77,10 +80,10 @@ def field_grid(surface: SurfaceSpec, axis: GVec3, U1, U2) -> np.ndarray:
     depends on: a tensor grid passed as (n1, 1) and (1, n2) operands
     evaluates each u1-only or u2-only subexpression once per row or column,
     and a field that depends on u2 alone is computed as one (1, n2) row.
-    Only the field is broadcast, into a new writable array of the
-    broadcast shape of U1 and U2.  A 2-D grid of at least
-    PARALLEL_MIN_POINTS points is split by rows over worker_count()
-    threads; smaller ones run here.
+    A 2-D grid is evaluated in row blocks of about BLOCK_POINTS points,
+    over worker_count() threads when it has at least PARALLEL_MIN_POINTS
+    points.  The result is a new writable array of the broadcast shape of
+    U1 and U2.
     """
     if not is_unit_axis(axis):
         raise G3Error("axis must be normalized (see normalize_axis)")
@@ -90,24 +93,42 @@ def field_grid(surface: SurfaceSpec, axis: GVec3, U1, U2) -> np.ndarray:
 
 def _field(surface: SurfaceSpec, axis: GVec3, U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
     """The field of field_grid, as a read-only broadcast view where it
-    depends on fewer operand dimensions than the grid has."""
+    depends on fewer operand dimensions than the grid has.
+
+    A 2-D grid of more than one block is cut into blocks of at least two
+    rows.  Block 0 runs first; a result without a row dimension (a field
+    of u2 alone, or a constant) is broadcast as it is.  Otherwise the other
+    blocks are written into one array, over a pool of at most
+    worker_count() threads from PARALLEL_MIN_POINTS points on.
+    """
     shape = np.broadcast_shapes(U1.shape, U2.shape)
-    if len(shape) == 2 and shape[0] * shape[1] >= PARALLEL_MIN_POINTS:
-        n = worker_count()
-        if n > 1 and shape[0] >= 2 * n:
-            F = np.empty(shape)
+    rows = max(2, BLOCK_POINTS // max(shape[-1], 1)) if len(shape) == 2 else 0
+    if rows == 0 or rows >= shape[0]:
+        F = _field_block(surface, axis, U1, U2)[0]
+        return F if F.shape == shape else np.broadcast_to(F, shape)
 
-            def block(k: int) -> None:
-                rows = slice(shape[0] * k // n, shape[0] * (k + 1) // n)
-                U1k, U2k = (U[rows] if U.ndim == 2 and U.shape[0] > 1 else U
-                            for U in (U1, U2))
-                F[rows] = _field_block(surface, axis, U1k, U2k)[0]
+    def rows_of(k: int):
+        return (U[k * rows:(k + 1) * rows] if U.ndim == 2 and U.shape[0] > 1 else U
+                for U in (U1, U2))
 
-            with ThreadPoolExecutor(max_workers=n) as pool:
-                list(pool.map(block, range(n)))
-            return F
-    F = _field_block(surface, axis, U1, U2)[0]
-    return F if F.shape == shape else np.broadcast_to(F, shape)
+    F0 = _field_block(surface, axis, *rows_of(0))[0]
+    if F0.ndim < 2 or F0.shape[0] == 1:
+        return np.broadcast_to(F0, shape)
+    F = np.empty(shape)
+    F[:rows] = F0
+
+    def block(k: int) -> None:
+        F[k * rows:(k + 1) * rows] = _field_block(surface, axis, *rows_of(k))[0]
+
+    rest = range(1, -(-shape[0] // rows))
+    n = min(worker_count(), len(rest)) if shape[0] * shape[1] >= PARALLEL_MIN_POINTS else 1
+    if n > 1:
+        with ThreadPoolExecutor(max_workers=n) as pool:
+            list(pool.map(block, rest))
+    else:
+        for k in rest:
+            block(k)
+    return F
 
 
 @dataclass(frozen=True)
@@ -199,18 +220,29 @@ class IsophoteSet:
         }
 
 
-def _cell_masks(F: np.ndarray, level: float):
-    """Sign grid (+1 above level, -1 at or below, 0 where undefined), the
-    sign-change edge masks, the cells with a crossing edge, and the cells
-    with no undefined corner.  Samples exactly at the level count as below,
-    so a level set running through grid nodes is still caught."""
-    s = np.where(np.isfinite(F), np.where(F > level, 1, -1), 0)
-    ch = s[:-1, :] * s[1:, :] == -1   # edges along u1
-    cv = s[:, :-1] * s[:, 1:] == -1   # edges along u2
-    cell = (ch[:, :-1] | ch[:, 1:] | cv[:-1, :] | cv[1:, :])
-    valid = ((s[:-1, :-1] != 0) & (s[1:, :-1] != 0)
-             & (s[1:, 1:] != 0) & (s[:-1, 1:] != 0))
-    return s, ch, cv, cell, valid
+def _cell_masks(F: np.ndarray, level: float, fin: np.ndarray | None = None):
+    """The above-level grid (F > level), the crossing-edge masks, the cells
+    with a crossing edge, and the cells with no undefined corner.  An edge
+    crosses where one end is above the level and the other is not, both
+    ends finite; samples exactly at the level count as below, so a level
+    set running through grid nodes is still caught.  `fin` is
+    isfinite(F), when the caller has it."""
+    if fin is None:
+        fin = np.isfinite(F)
+    up = F > level
+    ch = up[:-1, :] != up[1:, :]   # edges along u1
+    ch &= fin[:-1, :]
+    ch &= fin[1:, :]
+    cv = up[:, :-1] != up[:, 1:]   # edges along u2
+    cv &= fin[:, :-1]
+    cv &= fin[:, 1:]
+    cell = ch[:, :-1] | ch[:, 1:]
+    cell |= cv[:-1, :]
+    cell |= cv[1:, :]
+    valid = fin[:-1, :-1] & fin[1:, :-1]
+    valid &= fin[1:, 1:]
+    valid &= fin[:-1, 1:]
+    return up, ch, cv, cell, valid
 
 
 def crossing_cells(F: np.ndarray, level: float) -> set[tuple[int, int]]:
@@ -277,25 +309,29 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery) -> IsophoteSet:
     stats = ExtractStats(grid=(n1, n2), cells_total=n1 * n2)
     level = query.level
 
-    finite = np.isfinite(F)
-    if not finite.any():
+    fin = np.isfinite(F)
+    if not fin.any():
         stats.cells_skipped = stats.cells_total
         return IsophoteSet([], level, None, stats)
-    fmin, fmax = float(F[finite].min()), float(F[finite].max())
-    if finite.all() and fmax - fmin <= query.refine_tol:
+    all_finite = bool(fin.all())
+    defined = F if all_finite else F[fin]
+    fmin, fmax = float(defined.min()), float(defined.max())
+    if all_finite and fmax - fmin <= query.refine_tol:
         # summed in the order of a contiguous grid, whatever F's strides
         value = float(np.ascontiguousarray(F).mean())
         cf = ConstantField(value=value, spread=fmax - fmin,
                            matches_level=abs(value - level) <= query.refine_tol)
         return IsophoteSet([], level, cf, stats)
 
-    s, cross_h, cross_v, cell, cell_ok = _cell_masks(F, level)
+    up, cross_h, cross_v, cell, cell_ok = _cell_masks(F, level, fin)
     nh = n1 * (n2 + 1)  # the first v-edge id
 
-    # crossing edges in id order, with the endpoints (I0, J0) and (I1, J1)
-    hi, hj = np.nonzero(cross_h)
-    vi, vj = np.nonzero(cross_v)
-    ids = np.concatenate((hi * (n2 + 1) + hj, nh + vi * n2 + vj))
+    # crossing edges in id order, with the endpoints (I0, J0) and (I1, J1);
+    # an edge id is the flat index into cross_h, or nh + that into cross_v
+    eh, ev = np.flatnonzero(cross_h), np.flatnonzero(cross_v)
+    ids = np.concatenate((eh, nh + ev))
+    hi, hj = np.divmod(eh, n2 + 1)
+    vi, vj = np.divmod(ev, n2)
     I0, J0 = np.concatenate((hi, vi)), np.concatenate((hj, vj))
     I1, J1 = np.concatenate((hi + 1, vi)), np.concatenate((hj, vj + 1))
     failed_ids = ids[:0]
@@ -312,11 +348,13 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery) -> IsophoteSet:
 
     # per-cell segments; a cell with a failed edge is skipped.  All corners
     # are finite, so a cell has two crossing edges or four (a saddle).
-    ci, cj = np.nonzero(cell & cell_ok)
-    edges = np.stack((ci * (n2 + 1) + cj, nh + (ci + 1) * n2 + cj,
-                      ci * (n2 + 1) + cj + 1, nh + ci * n2 + cj), axis=1)
-    has = np.stack((cross_h[ci, cj], cross_v[ci + 1, cj],
-                    cross_h[ci, cj + 1], cross_v[ci, cj]), axis=1)
+    cell &= cell_ok
+    ci, cj = np.divmod(np.flatnonzero(cell), n2)
+    bottom = ci * (n2 + 1) + cj
+    left = ci * n2 + cj
+    edges = np.stack((bottom, nh + left + n2, bottom + 1, nh + left), axis=1)
+    ch, cv = cross_h.ravel(), cross_v.ravel()
+    has = np.stack((ch[bottom], cv[left + n2], ch[bottom + 1], cv[left]), axis=1)
     lost = np.isin(edges, failed_ids).any(axis=1)
     stats.cells_crossing = int(np.count_nonzero(~lost))
     stats.cells_skipped = int(np.count_nonzero(~cell_ok) + np.count_nonzero(lost))
@@ -328,14 +366,14 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery) -> IsophoteSet:
         centers = _field(surface, query.axis, 0.5 * (U1[si] + U1[si + 1]),
                          0.5 * (U2[sj] + U2[sj + 1]))
         # a NaN center counts as below the level
-        same = (np.where(centers > level, 1, -1) == s[si, sj])[:, None]
+        same = ((centers > level) == up[si, sj])[:, None]
         bottom, right, top, left = edges[saddle].T
         segments.append(np.stack((
             np.where(same, np.column_stack((bottom, right)), np.column_stack((left, bottom))),
             np.where(same, np.column_stack((left, top)), np.column_stack((top, right))),
         ), axis=1).reshape(-1, 2))
 
-    chains = _link_segments(np.concatenate(segments).tolist())
+    chains = _link_segments(np.concatenate(segments))
     out = []
     if chains:
         # ambient coordinates for every vertex, in one vectorized pass
@@ -358,39 +396,45 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery) -> IsophoteSet:
     return IsophoteSet(out, level, None, stats)
 
 
-def _link_segments(segments: list[list[int]]) -> list[list[int]]:
+def _link_segments(segments: np.ndarray) -> list[list[int]]:
     """Join cell segments sharing an edge into ordered chains of edge ids.
 
-    Each chain starts at the first unused segment, extends forward from its
-    second edge and backward from its first; a closed chain repeats its
-    first edge at the end.
+    `segments` is a (K, 2) array of edge ids; segment k fills the slots
+    2k and 2k+1 of its flat view.  An edge borders at most two segments,
+    so one stable sort of the flat ids pairs each slot with the other slot
+    of its edge, if any.  Each chain starts at the first unused segment,
+    extends forward from its second edge and backward from its first; a
+    closed chain repeats its first edge at the end.
     """
-    by_edge: dict[int, list[int]] = {}
-    for k, (ea, eb) in enumerate(segments):
-        by_edge.setdefault(ea, []).append(k)
-        by_edge.setdefault(eb, []).append(k)
+    flat = segments.ravel()
+    order = np.argsort(flat, kind="stable")
+    pair = np.flatnonzero(flat[order[1:]] == flat[order[:-1]])
+    mate = np.full(len(flat), -1)
+    mate[order[pair]] = order[pair + 1]
+    mate[order[pair + 1]] = order[pair]
+    edge, mate = flat.tolist(), mate.tolist()
     used = [False] * len(segments)
 
-    def walk(edge: int, stop: int) -> list[int]:
+    def walk(slot: int, stop: int) -> list[int]:
         path = []
         while True:
-            nxt = [k for k in by_edge[edge] if not used[k]]
-            if not nxt:
+            slot = mate[slot]
+            if slot < 0 or used[slot >> 1]:
                 return path
-            used[nxt[0]] = True
-            a, b = segments[nxt[0]]
-            edge = b if a == edge else a
-            path.append(edge)
-            if edge == stop:
+            used[slot >> 1] = True
+            slot ^= 1
+            path.append(edge[slot])
+            if edge[slot] == stop:
                 return path
 
     chains = []
-    for start, (ea, eb) in enumerate(segments):
-        if used[start]:
+    for start, done in enumerate(used):
+        if done:
             continue
         used[start] = True
-        forward = walk(eb, ea)
-        backward = walk(ea, forward[-1] if forward else eb)
+        ea, eb = edge[2 * start], edge[2 * start + 1]
+        forward = walk(2 * start + 1, ea)
+        backward = walk(2 * start, forward[-1] if forward else eb)
         chains.append(backward[::-1] + [ea, eb] + forward)
     return chains
 

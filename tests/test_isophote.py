@@ -127,15 +127,21 @@ def test_field_grid_peak_allocation(cylinder, monkeypatch, family, bound):
     assert peak <= bound * 257 * 257 * 8
 
 
+def _recording_pool(monkeypatch, built):
+    """Replace the module's pool by one that records max_workers and runs
+    on at most two threads."""
+    real = isophote.ThreadPoolExecutor
+
+    def pool(*args, max_workers=None, **kwargs):
+        built.append(max_workers)
+        return real(*args, max_workers=min(max_workers, 2), **kwargs)
+
+    monkeypatch.setattr(isophote, "ThreadPoolExecutor", pool)
+
+
 def test_field_grid_threads_equal_one_thread_on_large_grid(cylinder, monkeypatch):
     built = []
-
-    class CountingPool(isophote.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(isophote, "ThreadPoolExecutor", CountingPool)
+    _recording_pool(monkeypatch, built)
     n = 725
     assert n * n >= isophote.PARALLEL_MIN_POINTS
     for surf, axis in _grid_surfaces(cylinder):
@@ -145,7 +151,80 @@ def test_field_grid_threads_equal_one_thread_on_large_grid(cylinder, monkeypatch
         monkeypatch.setenv("G3_THREADS", "2")
         two = field_grid(surf, axis, U1[:, None], U2[None, :])
         assert two.tobytes() == one.tobytes()
-    assert built == [2, 2, 2]
+    # wavy and the revolution; the cylinder's field is one broadcast row
+    assert built == [2, 2]
+    del built[:]
+    U1, U2 = cylinder.grid(n, n)
+    field_grid(cylinder, Z_AXIS, U1[:, None], U2[None, :])
+    assert built == []
+
+
+def test_field_grid_pool_capped_by_blocks(cylinder, monkeypatch):
+    built = []
+    _recording_pool(monkeypatch, built)
+    monkeypatch.setenv("G3_THREADS", "64")
+    surf, axis = _grid_surfaces(cylinder)[0]
+    n = 725
+    U1, U2 = surf.grid(n, n)
+    F = field_grid(surf, axis, U1[:, None], U2[None, :])
+    monkeypatch.setenv("G3_THREADS", "1")
+    assert F.tobytes() == field_grid(surf, axis, U1[:, None], U2[None, :]).tobytes()
+    # block 0 runs before the pool starts, on the calling thread
+    blocks = -(-n // max(2, isophote.BLOCK_POINTS // n))
+    assert 2 < blocks < 64 and built == [blocks - 1]
+
+
+def _block_cases(cylinder):
+    """(name, surface, axis, n1, n2): grids of more than one block whose
+    row count is not a multiple of the block rows, rows of at least 2^15
+    points, a field of u1 only and one with undefined points."""
+    wavy, _, rev = (s for s, _ in _grid_surfaces(cylinder))
+    ring = SurfaceSpec.from_strings("u2", "sin(u1)", "cos(u1)",
+                                    ((0.0, 2 * math.pi), (0.0, 1.0)))
+    holes = SurfaceSpec.from_strings(
+        "u1", "u2", "sqrt(1.2 - u1^2 - u2^2) + 0.1*u1*u2", ((-1.0, 1.0), (-1.0, 1.0)))
+    axis = normalize_axis(GVec3(0.0, 0.2, 1.0))
+    return [("wavy", wavy, axis, 1801, 300), ("revolution", rev, axis, 1000, 333),
+            ("long rows", wavy, axis, 21, (1 << 15) + 5),
+            ("u1 only", ring, axis, 1801, 300), ("holes", holes, axis, 777, 777)]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_blocked_field_equals_one_block(cylinder, monkeypatch, threads):
+    monkeypatch.setenv("G3_THREADS", threads)
+    shapes = {}
+    for name, surf, axis, n1, n2 in _block_cases(cylinder):
+        U1, U2 = surf.grid(n1, n2)
+        assert max(2, isophote.BLOCK_POINTS // n2) < n1, name
+        whole = isophote._field_block(surf, axis, U1[:, None], U2[None, :])[0]
+        want = np.broadcast_to(whole, (n1, n2)).tobytes()
+        F = field_grid(surf, axis, U1[:, None], U2[None, :])
+        assert F.tobytes() == want, name
+        if n1 * n2 <= 1 << 20:
+            M1, M2 = np.meshgrid(U1, U2, indexing="ij")
+            assert field_grid(surf, axis, M1, M2).tobytes() == want, name
+        shapes[name] = whole.shape, int(np.isnan(F).sum())
+    assert shapes["u1 only"][0] == (1801, 1)
+    assert 0 < shapes["holes"][1] < 777 * 777
+
+
+@pytest.mark.parametrize("family, bound", [("wavy", 2.5), ("cylinder", 1.1), ("revolution", 2.5)])
+def test_field_grid_peak_allocation_blocked(cylinder, monkeypatch, family, bound):
+    """At 1025^2 the grid runs in row blocks, so the peak traced
+    allocation stays near the output's own bytes."""
+    monkeypatch.setenv("G3_THREADS", "1")
+    surf, axis = dict(zip(("wavy", "cylinder", "revolution"), _grid_surfaces(cylinder)))[family]
+    n = 1025
+    U1, U2 = surf.grid(n, n)
+    G1, G2 = U1[:, None], U2[None, :]
+    field_grid(surf, axis, G1, G2)
+    tracemalloc.start()
+    try:
+        field_grid(surf, axis, G1, G2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * n * n * 8
 
 
 def test_field_grid_below_threshold_builds_no_pool(cylinder, monkeypatch):
@@ -305,6 +384,100 @@ def test_crossing_cells_match_brute_force_oracle(cylinder, plane, corpus):
             assert stats.cells_crossing == len(crossing_cells(F, level))
             compared += 1
     assert compared > 0
+
+
+def _link_segments_oracle(segments: list[list[int]]) -> list[list[int]]:
+    """The dict-of-lists linker that `_link_segments` replaced."""
+    by_edge: dict[int, list[int]] = {}
+    for k, (ea, eb) in enumerate(segments):
+        by_edge.setdefault(ea, []).append(k)
+        by_edge.setdefault(eb, []).append(k)
+    used = [False] * len(segments)
+
+    def walk(edge: int, stop: int) -> list[int]:
+        path = []
+        while True:
+            nxt = [k for k in by_edge[edge] if not used[k]]
+            if not nxt:
+                return path
+            used[nxt[0]] = True
+            a, b = segments[nxt[0]]
+            edge = b if a == edge else a
+            path.append(edge)
+            if edge == stop:
+                return path
+
+    chains = []
+    for start, (ea, eb) in enumerate(segments):
+        if used[start]:
+            continue
+        used[start] = True
+        forward = walk(eb, ea)
+        backward = walk(ea, forward[-1] if forward else eb)
+        chains.append(backward[::-1] + [ea, eb] + forward)
+    return chains
+
+
+def _random_field(seed: int):
+    """A sum of random plane waves on [0, 1]^2, NaN inside two discs."""
+    rng = np.random.default_rng(seed)
+    a, b, c, d = (rng.uniform(lo, hi, 6) for lo, hi in
+                  ((0.2, 0.5), (-3.0, 3.0), (-3.0, 3.0), (0.0, 2 * math.pi)))
+    holes = rng.uniform(0.1, 0.9, (2, 2))
+
+    def f(surface, axis, U1, U2):
+        U1, U2 = np.broadcast_arrays(U1, U2)
+        F = sum(a[k] * np.sin(2 * math.pi * (b[k] * U1 + c[k] * U2) + d[k])
+                for k in range(6))
+        for p, q in holes:
+            F = np.where(np.hypot(U1 - p, U2 - q) < 0.07, np.nan, F)
+        return F
+
+    return f
+
+
+def test_link_segments_match_dict_oracle(monkeypatch):
+    plane = SurfaceSpec.from_strings("u1", "u2", "0", ((0.0, 1.0), (0.0, 1.0)))
+    seen = []
+    real = isophote._link_segments
+
+    def spy(segments):
+        chains = real(segments)
+        seen.append((segments.tolist(), chains))
+        return chains
+
+    monkeypatch.setattr(isophote, "_link_segments", spy)
+    saddles = closed = 0
+    for seed in range(6):
+        f = _random_field(seed)
+        monkeypatch.setattr(isophote, "_field", f)
+        U1, U2 = plane.grid(41, 41)
+        F = f(plane, Z_AXIS, U1[:, None], U2[None, :])
+        for level in (-0.6, -0.2, 0.0, 0.35, 0.7):
+            extract(plane, IsophoteQuery.raw_level(Z_AXIS, level, grid=(40, 40)))
+            _, ch, cv, _, ok = isophote._cell_masks(F, level)
+            saddles += int((ch[:, :-1] & ch[:, 1:] & cv[:-1] & cv[1:] & ok).sum())
+    for segments, chains in seen:
+        assert chains == _link_segments_oracle(segments)
+        closed += sum(c[0] == c[-1] for c in chains)
+    assert len(seen) == 30 and saddles > 0 and closed > 0
+    assert real(np.empty((0, 2), dtype=np.int64)) == []
+
+
+def test_cell_masks_match_sign_products():
+    # the crossing edges are the sign changes of s = +1 above the level,
+    # -1 at or below it, 0 where undefined: s * s' == -1
+    rng = np.random.default_rng(5)
+    F = rng.choice([-1.0, 0.25, 0.5, 0.75, 2.0, np.nan, np.inf, -np.inf], (23, 19))
+    s = np.where(np.isfinite(F), np.where(F > 0.5, 1, -1), 0)
+    up, ch, cv, cell, valid = isophote._cell_masks(F, 0.5)
+    assert np.array_equal(up, F > 0.5)
+    assert np.array_equal(ch, s[:-1] * s[1:] == -1)
+    assert np.array_equal(cv, s[:, :-1] * s[:, 1:] == -1)
+    assert np.array_equal(cell, ch[:, :-1] | ch[:, 1:] | cv[:-1] | cv[1:])
+    assert np.array_equal(valid, (s[:-1, :-1] != 0) & (s[1:, :-1] != 0)
+                          & (s[1:, 1:] != 0) & (s[:-1, 1:] != 0))
+    assert ch.any() and cv.any() and not valid.all()
 
 
 def test_grid_doubling_keeps_polylines(cylinder):
