@@ -5,9 +5,10 @@ Objects come from a --scene JSON file by name, or inline as
 comma-separated expressions for quick experiments.  Exit codes: 0 ok,
 1 numerical verification failure, 2 usage or parse error.
 
-The environment variable G3_THREADS caps worker concurrency for grid
-evaluation (0 or unset = auto) on grids of at least 2^19 points; smaller
-grids run on the calling thread.
+Field grids are evaluated in row blocks of about 2^16 points.  The
+environment variable G3_THREADS caps the threads those blocks run on
+(0 or unset = auto) for grids of at least 2^19 points; smaller grids, and
+fields that depend on u2 alone, run on the calling thread.
 """
 
 from __future__ import annotations

@@ -114,8 +114,14 @@ def test_field_grid_peak_allocation(cylinder, monkeypatch, family, bound):
     """Peak traced allocation of a 257^2 field, in multiples of its bytes:
     x, y and z carry first partials only, on their operands' shapes."""
     monkeypatch.setenv("G3_THREADS", "1")
+    assert _field_grid_peak(cylinder, family, 257) <= bound
+
+
+def _field_grid_peak(cylinder, family: str, n: int) -> float:
+    """Peak traced allocation of a warm n^2 field_grid call, in multiples
+    of its output's bytes."""
     surf, axis = dict(zip(("wavy", "cylinder", "revolution"), _grid_surfaces(cylinder)))[family]
-    U1, U2 = surf.grid(257, 257)
+    U1, U2 = surf.grid(n, n)
     G1, G2 = U1[:, None], U2[None, :]
     field_grid(surf, axis, G1, G2)
     tracemalloc.start()
@@ -124,7 +130,7 @@ def test_field_grid_peak_allocation(cylinder, monkeypatch, family, bound):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound * 257 * 257 * 8
+    return peak / (n * n * 8)
 
 
 def _recording_pool(monkeypatch, built):
@@ -192,7 +198,7 @@ def _block_cases(cylinder):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_blocked_field_equals_one_block(cylinder, monkeypatch, threads):
     monkeypatch.setenv("G3_THREADS", threads)
-    shapes = {}
+    seen = {}
     for name, surf, axis, n1, n2 in _block_cases(cylinder):
         U1, U2 = surf.grid(n1, n2)
         assert max(2, isophote.BLOCK_POINTS // n2) < n1, name
@@ -200,12 +206,11 @@ def test_blocked_field_equals_one_block(cylinder, monkeypatch, threads):
         want = np.broadcast_to(whole, (n1, n2)).tobytes()
         F = field_grid(surf, axis, U1[:, None], U2[None, :])
         assert F.tobytes() == want, name
-        if n1 * n2 <= 1 << 20:
-            M1, M2 = np.meshgrid(U1, U2, indexing="ij")
-            assert field_grid(surf, axis, M1, M2).tobytes() == want, name
-        shapes[name] = whole.shape, int(np.isnan(F).sum())
-    assert shapes["u1 only"][0] == (1801, 1)
-    assert 0 < shapes["holes"][1] < 777 * 777
+        M1, M2 = np.meshgrid(U1, U2, indexing="ij")
+        assert field_grid(surf, axis, M1, M2).tobytes() == want, name
+        seen[name] = whole.shape, int(np.isnan(F).sum())
+    assert seen["u1 only"][0] == (1801, 1)
+    assert 0 < seen["holes"][1] < 777 * 777
 
 
 @pytest.mark.parametrize("family, bound", [("wavy", 2.5), ("cylinder", 1.1), ("revolution", 2.5)])
@@ -213,18 +218,7 @@ def test_field_grid_peak_allocation_blocked(cylinder, monkeypatch, family, bound
     """At 1025^2 the grid runs in row blocks, so the peak traced
     allocation stays near the output's own bytes."""
     monkeypatch.setenv("G3_THREADS", "1")
-    surf, axis = dict(zip(("wavy", "cylinder", "revolution"), _grid_surfaces(cylinder)))[family]
-    n = 1025
-    U1, U2 = surf.grid(n, n)
-    G1, G2 = U1[:, None], U2[None, :]
-    field_grid(surf, axis, G1, G2)
-    tracemalloc.start()
-    try:
-        field_grid(surf, axis, G1, G2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound * n * n * 8
+    assert _field_grid_peak(cylinder, family, 1025) <= bound
 
 
 def test_field_grid_below_threshold_builds_no_pool(cylinder, monkeypatch):
