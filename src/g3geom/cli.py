@@ -451,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_revolve)
 
     p = sub.add_parser("verify", help="run the full verification suite")
-    p.add_argument("--filter", help="run only checks whose name matches")
+    p.add_argument("--filter", help="run only the checks whose printed name contains "
+                   "this text, ignoring case and punctuation")
     p.add_argument("--json", metavar="PATH",
                    help="write the deterministic JSON report ('-' for stdout)")
     p.set_defaults(func=cmd_verify)

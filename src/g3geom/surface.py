@@ -74,13 +74,6 @@ class SurfaceSample:
     h22: float
 
 
-def _coordinate_jets(surface: SurfaceSpec, U1, U2, check: bool = True):
-    at = (U1, U2)
-    return (expr.eval_jet2(surface.x, at, check=check),
-            expr.eval_jet2(surface.y, at, check=check),
-            expr.eval_jet2(surface.z, at, check=check))
-
-
 def _coordinate_partials(surface: SurfaceSpec, U1, U2, check: bool = True):
     """Values and first partials of x, y and z, each on the shape of the
     operands it depends on, not broadcast (see expr._eval_first)."""
@@ -99,7 +92,7 @@ def _normal_parts(jx, jy, jz):
 def sample_surface(surface: SurfaceSpec, u1: float, u2: float,
                    omega_min: float = OMEGA_MIN) -> SurfaceSample:
     """First fundamental form data and the unit isotropic normal at a point."""
-    jx, jy, jz = _coordinate_jets(surface, float(u1), float(u2))
+    jx, jy, jz = _coordinate_partials(surface, float(u1), float(u2))
     A, B, omega = _normal_parts(jx, jy, jz)
     if omega <= omega_min:
         raise SingularNormalError(
@@ -176,7 +169,8 @@ def _darboux_arrays(surface: SurfaceSpec, trace: TraceSpec, S: np.ndarray,
     j1 = expr.eval_jet(trace.u1_of_s, S, order=2)
     j2 = expr.eval_jet(trace.u2_of_s, S, order=2)
     u1p, u2p, u1pp, u2pp = j1.d1, j2.d1, j1.d2, j2.d2
-    jx, jy, jz = _coordinate_jets(surface, j1.value, j2.value)
+    jx, jy, jz = (expr.eval_jet2(c, (j1.value, j2.value))
+                  for c in (surface.x, surface.y, surface.z))
 
     def chain1(j):
         return j.du1 * u1p + j.du2 * u2p
@@ -454,11 +448,6 @@ class TheoremReport:
     hypothesis_met: bool
     conclusion_verified: bool | None
     details: dict
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "hypothesis_met": self.hypothesis_met,
-                "conclusion_verified": self.conclusion_verified,
-                "details": self.details}
 
 
 def _not_met(name: str, reason: str) -> TheoremReport:

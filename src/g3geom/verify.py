@@ -21,14 +21,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .curve import CurveSpec, _curve_arrays, detect_general_helix, detect_slant_helix, transform_curve
 from .galilean import GalileanMotion, GVec3, apply_motion, normalize_axis
-from .isophote import IsophoteQuery, extract, field_grid
+from .isophote import DEFAULT_GRID, DEFAULT_REFINE_TOL, IsophoteQuery, extract, field_grid
 from .surface import (
+    ANALYTIC_TOL,
+    RESIDUAL_TOL,
     SurfaceSpec,
     TheoremConfig,
     TraceSpec,
@@ -38,25 +40,31 @@ from .surface import (
     transform_surface,
     verify_theorems,
 )
-from .surfrev import ProfileSpec, verify_prop_4_1, verify_prop_4_2, verify_prop_4_3
+from .surfrev import (
+    ProfileSpec,
+    profile_curve,
+    revolve_isotropic,
+    verify_prop_4_1,
+    verify_prop_4_2,
+    verify_prop_4_3,
+)
 
 SCHEMA_VERSION = "1"
 CORPUS_SEED = 20240601
 CORPUS_SIZE = 20
 FD_STEP = 1e-5
-FD_TOL = 1e-5
-ANALYTIC_TOL = 1e-8
+
+# The checks in report order, keyed by the name each reports.  A check
+# takes no arguments and returns (passed, details).
+REGISTRY: dict[str, Callable[[], tuple[bool, dict]]] = {}
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    details: dict
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": bool(self.passed),
-                "details": self.details}
+def check(name: str):
+    """Register the decorated function as the check reported as `name`."""
+    def register(fn):
+        REGISTRY[name] = fn
+        return fn
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +138,15 @@ def random_corpus(seed: int = CORPUS_SEED, count: int = CORPUS_SIZE) -> tuple:
 # Frame identity checks
 # ---------------------------------------------------------------------------
 
-def check_frenet_closed_form() -> CheckResult:
+@check("frenet_closed_form")
+def _():
     curve = CurveSpec.from_strings("s^2/2", "s^3/6", (0.0, 2.0))
     S = np.linspace(0.0, 2.0, 100)
     a = _curve_arrays(curve, S)
     dk = float(np.abs(a["kappa"] - np.sqrt(1.0 + S * S)).max())
     dt = float(np.abs(a["tau"] - 1.0 / (1.0 + S * S)).max())
-    return CheckResult("frenet_closed_form", dk <= 1e-12 and dt <= 1e-12,
-                       {"max_kappa_dev": dk, "max_tau_dev": dt, "tol": 1e-12})
+    return dk <= 1e-12 and dt <= 1e-12, {"max_kappa_dev": dk, "max_tau_dev": dt,
+                                         "tol": 1e-12}
 
 
 def _central(arrays, S: np.ndarray, h: float):
@@ -157,19 +166,20 @@ def _frenet_ode_residuals(curve: CurveSpec, S: np.ndarray, h: float = FD_STEP):
     return float(rT.max()), float(rN.max()), float(rB.max())
 
 
-def check_frenet_ode() -> CheckResult:
+@check("frenet_ode_b3")
+def _():
     worst = 0.0
     curves = [CurveSpec.from_strings("s^2/2", "s^3/6", (0.0, 2.0))]
     curves += [induced_curve(s, t) for s, t in random_corpus()[:6]]
     for c in curves:
         S = np.linspace(c.domain[0] + 0.01, c.domain[1] - 0.01, 100)
         worst = max(worst, *_frenet_ode_residuals(c, S))
-    return CheckResult("frenet_ode_b3", worst <= FD_TOL,
-                       {"max_residual": worst, "tol": FD_TOL,
-                        "fd_step": FD_STEP, "curves": len(curves)})
+    return worst <= RESIDUAL_TOL, {"max_residual": worst, "tol": RESIDUAL_TOL,
+                                   "fd_step": FD_STEP, "curves": len(curves)}
 
 
-def check_darboux_cylinder() -> CheckResult:
+@check("darboux_cylinder")
+def _():
     surface = cylinder_surface()
     trace = _trace("s", "s")
     a = _darboux_arrays(surface, trace, trace.samples(50))
@@ -178,11 +188,11 @@ def check_darboux_cylinder() -> CheckResult:
         "max_abs_kn_plus_1": float(np.abs(a["kn"] + 1.0).max()),
         "max_abs_taug_plus_1": float(np.abs(a["taug"] + 1.0).max()),
     }
-    ok = all(v <= 1e-10 for v in devs.values())
-    return CheckResult("darboux_cylinder", ok, {**devs, "tol": 1e-10})
+    return all(v <= 1e-10 for v in devs.values()), {**devs, "tol": 1e-10}
 
 
-def check_b5_kappa() -> CheckResult:
+@check("b5_kappa_identity")
+def _():
     worst = 0.0
     for surface, trace in random_corpus():
         S = trace.samples(60)
@@ -190,11 +200,11 @@ def check_b5_kappa() -> CheckResult:
         fr = _curve_arrays(induced_curve(surface, trace), S)
         dev = np.abs(fr["kappa"] ** 2 - (a["kg"] ** 2 + a["kn"] ** 2))
         worst = max(worst, float(dev.max()))
-    return CheckResult("b5_kappa_identity", worst <= 1e-9,
-                       {"max_deviation": worst, "tol": 1e-9, "pairs": CORPUS_SIZE})
+    return worst <= 1e-9, {"max_deviation": worst, "tol": 1e-9, "pairs": CORPUS_SIZE}
 
 
-def check_b5_tau() -> CheckResult:
+@check("b5_tau_identity")
+def _():
     """Frenet tau against the Darboux expression
     tau_g + (k_g k_n' - k_g' k_n)/kappa^2, scalar derivatives by central
     differences."""
@@ -211,11 +221,11 @@ def check_b5_tau() -> CheckResult:
         mask = fr["kappa"] > 1e-6
         dev = np.abs(fr["tau"] - tau_darboux)[mask]
         worst = max(worst, float(dev.max()))
-    return CheckResult("b5_tau_identity", worst <= 1e-6,
-                       {"max_deviation": worst, "tol": 1e-6, "fd_step": h})
+    return worst <= 1e-6, {"max_deviation": worst, "tol": 1e-6, "fd_step": h}
 
 
-def check_b6_frames() -> CheckResult:
+@check("b6_frame_transform")
+def _():
     worst = 0.0
     for surface, trace in random_corpus():
         S = trace.samples(60)
@@ -227,11 +237,11 @@ def check_b6_frames() -> CheckResult:
         dn = np.hypot(a["ny"] - (-sp * fr["Ny"] + cp * fr["By"]),
                       a["nz"] - (-sp * fr["Nz"] + cp * fr["Bz"]))
         worst = max(worst, float(dq.max()), float(dn.max()))
-    return CheckResult("b6_frame_transform", worst <= 1e-9,
-                       {"max_deviation": worst, "tol": 1e-9})
+    return worst <= 1e-9, {"max_deviation": worst, "tol": 1e-9}
 
 
-def check_b4_ode() -> CheckResult:
+@check("b4_ode")
+def _():
     h = FD_STEP
     worst = 0.0
     for surface, trace in random_corpus():
@@ -245,69 +255,43 @@ def check_b4_ode() -> CheckResult:
         rn = np.hypot(fd("ny") + a0["taug"] * a0["Qy"],
                       fd("nz") + a0["taug"] * a0["Qz"])
         worst = max(worst, float(rT.max()), float(rQ.max()), float(rn.max()))
-    return CheckResult("b4_ode", worst <= FD_TOL,
-                       {"max_residual": worst, "tol": FD_TOL, "fd_step": h})
+    return worst <= RESIDUAL_TOL, {"max_residual": worst, "tol": RESIDUAL_TOL,
+                                   "fd_step": h}
 
 
 # ---------------------------------------------------------------------------
 # Theorem scenarios (section 3)
 # ---------------------------------------------------------------------------
 
-def _theorem_check(check_name: str, theorem: str, surface, trace,
-                   config: TheoremConfig) -> CheckResult:
-    reports = verify_theorems(surface, trace, config)
-    rep = reports[theorem]
-    passed = bool(rep.hypothesis_met and rep.conclusion_verified)
+def _theorem_check(name: str, surface: Callable[[], SurfaceSpec],
+                   trace: tuple[str, str], config: TheoremConfig):
+    rep = verify_theorems(surface(), _trace(*trace), config)[name]
+    passed = rep.hypothesis_met and rep.conclusion_verified
     residual = rep.details.get("axis_residual")
     if residual is not None:
         passed = passed and residual <= config.residual_tol
-    return CheckResult(check_name, passed, rep.details)
+    return passed, rep.details
 
 
-def check_thm_3_1_i() -> CheckResult:
-    return _theorem_check("thm_3_1_i", "thm_3_1_i", plane_surface(),
-                          _trace("s", "2*s"), TheoremConfig(theta=0.0))
+# (name, surface builder, trace (u1, u2), config); the builders run only
+# when the check does, so importing this module parses no expression
+_THEOREMS = (
+    ("thm_3_1_i", plane_surface, ("s", "2*s"), TheoremConfig(theta=0.0)),
+    ("thm_3_1_ii", plane_surface, ("s", "s^2/2"), TheoremConfig(theta=0.0)),
+    ("thm_3_2", functools.partial(parabolic_cylinder, -1.0), ("s", "0"),
+     TheoremConfig(theta=math.pi / 4)),
+    ("thm_3_3", functools.partial(parabolic_cylinder, +1.0), ("s", "0"),
+     TheoremConfig(theta=math.pi / 4)),
+    ("thm_3_4", plane_surface, ("s", "s^2/2"), TheoremConfig(axis=GVec3(0.0, 1.0, 0.0))),
+    ("cor_3_5", plane_surface, ("s", "2*s"), TheoremConfig(phi_measure=0.5)),
+    ("thm_3_6_i", plane_surface, ("s", "s^2/2"), TheoremConfig(axis=GVec3(1.0, 0.7, 0.0))),
+    ("thm_3_6_ii", plane_surface, ("s", "2*s"), TheoremConfig(axis=GVec3(1.0, 2.0, 0.0))),
+)
+REGISTRY.update((row[0], functools.partial(_theorem_check, *row)) for row in _THEOREMS)
 
 
-def check_thm_3_1_ii() -> CheckResult:
-    return _theorem_check("thm_3_1_ii", "thm_3_1_ii", plane_surface(),
-                          _trace("s", "s^2/2"), TheoremConfig(theta=0.0))
-
-
-def check_thm_3_2() -> CheckResult:
-    return _theorem_check("thm_3_2", "thm_3_2", parabolic_cylinder(-1.0),
-                          _trace("s", "0"), TheoremConfig(theta=math.pi / 4))
-
-
-def check_thm_3_3() -> CheckResult:
-    return _theorem_check("thm_3_3", "thm_3_3", parabolic_cylinder(+1.0),
-                          _trace("s", "0"), TheoremConfig(theta=math.pi / 4))
-
-
-def check_thm_3_4() -> CheckResult:
-    return _theorem_check("thm_3_4", "thm_3_4", plane_surface(),
-                          _trace("s", "s^2/2"),
-                          TheoremConfig(axis=GVec3(0.0, 1.0, 0.0)))
-
-
-def check_cor_3_5() -> CheckResult:
-    return _theorem_check("cor_3_5", "cor_3_5", plane_surface(),
-                          _trace("s", "2*s"), TheoremConfig(phi_measure=0.5))
-
-
-def check_thm_3_6_i() -> CheckResult:
-    return _theorem_check("thm_3_6_i", "thm_3_6_i", plane_surface(),
-                          _trace("s", "s^2/2"),
-                          TheoremConfig(axis=GVec3(1.0, 0.7, 0.0)))
-
-
-def check_thm_3_6_ii() -> CheckResult:
-    return _theorem_check("thm_3_6_ii", "thm_3_6_ii", plane_surface(),
-                          _trace("s", "2*s"),
-                          TheoremConfig(axis=GVec3(1.0, 2.0, 0.0)))
-
-
-def check_axis_reconstructions() -> CheckResult:
+@check("axis_reconstruction")
+def _():
     """The two line-of-curvature reconstructions return constant unit axes."""
     details = {}
     ok = True
@@ -316,8 +300,8 @@ def check_axis_reconstructions() -> CheckResult:
         rep = axis_isotropic(parabolic_cylinder(sign), _trace("s", "0"), theta)
         details[name] = {"d": rep.d.to_list(), "branch": rep.branch,
                          "residual": rep.residual, "sign": rep.sign}
-        ok = ok and rep.status == "ok" and rep.residual <= FD_TOL
-    return CheckResult("axis_reconstruction", ok, details)
+        ok = ok and rep.status == "ok" and rep.residual <= RESIDUAL_TOL
+    return ok, details
 
 
 # ---------------------------------------------------------------------------
@@ -328,55 +312,55 @@ def _prop_profile() -> ProfileSpec:
     return ProfileSpec.from_string("s^2/2 + 1", (0.0, 2.0))
 
 
-def _prop_check(rep) -> CheckResult:
-    return CheckResult(rep.name, bool(rep.hypothesis_met and rep.conclusion_verified),
-                       rep.details)
+@check("prop_4_1")
+def _():
+    rep = verify_prop_4_1(_prop_profile(), GVec3(0.0, 1.0, 0.0), tol=1e-9)
+    return rep.hypothesis_met and rep.conclusion_verified, rep.details
 
 
-def check_prop_4_1() -> CheckResult:
-    return _prop_check(verify_prop_4_1(_prop_profile(), GVec3(0.0, 1.0, 0.0), tol=1e-9))
+@check("prop_4_2")
+def _():
+    rep = verify_prop_4_2(_prop_profile(), GVec3(0.0, 0.0, 1.0), tol=1e-9)
+    return rep.hypothesis_met and rep.conclusion_verified, rep.details
 
 
-def check_prop_4_2() -> CheckResult:
-    return _prop_check(verify_prop_4_2(_prop_profile(), GVec3(0.0, 0.0, 1.0), tol=1e-9))
-
-
-def check_prop_4_3_i() -> CheckResult:
+@check("prop_4_3_i")
+def _():
     """Quadratic profile, axis along the profile normal; also drives the
-    extractor over the full 256x256 acceptance grid."""
+    extractor over the full default (acceptance) grid."""
     rep = verify_prop_4_3(1.0, 0.0, 1.0, "i", tol=1e-12,
-                          s_range=(1e-3, 5.0), grid=(256, 256))
+                          s_range=(1e-3, 5.0), grid=DEFAULT_GRID)
     profile = ProfileSpec.from_string("s^2/(2*cc)", (1e-3, 5.0), c=1.0,
                                       parameters={"cc": 1.0})
-    from .surfrev import revolve_isotropic
     surf = revolve_isotropic(profile, s_min=1e-3)
     iso = extract(surf, IsophoteQuery.for_angle(GVec3(0.0, 0.0, 1.0), math.pi / 4,
-                                                grid=(256, 256)))
+                                                grid=DEFAULT_GRID))
     cf = iso.constant_field
-    ok = bool(rep.conclusion_verified and cf is not None and cf.matches_level)
+    ok = rep.conclusion_verified and cf is not None and cf.matches_level
     details = dict(rep.details)
     details["extractor_constant_field"] = None if cf is None else {
         "value": cf.value, "spread": cf.spread, "matches_level": cf.matches_level}
     details["constant"] = rep.details["value"]
-    return CheckResult("prop_4_3_i", ok, details)
+    return ok, details
 
 
-def check_prop_4_3_ii() -> CheckResult:
+@check("prop_4_3_ii")
+def _():
     rep = verify_prop_4_3(2.0, 5.0, 1.0, "ii", tol=1e-12, s_range=(1e-3, 5.0))
-    return CheckResult("prop_4_3_ii", bool(rep.conclusion_verified), rep.details)
+    return rep.conclusion_verified, rep.details
 
 
-def check_cor_4_4() -> CheckResult:
+@check("cor_4_4")
+def _():
     profile = ProfileSpec.from_string("s^2/(2*cc) + AA", (1e-3, 5.0), c=1.0,
                                       parameters={"cc": 1.0, "AA": 0.0})
-    from .surfrev import profile_curve
     cu = profile_curve(profile)
     gen = detect_general_helix(cu, GVec3(0.0, 0.0, 1.0), tol=1e-10)
     sla = detect_slant_helix(cu, GVec3(0.0, 0.0, 1.0), tol=1e-10)
-    return CheckResult("cor_4_4", bool(gen.is_helix and sla.is_helix), {
+    return gen.is_helix and sla.is_helix, {
         "general_helix": bool(gen.is_helix), "slant_helix": bool(sla.is_helix),
         "B_dot_d": gen.value, "N_dot_d": sla.value,
-        "spreads": [gen.spread, sla.spread]})
+        "spreads": [gen.spread, sla.spread]}
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +378,8 @@ def random_motions(count: int = 100, seed: int = 777) -> list[GalileanMotion]:
     return out
 
 
-def check_motion_invariance_curve() -> CheckResult:
+@check("motion_invariance_curve")
+def _():
     curve = CurveSpec.from_strings("s^2/2", "s^3/6", (0.0, 2.0))
     S = np.linspace(0.0, 2.0, 40)
     base = _curve_arrays(curve, S)
@@ -405,11 +390,11 @@ def check_motion_invariance_curve() -> CheckResult:
         worst = max(worst,
                     float(np.abs(a["kappa"] - base["kappa"]).max()),
                     float(np.abs(a["tau"] - base["tau"]).max()))
-    return CheckResult("motion_invariance_curve", worst <= 1e-8,
-                       {"max_deviation": worst, "tol": 1e-8, "motions": 100})
+    return worst <= 1e-8, {"max_deviation": worst, "tol": 1e-8, "motions": 100}
 
 
-def check_motion_invariance_field() -> CheckResult:
+@check("motion_invariance_field")
+def _():
     surface = cylinder_surface()
     axis = normalize_axis(GVec3(0.0, 0.6, 0.8))
     U1 = np.linspace(0.1, 1.9, 16)[:, None]
@@ -421,14 +406,14 @@ def check_motion_invariance_field() -> CheckResult:
         moved_axis = apply_motion(m, axis, as_direction=True)
         vals = field_grid(moved, moved_axis, U1, U2)
         worst = max(worst, float(np.abs(vals - base).max()))
-    return CheckResult("motion_invariance_field", worst <= 1e-8,
-                       {"max_deviation": worst, "tol": 1e-8, "motions": 100})
+    return worst <= 1e-8, {"max_deviation": worst, "tol": 1e-8, "motions": 100}
 
 
-def check_isophote_cylinder() -> CheckResult:
+@check("isophote_cylinder")
+def _():
     surface = cylinder_surface()
     query = IsophoteQuery.for_angle(GVec3(0.0, 0.0, 1.0), math.pi / 3,
-                                    grid=(256, 256))
+                                    grid=DEFAULT_GRID)
     iso = extract(surface, query)
     targets = (math.pi / 3, 5.0 * math.pi / 3)
     worst = 0.0
@@ -437,69 +422,43 @@ def check_isophote_cylinder() -> CheckResult:
         for p in pl.points:
             worst = max(worst, min(abs(p[1] - t) for t in targets))
             nvert += 1
-    ok = bool(len(iso.polylines) == 2 and nvert > 0 and worst <= 1e-6)
-    return CheckResult("isophote_cylinder", ok, {
+    ok = len(iso.polylines) == 2 and nvert > 0 and worst <= 1e-6
+    return ok, {
         "polylines": len(iso.polylines), "vertices": nvert,
         "max_u2_deviation": worst, "tol": 1e-6,
-        "cells_crossing": iso.stats.cells_crossing})
+        "cells_crossing": iso.stats.cells_crossing}
 
 
 # ---------------------------------------------------------------------------
 # Suite driver
 # ---------------------------------------------------------------------------
 
-REGISTRY = [
-    check_frenet_closed_form,
-    check_frenet_ode,
-    check_darboux_cylinder,
-    check_b5_kappa,
-    check_b5_tau,
-    check_b6_frames,
-    check_b4_ode,
-    check_thm_3_1_i,
-    check_thm_3_1_ii,
-    check_thm_3_2,
-    check_thm_3_3,
-    check_thm_3_4,
-    check_cor_3_5,
-    check_thm_3_6_i,
-    check_thm_3_6_ii,
-    check_axis_reconstructions,
-    check_prop_4_1,
-    check_prop_4_2,
-    check_prop_4_3_i,
-    check_prop_4_3_ii,
-    check_cor_4_4,
-    check_motion_invariance_curve,
-    check_motion_invariance_field,
-    check_isophote_cylinder,
-]
-
-
 def _norm_name(s: str) -> str:
     return "".join(ch for ch in s.lower() if ch.isalnum())
 
 
 def run_suite(name_filter: str | None = None) -> dict:
-    """Run the registry (optionally filtered by a fuzzy substring match)
-    and return a JSON-ready, deterministic report."""
+    """Run the registry and return a JSON-ready, deterministic report.
+
+    `name_filter` keeps the checks whose reported name contains it, case
+    and punctuation ignored."""
     checks = []
-    for fn in REGISTRY:
-        name = fn.__name__.removeprefix("check_")
+    for name, fn in REGISTRY.items():
         if name_filter and _norm_name(name_filter) not in _norm_name(name):
             continue
-        checks.append(fn().to_dict())
+        passed, details = fn()
+        checks.append({"name": name, "passed": bool(passed), "details": details})
     report = {
         "schema_version": SCHEMA_VERSION,
         "suite": "galilean-isophote-verification",
         "defaults": {
             "analytic_tol": ANALYTIC_TOL,
             "fd_step": FD_STEP,
-            "fd_tol": FD_TOL,
+            "fd_tol": RESIDUAL_TOL,
             "corpus_seed": CORPUS_SEED,
             "corpus_size": CORPUS_SIZE,
-            "grid": [256, 256],
-            "refine_tol": 1e-9,
+            "grid": list(DEFAULT_GRID),
+            "refine_tol": DEFAULT_REFINE_TOL,
         },
         "filter": name_filter,
         "checks": checks,

@@ -237,22 +237,18 @@ def test_acceptance_7_theorem_suite():
     """The verify suite confirms every theorem scenario as a
     hypothesis -> conclusion assertion, with axis residuals <= 1e-5."""
     wanted = ["thm_3_1_i", "thm_3_1_ii", "thm_3_2", "thm_3_3", "thm_3_4",
-              "cor_3_5", "thm_3_6_i", "thm_3_6_ii", "axis_reconstructions"]
-    results = {}
-    for fn in REGISTRY:
-        name = fn.__name__.removeprefix("check_")
-        if name in wanted:
-            results[name] = fn()
-    ok = all(results[name].passed for name in wanted)
+              "cor_3_5", "thm_3_6_i", "thm_3_6_ii", "axis_reconstruction"]
+    results = {name: REGISTRY[name]() for name in wanted}
+    ok = all(passed for passed, _ in results.values())
     residuals = []
     for name in wanted:
-        det = results[name].details
+        det = results[name][1]
         if "axis_residual" in det and det["axis_residual"] is not None:
             residuals.append(det["axis_residual"])
-        if name == "axis_reconstructions":
+        if name == "axis_reconstruction":
             residuals += [b["residual"] for b in det.values()]
     ok = ok and all(r <= 1e-5 for r in residuals)
-    failing = [n for n in wanted if not results[n].passed]
+    failing = [n for n in wanted if not results[n][0]]
     assert _report("acceptance-7 theorem suite", ok,
                    f"max_axis_residual={max(residuals):.3e}"
                    + (f" failing={failing}" if failing else ""))

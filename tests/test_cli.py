@@ -235,6 +235,15 @@ def test_verify_filter_and_json_determinism(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("name", ["frenet_ode_b3", "b5_kappa_identity",
+                                  "b5_tau_identity", "b6_frame_transform"])
+def test_verify_filter_selects_printed_name(name, tmp_path, capsys):
+    out = tmp_path / "v.json"
+    assert main(["verify", "--filter", name, "--json", str(out)]) == 0
+    assert f"[PASS] {name}" in capsys.readouterr().out
+    assert [c["name"] for c in json.loads(out.read_text())["checks"]] == [name]
+
+
 def test_verify_unmatched_filter_fails(capsys):
     assert main(["verify", "--filter", "nosuchcheck"]) == 1
     assert "no checks matched" in capsys.readouterr().err
