@@ -43,6 +43,7 @@ from .surface import (
 from .surfrev import (
     ProfileSpec,
     profile_curve,
+    revolve_euclidean,
     revolve_isotropic,
     verify_prop_4_1,
     verify_prop_4_2,
@@ -407,6 +408,59 @@ def _():
         vals = field_grid(moved, moved_axis, U1, U2)
         worst = max(worst, float(np.abs(vals - base).max()))
     return worst <= 1e-8, {"max_deviation": worst, "tol": 1e-8, "motions": 100}
+
+
+# The Euclidean revolution of _prop_profile() has the normal
+# (0, sin u2, cos u2), so the axis (0, sin phi, cos phi) gives the field
+# cos(u2 - phi), whose isophotes are the parallels u2 = t0 with
+# |df/du2| = |sin(t0 - phi)| along them.  Case "axis": level cos(beta),
+# t0 = phi -+ beta.  Case "helix": Prop 4.1's parallels t0 = pi/2, 3 pi/2,
+# the level-0 isophote of (0, 0, 1).  Prop 4.2's t0 = 0, pi are left out:
+# u2 = 0 and 2 pi is the seam of the grid.
+REVOLUTION_PHI = 2.0
+REVOLUTION_BETA = 0.7
+
+
+def revolution_isophotes(grid=DEFAULT_GRID) -> dict:
+    """Both extraction cases on the Euclidean revolution at `grid`: per
+    case the polyline vertex counts and closed flags, the parallel each
+    polyline follows, and its largest |u2 - t0| against the bound
+    refine_tol / min|df/du2| (plus float rounding of the field and of
+    t0)."""
+    phi, beta = REVOLUTION_PHI, REVOLUTION_BETA
+    cases = {
+        "axis": (IsophoteQuery.for_angle(GVec3(0.0, math.sin(phi), math.cos(phi)), beta, grid),
+                 (phi - beta, phi + beta), math.sin(beta)),
+        "helix": (IsophoteQuery.raw_level(GVec3(0.0, 0.0, 1.0), 0.0, grid),
+                  (math.pi / 2, 3 * math.pi / 2), 1.0),
+    }
+    surface = revolve_euclidean(_prop_profile())
+    eps = float(np.finfo(float).eps)
+    out = {}
+    for name, (query, t0s, slope) in cases.items():
+        iso = extract(surface, query)
+        followed, worst = [], 0.0
+        for pl in iso.polylines:
+            t0 = min(t0s, key=lambda t: abs(pl.points[0][1] - t))
+            followed.append(t0)
+            worst = max(worst, *(abs(p[1] - t0) for p in pl.points))
+        out[name] = {
+            "vertices": [len(pl.points) for pl in iso.polylines],
+            "closed": [pl.closed for pl in iso.polylines],
+            "parallels": sorted(followed) == sorted(t0s),
+            "max_u2_deviation": worst,
+            "bound": (query.refine_tol + 8 * eps) / slope + 8 * eps * max(t0s),
+        }
+    return out
+
+
+@check("isophote_revolution")
+def _():
+    cases = revolution_isophotes()
+    n1 = DEFAULT_GRID[0]
+    ok = all(c["vertices"] == [n1 + 1, n1 + 1] and not any(c["closed"]) and c["parallels"]
+             and c["max_u2_deviation"] <= c["bound"] for c in cases.values())
+    return ok, cases
 
 
 @check("isophote_cylinder")

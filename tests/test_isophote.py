@@ -23,7 +23,7 @@ from g3geom import (
 )
 from g3geom import isophote
 from g3geom.isophote import crossing_cells
-from g3geom.verify import random_motions
+from g3geom.verify import random_motions, revolution_isophotes
 
 Z_AXIS = GVec3(0.0, 0.0, 1.0)
 Y_AXIS = GVec3(0.0, 1.0, 0.0)
@@ -320,6 +320,22 @@ def test_closed_polyline_detected():
     assert pl.closed
     for p in pl.points:
         assert math.hypot(p[0], p[1]) == pytest.approx(0.8, abs=1e-6)
+
+
+def test_revolution_isophotes_are_parallels_at_two_grids():
+    """The `isophote_revolution` cases at 256^2 and 512^2: each is two open
+    polylines of n1+1 vertices on its two parallels, within the bound the
+    field gives, with the same topology at both sizes."""
+    topology = {}
+    for n in (256, 512):
+        cases = revolution_isophotes((n, n))
+        for name, c in cases.items():
+            assert c["vertices"] == [n + 1, n + 1], (name, n)
+            assert c["parallels"], (name, n)
+            assert c["max_u2_deviation"] <= c["bound"], (name, n)
+        topology[n] = {name: (len(c["vertices"]), c["closed"]) for name, c in cases.items()}
+    assert topology[256] == topology[512] == {
+        "axis": (2, [False, False]), "helix": (2, [False, False])}
 
 
 def test_level_validation():
