@@ -3,10 +3,11 @@
 With the unit isotropic normal n, one formula covers both axis kinds: the
 Euclidean yz product n_y d_y + n_z d_z is the cosine of the isotropic
 angle for an isotropic axis and the raw mixed-angle measure for a unit
-non-isotropic axis.  Isophotes are extracted by marching squares with
-bisection refinement; a field that is constant over the whole grid is
-reported as such instead of being traced (the degenerate case realized by
-quadratic-profile isotropic surfaces of revolution).
+non-isotropic axis.  Isophotes are extracted by marching squares, with
+each crossing refined along its grid edge by Illinois regula falsi; a
+field that is constant over the whole grid is reported as such instead of
+being traced (the degenerate case realized by quadratic-profile isotropic
+surfaces of revolution).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .surface import OMEGA_MIN, SurfaceSpec, _coordinate_partials, _normal_parts
 
 DEFAULT_GRID = (256, 256)
 DEFAULT_REFINE_TOL = 1e-9
-MAX_BISECT = 30
+MAX_REFINE_STEPS = 30
 CLOSE_TOL = 1e-9
 # field_grid starts a thread pool only for grids of at least this many
 # points; below it the pool costs more than it saves
@@ -192,6 +193,16 @@ class ConstantField:
 
 @dataclass
 class ExtractStats:
+    """Counters of one extraction.
+
+    cells_crossing: cells that gave segments.  cells_skipped: cells with an
+    undefined corner or a failed edge.  refined_edges: crossing edges, each
+    refined once.  failed_edges: edges with a non-finite probe.
+    refine_iterations_total: field evaluations the refinement ran, one per
+    probe of an open edge.  refine_iterations_max: refinement steps run,
+    the most probes any one edge took (at most MAX_REFINE_STEPS).
+    """
+
     grid: tuple[int, int]
     cells_total: int
     cells_crossing: int = 0
@@ -252,40 +263,60 @@ def crossing_cells(F: np.ndarray, level: float) -> set[tuple[int, int]]:
 
 
 def _refine_edges(surface, axis, level, p0, p1, f0, f1, refine_tol):
-    """Vectorized bisection along crossing edges.
+    """Vectorized Illinois regula falsi along crossing edges (Dowell and
+    Jarratt, BIT 11, 1971).
 
-    p0, p1: (m, 2) endpoint parameter coordinates; f0, f1 field values of
-    opposite sign.  First probe is the linear interpolation point, then
-    ordinary bisection until |field - level| <= refine_tol or MAX_BISECT.
+    p0, p1: (m, 2) endpoint parameter coordinates; f0, f1 the field minus
+    the level there, on opposite sides of it (0 counts as below).  Each
+    edge keeps a bracket (a, fa), (b, fb) in t, from (0, f0) and (1, f1).
+    The first probe is the linear interpolation point.  Each step
+    evaluates the field only at the open edges, those whose best
+    |field - level| is still above refine_tol and that have not failed: a
+    non-finite probe fails its edge.  A probe replaces the endpoint on its
+    side; when the same side is replaced twice in a row, the other
+    endpoint's f is halved.  The next probe is the secant root
+    a - fa (b - a) / (fb - fa), or the midpoint when that is not strictly
+    inside (a, b).  At most MAX_REFINE_STEPS steps run.
+
+    Returns the points of least |field - level| per edge, that error (inf
+    where no probe was finite), the failed mask, the number of field
+    evaluations and the number of steps run.
     """
-    m = p0.shape[0]
-    lo = np.zeros(m)
-    hi = np.ones(m)
     t = f0 / (f0 - f1)  # linear interpolation start
     best_t = t.copy()
-    best_err = np.full(m, np.inf)
-    failed = np.zeros(m, dtype=bool)
-    iterations = 0
-    max_iter_used = 0
-    for it in range(MAX_BISECT):
-        pu = p0 + t[:, None] * (p1 - p0)
+    best_err = np.full(len(t), np.inf)
+    failed = np.zeros(len(t), dtype=bool)
+    # the open edges and their brackets; `side` is the endpoint the last
+    # step replaced: -1 for a, +1 for b, 0 before the first
+    idx = np.arange(len(t))
+    a, fa, b, fb = np.zeros(len(t)), f0, np.ones(len(t)), f1
+    side = np.zeros(len(t), dtype=np.int8)
+    evaluations = steps = 0
+    while len(idx) and steps < MAX_REFINE_STEPS:
+        steps += 1
+        evaluations += len(idx)
+        q0 = p0[idx]
+        pu = q0 + t[:, None] * (p1[idx] - q0)
         fv = _field(surface, axis, pu[:, 0], pu[:, 1]) - level
-        bad = ~np.isfinite(fv)
-        failed |= bad
+        ok = np.isfinite(fv)
+        failed[idx[~ok]] = True
         err = np.abs(fv)
-        better = err < best_err
-        best_t = np.where(better & ~bad, t, best_t)
-        best_err = np.where(better & ~bad, err, best_err)
-        iterations += m
-        max_iter_used = it + 1
-        if np.all((best_err <= refine_tol) | failed):
-            break
-        same_side = np.sign(fv) == np.sign(f0)
-        lo = np.where(same_side & ~bad, t, lo)
-        hi = np.where(~same_side & ~bad, t, hi)
-        t = 0.5 * (lo + hi)
+        better = ok & (err < best_err[idx])
+        best_t[idx[better]] = t[better]
+        best_err[idx[better]] = err[better]
+        keep = ok & (best_err[idx] > refine_tol)
+        idx, t, fv, a, fa, b, fb, side = (
+            v[keep] for v in (idx, t, fv, a, fa, b, fb, side))
+        on_a = (fv > 0) == (fa > 0)
+        fa = np.where(on_a, fv, np.where(side == 1, 0.5 * fa, fa))
+        fb = np.where(on_a, np.where(side == -1, 0.5 * fb, fb), fv)
+        a = np.where(on_a, t, a)
+        b = np.where(on_a, b, t)
+        side = np.where(on_a, -1, 1).astype(np.int8)
+        t = a - fa * (b - a) / (fb - fa)
+        t = np.where((t > a) & (t < b), t, 0.5 * (a + b))
     pu = p0 + best_t[:, None] * (p1 - p0)
-    return pu, best_err, failed, iterations, max_iter_used
+    return pu, best_err, failed, evaluations, steps
 
 
 def extract(surface: SurfaceSpec, query: IsophoteQuery) -> IsophoteSet:

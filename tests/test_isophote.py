@@ -552,3 +552,119 @@ def test_singular_cells_skipped_not_fatal():
     for pl in iso.polylines:
         for p in pl.points:
             assert abs(field(bad, Z_AXIS, p[0], p[1]) - iso.level) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# edge refinement
+# ---------------------------------------------------------------------------
+
+def _probed_field(monkeypatch, f):
+    """Make `isophote._field` the field f(u1, u2); return the list of
+    (u2, value) arrays of its calls."""
+    probes = []
+
+    def field(surface, axis, U1, U2):
+        values = f(np.asarray(U1, dtype=float), np.asarray(U2, dtype=float))
+        probes.append((np.array(U2), values))
+        return values
+
+    monkeypatch.setattr(isophote, "_field", field)
+    return probes
+
+
+def _refine_along_u1(f, lo, hi, tol=1e-9):
+    """`_refine_edges` on the edges from (lo_k, k) to (hi_k, k), level 0."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    rows = np.arange(len(lo), dtype=float)
+    f0, f1 = f(lo, rows), f(hi, rows)
+    assert np.all((f0 > 0) != (f1 > 0))  # a crossing: 0 counts as below
+    return isophote._refine_edges(None, None, 0.0, np.column_stack((lo, rows)),
+                                  np.column_stack((hi, rows)), f0, f1, tol)
+
+
+@pytest.mark.parametrize("name", ["steep tanh", "flat cubic", "root at a node"])
+def test_refine_edges_on_analytic_fields(monkeypatch, name):
+    rng = np.random.default_rng(3)
+    if name == "steep tanh":
+        root, slope = 0.37, 50.0
+        lo = root - rng.uniform(1e-6, 0.37, 40)
+        hi = root + rng.uniform(1e-6, 0.63, 40)
+    elif name == "flat cubic":
+        root, slope = 0.6, None
+        lo = root - rng.uniform(1e-3, 0.6, 40)
+        hi = root + rng.uniform(1e-3, 0.4, 40)
+    else:
+        # f0 = 0 with f1 > 0, and f0 > 0 with f1 = 0
+        root, slope = 0.25, 1.0
+        lo = np.array([0.25, 0.25, 0.5, 1.0])
+        hi = np.array([0.5, 0.75, 0.25, 0.25])
+
+    def f(u, rows):
+        return {"steep tanh": np.tanh(50.0 * (u - root)), "flat cubic": (u - root) ** 3,
+                "root at a node": u - root}[name] + 0.0 * rows
+
+    _probed_field(monkeypatch, f)
+    pu, err, failed, evaluations, steps = _refine_along_u1(f, lo, hi)
+    u = pu[:, 0]
+    assert not failed.any() and steps <= isophote.MAX_REFINE_STEPS
+    assert np.all(err <= 1e-9) and np.array_equal(err, np.abs(f(u, 0.0)))
+    assert np.all((np.minimum(lo, hi) <= u) & (u <= np.maximum(lo, hi)))
+    if slope is not None:
+        assert np.all(np.abs(u - root) <= 1e-9 / slope * (1 + 1e-6) + 1e-15)
+    if name == "root at a node":
+        assert np.array_equal(u, np.full(4, root)) and evaluations == 4 and steps == 1
+
+
+def test_refine_edges_probe_only_open_edges(monkeypatch):
+    # edges 0-9 see a linear field, met by the first probe; edges 10-19 the
+    # steep tanh, which takes several steps
+    def f(u, rows):
+        return np.where(rows < 10, u - 0.3, np.tanh(50.0 * (u - 0.37)))
+
+    probes = _probed_field(monkeypatch, f)
+    pu, err, failed, evaluations, steps = _refine_along_u1(f, np.full(20, 0.05),
+                                                           np.full(20, 0.9))
+    assert np.all(err <= 1e-9) and not failed.any()
+    assert [len(r) for r, _ in probes][:2] == [20, 10]
+    assert evaluations == sum(len(r) for r, _ in probes) and steps == len(probes)
+    # an edge is probed again only while every earlier probe missed the tol
+    for k in range(20):
+        seen = [abs(v[r == k][0]) for r, v in probes if (r == k).any()]
+        assert all(e > 1e-9 for e in seen[:-1]) and seen[-1] <= 1e-9, k
+
+
+def test_refine_edges_nan_probe_fails_only_its_edge(monkeypatch):
+    # edge 3 is undefined inside, between its finite endpoints
+    def f(u, rows):
+        inside = (rows == 3) & (u > 0.0) & (u < 0.9)
+        return np.where(inside, np.nan, np.tanh(50.0 * (u - 0.37)))
+
+    probes = _probed_field(monkeypatch, f)
+    pu, err, failed, evaluations, steps = _refine_along_u1(f, np.zeros(8), np.full(8, 0.9))
+    assert failed.tolist() == [k == 3 for k in range(8)]
+    assert np.isinf(err[3]) and np.all(np.delete(err, 3) <= 1e-9)
+    # the failed edge is not probed after its NaN
+    assert sum(int((r == 3).sum()) for r, _ in probes) == 1
+
+
+def test_refine_iterations_on_wavy_golden_case(monkeypatch):
+    from extract_golden import CASES
+
+    sizes = []
+    real = isophote._field
+
+    def counting(surface, axis, U1, U2):
+        F = real(surface, axis, U1, U2)
+        if F.ndim == 1:
+            sizes.append(F.size)
+        return F
+
+    monkeypatch.setattr(isophote, "_field", counting)
+    surface, query, _ = CASES["wavy_256"]()
+    stats = extract(surface, query).stats
+    assert stats.refined_edges == 2088 and stats.failed_edges == 0
+    assert stats.refine_iterations_max <= 12
+    # 1-D calls: the refinement steps, then any saddle centers
+    probes = sizes[:stats.refine_iterations_max]
+    assert probes[0] == stats.refined_edges and probes == sorted(probes, reverse=True)
+    assert stats.refine_iterations_total == sum(probes)

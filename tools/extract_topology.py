@@ -1,0 +1,152 @@
+"""Compare the extraction topology of two source trees over the test suite.
+
+    python3 tools/extract_topology.py --before DIR --after DIR
+
+DIR is a source tree that holds src/g3geom.  The tests of this checkout
+run once against each tree's `src`, with every `extract` call recorded:
+the test that made it, the grid and level, whether the field was
+constant, the polyline vertex counts and closed flags, the stats, and the
+(u1, u2) of every vertex.  The calls of the two runs are paired by test
+and call order.  Topology must be identical: polyline count, polyline
+lengths, closed flags, `cells_crossing`, `cells_skipped`, `failed_edges`
+and `refined_edges`.  So must these stats against the before tree's
+`tests/golden/extract.json`, for every case of `tests/extract_golden.py`.
+Vertex displacement and refinement counts are reported, not judged.  Test
+failures do not matter here, only what the calls returned.  Exit 0 when
+all of it is identical, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+TOPOLOGY = ("polylines", "closed", "constant", "cells_crossing", "cells_skipped",
+            "failed_edges", "refined_edges")
+
+
+def _summary(iso) -> dict:
+    stats = iso.stats
+    return {"grid": list(stats.grid), "level": iso.level,
+            "constant": iso.constant_field is not None,
+            "polylines": [len(p.points) for p in iso.polylines],
+            "closed": [p.closed for p in iso.polylines],
+            "cells_crossing": stats.cells_crossing, "cells_skipped": stats.cells_skipped,
+            "failed_edges": stats.failed_edges, "refined_edges": stats.refined_edges,
+            "evaluations": stats.refine_iterations_total,
+            "steps": stats.refine_iterations_max,
+            "uv": [p[:2] for pl in iso.polylines for p in pl.points]}
+
+
+def record(out: Path) -> None:
+    """Run the tests in this process with `extract` wrapped in every g3geom
+    module that binds it; write the calls as JSON to `out`."""
+    import pytest
+
+    import g3geom
+    from g3geom import isophote
+
+    calls: list[dict] = []
+    real = isophote.extract
+
+    def extract(surface, query):
+        iso = real(surface, query)
+        test = os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" ", 1)[0]
+        calls.append({"test": test, **_summary(iso)})
+        return iso
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "g3geom" and getattr(module, "extract", None) is real:
+            module.extract = extract
+    assert g3geom.extract is extract
+    sys.path.insert(0, str(HERE / "tests"))
+    pytest.main(["-q", "-p", "no:cacheprovider", str(HERE / "tests")])
+    out.write_text(json.dumps(calls))
+
+
+def _run(tree: Path, out: Path) -> list[dict]:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    subprocess.run([sys.executable, __file__, "--record", str(out)], env=env,
+                   cwd=HERE, check=True, stdout=subprocess.DEVNULL)
+    return json.loads(out.read_text())
+
+
+def _keyed(calls: list[dict]) -> dict:
+    seen: dict[str, int] = {}
+    out = {}
+    for c in calls:
+        k = seen[c["test"]] = seen.get(c["test"], -1) + 1
+        out[(c["test"], k)] = c
+    return out
+
+
+def compare(before: Path, after: Path) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        old = _keyed(_run(before, Path(tmp) / "before.json"))
+        new = _keyed(_run(after, Path(tmp) / "after.json"))
+    problems = []
+    shift, shift_at = 0.0, None
+    evals = {"before": 0, "after": 0}
+    steps = {"before": 0, "after": 0}
+    common = sorted(old.keys() & new.keys())
+    for key in common:
+        b, a = old[key], new[key]
+        if (b["grid"], b["level"]) != (a["grid"], a["level"]):
+            problems.append(f"{key}: calls do not pair up")
+            continue
+        diff = [f for f in TOPOLOGY if b[f] != a[f]]
+        if diff:
+            problems.append(f"{key}: {', '.join(f'{f} {b[f]} -> {a[f]}' for f in diff)}")
+            continue
+        for p, q in zip(b["uv"], a["uv"]):
+            d = max(abs(p[0] - q[0]), abs(p[1] - q[1]))
+            if d > shift:
+                shift, shift_at = d, key
+        for side, c in (("before", b), ("after", a)):
+            evals[side] += c["evaluations"]
+            steps[side] = max(steps[side], c["steps"])
+    golden = json.loads((before / "tests" / "golden" / "extract.json").read_text())
+    sys.path.insert(0, str(after / "src"))
+    sys.path.insert(0, str(HERE / "tests"))
+    from extract_golden import CASES, record as record_case
+
+    for name in sorted(CASES):
+        got = record_case(name)["stats"]
+        want = golden[name]["stats"]
+        diff = [f for f in ("cells_total", *TOPOLOGY[3:]) if got[f] != want[f]]
+        if diff:
+            problems.append(f"golden {name}: " + ", ".join(
+                f"{f} {want[f]} -> {got[f]}" for f in diff))
+    print(f"{len(common)} paired extract calls ({len(old) - len(common)} only before, "
+          f"{len(new) - len(common)} only after), {len(CASES)} golden cases")
+    print(f"largest vertex shift in u1 or u2: {shift:.3g} ({shift_at})")
+    print(f"field evaluations: {evals['before']} -> {evals['after']}; "
+          f"most steps in one call: {steps['before']} -> {steps['after']}")
+    for p in problems:
+        print("DIFFERS", p)
+    print("topology identical" if not problems else f"{len(problems)} differences")
+    return 1 if problems else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--before", type=Path)
+    ap.add_argument("--after", type=Path)
+    ap.add_argument("--record", type=Path, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.record:
+        record(args.record)
+        return 0
+    if not (args.before and args.after):
+        ap.error("--before and --after are required")
+    return compare(args.before.resolve(), args.after.resolve())
+
+
+if __name__ == "__main__":
+    sys.exit(main())
