@@ -2,8 +2,11 @@
 
 Subcommands: frenet, darboux, classify, axis, isophote, revolve, verify.
 Objects come from a --scene JSON file by name, or inline as
-comma-separated expressions for quick experiments.  Exit codes: 0 ok,
-1 numerical verification failure, 2 usage or parse error.
+comma-separated expressions for quick experiments.  Exit codes: 0 ok;
+1 a numerical failure (the G3Error kinds listed with code 1 in
+EXIT_CODES: straight segment, singular normal, inadmissible trace, axis
+reconstruction) or a failed verify check; 2 any other error, which is a
+usage or parse error.
 
 Field grids are evaluated in row blocks of about 2^16 points.  The
 environment variable G3_THREADS caps the threads those blocks run on
@@ -23,7 +26,13 @@ import numpy as np
 
 from . import export
 from .curve import CurveSpec, frenet_samples
-from .errors import AxisError, G3Error
+from .errors import (
+    AxisError,
+    G3Error,
+    InadmissibleTraceError,
+    SingularNormalError,
+    StraightSegmentError,
+)
 from .galilean import GVec3, normalize_axis
 from .isophote import DEFAULT_GRID, DEFAULT_REFINE_TOL, IsophoteQuery, extract
 from .scene import Scene, load_scene
@@ -41,6 +50,22 @@ from .surfrev import ProfileSpec, revolve_euclidean, revolve_isotropic
 from .verify import run_suite
 
 SCHEMA_VERSION = "1"
+
+# The exit code of each G3Error kind; an error takes the code of the
+# nearest class in its MRO listed here.  Any other error (ValueError) is
+# a usage error.
+EXIT_CODES: dict[type, int] = {
+    StraightSegmentError: 1,
+    SingularNormalError: 1,
+    InadmissibleTraceError: 1,
+    AxisError: 1,
+    G3Error: 2,
+}
+
+
+def exit_code(error: Exception) -> int:
+    """1 for a numerical failure, 2 for a usage or parse error."""
+    return next((EXIT_CODES[k] for k in type(error).__mro__ if k in EXIT_CODES), 2)
 
 
 def _defaults(**extra) -> dict:
@@ -239,11 +264,7 @@ def cmd_axis(args) -> int:
     surface = _resolve_surface(args, scene)
     trace = _resolve_trace(args, scene)
     reconstruct = axis_isotropic if args.case == "isotropic" else axis_nonisotropic
-    try:
-        rep = reconstruct(surface, trace, args.angle, samples=args.samples, tol=args.tol)
-    except AxisError as e:
-        print(f"axis reconstruction failed: {e}", file=sys.stderr)
-        return 1
+    rep = reconstruct(surface, trace, args.angle, samples=args.samples, tol=args.tol)
     d_str = "none" if rep.d is None else ",".join(f"{v:.12g}" for v in rep.d.to_list())
     print(f"branch   {rep.branch}")
     print(f"status   {rep.status}")
@@ -451,8 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_revolve)
 
     p = sub.add_parser("verify", help="run the full verification suite")
-    p.add_argument("--filter", help="run only the checks whose printed name contains "
-                   "this text, ignoring case and punctuation")
+    p.add_argument("--filter", help="run only the check whose printed name is this "
+                   "text, or else the checks whose printed name contains it; case and "
+                   "punctuation are ignored")
     p.add_argument("--json", metavar="PATH",
                    help="write the deterministic JSON report ('-' for stdout)")
     p.set_defaults(func=cmd_verify)
@@ -468,12 +490,10 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except G3Error as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except (G3Error, ValueError) as e:
+        code = exit_code(e)
+        print(f"{'failed' if code == 1 else 'error'}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -494,13 +494,15 @@ def _norm_name(s: str) -> str:
 def run_suite(name_filter: str | None = None) -> dict:
     """Run the registry and return a JSON-ready, deterministic report.
 
-    `name_filter` keeps the checks whose reported name contains it, case
-    and punctuation ignored."""
+    `name_filter` selects the check whose reported name equals it, case
+    and punctuation ignored; a filter equal to no name keeps the checks
+    whose name contains it."""
+    key = _norm_name(name_filter or "")
+    names = ([n for n in REGISTRY if _norm_name(n) == key]
+             or [n for n in REGISTRY if key in _norm_name(n)])
     checks = []
-    for name, fn in REGISTRY.items():
-        if name_filter and _norm_name(name_filter) not in _norm_name(name):
-            continue
-        passed, details = fn()
+    for name in names:
+        passed, details = REGISTRY[name]()
         checks.append({"name": name, "passed": bool(passed), "details": details})
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -4,8 +4,25 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
-from g3geom import SceneError, load_scene_dict
-from g3geom.cli import main
+from g3geom import SceneError, errors, load_scene_dict
+from g3geom.cli import exit_code, main
+from g3geom.errors import (
+    ArityError,
+    AxisConstraintError,
+    AxisError,
+    AxisUndefinedError,
+    ExprDomainError,
+    ExprError,
+    ExprSyntaxError,
+    G3Error,
+    InadmissibleTraceError,
+    NotAsymptoticError,
+    NotLineOfCurvatureError,
+    SingularNormalError,
+    StraightSegmentError,
+    UnknownIdentifierError,
+)
+from g3geom.verify import REGISTRY
 
 SCENE = {
     "curves": {
@@ -173,6 +190,25 @@ def test_axis_failure_exit_1(scene_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+def test_exit_code_of_each_error_kind():
+    codes = {G3Error: 2, ExprError: 2, ExprSyntaxError: 2, UnknownIdentifierError: 2,
+             ArityError: 2, ExprDomainError: 2, SceneError: 2,
+             StraightSegmentError: 1, SingularNormalError: 1, InadmissibleTraceError: 1,
+             AxisError: 1, NotLineOfCurvatureError: 1, NotAsymptoticError: 1,
+             AxisConstraintError: 1, AxisUndefinedError: 1}
+    kinds = {k for k in vars(errors).values()
+             if isinstance(k, type) and issubclass(k, G3Error)}
+    assert kinds == set(codes)
+    for kind, code in codes.items():
+        assert exit_code(kind("message")) == code, kind
+    assert exit_code(ValueError("message")) == 2
+
+
+def test_frenet_straight_segment_exit_1(capsys):
+    assert main(["frenet", "--curve", "s,s", "--domain", "0:1"]) == 1
+    assert "kappa <= 1e-10" in capsys.readouterr().err
+
+
 def test_axis_success(scene_path, capsys):
     rc = main(["axis", "--case", "isotropic", "--scene", scene_path,
                "--surface", "plane", "--trace", "parabola", "--angle", "0"])
@@ -242,6 +278,16 @@ def test_verify_filter_selects_printed_name(name, tmp_path, capsys):
     assert main(["verify", "--filter", name, "--json", str(out)]) == 0
     assert f"[PASS] {name}" in capsys.readouterr().out
     assert [c["name"] for c in json.loads(out.read_text())["checks"]] == [name]
+
+
+def test_verify_filter_by_each_printed_name_runs_one_check(capsys):
+    # thm_3_1_i is also a substring of thm_3_1_ii, and so are thm_3_6_i and
+    # prop_4_3_i of their _ii checks; a filter equal to a name runs it alone
+    for name in REGISTRY:
+        assert main(["verify", "--filter", name]) == 0, name
+        out = capsys.readouterr().out
+        assert out.splitlines() == [out.splitlines()[0], "1/1 checks passed"], name
+        assert out.startswith(f"[PASS] {name}"), name
 
 
 def test_verify_unmatched_filter_fails(capsys):
