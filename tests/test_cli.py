@@ -6,22 +6,6 @@ import pytest
 
 from g3geom import SceneError, errors, load_scene_dict
 from g3geom.cli import exit_code, main
-from g3geom.errors import (
-    ArityError,
-    AxisConstraintError,
-    AxisError,
-    AxisUndefinedError,
-    ExprDomainError,
-    ExprError,
-    ExprSyntaxError,
-    G3Error,
-    InadmissibleTraceError,
-    NotAsymptoticError,
-    NotLineOfCurvatureError,
-    SingularNormalError,
-    StraightSegmentError,
-    UnknownIdentifierError,
-)
 from g3geom.verify import REGISTRY
 
 SCENE = {
@@ -191,13 +175,15 @@ def test_axis_failure_exit_1(scene_path, capsys):
 
 
 def test_exit_code_of_each_error_kind():
-    codes = {G3Error: 2, ExprError: 2, ExprSyntaxError: 2, UnknownIdentifierError: 2,
-             ArityError: 2, ExprDomainError: 2, SceneError: 2,
-             StraightSegmentError: 1, SingularNormalError: 1, InadmissibleTraceError: 1,
-             AxisError: 1, NotLineOfCurvatureError: 1, NotAsymptoticError: 1,
-             AxisConstraintError: 1, AxisUndefinedError: 1}
+    e = errors
+    codes = {e.G3Error: 2, e.ExprError: 2, e.ExprSyntaxError: 2, e.UnknownIdentifierError: 2,
+             e.ArityError: 2, e.ExprDomainError: 2, e.SceneError: 2,
+             e.StraightSegmentError: 1, e.SingularNormalError: 1, e.InadmissibleTraceError: 1,
+             e.AxisError: 1, e.NotLineOfCurvatureError: 1, e.NotAsymptoticError: 1,
+             e.AxisConstraintError: 1, e.AxisUndefinedError: 1}
+    # every G3Error kind is listed, so a new kind needs a code here
     kinds = {k for k in vars(errors).values()
-             if isinstance(k, type) and issubclass(k, G3Error)}
+             if isinstance(k, type) and issubclass(k, e.G3Error)}
     assert kinds == set(codes)
     for kind, code in codes.items():
         assert exit_code(kind("message")) == code, kind
@@ -285,9 +271,9 @@ def test_verify_filter_by_each_printed_name_runs_one_check(capsys):
     # prop_4_3_i of their _ii checks; a filter equal to a name runs it alone
     for name in REGISTRY:
         assert main(["verify", "--filter", name]) == 0, name
-        out = capsys.readouterr().out
-        assert out.splitlines() == [out.splitlines()[0], "1/1 checks passed"], name
-        assert out.startswith(f"[PASS] {name}"), name
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and lines[0].startswith(f"[PASS] {name}"), name
+        assert lines[1] == "1/1 checks passed", name
 
 
 def test_verify_unmatched_filter_fails(capsys):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from extract_golden import CASES as GOLDEN_CASES
 from g3geom import (
     G3Error,
     GVec3,
@@ -648,8 +649,6 @@ def test_refine_edges_nan_probe_fails_only_its_edge(monkeypatch):
 
 
 def test_refine_iterations_on_wavy_golden_case(monkeypatch):
-    from extract_golden import CASES
-
     sizes = []
     real = isophote._field
 
@@ -660,7 +659,7 @@ def test_refine_iterations_on_wavy_golden_case(monkeypatch):
         return F
 
     monkeypatch.setattr(isophote, "_field", counting)
-    surface, query, _ = CASES["wavy_256"]()
+    surface, query, _ = GOLDEN_CASES["wavy_256"]()
     stats = extract(surface, query).stats
     assert stats.refined_edges == 2088 and stats.failed_edges == 0
     assert stats.refine_iterations_max <= 12
