@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -56,32 +57,49 @@ MAX_DEPTH = 100
 # AST nodes (immutable after parsing)
 # ---------------------------------------------------------------------------
 
+class _Node:
+    """Base of the AST nodes.  A node never changes, so data derived from
+    its subtree is computed once and kept in the node's __dict__, which the
+    dataclass equality and hash do not read."""
+
+    @cached_property
+    def free(self) -> frozenset[str]:
+        """Names of the variables the subtree reads."""
+        if isinstance(self, Var):
+            return frozenset((self.name,))
+        if isinstance(self, Bin):
+            return self.lhs.free | self.rhs.free
+        if isinstance(self, (Neg, Call)):
+            return self.arg.free
+        return frozenset()
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
     offset: int = 0
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
     offset: int = 0
 
 
 @dataclass(frozen=True)
-class Param:
+class Param(_Node):
     name: str
     offset: int = 0
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     arg: "Node"
     offset: int = 0
 
 
 @dataclass(frozen=True)
-class Bin:
+class Bin(_Node):
     op: str  # one of + - * / ^
     lhs: "Node"
     rhs: "Node"
@@ -89,7 +107,7 @@ class Bin:
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     fn: str
     arg: "Node"
     offset: int = 0
@@ -278,16 +296,9 @@ def _check_depth(root: Node) -> None:
 # Tree utilities for building derived expressions (composition, transforms)
 # ---------------------------------------------------------------------------
 
-def free_variables(node: Node) -> set[str]:
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Neg):
-        return free_variables(node.arg)
-    if isinstance(node, Bin):
-        return free_variables(node.lhs) | free_variables(node.rhs)
-    if isinstance(node, Call):
-        return free_variables(node.arg)
-    return set()
+def free_variables(node: Node) -> frozenset[str]:
+    """Names of the variables `node` reads (cached on the node)."""
+    return node.free
 
 
 def _merge_params(*dicts: Mapping[str, float]) -> dict[str, float]:
