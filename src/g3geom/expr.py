@@ -18,21 +18,38 @@ the torsion formula, which needs third derivatives), a bivariate `Jet2`
 carries value, both first partials and all second partials.  Jet fields
 accept numpy arrays, so one evaluation can cover a whole sample grid.
 
-The shading field reads only first partials, so it evaluates on the
-private first-order `_Jet1` (value, du1, du2), whose slots are the first
-three slots of `Jet2` bit for bit.  That path (`_eval_first`) also skips
-the final broadcast of `eval_jet2`: each result keeps the shape of the
-operands it depends on, so with (n1, 1) and (1, n2) operands a u2-only
-coordinate stays a (1, n2) row.
+The shading field reads only first partials, so x, y and z of a surface
+go through `first_partials`: a compiled first-order tape.  The first
+call with a new tree structure traces the Jet2 formulas, cut to the value
+and first partials, into one straight-line numpy function for all the
+trees at once: an operation on constants only is done while tracing, an
+operation repeated on the same slots is emitted once (so y and z of a
+revolution share their profile), and each temporary is deleted after its
+last use.  Every slot equals the first three slots of `eval_jet2` bit for
+bit, and with check=True the domain checks run at their nodes in the
+interpreter's order, so an error has the same class and offset.  The
+tape skips `eval_jet2`'s final broadcast: each result keeps the shape of
+the operands it depends on, so with (n1, 1) and (1, n2) operands a
+u2-only coordinate stays a (1, n2) row.
+
+Tapes are cached by the trees' structure, not by object: literals enter
+the key as their exact bits (Num(0.0) == Num(-0.0) as nodes, but the two
+give different signed zeros), and parameter values are read at call time,
+so every wavy surface, or every revolution of one profile family, runs
+one tape.  A name that the trees bind to different values is read per
+tree.  At most TAPE_CACHE_SIZE tapes are kept.  Jet and Jet2 are still
+evaluated by the recursive interpreter `_eval`.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import struct
+import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -124,6 +141,27 @@ class ExprAST:
     source: str
     variables: tuple[str, ...]
     params: dict[str, float] = field(default_factory=dict)
+
+    @cached_property
+    def structure(self) -> tuple[tuple, frozenset[str]]:
+        """What the first-order tape is keyed by: the tree's structure and
+        offsets with each literal as its exact bits (node equality is not
+        enough: Num(0.0) == Num(-0.0)), and the variables; then the names
+        of the parameters the tree reads."""
+        names: set[str] = set()
+
+        def key(node: Node) -> tuple:
+            if isinstance(node, Num):
+                return ("num", struct.pack("<d", node.value), node.offset)
+            if isinstance(node, Bin):
+                return (node.op, key(node.lhs), key(node.rhs), node.offset)
+            if isinstance(node, (Neg, Call)):
+                return (getattr(node, "fn", "neg"), key(node.arg), node.offset)
+            if isinstance(node, Param):
+                names.add(node.name)
+            return (type(node).__name__, node.name, node.offset)
+
+        return (key(self.root), self.variables), frozenset(names)
 
 
 # ---------------------------------------------------------------------------
@@ -522,50 +560,6 @@ class Jet2(_JetOps):
         )
 
 
-@dataclass(frozen=True)
-class _Jet1(_JetOps):
-    """Value and first partials w.r.t. two variables: the first three slots
-    of Jet2, computed by the same formulas, so they are equal bit for bit."""
-
-    ORDER = 1  # highest derivative order carried
-
-    value: Real
-    du1: Real = 0.0
-    du2: Real = 0.0
-
-    def derivatives(self) -> tuple:
-        return self.du1, self.du2
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return _Jet1(self.value + o.value, self.du1 + o.du1, self.du2 + o.du2)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return _Jet1(self.value - o.value, self.du1 - o.du1, self.du2 - o.du2)
-
-    def __neg__(self):
-        return _Jet1(-self.value, -self.du1, -self.du2)
-
-    def __mul__(self, other):
-        f, g = self, self._coerce(other)
-        return _Jet1(f.value * g.value,
-                     f.du1 * g.value + f.value * g.du1,
-                     f.du2 * g.value + f.value * g.du2)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "_Jet1":
-        inv = 1.0 / self.value
-        inv2 = inv * inv
-        return _Jet1(inv, -self.du1 * inv2, -self.du2 * inv2)
-
-    def compose(self, f0, f1) -> "_Jet1":
-        return _Jet1(f0, f1 * self.du1, f1 * self.du2)
-
-
 # ---------------------------------------------------------------------------
 # Evaluators
 # ---------------------------------------------------------------------------
@@ -603,18 +597,27 @@ def _outer_derivs(fn: str, v):
     raise ValueError(fn)
 
 
+# domain tests, written as the code the tape emits; "{}" is the value
+_TESTS = {
+    "{} <= 0.0": lambda v: v <= 0.0,
+    "{} < 0.0": lambda v: v < 0.0,
+    "{} == 0.0": lambda v: v == 0.0,
+}
+# per function: (lowest order the test applies at, test, message)
+_FUNCTION_DOMAINS = {
+    "log": ((0, "{} <= 0.0", "log of non-positive value"),),
+    "sqrt": ((0, "{} < 0.0", "sqrt of negative value"),
+             (1, "{} == 0.0", "sqrt is not differentiable at 0")),
+    "abs": ((0, "{} == 0.0", "abs is not differentiable at 0"),),
+}
+
+
 def _check_function_domain(fn: str, v, order: int, node: Node, check: bool):
     if not check:
         return
-    if fn == "log" and np.any(v <= 0.0):
-        raise ExprDomainError("log of non-positive value", node.offset)
-    if fn == "sqrt":
-        if np.any(v < 0.0):
-            raise ExprDomainError("sqrt of negative value", node.offset)
-        if order >= 1 and np.any(v == 0.0):
-            raise ExprDomainError("sqrt is not differentiable at 0", node.offset)
-    if fn == "abs" and np.any(v == 0.0):
-        raise ExprDomainError("abs is not differentiable at 0", node.offset)
+    for lowest, test, message in _FUNCTION_DOMAINS.get(fn, ()):
+        if order >= lowest and np.any(_TESTS[test](v)):
+            raise ExprDomainError(message, node.offset)
 
 
 def _constant_exponent(j) -> float | None:
@@ -642,23 +645,28 @@ def _pow_derivs(v, c: float, max_order: int):
     return out
 
 
-def _eval_pow(base, expo, c: float | None, node: Node, check: bool):
-    """base ** expo, where c is the exponent as a constant, or None."""
+def _pow_rule(c: float | None):
+    """How base ** expo is evaluated for the constant exponent c (None when
+    it varies): the exponent handed to _pow_derivs, or None for
+    exp(expo log base), and the (test, message) of the base's domain, or
+    None."""
     if c is not None and math.isfinite(c):
         if c == int(c) and abs(c) < 2 ** 31:
             n = int(c)
-            if n < 0 and check and np.any(base.value == 0.0):
-                raise ExprDomainError("zero raised to a negative power", node.offset)
-            d = _pow_derivs(base.value, float(n), base.ORDER)
-        else:
-            if check and np.any(base.value <= 0.0):
-                raise ExprDomainError(
-                    "non-integer power of a non-positive base", node.offset)
-            d = _pow_derivs(base.value, c, base.ORDER)
-        return base.compose(*d)
+            return float(n), (("{} == 0.0", "zero raised to a negative power")
+                              if n < 0 else None)
+        return c, ("{} <= 0.0", "non-integer power of a non-positive base")
     # variable exponent: a^b = exp(b log a), needs a > 0
-    if check and np.any(base.value <= 0.0):
-        raise ExprDomainError("variable power of a non-positive base", node.offset)
+    return None, ("{} <= 0.0", "variable power of a non-positive base")
+
+
+def _eval_pow(base, expo, c: float | None, node: Node, check: bool):
+    """base ** expo, where c is the exponent as a constant, or None."""
+    p, domain = _pow_rule(c)
+    if domain and check and np.any(_TESTS[domain[0]](base.value)):
+        raise ExprDomainError(domain[1], node.offset)
+    if p is not None:
+        return base.compose(*_pow_derivs(base.value, p, base.ORDER))
     logb = base.compose(*_outer_derivs("log", base.value)[:base.ORDER + 1])
     prod = expo * logb
     return prod.compose(*_outer_derivs("exp", prod.value)[:prod.ORDER + 1])
@@ -667,8 +675,8 @@ def _eval_pow(base, expo, c: float | None, node: Node, check: bool):
 def _eval(ast: ExprAST, seeds: dict, order: int, check: bool):
     """Evaluate `ast` with each variable bound to its seed jet.
 
-    The jet class (Jet, Jet2 or _Jet1) of the result is the class of the
-    seeds; `order` only gates the derivative-domain checks.
+    The jet class (Jet or Jet2) of the result is the class of the seeds;
+    `order` only gates the derivative-domain checks.
     """
     kind = type(next(iter(seeds.values())))
 
@@ -689,16 +697,7 @@ def _eval(ast: ExprAST, seeds: dict, order: int, check: bool):
             lhs = ev(node.lhs)
             rhs = ev(node.rhs)
             if node.op == "^":
-                c = _constant_exponent(rhs)
-                if c is not None and kind is _Jet1 and not isinstance(node.rhs, (Num, Param)):
-                    # Jet2 calls an exponent constant only if its second
-                    # partials vanish too (at a scalar point, or where they
-                    # are NaN), so decide on its slots
-                    c = _constant_exponent(_eval(
-                        replace(ast, root=node.rhs),
-                        {v: Jet2(j.value, j.du1, j.du2) for v, j in seeds.items()},
-                        order, check))
-                return _eval_pow(lhs, rhs, c, node, check)
+                return _eval_pow(lhs, rhs, _constant_exponent(rhs), node, check)
             if node.op == "+":
                 return lhs + rhs
             if node.op == "-":
@@ -737,27 +736,19 @@ def eval_jet(ast: ExprAST, at, order: int = 3, *, check: bool = True) -> Jet:
     return Jet(j.value + shaped, d1, d2, d3)
 
 
+def _arity_error(ast: ExprAST) -> ArityError:
+    return ArityError(
+        f"eval_jet2 needs exactly two declared variables, got {ast.variables}")
+
+
 def _bivariate_seeds(ast: ExprAST, at, kind) -> tuple:
     if len(ast.variables) != 2:
-        raise ArityError(
-            f"eval_jet2 needs exactly two declared variables, got {ast.variables}")
+        raise _arity_error(ast)
     u1, u2 = (np.asarray(v, dtype=float) for v in at)
     return u1, u2, {
         ast.variables[0]: kind(u1, np.float64(1.0), np.float64(0.0)),
         ast.variables[1]: kind(u2, np.float64(0.0), np.float64(1.0)),
     }
-
-
-def _eval_first(ast: ExprAST, at, *, check: bool = True) -> _Jet1:
-    """Value and first partials of a bivariate expression, not broadcast.
-
-    The slots equal the first three of `eval_jet2` before its final
-    broadcast, bit for bit; each keeps the shape of the operands it
-    depends on (a scalar where it depends on none).
-    """
-    _, _, seeds = _bivariate_seeds(ast, at, _Jet1)
-    with np.errstate(all="ignore"):
-        return _eval(ast, seeds, 1, check)
 
 
 def eval_jet2(ast: ExprAST, at, *, check: bool = True) -> Jet2:
@@ -773,3 +764,273 @@ def eval_jet2(ast: ExprAST, at, *, check: bool = True) -> Jet2:
         return Jet2(j.value + shaped, j.du1 + shaped, j.du2 + shaped,
                     j.du1u1 + shaped, j.du1u2 + shaped, j.du2u2 + shaped)
     return j
+
+
+# ---------------------------------------------------------------------------
+# First-order tape
+# ---------------------------------------------------------------------------
+
+# compiled tapes kept at once; beyond it the oldest is dropped
+TAPE_CACHE_SIZE = 64
+
+_TAPES: dict[tuple, object] = {}
+_TAPES_LOCK = threading.Lock()
+_UNBOUND = object()
+# numpy ufuncs a traced value meets, written as the operators the
+# first-order formulas use; every other ufunc is written as np.<name>(...)
+_OPERATORS = {"add": "{} + {}", "subtract": "{} - {}", "multiply": "{} * {}",
+              "divide": "{} / {}", "power": "{} ** {}", "negative": "-{}"}
+
+
+class Partials(NamedTuple):
+    """Value and first partials of one expression, each on the shape of the
+    operands it depends on (a scalar where it depends on none)."""
+
+    value: Real
+    du1: Real
+    du2: Real
+
+
+def first_partials(asts: Sequence[ExprAST], at, *, check: bool = True) -> tuple:
+    """Value and first partials of each bivariate expression in `asts`, as
+    one Partials per expression, through one compiled tape.
+
+    Every slot equals the first three slots of `eval_jet2` before its final
+    broadcast, bit for bit, and a domain error is the same error at the same
+    offset.  The tape is cached by the expressions' structure (literals by
+    their exact bits) and by which parameter names they bind differently;
+    parameter values are read at call time.
+    """
+    split = _split_parameters(asts)
+    key = (check, split, *[a.structure[0] for a in asts])
+    tape = _TAPES.get(key)
+    if tape is None:
+        with np.errstate(all="ignore"):
+            tape = _Tape(asts, check, split).compile()
+        with _TAPES_LOCK:
+            if len(_TAPES) >= TAPE_CACHE_SIZE:
+                _TAPES.pop(next(iter(_TAPES)))
+            _TAPES[key] = tape
+    with np.errstate(all="ignore"):
+        return tape(at, asts)
+
+
+def _split_parameters(asts: Sequence[ExprAST]) -> frozenset[str]:
+    """Parameter names the expressions reading them do not all bind to the
+    same float, bit for bit; the tape reads these once per expression."""
+    seen: dict = {}
+    split = set()
+    for a in asts:
+        for name in a.structure[1]:
+            v = a.params.get(name, _UNBOUND)
+            w = seen.setdefault(name, v)
+            if v is not w and not (type(v) is float and type(w) is float and v == w
+                                   and math.copysign(1.0, v) == math.copysign(1.0, w)):
+                split.add(name)
+    return frozenset(split)
+
+
+def _tape_pow(base: tuple, expo: tuple, node: Bin, check: bool, ast: ExprAST, at) -> tuple:
+    """base ** expo on first-order slots, for an exponent known only at run
+    time.  The exponent counts as constant where Jet2 counts it so: its
+    first partials vanish and, unless it is a leaf, its Jet2 slots do."""
+    c = _constant_exponent(Jet2(*expo))
+    if c is not None and not isinstance(node.rhs, (Num, Param)):
+        c = _constant_exponent(_eval(replace(ast, root=node.rhs),
+                                     _bivariate_seeds(ast, at, Jet2)[2], 1, check))
+    j = _eval_pow(Jet2(*base), Jet2(*expo), c, node, check)
+    return j.value, j.du1, j.du2
+
+
+def _mul1(f, g):
+    return (f[0] * g[0], f[1] * g[0] + f[0] * g[1], f[2] * g[0] + f[0] * g[2])
+
+
+def _compose1(g, f0, f1):
+    return f0, f1 * g[1], f1 * g[2]
+
+
+class _Sym:
+    """A slot known only at run time, while a tape is traced.  Arithmetic
+    and numpy ufuncs on it append a line to the tape and return the _Sym of
+    the result; constants meeting constants fold in plain Python."""
+
+    __slots__ = ("tape", "name")
+
+    def __init__(self, tape: "_Tape", name: str):
+        self.tape, self.name = tape, name
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        return self.tape.op(_OPERATORS.get(ufunc.__name__, f"np.{ufunc.__name__}({{}})"),
+                            *inputs)
+
+    def __neg__(self):
+        return self.tape.op("-{}", self)
+
+
+for _name, _form in (("add", "{} + {}"), ("sub", "{} - {}"), ("mul", "{} * {}"),
+                     ("truediv", "{} / {}"), ("pow", "{} ** {}")):
+    setattr(_Sym, f"__{_name}__", lambda a, b, form=_form: a.tape.op(form, a, b))
+    setattr(_Sym, f"__r{_name}__", lambda a, b, form=_form: a.tape.op(form, b, a))
+
+
+def _const_key(x) -> tuple:
+    """A constant by type and exact value: 0.0 and -0.0 differ, a NaN
+    equals itself."""
+    return (type(x), x if type(x) is int else struct.pack("<d", x))
+
+
+class _Tape:
+    """Traces the first-order formulas of `asts` into one straight-line
+    function tape(at, A) of the pair (u1, u2) and the expressions, whose
+    parameters it reads.
+
+    The formulas and the order of their numpy operations are those of the
+    Jet2 interpreter, restricted to the value and first partials, so every
+    slot is equal bit for bit.  An operation on constants only is done
+    here; the same operation on the same slots is emitted once; lines
+    whose results nothing reads are dropped, and each temporary is deleted
+    after its last use.  Domain checks (check=True) are emitted at their
+    nodes in evaluation order; one whose value is a constant is decided
+    here.
+    """
+
+    def __init__(self, asts: Sequence[ExprAST], check: bool, split: frozenset[str]):
+        self.asts, self.check, self.split = asts, check, split
+        self.env = {"np": np, "Partials": Partials, "ExprDomainError": ExprDomainError,
+                    "_tape_pow": _tape_pow, "_arity_error": _arity_error}
+        self.lines: list[tuple[str, tuple, tuple, bool]] = []  # code, defs, uses, pure
+        self.memo: dict[tuple, object] = {}
+        self.consts: dict[tuple, str] = {}
+
+    def ref(self, x) -> str:
+        if isinstance(x, _Sym):
+            return x.name
+        key = _const_key(x)
+        if key not in self.consts:
+            self.consts[key] = f"k{len(self.consts)}"
+            self.env[self.consts[key]] = x
+        return self.consts[key]
+
+    def emit(self, code: str, uses=(), outs: int = 1, pure: bool = True):
+        """Append `defs = code` (a statement when outs == 0)."""
+        defs = tuple(_Sym(self, f"t{len(self.lines)}_{k}") for k in range(outs))
+        names = tuple(d.name for d in defs)
+        if defs:
+            code = f"{', '.join(names)} = {code}"
+        self.lines.append((code, names, tuple(u.name for u in uses if isinstance(u, _Sym)),
+                           pure))
+        return defs
+
+    def op(self, form: str, *args):
+        key = (form, *[a.name if isinstance(a, _Sym) else _const_key(a) for a in args])
+        if key not in self.memo:
+            self.memo[key] = self.emit(form.format(*map(self.ref, args)), args)[0]
+        return self.memo[key]
+
+    def require(self, v, test: str, message: str, offset: int) -> None:
+        """Raise ExprDomainError(message, offset) here where `test` holds."""
+        if not self.check:
+            return
+        raising = f"raise ExprDomainError({message!r}, {offset})"
+        if not isinstance(v, _Sym):
+            if np.any(_TESTS[test](v)):
+                self.emit(raising, (), 0, False)
+        elif ("require", test, v.name) not in self.memo:
+            # a test already passed on the same slot passes again
+            self.memo["require", test, v.name] = True
+            self.emit(f"if ({test.format(v.name)}).any(): {raising}", (v,), 0, False)
+
+    def parameter(self, i: int, name: str):
+        key = ("param", name) + ((i,) if name in self.split else ())
+        if key not in self.memo:
+            self.memo[key] = self.emit(f"np.float64(A[{i}].params[{name!r}])", pure=False)[0]
+        return self.memo[key]
+
+    def jet(self, node: Node, i: int, seeds: dict) -> tuple:
+        if isinstance(node, Num):
+            return np.float64(node.value), 0.0, 0.0
+        if isinstance(node, Param):
+            return self.parameter(i, node.name), 0.0, 0.0
+        if isinstance(node, Var):
+            return seeds[node.name]
+        if isinstance(node, Neg):
+            return tuple(-s for s in self.jet(node.arg, i, seeds))
+        if isinstance(node, Call):
+            arg = self.jet(node.arg, i, seeds)
+            for lowest, test, message in _FUNCTION_DOMAINS.get(node.fn, ()):
+                self.require(arg[0], test, message, node.offset)
+            return _compose1(arg, *_outer_derivs(node.fn, arg[0])[:2])
+        lhs = self.jet(node.lhs, i, seeds)
+        rhs = self.jet(node.rhs, i, seeds)
+        if node.op == "^":
+            return self.power(lhs, rhs, node, i)
+        if node.op == "+":
+            return tuple(a + b for a, b in zip(lhs, rhs))
+        if node.op == "-":
+            return tuple(a - b for a, b in zip(lhs, rhs))
+        if node.op == "*":
+            return _mul1(lhs, rhs)
+        self.require(rhs[0], "{} == 0.0", "division by zero", node.offset)
+        inv = 1.0 / rhs[0]
+        inv2 = inv * inv
+        return _mul1(lhs, (inv, -rhs[1] * inv2, -rhs[2] * inv2))
+
+    def power(self, base: tuple, expo: tuple, node: Bin, i: int) -> tuple:
+        if any(isinstance(s, _Sym) for s in expo):
+            args = ", ".join(f"({', '.join(map(self.ref, t))})" for t in (base, expo))
+            return self.emit(f"_tape_pow({args}, {self.ref_node(node)}, {self.check}, "
+                             f"A[{i}], at)", (*base, *expo), 3, False)
+        # a literal exponent: decided here, as _tape_pow decides at run time
+        c = _constant_exponent(Jet2(*expo))
+        if c is not None and not isinstance(node.rhs, (Num, Param)):
+            c = _constant_exponent(_eval(ExprAST(node.rhs, "", ()), {"": Jet2(0.0)}, 1, False))
+        p, domain = _pow_rule(c)
+        if domain:
+            self.require(base[0], *domain, node.offset)
+        if p is not None:
+            return _compose1(base, *_pow_derivs(base[0], p, 1))
+        logb = _compose1(base, *_outer_derivs("log", base[0])[:2])
+        prod = _mul1(expo, logb)
+        return _compose1(prod, *_outer_derivs("exp", prod[0])[:2])
+
+    def ref_node(self, node: Node) -> str:
+        name = f"n{id(node)}"
+        self.env[name] = node
+        return name
+
+    def compile(self):
+        out: list | None = []
+        u1, u2 = _Sym(self, "U1"), _Sym(self, "U2")
+        for i, ast in enumerate(self.asts):
+            if len(ast.variables) != 2:
+                self.emit(f"raise _arity_error(A[{i}])", outs=0, pure=False)
+                out = None
+                break
+            if i == 0:
+                self.lines.append(("U1, U2 = (np.asarray(v, dtype=float) for v in at)",
+                                   ("U1", "U2"), (), False))
+            seeds = {ast.variables[0]: (u1, np.float64(1.0), np.float64(0.0)),
+                     ast.variables[1]: (u2, np.float64(0.0), np.float64(1.0))}
+            out.append(self.jet(ast.root, i, seeds))
+        if out is not None:
+            slots = [s for j in out for s in j]
+            self.emit("(" + "".join(f"Partials({', '.join(map(self.ref, j))}), " for j in out)
+                      + ")", slots, 0, False)
+            self.lines[-1] = ("return " + self.lines[-1][0],) + self.lines[-1][1:]
+        body = []
+        live: set[str] = set()
+        for k, (code, defs, uses, pure) in enumerate(reversed(self.lines)):
+            if pure and not live.intersection(defs):
+                continue
+            dead = [n for n in dict.fromkeys(uses + defs) if n not in live]
+            if dead and k:
+                body.append(f"del {', '.join(dead)}")
+            body.append(code)
+            live.difference_update(defs)
+            live.update(uses)
+        src = "def tape(at, A):\n" + "".join(f"    {c}\n" for c in reversed(body))
+        exec(compile(src, "<first-order tape>", "exec"), self.env)
+        return self.env["tape"]

@@ -76,10 +76,9 @@ class SurfaceSample:
 
 def _coordinate_partials(surface: SurfaceSpec, U1, U2, check: bool = True):
     """Values and first partials of x, y and z, each on the shape of the
-    operands it depends on, not broadcast (see expr._eval_first)."""
-    at = (U1, U2)
-    return tuple(expr._eval_first(c, at, check=check)
-                 for c in (surface.x, surface.y, surface.z))
+    operands it depends on, not broadcast: one call of the compiled tape
+    (see expr.first_partials)."""
+    return expr.first_partials((surface.x, surface.y, surface.z), (U1, U2), check=check)
 
 
 def _normal_parts(jx, jy, jz):

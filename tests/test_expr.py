@@ -353,11 +353,11 @@ def test_first_order_jets_equal_jet2_slots_bit_for_bit():
         for u1, u2 in _operands():
             for check in (True, False):
                 full = _outcome(lambda: expr.eval_jet2(ast, (u1, u2), check=check))
-                first = _outcome(lambda: expr._eval_first(ast, (u1, u2), check=check))
+                first = _outcome(lambda: expr.first_partials((ast,), (u1, u2), check=check)[0])
                 if isinstance(full, tuple):
                     assert first == full, (src, u1, u2, check)
                     continue
-                assert isinstance(first, expr._Jet1)
+                assert isinstance(first, expr.Partials)
                 # eval_jet2's broadcast, applied to the unbroadcast slots
                 zero = ((np.asarray(u1) + np.asarray(u2)) * 0.0
                         if np.ndim(u1) or np.ndim(u2) else 0.0)
@@ -372,12 +372,13 @@ def test_first_order_jets_equal_jet2_slots_bit_for_bit():
 
 def test_first_order_jets_keep_operand_shapes():
     u1, u2 = np.linspace(0.0, 1.0, 5)[:, None], np.linspace(0.0, 1.0, 3)[None, :]
-    j = expr._eval_first(expr.parse("sin(u2) + 2", ["u1", "u2"]), (u1, u2))
+    j, = expr.first_partials([expr.parse("sin(u2) + 2", ["u1", "u2"])], (u1, u2))
     assert np.shape(j.value) == (1, 3)
-    j = expr._eval_first(expr.parse("u1 + sin(u2)", ["u1", "u2"]), (u1, u2))
+    j, = expr.first_partials([expr.parse("u1 + sin(u2)", ["u1", "u2"])], (u1, u2))
     assert np.shape(j.value) == (5, 3)
     assert np.shape(j.du1) == np.shape(j.du2) == (1, 3)
-    assert np.shape(expr._eval_first(expr.parse("4", ["u1", "u2"]), (u1, u2)).value) == ()
+    j, = expr.first_partials([expr.parse("4", ["u1", "u2"])], (u1, u2))
+    assert np.shape(j.value) == ()
 
 
 def test_first_order_constant_exponent_decided_on_second_partials():
@@ -385,7 +386,7 @@ def test_first_order_constant_exponent_decided_on_second_partials():
     # partial of 2, so Jet2 takes the variable-exponent path
     ast = expr.parse("(u2 + 1)^(2 + u1^2)", ["u1", "u2"])
     full = expr.eval_jet2(ast, (0.0, 0.3))
-    first = expr._eval_first(ast, (0.0, 0.3))
+    first, = expr.first_partials([ast], (0.0, 0.3))
     assert full.value != 1.3 ** 2
     assert (first.value, first.du1, first.du2) == (full.value, full.du1, full.du2)
 
