@@ -3,10 +3,12 @@
 Subcommands: frenet, darboux, classify, axis, isophote, revolve, verify.
 Objects come from a --scene JSON file by name, or inline as
 comma-separated expressions for quick experiments.  Exit codes: 0 ok;
-1 a numerical failure (the G3Error kinds listed with code 1 in
-EXIT_CODES: straight segment, singular normal, inadmissible trace, axis
-reconstruction) or a failed verify check; 2 any other error, which is a
-usage or parse error.
+1 a numerical failure (StraightSegmentError, SingularNormalError,
+InadmissibleTraceError, AxisError: the kinds EXIT_CODES maps to 1) or a
+failed verify check; 2 any other G3Error, which is a usage or parse
+error.  --grid and --mesh may ask for at most MAX_GRID_POINTS points and
+--samples for at most MAX_SAMPLES; more is a usage error, raised before
+anything is computed.
 
 Field grids are evaluated in row blocks of about 2^16 points.  The
 environment variable G3_THREADS caps the threads those blocks run on
@@ -50,6 +52,10 @@ from .surfrev import ProfileSpec, revolve_euclidean, revolve_isotropic
 from .verify import run_suite
 
 SCHEMA_VERSION = "1"
+# caps on the sizes the command line accepts: N1*N2 of --grid and --mesh,
+# and --samples (whose samples are Python objects, so cost far more each)
+MAX_GRID_POINTS = 1 << 22
+MAX_SAMPLES = 1 << 16
 
 # The exit code of each G3Error kind; an error takes the code of the
 # nearest class in its MRO listed here.  Any other error (ValueError) is
@@ -148,6 +154,9 @@ def _parse_grid(text: str, option: str) -> tuple[int, int]:
         n1, n2 = (int(p) for p in text.lower().split("x"))
     except ValueError:
         raise G3Error(f"{option} must be two integers written N1xN2, got {text!r}") from None
+    if n1 * n2 > MAX_GRID_POINTS:
+        raise G3Error(f"{option} {text} asks for {n1 * n2} points, above the cap "
+                      f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     return n1, n2
 
 
@@ -489,6 +498,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        if getattr(args, "samples", 0) > MAX_SAMPLES:
+            raise G3Error(f"--samples {args.samples} is above the cap "
+                          f"MAX_SAMPLES = {MAX_SAMPLES}")
         return args.func(args)
     except (G3Error, ValueError) as e:
         code = exit_code(e)

@@ -1,10 +1,12 @@
 import json
 import math
+import re
+from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import pytest
 
-from g3geom import SceneError, errors, load_scene_dict
+from g3geom import SceneError, cli, errors, load_scene_dict
 from g3geom.cli import exit_code, main
 from g3geom.verify import REGISTRY
 
@@ -383,3 +385,48 @@ def test_grid_parts_must_be_integers(capsys):
             assert rc == 2, (option, text)
             err = capsys.readouterr().err
             assert f"{option} must be two integers written N1xN2, got {text!r}" in err
+
+
+def test_size_caps_are_usage_errors_raised_before_any_work(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a capped request reached the computation")
+
+    for name in ("extract", "frenet_samples", "darboux_samples", "classify_trace"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(cli.export, "tessellate", never)
+    iso = ["isophote", "--surface", "u1,sin(u2),cos(u2)", "--axis", "0,0,1", "--silhouette"]
+    rev = ["revolve", "--profile", "1+s^2", "--mode", "euclidean"]
+    cap = cli.MAX_GRID_POINTS
+    for argv, option in ((iso, "--grid"), (rev, "--mesh")):
+        for text in (f"{cap + 1}x1", "2049x2048", "100000x100000"):
+            assert main([*argv, option, text]) == 2, (option, text)
+            err = capsys.readouterr().err
+            assert f"error: {option} {text} asks for" in err
+            assert f"above the cap MAX_GRID_POINTS = {cap}" in err
+    assert cli._parse_grid("2048x2048", "--grid") == (2048, 2048)
+    assert cli._parse_grid(f"1x{cap}", "--mesh") == (1, cap)
+    surface_trace = ["--surface", "u1,sin(u2),cos(u2)", "--trace", "s,s"]
+    for argv in (["frenet", "--curve", "s^2/2,s^3/6"], ["darboux", *surface_trace],
+                 ["classify", *surface_trace]):
+        for samples in (cli.MAX_SAMPLES + 1, 10 ** 12):
+            assert main([*argv, "--samples", str(samples)]) == 2
+            err = capsys.readouterr().err
+            assert (f"error: --samples {samples} is above the cap "
+                    f"MAX_SAMPLES = {cli.MAX_SAMPLES}") in err
+
+
+def _exit_code_clauses(text: str) -> tuple[set, set]:
+    """The error class names in the code-1 and code-2 clauses of the
+    paragraph that starts with 'Exit codes'."""
+    para = text[text.index("Exit codes"):].split("\n\n")[0]
+    one, two = para.split("; 2 ")
+    assert re.search(r"\b0 (ok|success)\b", one) and re.search(r"\b1 a numerical failure", one)
+    return tuple(set(re.findall(r"\b([A-Z]\w*Error)\b", c)) for c in (one, two))
+
+
+def test_exit_code_prose_matches_the_table():
+    want = tuple({k.__name__ for k, v in cli.EXIT_CODES.items() if v == code} for code in (1, 2))
+    assert set(cli.EXIT_CODES.values()) == {1, 2} and want[1] == {"G3Error"}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    for text in (cli.__doc__, readme):
+        assert _exit_code_clauses(text) == want
