@@ -7,9 +7,12 @@ against sympy on a mixed sample of expressions).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g3geom import expr
 from g3geom.errors import (
@@ -19,6 +22,7 @@ from g3geom.errors import (
     UnknownIdentifierError,
 )
 from g3geom.expr import Bin, Call, Neg, Num, Param, Var
+from g3geom.surface import SurfaceSpec, _coordinate_partials
 
 # ---------------------------------------------------------------------------
 # grammar
@@ -389,6 +393,120 @@ def test_first_order_constant_exponent_decided_on_second_partials():
     first, = expr.first_partials([ast], (0.0, 0.3))
     assert full.value != 1.3 ** 2
     assert (first.value, first.du1, first.du2) == (full.value, full.du1, full.du2)
+
+
+def _assert_tape_matches_jet2(asts, at, check):
+    """first_partials on `asts` equals the first three slots of eval_jet2
+    on each, broadcast as eval_jet2 broadcasts, by bytes and shape; or
+    both raise the same domain error class at the same offset."""
+    u1, u2 = at
+    full = _outcome(lambda: [expr.eval_jet2(a, at, check=check) for a in asts])
+    got = _outcome(lambda: expr.first_partials(asts, at, check=check))
+    if isinstance(full, tuple):
+        assert got == full, (at, check)
+        return
+    assert len(got) == len(asts)
+    broadcast = np.ndim(u1) or np.ndim(u2)
+    zero = (np.asarray(u1) + np.asarray(u2)) * 0.0 if broadcast else 0.0
+    for j, f in zip(got, full):
+        for name in ("value", "du1", "du2"):
+            want = np.asarray(getattr(f, name), dtype=float)
+            have = np.asarray(getattr(j, name), dtype=float)
+            if broadcast:
+                have = have + zero
+            assert have.shape == want.shape, name
+            assert have.tobytes() == want.tobytes(), (name, at, check)
+
+
+_V = ("u1", "u2")
+_KEY_OPERANDS = [(0.7, -0.3), (np.linspace(-1.0, 1.0, 5), np.linspace(-2.0, 0.0, 5)),
+                 (np.linspace(-1.0, 1.0, 4)[:, None], np.linspace(-2.0, 0.0, 3)[None, :])]
+
+
+def test_tape_key_tells_signed_zero_literals_apart():
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        for c in (first, second):
+            x = expr.combine("*", expr.const(c), expr.parse("u1", _V), _V)
+            y = expr.combine("+", expr.parse("u2", _V), expr.const(c), _V)
+            for at in _KEY_OPERANDS:
+                for check in (True, False):
+                    z = replace(expr.const(c), variables=_V)
+                    _assert_tape_matches_jet2((x, y, z), at, check)
+    got = expr.first_partials([expr.combine("*", expr.const(-0.0), expr.parse("u1", _V), _V)],
+                              (np.array([2.0]), 0.0))[0]
+    assert np.signbit(got.value).all()
+
+
+def test_tape_binds_parameters_per_expression():
+    # x and y are the same tree over one parameter name bound to different
+    # values, so the tape must not merge their slots; z agrees with x
+    for kx, ky in ((2.0, -3.0), (0.0, -0.0), (1.5, 1.5)):
+        x = expr.parse("k*u1 + sin(k*u2)", _V, {"k": kx})
+        y = expr.parse("k*u1 + sin(k*u2)", _V, {"k": ky})
+        z = expr.parse("u1^k + k", _V, {"k": kx})
+        surface = SurfaceSpec(x, y, z, ((0.5, 1.0), (0.0, 1.0)), {"k": kx})
+        for at in _KEY_OPERANDS:
+            at = (np.abs(at[0]) + 0.5, at[1])
+            for check in (True, False):
+                _assert_tape_matches_jet2((surface.x, surface.y, surface.z), at, check)
+        jx, jy, _ = _coordinate_partials(surface, 0.75, 0.25)
+        assert (jx.value, jy.value) == (kx * 0.75 + math.sin(kx * 0.25),
+                                        ky * 0.75 + math.sin(ky * 0.25))
+
+
+def test_tape_key_includes_variable_order():
+    a = expr.parse("u1*sin(u2) + u2^2", ["u1", "u2"])
+    b = expr.parse("u1*sin(u2) + u2^2", ["u2", "u1"])
+    assert a.root == b.root
+    for at in _KEY_OPERANDS:
+        for check in (True, False):
+            _assert_tape_matches_jet2((a,), at, check)
+            _assert_tape_matches_jet2((b,), at, check)
+            _assert_tape_matches_jet2((a, b), at, check)
+
+
+def test_tape_cache_holds_one_nan_literal_tape_and_stays_bounded():
+    def nan_tree():
+        return expr.combine("+", expr.parse("u1*u2", _V), expr.const(float("nan")), _V)
+
+    assert nan_tree().root != nan_tree().root
+    for _ in range(expr.TAPE_CACHE_SIZE + 2):
+        _assert_tape_matches_jet2((nan_tree(),), _KEY_OPERANDS[1], False)
+    assert sum(key[2:] == (nan_tree().structure[0],) for key in expr._TAPES) == 1
+    # distinct structures beyond the bound evict the oldest
+    for k in range(expr.TAPE_CACHE_SIZE + 3):
+        expr.first_partials([expr.parse("u1 + u2" + " + u1" * (k % 7), _V,
+                                        {"p": float(k)})], (0.5, 0.5), check=k % 2 == 0)
+    assert len(expr._TAPES) <= expr.TAPE_CACHE_SIZE
+
+
+def _bivariate_sources():
+    leaves = st.sampled_from(["u1", "u2", "k", "0", "1", "2", "0.5", "3", "1e-200", "1e200"])
+
+    def extend(inner):
+        unary = st.builds(lambda f, a: f"{f}({a})",
+                          st.sampled_from(["sin", "cos", "tan", "exp", "log", "sqrt",
+                                           "sinh", "cosh", "abs"]), inner)
+        neg = inner.map(lambda a: f"-({a})")
+        binary = st.builds(lambda a, op, b: f"({a}){op}({b})", inner,
+                           st.sampled_from("+-*/^"), inner)
+        power = st.builds(lambda a, e: f"({a})^{e}", inner,
+                          st.sampled_from(["2", "3", "-1", "-2", "0", "0.5", "1.5", "k",
+                                           "(1/3)", "-0.5", "u1", "(2 + u2^2)"]))
+        return unary | neg | binary | power
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bivariate_sources(), st.sampled_from([0.0, -0.0, -0.4, 2.0]), st.integers(0, 4))
+def test_tape_equals_jet2_slots_on_generated_expressions(src, k, which):
+    ast = expr.parse(src, _V, {"k": k})
+    grid = np.linspace(-1.0, 2.0, 4)
+    at = [(0.7, 0.3), (0.0, 0.0), (grid, grid[::-1]), (grid, -0.5),
+          (grid[:, None], np.array([0.0, 0.25, 1.5])[None, :])][which]
+    for check in (True, False):
+        _assert_tape_matches_jet2((ast,), at, check)
 
 
 # ---------------------------------------------------------------------------
