@@ -981,8 +981,9 @@ class _Tape:
     def power(self, base: tuple, expo: tuple, node: Bin, i: int) -> tuple:
         if any(isinstance(s, _Sym) for s in expo):
             args = ", ".join(f"({', '.join(map(self.ref, t))})" for t in (base, expo))
-            return self.emit(f"_tape_pow({args}, {self.ref_node(node)}, {self.check}, "
-                             f"A[{i}], at)", (*base, *expo), 3, False)
+            self.env[f"n{id(node)}"] = node
+            return self.emit(f"_tape_pow({args}, n{id(node)}, {self.check}, A[{i}], at)",
+                             (*base, *expo), 3, False)
         # a literal exponent: decided here, as _tape_pow decides at run time
         c = _constant_exponent(Jet2(*expo))
         if c is not None and not isinstance(node.rhs, (Num, Param)):
@@ -995,11 +996,6 @@ class _Tape:
         logb = _compose1(base, *_outer_derivs("log", base[0])[:2])
         prod = _mul1(expo, logb)
         return _compose1(prod, *_outer_derivs("exp", prod[0])[:2])
-
-    def ref_node(self, node: Node) -> str:
-        name = f"n{id(node)}"
-        self.env[name] = node
-        return name
 
     def compile(self):
         out: list | None = []

@@ -7,6 +7,8 @@ against sympy on a mixed sample of expressions).
 """
 
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -477,6 +479,37 @@ def test_tape_cache_holds_one_nan_literal_tape_and_stays_bounded():
     for k in range(expr.TAPE_CACHE_SIZE + 3):
         expr.first_partials([expr.parse("u1 + u2" + " + u1" * (k % 7), _V,
                                         {"p": float(k)})], (0.5, 0.5), check=k % 2 == 0)
+    assert len(expr._TAPES) <= expr.TAPE_CACHE_SIZE
+
+
+def test_tape_cache_under_threads():
+    # more threads than cores and more structures than the cache holds,
+    # with a short switch interval: every result still matches Jet2
+    at = (np.linspace(0.1, 1.0, 6)[:, None], np.linspace(-1.0, 1.0, 5)[None, :])
+    sources = [f"k*u1^{n % 5 + 1} + sin({n}*u2)" + " + u1" * (n // 5)
+               for n in range(expr.TAPE_CACHE_SIZE + 36)]
+    failures = []
+
+    def work(t: int) -> None:
+        try:
+            for n in range(t, len(sources), 3):
+                ast = expr.parse(sources[n], _V, {"k": float(t)})
+                _assert_tape_matches_jet2((ast,), at, n % 2 == 0)
+        except Exception as e:  # reported by the main thread
+            failures.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t % 3,)) for t in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not failures, failures[0]
     assert len(expr._TAPES) <= expr.TAPE_CACHE_SIZE
 
 
