@@ -32,12 +32,14 @@ tape skips `eval_jet2`'s final broadcast: each result keeps the shape of
 the operands it depends on, so with (n1, 1) and (1, n2) operands a
 u2-only coordinate stays a (1, n2) row.
 
-Tapes are cached by the trees' structure, not by object: literals enter
-the key as their exact bits (Num(0.0) == Num(-0.0) as nodes, but the two
-give different signed zeros), and parameter values are read at call time,
-so every wavy surface, or every revolution of one profile family, runs
-one tape.  A name that the trees bind to different values is read per
-tree.  At most TAPE_CACHE_SIZE tapes are kept.  Jet and Jet2 are still
+Tapes are cached by the trees' structure, not by object.  Parameter
+values and literals are read at call time, so every wavy surface, every
+revolution of one profile family, and every motion image of a surface in
+`verify` runs one tape.  A literal in an exponent decides how `^` is
+evaluated, so it is part of the key, as its exact bits: Num(0.0) and
+Num(-0.0) are equal nodes, and a NaN is not equal to itself.  A parameter
+name that the trees bind to different values is read per tree.  At most
+TAPE_CACHE_SIZE tapes are kept.  Jet and Jet2 are still
 evaluated by the recursive interpreter `_eval`.
 """
 
@@ -143,25 +145,31 @@ class ExprAST:
     params: dict[str, float] = field(default_factory=dict)
 
     @cached_property
-    def structure(self) -> tuple[tuple, frozenset[str]]:
-        """What the first-order tape is keyed by: the tree's structure and
-        offsets with each literal as its exact bits (node equality is not
-        enough: Num(0.0) == Num(-0.0)), and the variables; then the names
-        of the parameters the tree reads."""
+    def structure(self) -> tuple[tuple, frozenset[str], tuple]:
+        """What the first-order tape reads of the expression: its key (the
+        tree's shape, offsets and variables), the names of the parameters
+        it reads, and its literals as float64 in tree order.  A literal in
+        an exponent decides how `^` is evaluated, so it enters the key as
+        its exact bits (Num(0.0) == Num(-0.0) as nodes) and not the list."""
         names: set[str] = set()
+        literals: list = []
 
-        def key(node: Node) -> tuple:
+        def key(node: Node, exponent: bool) -> tuple:
             if isinstance(node, Num):
-                return ("num", struct.pack("<d", node.value), node.offset)
+                if exponent:
+                    return ("num", struct.pack("<d", node.value), node.offset)
+                literals.append(np.float64(node.value))
+                return ("num", node.offset)
             if isinstance(node, Bin):
-                return (node.op, key(node.lhs), key(node.rhs), node.offset)
+                return (node.op, key(node.lhs, exponent),
+                        key(node.rhs, exponent or node.op == "^"), node.offset)
             if isinstance(node, (Neg, Call)):
-                return (getattr(node, "fn", "neg"), key(node.arg), node.offset)
+                return (getattr(node, "fn", "neg"), key(node.arg, exponent), node.offset)
             if isinstance(node, Param):
                 names.add(node.name)
             return (type(node).__name__, node.name, node.offset)
 
-        return (key(self.root), self.variables), frozenset(names)
+        return (key(self.root, False), self.variables), frozenset(names), tuple(literals)
 
 
 # ---------------------------------------------------------------------------
@@ -797,9 +805,10 @@ def first_partials(asts: Sequence[ExprAST], at, *, check: bool = True) -> tuple:
 
     Every slot equals the first three slots of `eval_jet2` before its final
     broadcast, bit for bit, and a domain error is the same error at the same
-    offset.  The tape is cached by the expressions' structure (literals by
-    their exact bits) and by which parameter names they bind differently;
-    parameter values are read at call time.
+    offset.  The tape is cached by the expressions' structure (literals in
+    exponents by their exact bits) and by which parameter names they bind
+    differently; parameter values and the other literals are read at call
+    time.
     """
     split = _split_parameters(asts)
     key = (check, split, *[a.structure[0] for a in asts])
@@ -812,7 +821,7 @@ def first_partials(asts: Sequence[ExprAST], at, *, check: bool = True) -> tuple:
                 _TAPES.pop(next(iter(_TAPES)))
             _TAPES[key] = tape
     with np.errstate(all="ignore"):
-        return tape(at, asts)
+        return tape(at, asts, [a.structure[2] for a in asts])
 
 
 def _split_parameters(asts: Sequence[ExprAST]) -> frozenset[str]:
@@ -943,28 +952,36 @@ class _Tape:
             self.memo["require", test, v.name] = True
             self.emit(f"if ({test.format(v.name)}).any(): {raising}", (v,), 0, False)
 
-    def parameter(self, i: int, name: str):
-        key = ("param", name) + ((i,) if name in self.split else ())
-        if key not in self.memo:
-            self.memo[key] = self.emit(f"np.float64(A[{i}].params[{name!r}])", pure=False)[0]
-        return self.memo[key]
+    def load(self, code: str, pure: bool = True):
+        if code not in self.memo:
+            self.memo[code] = self.emit(code, pure=pure)[0]
+        return self.memo[code]
 
-    def jet(self, node: Node, i: int, seeds: dict) -> tuple:
+    def parameter(self, i: int, name: str):
+        # a name bound alike by every tree is read from the first reading it
+        if name not in self.split:
+            i = self.memo.setdefault(("param", name), i)
+        return self.load(f"np.float64(A[{i}].params[{name!r}])", pure=False)
+
+    def jet(self, node: Node, i: int, seeds: dict, exponent: bool = False) -> tuple:
         if isinstance(node, Num):
-            return np.float64(node.value), 0.0, 0.0
+            if exponent:
+                return np.float64(node.value), 0.0, 0.0
+            self.literals += 1
+            return self.load(f"L[{i}][{self.literals - 1}]"), 0.0, 0.0
         if isinstance(node, Param):
             return self.parameter(i, node.name), 0.0, 0.0
         if isinstance(node, Var):
             return seeds[node.name]
         if isinstance(node, Neg):
-            return tuple(-s for s in self.jet(node.arg, i, seeds))
+            return tuple(-s for s in self.jet(node.arg, i, seeds, exponent))
         if isinstance(node, Call):
-            arg = self.jet(node.arg, i, seeds)
+            arg = self.jet(node.arg, i, seeds, exponent)
             for lowest, test, message in _FUNCTION_DOMAINS.get(node.fn, ()):
                 self.require(arg[0], test, message, node.offset)
             return _compose1(arg, *_outer_derivs(node.fn, arg[0])[:2])
-        lhs = self.jet(node.lhs, i, seeds)
-        rhs = self.jet(node.rhs, i, seeds)
+        lhs = self.jet(node.lhs, i, seeds, exponent)
+        rhs = self.jet(node.rhs, i, seeds, exponent or node.op == "^")
         if node.op == "^":
             return self.power(lhs, rhs, node, i)
         if node.op == "+":
@@ -1010,6 +1027,7 @@ class _Tape:
                                    ("U1", "U2"), (), False))
             seeds = {ast.variables[0]: (u1, np.float64(1.0), np.float64(0.0)),
                      ast.variables[1]: (u2, np.float64(0.0), np.float64(1.0))}
+            self.literals = 0
             out.append(self.jet(ast.root, i, seeds))
         if out is not None:
             slots = [s for j in out for s in j]
@@ -1027,6 +1045,6 @@ class _Tape:
             body.append(code)
             live.difference_update(defs)
             live.update(uses)
-        src = "def tape(at, A):\n" + "".join(f"    {c}\n" for c in reversed(body))
+        src = "def tape(at, A, L):\n" + "".join(f"    {c}\n" for c in reversed(body))
         exec(compile(src, "<first-order tape>", "exec"), self.env)
         return self.env["tape"]
