@@ -893,8 +893,8 @@ def _const_key(x) -> tuple:
 
 class _Tape:
     """Traces the first-order formulas of `asts` into one straight-line
-    function tape(at, A) of the pair (u1, u2) and the expressions, whose
-    parameters it reads.
+    function tape(at, A, L) of the pair (u1, u2), the expressions (whose
+    parameters it reads) and their literals (see ExprAST.structure).
 
     The formulas and the order of their numpy operations are those of the
     Jet2 interpreter, restricted to the value and first partials, so every
