@@ -977,7 +977,7 @@ class _Tape:
             return tuple(-s for s in self.jet(node.arg, i, seeds, exponent))
         if isinstance(node, Call):
             arg = self.jet(node.arg, i, seeds, exponent)
-            for lowest, test, message in _FUNCTION_DOMAINS.get(node.fn, ()):
+            for _, test, message in _FUNCTION_DOMAINS.get(node.fn, ()):  # all at order 1
                 self.require(arg[0], test, message, node.offset)
             return _compose1(arg, *_outer_derivs(node.fn, arg[0])[:2])
         lhs = self.jet(node.lhs, i, seeds, exponent)
