@@ -18,19 +18,25 @@ the torsion formula, which needs third derivatives), a bivariate `Jet2`
 carries value, both first partials and all second partials.  Jet fields
 accept numpy arrays, so one evaluation can cover a whole sample grid.
 
+One walker, `_eval`, evaluates a tree on jets.  An object passed to it
+decides the leaves, the domain tests and the powers: `_Values` evaluates
+on numpy arrays, the interpreter behind `eval_jet` and `eval_jet2`, and
+`_Tape` traces.
+
 The shading field reads only first partials, so x, y and z of a surface
 go through `first_partials`: a compiled first-order tape.  The first
-call with a new tree structure traces the Jet2 formulas, cut to the value
-and first partials, into one straight-line numpy function for all the
-trees at once: an operation on constants only is done while tracing, an
-operation repeated on the same slots is emitted once (so y and z of a
-revolution share their profile), and each temporary is deleted after its
-last use.  Every slot equals the first three slots of `eval_jet2` bit for
-bit, and with check=True the domain checks run at their nodes in the
-interpreter's order, so an error has the same class and offset.  The
-tape skips `eval_jet2`'s final broadcast: each result keeps the shape of
-the operands it depends on, so with (n1, 1) and (1, n2) operands a
-u2-only coordinate stays a (1, n2) row.
+call with a new tree structure runs `_eval` on Jet2s whose slots are
+traced symbols, so the Jet2 operators themselves record one straight-line
+numpy function for all the trees at once: an operation on constants only
+is done while tracing, an operation repeated on the same slots is emitted
+once (so y and z of a revolution share their profile), the lines that
+only the second partials read are dropped, and each temporary is deleted
+after its last use.  Every slot equals the first three slots of
+`eval_jet2` bit for bit, and with check=True the domain checks run at
+their nodes in the interpreter's order, so an error has the same class
+and offset.  The tape skips `eval_jet2`'s final broadcast: each result
+keeps the shape of the operands it depends on, so with (n1, 1) and
+(1, n2) operands a u2-only coordinate stays a (1, n2) row.
 
 Tapes are cached by the trees' structure, not by object.  Parameter
 values and literals are read at call time, so every wavy surface, every
@@ -39,8 +45,7 @@ revolution of one profile family, and every motion image of a surface in
 evaluated, so it is part of the key, as its exact bits: Num(0.0) and
 Num(-0.0) are equal nodes, and a NaN is not equal to itself.  A parameter
 name that the trees bind to different values is read per tree.  At most
-TAPE_CACHE_SIZE tapes are kept.  Jet and Jet2 are still
-evaluated by the recursive interpreter `_eval`.
+TAPE_CACHE_SIZE tapes are kept.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ import math
 import re
 import struct
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence, Union
 
@@ -620,14 +625,6 @@ _FUNCTION_DOMAINS = {
 }
 
 
-def _check_function_domain(fn: str, v, order: int, node: Node, check: bool):
-    if not check:
-        return
-    for lowest, test, message in _FUNCTION_DOMAINS.get(fn, ()):
-        if order >= lowest and np.any(_TESTS[test](v)):
-            raise ExprDomainError(message, node.offset)
-
-
 def _constant_exponent(j) -> float | None:
     """Return the exponent as a plain float if it has no variable dependence."""
     if np.ndim(j.value) != 0:
@@ -668,56 +665,76 @@ def _pow_rule(c: float | None):
     return None, ("{} <= 0.0", "variable power of a non-positive base")
 
 
-def _eval_pow(base, expo, c: float | None, node: Node, check: bool):
-    """base ** expo, where c is the exponent as a constant, or None."""
-    p, domain = _pow_rule(c)
-    if domain and check and np.any(_TESTS[domain[0]](base.value)):
-        raise ExprDomainError(domain[1], node.offset)
-    if p is not None:
-        return base.compose(*_pow_derivs(base.value, p, base.ORDER))
-    logb = base.compose(*_outer_derivs("log", base.value)[:base.ORDER + 1])
-    prod = expo * logb
-    return prod.compose(*_outer_derivs("exp", prod.value)[:prod.ORDER + 1])
+class _Values:
+    """The leaves, domain tests and powers of `_eval` on numbers: the
+    interpreter behind eval_jet and eval_jet2.  `_Tape` makes the same
+    three decisions on traced slots."""
+
+    def __init__(self, kind, params: Mapping[str, float], check: bool):
+        self.kind, self.params, self.check = kind, params, check
+
+    def leaf(self, node: Num | Param, exponent: bool):
+        """The jet of a literal or a parameter; `exponent` tells whether the
+        visit is inside an exponent."""
+        value = node.value if isinstance(node, Num) else self.params[node.name]
+        return self.kind(np.float64(value))
+
+    def require(self, v, test: str, message: str, offset: int) -> None:
+        """Raise ExprDomainError(message, offset) where `test` holds on v."""
+        if self.check and np.any(_TESTS[test](v)):
+            raise ExprDomainError(message, offset)
+
+    def power(self, base, expo, offset: int):
+        """base ** expo; the exponent counts as constant where its value is a
+        scalar and all its derivative slots vanish."""
+        p, domain = _pow_rule(_constant_exponent(expo))
+        if domain:
+            self.require(base.value, *domain, offset)
+        if p is not None:
+            return base.compose(*_pow_derivs(base.value, p, base.ORDER))
+        logb = base.compose(*_outer_derivs("log", base.value)[:base.ORDER + 1])
+        prod = expo * logb
+        return prod.compose(*_outer_derivs("exp", prod.value)[:prod.ORDER + 1])
 
 
-def _eval(ast: ExprAST, seeds: dict, order: int, check: bool):
-    """Evaluate `ast` with each variable bound to its seed jet.
+def _eval(root: Node, seeds: dict, order: int, values):
+    """Evaluate the tree `root` with each variable bound to its seed jet.
 
-    The jet class (Jet or Jet2) of the result is the class of the seeds;
-    `order` only gates the derivative-domain checks.
+    `values` decides the leaves, the domain tests and the powers (_Values
+    on numbers, _Tape on traced slots).  The jet class (Jet or Jet2) of the
+    result is the class of the seeds; `order` only gates the
+    derivative-domain checks.
     """
-    kind = type(next(iter(seeds.values())))
 
-    def ev(node: Node):
-        if isinstance(node, Num):
-            return kind(np.float64(node.value))
-        if isinstance(node, Param):
-            return kind(np.float64(ast.params[node.name]))
+    def ev(node: Node, exponent: bool = False):
+        if isinstance(node, (Num, Param)):
+            return values.leaf(node, exponent)
         if isinstance(node, Var):
             return seeds[node.name]
         if isinstance(node, Neg):
-            return -ev(node.arg)
+            return -ev(node.arg, exponent)
         if isinstance(node, Call):
-            arg = ev(node.arg)
-            _check_function_domain(node.fn, arg.value, order, node, check)
-            return arg.compose(*_outer_derivs(node.fn, arg.value)[:kind.ORDER + 1])
+            arg = ev(node.arg, exponent)
+            for lowest, test, message in _FUNCTION_DOMAINS.get(node.fn, ()):
+                if order >= lowest:
+                    values.require(arg.value, test, message, node.offset)
+            return arg.compose(*_outer_derivs(node.fn, arg.value)[:arg.ORDER + 1])
         if isinstance(node, Bin):
-            lhs = ev(node.lhs)
-            rhs = ev(node.rhs)
+            lhs = ev(node.lhs, exponent)
+            rhs = ev(node.rhs, exponent or node.op == "^")
             if node.op == "^":
-                return _eval_pow(lhs, rhs, _constant_exponent(rhs), node, check)
+                return values.power(lhs, rhs, node.offset)
             if node.op == "+":
                 return lhs + rhs
             if node.op == "-":
                 return lhs - rhs
             if node.op == "*":
                 return lhs * rhs
-            if check and np.any(rhs.value == 0.0):
-                raise ExprDomainError("division by zero", node.offset)
+            values.require(rhs.value, "{} == 0.0", "division by zero", node.offset)
             return lhs / rhs
         raise TypeError(f"unknown node {node!r}")
 
-    return ev(ast.root)
+    return ev(root)
 
 
 def eval_jet(ast: ExprAST, at, order: int = 3, *, check: bool = True) -> Jet:
@@ -735,7 +752,7 @@ def eval_jet(ast: ExprAST, at, order: int = 3, *, check: bool = True) -> Jet:
     at = np.asarray(at, dtype=float)
     seeds = {ast.variables[0]: Jet(at, np.float64(1.0))}
     with np.errstate(all="ignore"):
-        j = _eval(ast, seeds, order, check)
+        j = _eval(ast.root, seeds, order, _Values(Jet, ast.params, check))
     # broadcast constant subresults to the sample shape, zero unused slots
     shaped = at * 0.0 if np.ndim(at) else np.float64(0.0)
     d1 = j.d1 + shaped if order >= 1 else shaped
@@ -749,14 +766,9 @@ def _arity_error(ast: ExprAST) -> ArityError:
         f"eval_jet2 needs exactly two declared variables, got {ast.variables}")
 
 
-def _bivariate_seeds(ast: ExprAST, at, kind) -> tuple:
-    if len(ast.variables) != 2:
-        raise _arity_error(ast)
-    u1, u2 = (np.asarray(v, dtype=float) for v in at)
-    return u1, u2, {
-        ast.variables[0]: kind(u1, np.float64(1.0), np.float64(0.0)),
-        ast.variables[1]: kind(u2, np.float64(0.0), np.float64(1.0)),
-    }
+def _bivariate_seeds(variables: Sequence[str], u1, u2) -> dict:
+    return {variables[0]: Jet2(u1, np.float64(1.0), np.float64(0.0)),
+            variables[1]: Jet2(u2, np.float64(0.0), np.float64(1.0))}
 
 
 def eval_jet2(ast: ExprAST, at, *, check: bool = True) -> Jet2:
@@ -764,9 +776,12 @@ def eval_jet2(ast: ExprAST, at, *, check: bool = True) -> Jet2:
 
     `at` is a pair (u1, u2) of scalars or broadcastable numpy arrays.
     """
-    u1, u2, seeds = _bivariate_seeds(ast, at, Jet2)
+    if len(ast.variables) != 2:
+        raise _arity_error(ast)
+    u1, u2 = (np.asarray(v, dtype=float) for v in at)
     with np.errstate(all="ignore"):
-        j = _eval(ast, seeds, 2, check)
+        j = _eval(ast.root, _bivariate_seeds(ast.variables, u1, u2), 2,
+                  _Values(Jet2, ast.params, check))
     if np.ndim(u1) or np.ndim(u2):
         shaped = (u1 + u2) * 0.0
         return Jet2(j.value + shaped, j.du1 + shaped, j.du2 + shaped,
@@ -839,24 +854,11 @@ def _split_parameters(asts: Sequence[ExprAST]) -> frozenset[str]:
     return frozenset(split)
 
 
-def _tape_pow(base: tuple, expo: tuple, node: Bin, check: bool, ast: ExprAST, at) -> tuple:
-    """base ** expo on first-order slots, for an exponent known only at run
-    time.  The exponent counts as constant where Jet2 counts it so: its
-    first partials vanish and, unless it is a leaf, its Jet2 slots do."""
-    c = _constant_exponent(Jet2(*expo))
-    if c is not None and not isinstance(node.rhs, (Num, Param)):
-        c = _constant_exponent(_eval(replace(ast, root=node.rhs),
-                                     _bivariate_seeds(ast, at, Jet2)[2], 1, check))
-    j = _eval_pow(Jet2(*base), Jet2(*expo), c, node, check)
-    return j.value, j.du1, j.du2
-
-
-def _mul1(f, g):
-    return (f[0] * g[0], f[1] * g[0] + f[0] * g[1], f[2] * g[0] + f[0] * g[2])
-
-
-def _compose1(g, f0, f1):
-    return f0, f1 * g[1], f1 * g[2]
+def _tape_pow(base: tuple, expo: tuple, offset: int, check: bool) -> tuple:
+    """base ** expo on Jet2 slots, for an exponent known only at run time:
+    Jet2 decides on the exponent's six slots whether it is constant."""
+    j = _Values(Jet2, {}, check).power(Jet2(*base), Jet2(*expo), offset)
+    return (j.value, *j.derivatives())
 
 
 class _Sym:
@@ -891,23 +893,23 @@ def _const_key(x) -> tuple:
     return (type(x), x if type(x) is int else struct.pack("<d", x))
 
 
-class _Tape:
-    """Traces the first-order formulas of `asts` into one straight-line
+class _Tape(_Values):
+    """Traces `_eval` on Jet2s whose slots are _Syms into one straight-line
     function tape(at, A, L) of the pair (u1, u2), the expressions (whose
     parameters it reads) and their literals (see ExprAST.structure).
 
-    The formulas and the order of their numpy operations are those of the
-    Jet2 interpreter, restricted to the value and first partials, so every
-    slot is equal bit for bit.  An operation on constants only is done
-    here; the same operation on the same slots is emitted once; lines
-    whose results nothing reads are dropped, and each temporary is deleted
-    after its last use.  Domain checks (check=True) are emitted at their
-    nodes in evaluation order; one whose value is a constant is decided
-    here.
+    The walk and the jet formulas are the interpreter's, so every slot is
+    equal bit for bit; the tape keeps value, du1 and du2.  An operation on
+    constants only is done here; the same operation on the same slots is
+    emitted once; lines whose results nothing reads, the second partials
+    among them, are dropped, and each temporary is deleted after its last
+    use.  Domain checks (check=True) are emitted at their nodes in
+    evaluation order; one whose value is a constant is decided here.
     """
 
     def __init__(self, asts: Sequence[ExprAST], check: bool, split: frozenset[str]):
-        self.asts, self.check, self.split = asts, check, split
+        super().__init__(Jet2, {}, check)
+        self.asts, self.split = asts, split
         self.env = {"np": np, "Partials": Partials, "ExprDomainError": ExprDomainError,
                     "_tape_pow": _tape_pow, "_arity_error": _arity_error}
         self.lines: list[tuple[str, tuple, tuple, bool]] = []  # code, defs, uses, pure
@@ -940,7 +942,6 @@ class _Tape:
         return self.memo[key]
 
     def require(self, v, test: str, message: str, offset: int) -> None:
-        """Raise ExprDomainError(message, offset) here where `test` holds."""
         if not self.check:
             return
         raising = f"raise ExprDomainError({message!r}, {offset})"
@@ -957,62 +958,28 @@ class _Tape:
             self.memo[code] = self.emit(code, pure=pure)[0]
         return self.memo[code]
 
-    def parameter(self, i: int, name: str):
-        # a name bound alike by every tree is read from the first reading it
-        if name not in self.split:
-            i = self.memo.setdefault(("param", name), i)
-        return self.load(f"np.float64(A[{i}].params[{name!r}])", pure=False)
-
-    def jet(self, node: Node, i: int, seeds: dict, exponent: bool = False) -> tuple:
-        if isinstance(node, Num):
-            if exponent:
-                return np.float64(node.value), 0.0, 0.0
-            self.literals += 1
-            return self.load(f"L[{i}][{self.literals - 1}]"), 0.0, 0.0
+    def leaf(self, node: Num | Param, exponent: bool):
         if isinstance(node, Param):
-            return self.parameter(i, node.name), 0.0, 0.0
-        if isinstance(node, Var):
-            return seeds[node.name]
-        if isinstance(node, Neg):
-            return tuple(-s for s in self.jet(node.arg, i, seeds, exponent))
-        if isinstance(node, Call):
-            arg = self.jet(node.arg, i, seeds, exponent)
-            for _, test, message in _FUNCTION_DOMAINS.get(node.fn, ()):  # all at order 1
-                self.require(arg[0], test, message, node.offset)
-            return _compose1(arg, *_outer_derivs(node.fn, arg[0])[:2])
-        lhs = self.jet(node.lhs, i, seeds, exponent)
-        rhs = self.jet(node.rhs, i, seeds, exponent or node.op == "^")
-        if node.op == "^":
-            return self.power(lhs, rhs, node, i)
-        if node.op == "+":
-            return tuple(a + b for a, b in zip(lhs, rhs))
-        if node.op == "-":
-            return tuple(a - b for a, b in zip(lhs, rhs))
-        if node.op == "*":
-            return _mul1(lhs, rhs)
-        self.require(rhs[0], "{} == 0.0", "division by zero", node.offset)
-        inv = 1.0 / rhs[0]
-        inv2 = inv * inv
-        return _mul1(lhs, (inv, -rhs[1] * inv2, -rhs[2] * inv2))
+            # a name bound alike by every tree is read from the first reading it
+            i = self.i
+            if node.name not in self.split:
+                i = self.memo.setdefault(("param", node.name), i)
+            return Jet2(self.load(f"np.float64(A[{i}].params[{node.name!r}])", pure=False))
+        if exponent:
+            # an exponent literal decides how `^` is evaluated: a keyed constant
+            return Jet2(np.float64(node.value))
+        self.literals += 1
+        return Jet2(self.load(f"L[{self.i}][{self.literals - 1}]"))
 
-    def power(self, base: tuple, expo: tuple, node: Bin, i: int) -> tuple:
-        if any(isinstance(s, _Sym) for s in expo):
-            args = ", ".join(f"({', '.join(map(self.ref, t))})" for t in (base, expo))
-            self.env[f"n{id(node)}"] = node
-            return self.emit(f"_tape_pow({args}, n{id(node)}, {self.check}, A[{i}], at)",
-                             (*base, *expo), 3, False)
-        # a literal exponent: decided here, as _tape_pow decides at run time
-        c = _constant_exponent(Jet2(*expo))
-        if c is not None and not isinstance(node.rhs, (Num, Param)):
-            c = _constant_exponent(_eval(ExprAST(node.rhs, "", ()), {"": Jet2(0.0)}, 1, False))
-        p, domain = _pow_rule(c)
-        if domain:
-            self.require(base[0], *domain, node.offset)
-        if p is not None:
-            return _compose1(base, *_pow_derivs(base[0], p, 1))
-        logb = _compose1(base, *_outer_derivs("log", base[0])[:2])
-        prod = _mul1(expo, logb)
-        return _compose1(prod, *_outer_derivs("exp", prod[0])[:2])
+    def power(self, base: Jet2, expo: Jet2, offset: int) -> Jet2:
+        slots = (expo.value, *expo.derivatives())
+        if not any(isinstance(s, _Sym) for s in slots):
+            # a literal exponent: decided here, as _tape_pow decides at run time
+            return super().power(base, expo, offset)
+        args = tuple((j.value, *j.derivatives()) for j in (base, expo))
+        code = ", ".join(f"({', '.join(map(self.ref, t))})" for t in args)
+        return Jet2(*self.emit(f"_tape_pow({code}, {offset}, {self.check})",
+                               args[0] + args[1], 6, False))
 
     def compile(self):
         out: list | None = []
@@ -1025,10 +992,9 @@ class _Tape:
             if i == 0:
                 self.lines.append(("U1, U2 = (np.asarray(v, dtype=float) for v in at)",
                                    ("U1", "U2"), (), False))
-            seeds = {ast.variables[0]: (u1, np.float64(1.0), np.float64(0.0)),
-                     ast.variables[1]: (u2, np.float64(0.0), np.float64(1.0))}
-            self.literals = 0
-            out.append(self.jet(ast.root, i, seeds))
+            self.i, self.literals = i, 0
+            j = _eval(ast.root, _bivariate_seeds(ast.variables, u1, u2), 1, self)
+            out.append((j.value, j.du1, j.du2))
         if out is not None:
             slots = [s for j in out for s in j]
             self.emit("(" + "".join(f"Partials({', '.join(map(self.ref, j))}), " for j in out)

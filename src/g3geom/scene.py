@@ -69,11 +69,17 @@ def _params(obj: dict, where: str) -> dict[str, float]:
     return params
 
 
+def _source(v, what: str, where: str) -> str:
+    """An expression, which must be a JSON string."""
+    if not isinstance(v, str):
+        raise SceneError(f"{what} must be an expression string in {where}, got {v!r}")
+    return v
+
+
 def _domain1(v, where: str) -> tuple[float, float]:
-    try:
-        a, b = float(v[0]), float(v[1])
-    except (TypeError, ValueError, IndexError):
-        raise SceneError(f"bad domain {v!r} in {where}") from None
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise SceneError(f"bad domain {v!r} in {where}")
+    a, b = (float(_number(end, "domain end", where)) for end in v)
     if not a < b:
         raise SceneError(f"empty domain {v!r} in {where}")
     return a, b
@@ -82,8 +88,8 @@ def _domain1(v, where: str) -> tuple[float, float]:
 def _load_curve(name: str, obj: dict) -> CurveSpec:
     where = f"curves.{name}"
     _check_keys(obj, {"f", "g", "domain", "params"}, {"f", "g", "domain"}, where)
-    return CurveSpec.from_strings(obj["f"], obj["g"], _domain1(obj["domain"], where),
-                                  _params(obj, where))
+    return CurveSpec.from_strings(*(_source(obj[k], k, where) for k in ("f", "g")),
+                                  _domain1(obj["domain"], where), _params(obj, where))
 
 
 def _load_surface(name: str, obj: dict) -> SurfaceSpec:
@@ -94,7 +100,7 @@ def _load_surface(name: str, obj: dict) -> SurfaceSpec:
     if not isinstance(dom, (list, tuple)) or len(dom) != 2:
         raise SceneError(f"surface domain must be [[..],[..]] in {where}")
     return SurfaceSpec.from_strings(
-        obj["x"], obj["y"], obj["z"],
+        *(_source(obj[k], k, where) for k in ("x", "y", "z")),
         (_domain1(dom[0], where), _domain1(dom[1], where)),
         _params(obj, where))
 
@@ -102,8 +108,8 @@ def _load_surface(name: str, obj: dict) -> SurfaceSpec:
 def _load_trace(name: str, obj: dict) -> TraceSpec:
     where = f"traces.{name}"
     _check_keys(obj, {"u1", "u2", "domain", "params"}, {"u1", "u2", "domain"}, where)
-    return TraceSpec.from_strings(obj["u1"], obj["u2"], _domain1(obj["domain"], where),
-                                  _params(obj, where))
+    return TraceSpec.from_strings(*(_source(obj[k], k, where) for k in ("u1", "u2")),
+                                  _domain1(obj["domain"], where), _params(obj, where))
 
 
 def _load_profile(name: str, obj: dict) -> ProfileEntry:
@@ -114,7 +120,7 @@ def _load_profile(name: str, obj: dict) -> ProfileEntry:
     if mode not in ("euclidean", "isotropic"):
         raise SceneError(f"mode must be euclidean or isotropic in {where}")
     profile = ProfileSpec.from_string(
-        obj["g"], _domain1(obj["domain"], where),
+        _source(obj["g"], "g", where), _domain1(obj["domain"], where),
         c=float(_number(obj.get("c", 1.0), "c", where)),
         A=float(_number(obj.get("A", 0.0), "A", where)),
         parameters=_params(obj, where))
@@ -132,7 +138,7 @@ def _load_query(name: str, obj: dict, scene: Scene) -> QueryEntry:
     _check_keys(obj, {"surface", "axis", "beta", "level", "silhouette",
                       "grid", "refine_tol"}, {"surface", "axis"}, where)
     sname = obj["surface"]
-    if sname not in scene.surfaces:
+    if not isinstance(sname, str) or sname not in scene.surfaces:
         raise SceneError(f"{where} references unknown surface {sname!r}")
     axis_ref = obj["axis"]
     if isinstance(axis_ref, str):

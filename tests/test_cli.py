@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import re
@@ -5,6 +6,8 @@ from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from g3geom import SceneError, cli, errors, load_scene_dict
 from g3geom.cli import exit_code, main
@@ -33,6 +36,22 @@ SCENE = {
                   "grid": [64, 64]},
     },
 }
+
+
+NON_STRING_EXPRESSIONS = [
+    {"curves": {"c": {"f": 5, "g": "s^3", "domain": [0, 1]}}},
+    {"surfaces": {"s": {"x": ["u1"], "y": "u2", "z": "0", "domain": [[0, 1], [0, 1]]}}},
+    {"traces": {"t": {"u1": "s", "u2": None, "domain": [0, 1]}}},
+    {"profiles": {"p": {"g": {}, "domain": [0.1, 1], "mode": "isotropic"}}},
+]
+SURFACE_NOT_A_NAME = {"surfaces": SCENE["surfaces"],
+                      "queries": {"q": {"surface": ["cyl"], "axis": [0, 0, 1], "beta": 0.5}}}
+# domain ends that json.loads reads as infinite or NaN, a boolean, a string
+BAD_DOMAIN_ENDS = [
+    json.loads(f'{{"curves": {{"c": {{"f": "s", "g": "s^3", "domain": {domain}}}}}}}')
+    for domain in ("[0, Infinity]", "[0, 1e400]", "[-Infinity, 0]", "[0, NaN]",
+                   "[true, 2]", '["1", 2]')
+]
 
 
 @pytest.fixture()
@@ -64,6 +83,10 @@ def test_scene_rejects_unknown_keys():
                 {"queries": {"q": "cyl"}}, {"traces": [1]}):
         with pytest.raises(SceneError):
             load_scene_dict(bad)
+    # expressions that are not strings
+    for bad in NON_STRING_EXPRESSIONS:
+        with pytest.raises(SceneError, match="must be an expression string"):
+            load_scene_dict(bad)
     # params that are not finite numbers
     curve = {"f": "a*s^2", "g": "s^3", "domain": [0, 1]}
     for value in ("x", float("nan"), float("inf"), None, [1], True):
@@ -85,6 +108,7 @@ def test_scene_rejects_non_finite_numbers():
          "queries": {"q": {**query, "refine_tol": float("nan")}}},
         {"surfaces": SCENE["surfaces"], "axes": SCENE["axes"],
          "queries": {"q": {"surface": "cyl", "axis": "zhat", "level": [0.5]}}},
+        *BAD_DOMAIN_ENDS,
     ]
     for doc in bad_docs:
         with pytest.raises(SceneError, match="must be a finite number"):
@@ -103,6 +127,10 @@ def test_scene_rejects_bad_references():
         load_scene_dict({
             "surfaces": SCENE["surfaces"],
             "queries": {"q": {"surface": "cyl", "axis": [0, 0, 1]}}})  # no level
+    with pytest.raises(SceneError, match="references unknown surface"):
+        load_scene_dict(SURFACE_NOT_A_NAME)
+    with pytest.raises(SceneError, match="bad domain"):
+        load_scene_dict({"curves": {"c": {"f": "s", "g": "s^3", "domain": [0, 1, 2]}}})
     # a query grid must be two integers >= 2
     for grid in ("ab", [64], [64, 1], [64.0, 64], 64, [64, "64"], [True, 64]):
         with pytest.raises(SceneError, match="grid must be two integers"):
@@ -290,11 +318,14 @@ def test_scene_error_exit_2(tmp_path, capsys):
                                   "params": {"a": "x"}}}},
                 {"surfaces": SCENE["surfaces"],
                  "queries": {"q": {"surface": "cyl", "axis": [0, 0, 1],
-                                   "beta": 0.5, "grid": "ab"}}}):
+                                   "beta": 0.5, "grid": "ab"}}},
+                *NON_STRING_EXPRESSIONS, SURFACE_NOT_A_NAME, *BAD_DOMAIN_ENDS):
         bad.write_text(json.dumps(doc))
         rc = main(["frenet", "--curve", "cubic", "--scene", str(bad)])
         assert rc == 2
-        assert "error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "error" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 def test_frenet_rejects_infinite_domain(capsys):
@@ -430,3 +461,127 @@ def test_exit_code_prose_matches_the_table():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     for text in (cli.__doc__, readme):
         assert _exit_code_clauses(text) == want
+
+
+# ---------------------------------------------------------------------------
+# fuzz: generated argv and mutated scene documents end in an exit code
+# ---------------------------------------------------------------------------
+
+_NUMBERS = ["0.5", "1", "0", "-1", "-0", "1e300", "nan", "inf", "x"]
+_INTERVALS = ["0:2", "0.001:5", "-1:1", "1:0", "0:0", "0:inf", "0:nan", "a:b", "0", "0:1:2"]
+_SURFACE_DOMAINS = ["0:2,0:6.3", "0:1,0:1", "-1:1,1:0", "0:1", "0:inf,0:1", "x"]
+_SURFACES = ["cyl", "plane", "ghost", "u1,sin(u2),cos(u2)", "u1,u2,0", "u1,u2,k*u1^2",
+             "log(u1),u2,1/u2", "u1,u1,u1", "u1,u2", "2u1,u2,0"]
+_TRACES = ["helix", "parabola", "s,s", "s,2*s", "s^2,0", "0,0", "1/s,s", "s"]
+# every grid is at most 8x8 points, or is refused before any work
+_GRIDS = ["2x2", "8x8", "1x8", "8x1", "0x0", "-2x4", "8xq", "8", "2049x2048"]
+_FUZZ_OPTIONS = {
+    "frenet": {"--curve": ["cubic", "s^2/2,s^3/6", "s,s", "s^3,s^2", "a*s^2,s^3",
+                           "sqrt(s)-1,s^2", "log(s),s", "2s,s", "s", ""],
+               "--domain": _INTERVALS, "--samples": ["1", "2", "8", "0", "2.5", "65537"],
+               "--param": ["a=1", "a=nan", "a", "s=1"], "--csv": ["out"], "--json": ["out"]},
+    "darboux": {"--surface": _SURFACES, "--trace": _TRACES,
+                "--surface-domain": _SURFACE_DOMAINS, "--trace-domain": _INTERVALS,
+                "--samples": ["1", "4", "-3"], "--param": ["k=0.5", "u1=2"],
+                "--json": ["out"]},
+    "classify": {"--surface": _SURFACES, "--trace": _TRACES,
+                 "--surface-domain": _SURFACE_DOMAINS, "--trace-domain": _INTERVALS,
+                 "--samples": ["2", "8"], "--tol": _NUMBERS, "--json": ["out"]},
+    "axis": {"--case": ["isotropic", "nonisotropic", "other"], "--surface": _SURFACES,
+             "--trace": _TRACES, "--angle": _NUMBERS, "--surface-domain": _SURFACE_DOMAINS,
+             "--samples": ["2", "8"], "--tol": _NUMBERS, "--json": ["out"]},
+    "isophote": {"--surface": _SURFACES, "--axis": ["zhat", "0,0,1", "1,0,1", "0,1,0",
+                                                    "0,0,0", "1,2", "nan,0,1"],
+                 "--beta": _NUMBERS, "--level": _NUMBERS, "--silhouette": None,
+                 "--surface-domain": _SURFACE_DOMAINS, "--refine-tol": _NUMBERS,
+                 "--param": ["k=2"], "--obj": ["out"], "--svg": ["out"], "--json": ["out"]},
+    "revolve": {"--profile": ["bowl", "s^2/2", "1+s^2", "s^3", "log(s)", "s,s"],
+                "--mode": ["euclidean", "isotropic", "other"], "--domain": _INTERVALS,
+                "--c": _NUMBERS, "--A": _NUMBERS, "--mesh": _GRIDS, "--obj": ["out"],
+                "--json": ["out"]},
+    "verify": {"--filter": ["frenet_closed_form", "thm_3_2", "cor 4.4", "nosuchcheck"],
+               "--json": ["out"]},
+}
+# options every generated command carries, so that none runs at a default size
+_FUZZ_ALWAYS = {"isophote": ("--grid", _GRIDS), "verify": ("--filter", None)}
+
+
+def _output_paths(tmp_path) -> list[str]:
+    return [str(tmp_path / "out"), str(tmp_path / "no" / "such"), "-"]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_fuzz_generated_argv_ends_in_an_exit_code(tmp_path, data):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(SCENE))
+    command = data.draw(st.sampled_from(sorted(_FUZZ_OPTIONS)), "command")
+    options = _FUZZ_OPTIONS[command]
+    argv = [command]
+    if command in _FUZZ_ALWAYS:
+        option, values = _FUZZ_ALWAYS[command]
+        argv += [option, data.draw(st.sampled_from(values or options[option]))]
+    for option, values in options.items():
+        if not data.draw(st.booleans()):
+            continue
+        if values is None:
+            argv.append(option)
+            continue
+        value = data.draw(st.sampled_from(values))
+        if value == "out":
+            # "-" is stdout for --json and a file named "-" for the others
+            paths = _output_paths(tmp_path)
+            value = data.draw(st.sampled_from(paths if option == "--json" else paths[:2]))
+        argv += [option, value]
+    if command != "verify" and data.draw(st.booleans()):
+        argv += ["--scene", str(scene)]
+    argv += data.draw(st.lists(st.sampled_from(["--samples", "-", "--", "junk", "8x8"]),
+                               max_size=1))
+    assert main(argv) in (0, 1, 2), argv
+
+
+def _scene_paths(node, prefix=()):
+    """The key path of every entry of a scene document, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _scene_paths(child, (*prefix, key))
+
+
+_DELETE = object()
+_SCENE_VALUES = [_DELETE, 5, -1.5, 0, 1e308, math.inf, math.nan, True, None, "", "x",
+                 "u1", "s^2", "1", [], ["u1"], [0, 1], [1, 0], [[0, 1], [0, 1]], {},
+                 {"a": 1}]
+_SCENE_COMMANDS = [
+    ["frenet", "--curve", "cubic", "--samples", "4"],
+    ["darboux", "--surface", "cyl", "--trace", "helix", "--samples", "4"],
+    ["classify", "--surface", "plane", "--trace", "parabola", "--samples", "4"],
+    ["axis", "--case", "isotropic", "--surface", "cyl", "--trace", "helix",
+     "--angle", "0.3", "--samples", "4"],
+    ["isophote", "--surface", "cyl", "--axis", "zhat", "--beta", "1", "--grid", "8x8"],
+    ["revolve", "--profile", "bowl", "--mesh", "4x4"],
+]
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(list(_scene_paths(SCENE))), st.sampled_from(_SCENE_VALUES),
+       st.sampled_from(_SCENE_COMMANDS))
+def test_fuzz_mutated_scene_ends_in_an_exit_code(tmp_path, path, value, argv):
+    doc = copy.deepcopy(SCENE)
+    if path:
+        *parents, last = path
+        holder = doc
+        for key in parents:
+            holder = holder[key]
+        if value is _DELETE:
+            del holder[last]
+        else:
+            holder[last] = value
+    elif value is not _DELETE:
+        doc = value
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    assert main([*argv, "--scene", str(scene)]) in (0, 1, 2), (path, value, argv)

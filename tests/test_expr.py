@@ -472,6 +472,34 @@ def test_tape_key_includes_variable_order():
             _assert_tape_matches_jet2((a, b), at, check)
 
 
+def test_tape_on_subtrees_shared_inside_and_outside_exponents():
+    # subst puts one replacement node object at every use of its variable;
+    # parse never shares nodes.  Here each replacement sits both in a base
+    # or an operand and in an exponent, where its literals are keyed.
+    outer = expr.parse("a^b + b*a - b^(a^2) + sqrt(a)", ["a", "b"])
+    a, b = expr.parse("u1*2.5 + 1", _V), expr.parse("u2^2 + 0.5", _V)
+    tree = expr.subst(outer, {"a": a, "b": b}, _V)
+    power, product = tree.root.lhs.lhs.lhs, tree.root.lhs.lhs.rhs
+    assert power.lhs is a.root and power.rhs is b.root and product.lhs is b.root
+    assert tree.root.lhs.rhs.rhs.lhs is a.root
+    for at in _KEY_OPERANDS:
+        for check in (True, False):
+            _assert_tape_matches_jet2((tree,), at, check)
+            _assert_tape_matches_jet2((tree, a, b), at, check)
+
+
+def test_tape_power_in_an_exponent_keeps_its_second_partials():
+    # at u1 = 0 the exponent (u1*u1)^k has zero first partials; only its
+    # second partial, which needs the base's, makes Jet2 take the variable
+    # path, and so reject the negative base
+    tree = expr.parse("(0 - 2)^((u1*u1)^k) + u2", _V, {"k": 1.0})
+    with pytest.raises(ExprDomainError, match="variable power"):
+        expr.eval_jet2(tree, (0.0, 0.3))
+    for at in [(0.0, 0.3), *_KEY_OPERANDS]:
+        for check in (True, False):
+            _assert_tape_matches_jet2((tree,), at, check)
+
+
 def test_tape_cache_holds_one_nan_exponent_tape_and_stays_bounded():
     # a literal in an exponent is part of the key, as its bits: a NaN,
     # which never equals itself as a node, must still find its tape

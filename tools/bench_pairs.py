@@ -14,6 +14,11 @@ commits, the seeds, every run's JSON line, and per side the median and
 quartiles of each metric; for each metric it counts the pairs the after
 side won.  The file is rewritten after every run, so an interrupted
 session keeps what it measured.
+
+Both sides run without PYTHONDONTWRITEBYTECODE, so that perfbench's
+warm-up set-up run fills each tree's __pycache__ and setup_s does not
+depend on what an earlier process left there; the output records the
+PYTHON* and G3_* variables the runs saw.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ from pathlib import Path
 import numpy
 
 SIDES = ("before", "after")
+# the environment of every run (see the module docstring)
+ENV = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
 
 
 def _commit(tree: Path) -> str | None:
@@ -48,7 +55,8 @@ def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> di
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace)]
     t0 = time.time()
-    got = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
+    got = subprocess.run(cmd, cwd=tree, env=ENV, capture_output=True, text=True,
+                         check=True)
     line = json.loads(got.stdout.strip().splitlines()[-1])
     return {"workload": workload, "seed": seed, "trace": trace, "started": t0,
             "wall_s": time.time() - t0, "result": line}
@@ -112,6 +120,8 @@ def main(argv: list[str] | None = None) -> int:
                  "cpus": len(os.sched_getaffinity(0))},
         "python": platform.python_version(), "numpy": numpy.__version__,
         "commits": {s: _commit(t) for s, t in trees.items()},
+        "environment": {k: v for k, v in sorted(ENV.items())
+                        if k.startswith(("PYTHON", "G3_"))},
         "command": "perfbench/run.py --workload W --seed N --seconds "
                    f"{args.seconds:g} --trace 0",
         "workloads": args.workload, "seeds": _seeds(args.seeds),
