@@ -314,6 +314,9 @@ def parse(
     identifier must be declared, so typos fail at parse time rather than
     producing silently wrong geometry.
     """
+    if not isinstance(source, str):
+        raise ExprSyntaxError(
+            f"expression must be a string, not {type(source).__name__}", 0)
     params = dict(parameters or {})
     if not source or not source.strip():
         raise ExprSyntaxError("empty expression", 0)
@@ -415,6 +418,60 @@ def combine(op: str, a: ExprAST, b: ExprAST,
 # Jets
 # ---------------------------------------------------------------------------
 
+# numpy's arithmetic ufuncs, as the operator methods of _Zero they defer to
+_ZERO_UFUNCS = {np.add: "add", np.subtract: "sub", np.multiply: "mul",
+                np.divide: "truediv", np.negative: "neg"}
+
+
+class _Zero:
+    """The structural zero of a Jet2 slot: the partials of a constant or a
+    parameter, and a variable's seed partial by the other variable.  It
+    absorbs * and /, and it is the identity of + and -, so a slot that is
+    zero whatever the operands stays this object and no operation on it
+    runs, in the interpreter and in a traced tape alike.  A literal 0.0
+    would not do: 0.0 * inf is NaN.  numpy's arithmetic on it is these
+    operators; any other ufunc (np.hypot of the normal) sees a plain 0.0."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        return self
+
+    __rmul__ = __truediv__ = __mul__
+
+    def __neg__(self):
+        return self
+
+    def __add__(self, other):
+        return other
+
+    __radd__ = __rsub__ = __add__
+
+    def __sub__(self, other):
+        return -other
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        name = _ZERO_UFUNCS.get(ufunc) if method == "__call__" and not kwargs else None
+        if name is None:
+            return getattr(ufunc, method)(*(0.0 if x is self else x for x in inputs),
+                                          **kwargs)
+        if len(inputs) == 1:
+            return self
+        a, b = inputs
+        return getattr(a, f"__{name}__")(b) if a is self else getattr(b, f"__r{name}__")(a)
+
+    def __repr__(self):
+        return "_ZERO"
+
+
+_ZERO = _Zero()
+
+
+def _real(slot):
+    """A slot with the structural zero as the float 0.0."""
+    return 0.0 if slot is _ZERO else slot
+
+
 class _JetOps:
     """Operators the jet classes share; each class supplies +, -, *, the
     reciprocal, the chain rule and the list of its derivative slots."""
@@ -422,6 +479,11 @@ class _JetOps:
     @classmethod
     def _coerce(cls, x):
         return x if isinstance(x, cls) else cls(np.asarray(x, dtype=float))
+
+    @classmethod
+    def constant(cls, value) -> "_JetOps":
+        """The jet of a value that depends on no variable."""
+        return cls(value)
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
@@ -517,6 +579,10 @@ class Jet2(_JetOps):
 
     def derivatives(self) -> tuple:
         return self.du1, self.du2, self.du1u1, self.du1u2, self.du2u2
+
+    @classmethod
+    def constant(cls, value) -> "Jet2":
+        return cls(value, _ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -629,7 +695,7 @@ def _constant_exponent(j) -> float | None:
     """Return the exponent as a plain float if it has no variable dependence."""
     if np.ndim(j.value) != 0:
         return None
-    if any(np.any(s != 0.0) for s in j.derivatives()):
+    if any(s is not _ZERO and np.any(s != 0.0) for s in j.derivatives()):
         return None
     return float(j.value)
 
@@ -677,7 +743,7 @@ class _Values:
         """The jet of a literal or a parameter; `exponent` tells whether the
         visit is inside an exponent."""
         value = node.value if isinstance(node, Num) else self.params[node.name]
-        return self.kind(np.float64(value))
+        return self.kind.constant(np.float64(value))
 
     def require(self, v, test: str, message: str, offset: int) -> None:
         """Raise ExprDomainError(message, offset) where `test` holds on v."""
@@ -686,15 +752,25 @@ class _Values:
 
     def power(self, base, expo, offset: int):
         """base ** expo; the exponent counts as constant where its value is a
-        scalar and all its derivative slots vanish."""
+        scalar and all its derivative slots vanish.
+
+        Which structural zeros the result has must not depend on the values,
+        or a tape could not know them while tracing.  The two ways agree
+        when every partial of the exponent is a structural zero; otherwise
+        a structural zero of the result is made the float 0.0."""
         p, domain = _pow_rule(_constant_exponent(expo))
         if domain:
             self.require(base.value, *domain, offset)
         if p is not None:
-            return base.compose(*_pow_derivs(base.value, p, base.ORDER))
-        logb = base.compose(*_outer_derivs("log", base.value)[:base.ORDER + 1])
-        prod = expo * logb
-        return prod.compose(*_outer_derivs("exp", prod.value)[:prod.ORDER + 1])
+            j = base.compose(*_pow_derivs(base.value, p, base.ORDER))
+        else:
+            logb = base.compose(*_outer_derivs("log", base.value)[:base.ORDER + 1])
+            prod = expo * logb
+            j = prod.compose(*_outer_derivs("exp", prod.value)[:prod.ORDER + 1])
+        slots = j.derivatives()
+        if any(s is _ZERO for s in slots) and not all(s is _ZERO for s in expo.derivatives()):
+            return type(j)(j.value, *map(_real, slots))
+        return j
 
 
 def _eval(root: Node, seeds: dict, order: int, values):
@@ -767,8 +843,8 @@ def _arity_error(ast: ExprAST) -> ArityError:
 
 
 def _bivariate_seeds(variables: Sequence[str], u1, u2) -> dict:
-    return {variables[0]: Jet2(u1, np.float64(1.0), np.float64(0.0)),
-            variables[1]: Jet2(u2, np.float64(0.0), np.float64(1.0))}
+    return {variables[0]: Jet2(u1, np.float64(1.0), _ZERO, _ZERO, _ZERO, _ZERO),
+            variables[1]: Jet2(u2, _ZERO, np.float64(1.0), _ZERO, _ZERO, _ZERO)}
 
 
 def eval_jet2(ast: ExprAST, at, *, check: bool = True) -> Jet2:
@@ -782,15 +858,15 @@ def eval_jet2(ast: ExprAST, at, *, check: bool = True) -> Jet2:
     with np.errstate(all="ignore"):
         j = _eval(ast.root, _bivariate_seeds(ast.variables, u1, u2), 2,
                   _Values(Jet2, ast.params, check))
+    slots = map(_real, (j.value, *j.derivatives()))
     if np.ndim(u1) or np.ndim(u2):
         shaped = (u1 + u2) * 0.0
-        return Jet2(j.value + shaped, j.du1 + shaped, j.du2 + shaped,
-                    j.du1u1 + shaped, j.du1u2 + shaped, j.du2u2 + shaped)
-    return j
+        return Jet2(*(s + shaped for s in slots))
+    return Jet2(*slots)
 
 
 # ---------------------------------------------------------------------------
-# First-order tape
+# First-order tapes
 # ---------------------------------------------------------------------------
 
 # compiled tapes kept at once; beyond it the oldest is dropped
@@ -825,18 +901,44 @@ def first_partials(asts: Sequence[ExprAST], at, *, check: bool = True) -> tuple:
     differently; parameter values and the other literals are read at call
     time.
     """
+    tape = _compiled(asts, check)
+    with np.errstate(all="ignore"):
+        return tape(at, asts, [a.structure[2] for a in asts], ())
+
+
+def on_partials(fn, asts: Sequence[ExprAST], at, args: Sequence[float] = (), *,
+                check: bool = True) -> tuple:
+    """fn(*partials, *args) through one compiled tape, where `partials` are
+    the Partials of `asts` at `at` and `args` are numbers read at call time.
+
+    fn is traced once per structure of the expressions, on the traced
+    slots: it must be arithmetic and numpy ufuncs on its arguments, return
+    a tuple, and keep its identity (it is part of the cache key).  The tape
+    computes only what fn's results read.  Each result equals fn on the
+    interpreter's own Jet2s, bit for bit (the jets of `eval_jet2` before it
+    makes the structural zeros 0.0 and broadcasts), on the shape of the
+    operands it depends on; a domain error is first_partials' error.
+    """
+    tape = _compiled(asts, check, fn, len(args))
+    with np.errstate(all="ignore"):
+        return tape(at, asts, [a.structure[2] for a in asts], args)
+
+
+def _compiled(asts: Sequence[ExprAST], check: bool, fn=None, nargs: int = 0):
+    """The cached tape of first_partials (fn None) or of on_partials."""
     split = _split_parameters(asts)
     key = (check, split, *[a.structure[0] for a in asts])
+    if fn is not None:
+        key += (fn, nargs)
     tape = _TAPES.get(key)
     if tape is None:
         with np.errstate(all="ignore"):
-            tape = _Tape(asts, check, split).compile()
+            tape = _Tape(asts, check, split, fn, nargs).compile()
         with _TAPES_LOCK:
             if len(_TAPES) >= TAPE_CACHE_SIZE:
                 _TAPES.pop(next(iter(_TAPES)))
             _TAPES[key] = tape
-    with np.errstate(all="ignore"):
-        return tape(at, asts, [a.structure[2] for a in asts])
+    return tape
 
 
 def _split_parameters(asts: Sequence[ExprAST]) -> frozenset[str]:
@@ -858,13 +960,19 @@ def _tape_pow(base: tuple, expo: tuple, offset: int, check: bool) -> tuple:
     """base ** expo on Jet2 slots, for an exponent known only at run time:
     Jet2 decides on the exponent's six slots whether it is constant."""
     j = _Values(Jet2, {}, check).power(Jet2(*base), Jet2(*expo), offset)
-    return (j.value, *j.derivatives())
+    return tuple(map(_real, (j.value, *j.derivatives())))
+
+
+def _probe(j: Jet2) -> Jet2:
+    """A Jet2 with the structural zeros of j and 1.0 in every other slot."""
+    return Jet2(1.0, *(s if s is _ZERO else 1.0 for s in j.derivatives()))
 
 
 class _Sym:
     """A slot known only at run time, while a tape is traced.  Arithmetic
     and numpy ufuncs on it append a line to the tape and return the _Sym of
-    the result; constants meeting constants fold in plain Python."""
+    the result; constants meeting constants fold in plain Python, and the
+    structural zero decides its own operations."""
 
     __slots__ = ("tape", "name")
 
@@ -872,10 +980,11 @@ class _Sym:
         self.tape, self.name = tape, name
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if method != "__call__" or kwargs:
+        if method != "__call__" or kwargs or any(x is _ZERO for x in inputs):
             return NotImplemented
-        return self.tape.op(_OPERATORS.get(ufunc.__name__, f"np.{ufunc.__name__}({{}})"),
-                            *inputs)
+        form = (_OPERATORS.get(ufunc.__name__)
+                or f"np.{ufunc.__name__}({', '.join(['{}'] * len(inputs))})")
+        return self.tape.op(form, *inputs)
 
     def __neg__(self):
         return self.tape.op("-{}", self)
@@ -883,33 +992,40 @@ class _Sym:
 
 for _name, _form in (("add", "{} + {}"), ("sub", "{} - {}"), ("mul", "{} * {}"),
                      ("truediv", "{} / {}"), ("pow", "{} ** {}")):
-    setattr(_Sym, f"__{_name}__", lambda a, b, form=_form: a.tape.op(form, a, b))
-    setattr(_Sym, f"__r{_name}__", lambda a, b, form=_form: a.tape.op(form, b, a))
+    setattr(_Sym, f"__{_name}__", lambda a, b, form=_form:
+            NotImplemented if b is _ZERO else a.tape.op(form, a, b))
+    setattr(_Sym, f"__r{_name}__", lambda a, b, form=_form:
+            NotImplemented if b is _ZERO else a.tape.op(form, b, a))
 
 
 def _const_key(x) -> tuple:
     """A constant by type and exact value: 0.0 and -0.0 differ, a NaN
     equals itself."""
-    return (type(x), x if type(x) is int else struct.pack("<d", x))
+    return (type(x), x if type(x) in (int, _Zero) else struct.pack("<d", x))
 
 
 class _Tape(_Values):
     """Traces `_eval` on Jet2s whose slots are _Syms into one straight-line
-    function tape(at, A, L) of the pair (u1, u2), the expressions (whose
-    parameters it reads) and their literals (see ExprAST.structure).
+    function tape(at, A, L, D) of the pair (u1, u2), the expressions (whose
+    parameters it reads), their literals (see ExprAST.structure) and the
+    arguments of fn.  It returns the Partials of each expression, or what
+    fn returns of them.
 
     The walk and the jet formulas are the interpreter's, so every slot is
-    equal bit for bit; the tape keeps value, du1 and du2.  An operation on
-    constants only is done here; the same operation on the same slots is
-    emitted once; lines whose results nothing reads, the second partials
-    among them, are dropped, and each temporary is deleted after its last
-    use.  Domain checks (check=True) are emitted at their nodes in
-    evaluation order; one whose value is a constant is decided here.
+    equal bit for bit.  A structural zero (_Zero) is decided here, as is an
+    operation on constants only and x * 1.0; the same operation on the
+    same slots is emitted once; lines whose results nothing reads, the
+    second partials among them, are dropped, and each temporary is deleted
+    after its last use.  Domain checks (check=True) are emitted at their
+    nodes in evaluation order; one whose value is a constant is decided
+    here.  The results turn a structural zero into the float 0.0.  The
+    source is kept as the function's `source`.
     """
 
-    def __init__(self, asts: Sequence[ExprAST], check: bool, split: frozenset[str]):
+    def __init__(self, asts: Sequence[ExprAST], check: bool, split: frozenset[str],
+                 fn=None, nargs: int = 0):
         super().__init__(Jet2, {}, check)
-        self.asts, self.split = asts, split
+        self.asts, self.split, self.fn, self.nargs = asts, split, fn, nargs
         self.env = {"np": np, "Partials": Partials, "ExprDomainError": ExprDomainError,
                     "_tape_pow": _tape_pow, "_arity_error": _arity_error}
         self.lines: list[tuple[str, tuple, tuple, bool]] = []  # code, defs, uses, pure
@@ -936,6 +1052,13 @@ class _Tape(_Values):
         return defs
 
     def op(self, form: str, *args):
+        if form == "{} * {}":
+            # x * 1.0 is x bit for bit (0.0 * x is not: inf * 0.0 is NaN)
+            a, b = args
+            if not isinstance(a, _Sym) and a == 1.0:
+                return b
+            if not isinstance(b, _Sym) and b == 1.0:
+                return a
         key = (form, *[a.name if isinstance(a, _Sym) else _const_key(a) for a in args])
         if key not in self.memo:
             self.memo[key] = self.emit(form.format(*map(self.ref, args)), args)[0]
@@ -964,12 +1087,13 @@ class _Tape(_Values):
             i = self.i
             if node.name not in self.split:
                 i = self.memo.setdefault(("param", node.name), i)
-            return Jet2(self.load(f"np.float64(A[{i}].params[{node.name!r}])", pure=False))
+            return Jet2.constant(self.load(f"np.float64(A[{i}].params[{node.name!r}])",
+                                           pure=False))
         if exponent:
             # an exponent literal decides how `^` is evaluated: a keyed constant
-            return Jet2(np.float64(node.value))
+            return Jet2.constant(np.float64(node.value))
         self.literals += 1
-        return Jet2(self.load(f"L[{self.i}][{self.literals - 1}]"))
+        return Jet2.constant(self.load(f"L[{self.i}][{self.literals - 1}]"))
 
     def power(self, base: Jet2, expo: Jet2, offset: int) -> Jet2:
         slots = (expo.value, *expo.derivatives())
@@ -978,8 +1102,13 @@ class _Tape(_Values):
             return super().power(base, expo, offset)
         args = tuple((j.value, *j.derivatives()) for j in (base, expo))
         code = ", ".join(f"({', '.join(map(self.ref, t))})" for t in args)
-        return Jet2(*self.emit(f"_tape_pow({code}, {offset}, {self.check})",
-                               args[0] + args[1], 6, False))
+        outs = self.emit(f"_tape_pow({code}, {offset}, {self.check})",
+                         args[0] + args[1], 6, False)
+        # _tape_pow's structural zeros do not depend on the values, so
+        # _Values.power finds them on jets with 1.0 in every other slot
+        zeros = _Values(Jet2, {}, False).power(_probe(base), _probe(expo), offset)
+        return Jet2(*(_ZERO if z is _ZERO else o
+                      for o, z in zip(outs, (zeros.value, *zeros.derivatives()))))
 
     def compile(self):
         out: list | None = []
@@ -994,23 +1123,61 @@ class _Tape(_Values):
                                    ("U1", "U2"), (), False))
             self.i, self.literals = i, 0
             j = _eval(ast.root, _bivariate_seeds(ast.variables, u1, u2), 1, self)
-            out.append((j.value, j.du1, j.du2))
+            out.append(Partials(j.value, j.du1, j.du2))
         if out is not None:
-            slots = [s for j in out for s in j]
-            self.emit("(" + "".join(f"Partials({', '.join(map(self.ref, j))}), " for j in out)
-                      + ")", slots, 0, False)
+            if self.fn is None:
+                results = [s for j in out for s in j]
+                code = "".join(f"Partials({', '.join(self.ref(_real(s)) for s in j)}), "
+                               for j in out)
+            else:
+                results = self.fn(*out, *[self.load(f"D[{k}]") for k in range(self.nargs)])
+                code = "".join(f"{self.ref(_real(s))}, " for s in results)
+            self.emit(f"({code})", results, 0, False)
             self.lines[-1] = ("return " + self.lines[-1][0],) + self.lines[-1][1:]
-        body = []
+        kept = []  # (code, defs, uses, names deleted after it), last line first
         live: set[str] = set()
         for k, (code, defs, uses, pure) in enumerate(reversed(self.lines)):
             if pure and not live.intersection(defs):
                 continue
-            dead = [n for n in dict.fromkeys(uses + defs) if n not in live]
-            if dead and k:
-                body.append(f"del {', '.join(dead)}")
-            body.append(code)
+            kept.append((code, defs, uses,
+                         [n for n in dict.fromkeys(uses + defs) if n not in live] if k else []))
             live.difference_update(defs)
             live.update(uses)
-        src = "def tape(at, A, L):\n" + "".join(f"    {c}\n" for c in reversed(body))
+        kept.reverse()
+        src = "def tape(at, A, L, D):\n" + "".join(
+            f"    {code}\n" + (f"    del {', '.join(dead)}\n" if dead else "")
+            for code, _, _, dead in kept)
         exec(compile(src, "<first-order tape>", "exec"), self.env)
-        return self.env["tape"]
+        tape = self.env["tape"]
+        tape.source, tape.ops = src, _count_ops(kept)
+        return tape
+
+
+class TapeOps(NamedTuple):
+    """What one call of a compiled tape runs (its `ops`): the lines that
+    compute on a run-time slot, those of them whose result depends on both
+    u1 and u2 (a full grid where the operands are an (n1, 1) column and a
+    (1, n2) row, as field_grid passes them), and the most temporaries
+    alive at once."""
+
+    operations: int
+    full_grid: int
+    peak_live: int
+
+
+def _count_ops(kept) -> TapeOps:
+    grid = {"U1", "U2"}
+    deps: dict[str, set] = {}
+    operations = full_grid = peak = 0
+    live: set[str] = set()
+    for code, defs, uses, dead in kept[:-1]:  # the last line returns
+        d = set().union(*(deps[u] for u in uses))
+        for n in defs:
+            deps[n] = d or {n} & grid
+        if uses:
+            operations += 1
+            full_grid += d == grid
+        live.update(n for n in defs if n not in grid)
+        peak = max(peak, len(live))
+        live.difference_update(dead)
+    return TapeOps(operations, full_grid, peak)

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import expr
 from .errors import G3Error, SingularNormalError
 from .galilean import GVec3, is_unit_axis
 from .surface import OMEGA_MIN, SurfaceSpec, _coordinate_partials, _normal_parts
@@ -62,13 +63,23 @@ def field(surface: SurfaceSpec, axis: GVec3, u1: float, u2: float) -> float:
     return value
 
 
+def _shading(jx, jy, jz, dy, dz):
+    """The field and omega from the first partials of x, y and z and the
+    axis components d_y, d_z; traced into the field tape."""
+    A, B, omega = _normal_parts(jx, jy, jz)
+    return (A * dy + B * dz) / omega, omega
+
+
 def _field_block(surface: SurfaceSpec, axis: GVec3, U1, U2, check: bool = False):
     """Shading values (NaN where omega <= OMEGA_MIN) and omega, on the
-    broadcast shape of the operands the field depends on."""
-    jx, jy, jz = _coordinate_partials(surface, U1, U2, check=check)
-    with np.errstate(all="ignore"):
-        A, B, omega = _normal_parts(jx, jy, jz)
-        out = (A * axis.y + B * axis.z) / omega
+    broadcast shape of the operands the field depends on.
+
+    One compiled field tape (expr.on_partials) runs the surface and
+    `_shading`, so it computes only the partials and the normal parts the
+    field reads; the axis is read at call time."""
+    out, omega = expr.on_partials(_shading, (surface.x, surface.y, surface.z), (U1, U2),
+                                  (axis.y, axis.z), check=check)
+    with np.errstate(invalid="ignore"):
         out = np.where(omega > OMEGA_MIN, out, np.nan)
     return np.asarray(out, dtype=float), omega
 
@@ -152,6 +163,10 @@ class IsophoteQuery:
             raise G3Error("query axis must be normalized (see normalize_axis)")
         if self.grid[0] < 2 or self.grid[1] < 2:
             raise ValueError("grid must be at least 2x2")
+        if not math.isfinite(self.level):
+            raise ValueError(f"level must be finite, got {self.level!r}")
+        if not (math.isfinite(self.refine_tol) and self.refine_tol > 0.0):
+            raise ValueError(f"refine_tol must be finite and > 0, got {self.refine_tol!r}")
         if self.axis.is_isotropic and not -1.0 <= self.level <= 1.0:
             raise ValueError("level must lie in [-1, 1] for an isotropic axis")
 

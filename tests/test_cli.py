@@ -365,6 +365,15 @@ def test_param_rejects_nan(capsys):
         assert "nan" not in captured.out
 
 
+def test_isophote_refine_tol_not_above_zero_exits_2(capsys):
+    for tol in ("-1", "0"):
+        rc = main(["isophote", "--surface", "u1,sin(u2),cos(u2)", "--surface-domain",
+                   "0:2,0:6", "--axis", "0,0,1", "--beta", "1", "--grid", "8x8",
+                   "--refine-tol", tol])
+        assert rc == 2, tol
+        assert "refine_tol must be finite and > 0" in capsys.readouterr().err
+
+
 def test_write_failure_exit_2(tmp_path, capsys):
     # every write option, to a path whose directory does not exist
     missing = tmp_path / "no" / "such"

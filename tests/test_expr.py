@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g3geom import expr
+from g3geom import ProfileSpec, expr, isophote
 from g3geom.errors import (
     ArityError,
     ExprDomainError,
@@ -24,7 +24,8 @@ from g3geom.errors import (
     UnknownIdentifierError,
 )
 from g3geom.expr import Bin, Call, Neg, Num, Param, Var
-from g3geom.surface import SurfaceSpec, _coordinate_partials
+from g3geom.galilean import GVec3
+from g3geom.surface import OMEGA_MIN, SurfaceSpec, _coordinate_partials, _normal_parts
 
 # ---------------------------------------------------------------------------
 # grammar
@@ -54,6 +55,20 @@ def test_parse_empty_and_trailing():
         expr.parse("s +", ["s"])
     with pytest.raises(ExprSyntaxError):
         expr.parse("(s", ["s"])
+
+
+def test_parse_rejects_a_source_that_is_not_a_string():
+    # an AttributeError from str.strip before; now a syntax error at offset 0
+    for source in (5, 2.5, None, b"u1", ["u1"]):
+        with pytest.raises(ExprSyntaxError, match="must be a string") as e:
+            expr.parse(source, ["u1"])
+        assert e.value.offset == 0
+    with pytest.raises(ExprSyntaxError, match="not int") as e:
+        SurfaceSpec.from_strings("u1", 5, "u2")
+    assert e.value.offset == 0
+    with pytest.raises(ExprSyntaxError, match="not list") as e:
+        ProfileSpec.from_string(["s"], (0.0, 1.0))
+    assert e.value.offset == 0
 
 
 def test_parse_bounds_depth():
@@ -382,7 +397,9 @@ def test_first_order_jets_keep_operand_shapes():
     assert np.shape(j.value) == (1, 3)
     j, = expr.first_partials([expr.parse("u1 + sin(u2)", ["u1", "u2"])], (u1, u2))
     assert np.shape(j.value) == (5, 3)
-    assert np.shape(j.du1) == np.shape(j.du2) == (1, 3)
+    # du1 is the constant 1: sin(u2)'s du1 is a structural zero, not a row
+    assert np.shape(j.du1) == () and j.du1 == 1.0
+    assert np.shape(j.du2) == (1, 3)
     j, = expr.first_partials([expr.parse("4", ["u1", "u2"])], (u1, u2))
     assert np.shape(j.value) == ()
 
@@ -395,6 +412,20 @@ def test_first_order_constant_exponent_decided_on_second_partials():
     first, = expr.first_partials([ast], (0.0, 0.3))
     assert full.value != 1.3 ** 2
     assert (first.value, first.du1, first.du2) == (full.value, full.du1, full.du2)
+
+
+def test_structural_zero_partial_times_inf_is_zero():
+    # log(u1)'s du2 and u2's du1 are structural zeros, so at u1 = 0 the
+    # product's du2 is log(0) * 1 = -inf, its true value; a literal 0.0
+    # there made it 1/0 * 0.0 * u2 = NaN
+    ast = expr.parse("log(u1)*u2", ["u1", "u2"])
+    for at in [(0.0, 0.5), (np.array([0.0, 1.0]), 0.5)]:
+        j = expr.eval_jet2(ast, at, check=False)
+        assert np.ravel(j.du2)[0] == -math.inf
+        assert np.ravel(j.du1)[0] == math.inf and np.ravel(j.du1u2)[0] == math.inf
+        p, = expr.first_partials([ast], at, check=False)
+        assert np.ravel(p.du2)[0] == -math.inf
+    assert expr.eval_jet2(ast, (1.0, 0.5), check=False).du2 == 0.0
 
 
 def _assert_tape_matches_jet2(asts, at, check):
@@ -565,6 +596,36 @@ def _bivariate_sources():
     return st.recursive(leaves, extend, max_leaves=6)
 
 
+def _interpreted_field(surface, axis, at, check):
+    """The shading field, masked as _field_block masks it, and omega from
+    `_normal_parts` and the axis product on the interpreter's Jet2s: the
+    jets of eval_jet2 before it makes structural zeros 0.0 and broadcasts."""
+    u1, u2 = (np.asarray(v, dtype=float) for v in at)
+    with np.errstate(all="ignore"):
+        jets = [expr._eval(a.root, expr._bivariate_seeds(a.variables, u1, u2), 2,
+                           expr._Values(expr.Jet2, a.params, check))
+                for a in (surface.x, surface.y, surface.z)]
+        A, B, omega = _normal_parts(*jets)
+        out, omega = map(expr._real, ((A * axis.y + B * axis.z) / omega, omega))
+        out = np.where(omega > OMEGA_MIN, out, np.nan)
+    return np.asarray(out, dtype=float), omega
+
+
+def _assert_field_tape_matches_interpreter(surface, at, check):
+    """_field_block (the field tape) equals _interpreted_field by bytes and
+    shape, NaNs included, or both raise the same error at the same offset."""
+    for axis in (GVec3(0.0, 0.6, 0.8), GVec3(1.0, 0.0, -2.0)):
+        want = _outcome(lambda: _interpreted_field(surface, axis, at, check))
+        got = _outcome(lambda: isophote._field_block(surface, axis, *at, check=check))
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            assert got == want, (at, check)
+            continue
+        for have, need in zip(got, want):
+            have, need = np.asarray(have, dtype=float), np.asarray(need, dtype=float)
+            assert have.shape == need.shape, (at, check)
+            assert have.tobytes() == need.tobytes(), (at, check, have, need)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_bivariate_sources(), st.sampled_from([0.0, -0.0, -0.4, 2.0]), st.integers(0, 4))
 def test_tape_equals_jet2_slots_on_generated_expressions(src, k, which):
@@ -572,8 +633,16 @@ def test_tape_equals_jet2_slots_on_generated_expressions(src, k, which):
     grid = np.linspace(-1.0, 2.0, 4)
     at = [(0.7, 0.3), (0.0, 0.0), (grid, grid[::-1]), (grid, -0.5),
           (grid[:, None], np.array([0.0, 0.25, 1.5])[None, :])][which]
+    # the field tape, on the graph form of the benchmark's surfaces and on
+    # a general x; `swapped` reads u1 as u2 and u2 as u1
+    swapped = expr.parse(src, _V[::-1], {"k": k})
+    domain = ((0.0, 1.0), (0.0, 1.0))
+    surfaces = [SurfaceSpec(expr.parse("u1", _V), ast, swapped, domain),
+                SurfaceSpec(ast, swapped, expr.parse("u2*u1", _V), domain)]
     for check in (True, False):
         _assert_tape_matches_jet2((ast,), at, check)
+        for surface in surfaces:
+            _assert_field_tape_matches_interpreter(surface, at, check)
 
 
 # ---------------------------------------------------------------------------

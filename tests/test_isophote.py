@@ -22,7 +22,7 @@ from g3geom import (
     silhouette,
     transform_surface,
 )
-from g3geom import isophote
+from g3geom import expr, isophote
 from g3geom.isophote import crossing_cells
 from g3geom.verify import random_motions, revolution_isophotes
 
@@ -96,6 +96,38 @@ def test_field_grid_separable_operands_equal_meshgrid(cylinder):
         full = field_grid(surf, axis, M1, M2)
         assert sep.shape == (41, 33)
         assert sep.tobytes() == full.tobytes()
+
+
+def _perfbench_family(name):
+    """A surface of one of perfbench's isophote families (perfbench/gen.py)."""
+    if name == "wavy":
+        return SurfaceSpec.from_strings("u1", "u2", "amp*sin(a*u1)*cos(b*u2)",
+                                        ((0.0, 6.0), (0.0, 6.0)),
+                                        {"amp": 1.0, "a": 3.0, "b": 2.8})
+    if name == "cylinder":
+        return SurfaceSpec.from_strings("u1", "r*sin(u2)", "r*cos(u2)",
+                                        ((0.0, 2.0), (0.0, 6.0)), {"r": 0.8})
+    return revolve_euclidean(ProfileSpec.from_string(
+        "p0 + p1*s^2 + p2*sin(w*s)", (0.5, 2.0),
+        parameters={"p0": 1.5, "p1": 0.2, "p2": 0.1, "w": 2.0}))
+
+
+@pytest.mark.parametrize("family, full_grid", [("wavy", 6), ("cylinder", 0),
+                                                ("revolution", 8)])
+def test_field_tape_full_grid_operations(family, full_grid):
+    # the field tape computes only the slots the field reads: a dead
+    # partial, normal part or seed zero would add full-grid operations.
+    # With x = u1 the normal parts are A = -z_u2 and B = y_u2.  Wavy: z_u2
+    # (a column times a row), A, omega, A d_y, the sum with d_z (B is the
+    # constant 1) and the quotient.  Revolution: y_u2 and z_u2 (g(u1)
+    # times a row each), A, omega, two axis products, sum and quotient.
+    # The cylinder's field is a row of u2.
+    surface = _perfbench_family(family)
+    tape = expr._compiled((surface.x, surface.y, surface.z), False, isophote._shading, 2)
+    assert tape.ops.full_grid == full_grid
+    U1, U2 = surface.grid(9, 7)
+    F = field_grid(surface, normalize_axis(GVec3(0.0, 0.3, 1.0)), U1[:, None], U2[None, :])
+    assert np.isfinite(F).all()
 
 
 def test_field_grid_returns_a_new_full_array(cylinder):
@@ -351,6 +383,38 @@ def test_level_validation():
     # non-isotropic axes accept any raw level
     q = IsophoteQuery.raw_level(GVec3(1.0, 0.5, 0.0), 3.7)
     assert q.level == 3.7
+
+
+_WAVY_AXIS = GVec3(0.0, math.sin(0.2), math.cos(0.2))
+
+
+def test_query_rejects_refine_tol_that_is_not_finite():
+    # with refine_tol = inf every grid is "constant to within refine_tol":
+    # the wavy field at 32^2, spread 0.62, was reported constant at its level
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="refine_tol must be finite and > 0"):
+            IsophoteQuery.raw_level(_WAVY_AXIS, 0.5, (32, 32), tol)
+        with pytest.raises(ValueError, match="refine_tol"):
+            IsophoteQuery.for_angle(Z_AXIS, 1.0, (32, 32), tol)
+
+
+def test_query_rejects_refine_tol_not_above_zero():
+    # no probe meets refine_tol = -1, so every edge ran all MAX_REFINE_STEPS
+    for tol in (-1.0, 0.0, -0.0):
+        with pytest.raises(ValueError, match="refine_tol must be finite and > 0"):
+            IsophoteQuery.raw_level(_WAVY_AXIS, 0.5, (32, 32), tol)
+        with pytest.raises(ValueError, match="refine_tol"):
+            IsophoteQuery.for_silhouette(Z_AXIS, (32, 32), tol)
+
+
+def test_query_rejects_level_that_is_not_finite():
+    # a NaN level under a non-isotropic axis crosses no edge, so extract
+    # returned no polylines and no error
+    for level in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="level must be finite"):
+            IsophoteQuery.raw_level(GVec3(1.0, 0.5, 0.0), level)
+        with pytest.raises(ValueError, match="level must be finite"):
+            IsophoteQuery.raw_level(_WAVY_AXIS, level)
 
 
 # ---------------------------------------------------------------------------
