@@ -23,20 +23,33 @@ decides the leaves, the domain tests and the powers: `_Values` evaluates
 on numpy arrays, the interpreter behind `eval_jet` and `eval_jet2`, and
 `_Tape` traces.
 
+A Jet2 slot that is zero whatever the operands (the partials of a
+constant or a parameter, u1's seed by u2 and u2's by u1, and what only
+they feed) is a structural zero, one `_Zero` object: it absorbs * and /
+and is the identity of + and -, so no operation on it runs.  A literal
+0.0 would have to be multiplied out, and 0.0 * inf is NaN where the true
+partial is finite.  `eval_jet2` and the tapes return the float 0.0 in
+its place.  The univariate Jet keeps plain zeros.
+
 The shading field reads only first partials, so x, y and z of a surface
-go through `first_partials`: a compiled first-order tape.  The first
-call with a new tree structure runs `_eval` on Jet2s whose slots are
-traced symbols, so the Jet2 operators themselves record one straight-line
-numpy function for all the trees at once: an operation on constants only
-is done while tracing, an operation repeated on the same slots is emitted
-once (so y and z of a revolution share their profile), the lines that
-only the second partials read are dropped, and each temporary is deleted
+go through a compiled first-order tape: `first_partials` returns their
+values and partials, and `on_partials` traces a function of them (the
+normal parts and the axis product of the field) into the same tape.  The
+first call with a new tree structure runs `_eval` on Jet2s whose slots
+are traced symbols, so the Jet2 operators themselves record one
+straight-line numpy function for all the trees at once: a structural
+zero, an operation on constants only and x * 1.0 are decided while
+tracing, an operation repeated on the same slots is emitted once (so y
+and z of a revolution share their profile), the lines that no result
+reads are dropped (the second partials, and in a field tape every value
+and partial the field does not read), and each temporary is deleted
 after its last use.  Every slot equals the first three slots of
 `eval_jet2` bit for bit, and with check=True the domain checks run at
 their nodes in the interpreter's order, so an error has the same class
 and offset.  The tape skips `eval_jet2`'s final broadcast: each result
 keeps the shape of the operands it depends on, so with (n1, 1) and
-(1, n2) operands a u2-only coordinate stays a (1, n2) row.
+(1, n2) operands a u2-only coordinate stays a (1, n2) row.  A compiled
+tape keeps its source and its operation counts (`TapeOps`).
 
 Tapes are cached by the trees' structure, not by object.  Parameter
 values and literals are read at call time, so every wavy surface, every

@@ -79,19 +79,19 @@ def _field_block(surface: SurfaceSpec, axis: GVec3, U1, U2, check: bool = False)
     field reads; the axis is read at call time."""
     out, omega = expr.on_partials(_shading, (surface.x, surface.y, surface.z), (U1, U2),
                                   (axis.y, axis.z), check=check)
-    with np.errstate(invalid="ignore"):
-        out = np.where(omega > OMEGA_MIN, out, np.nan)
-    return np.asarray(out, dtype=float), omega
+    return np.asarray(np.where(omega > OMEGA_MIN, out, np.nan), dtype=float), omega
 
 
 def field_grid(surface: SurfaceSpec, axis: GVec3, U1, U2) -> np.ndarray:
     """Vectorized shading field; singular or undefined points become NaN.
 
     The field needs only the first partials of the surface, so x, y and z
-    are evaluated as first-order jets, each on the shape of the operands it
-    depends on: a tensor grid passed as (n1, 1) and (1, n2) operands
-    evaluates each u1-only or u2-only subexpression once per row or column,
-    and a field that depends on u2 alone is computed as one (1, n2) row.
+    are evaluated as first-order jets in one compiled field tape, which
+    computes only the partials the field reads, each on the shape of the
+    operands it depends on: a tensor grid passed as (n1, 1) and (1, n2)
+    operands evaluates each u1-only or u2-only subexpression once per row
+    or column, and a field that depends on u2 alone is computed as one
+    (1, n2) row.
     A 2-D grid is evaluated in row blocks of about BLOCK_POINTS points,
     over worker_count() threads when it has at least PARALLEL_MIN_POINTS
     points.  The result is a new writable array of the broadcast shape of

@@ -531,6 +531,18 @@ def test_tape_power_in_an_exponent_keeps_its_second_partials():
             _assert_tape_matches_jet2((tree,), at, check)
 
 
+def test_power_structural_zeros_do_not_depend_on_the_values():
+    # at u1 = 0 every partial of u1*u1*u1 vanishes, so 2^(u1*u1*u1) takes
+    # the constant-exponent way, whose du1 would be a structural zero
+    # where the exp-log way's is not: the tape cannot know which way a
+    # call takes, so a varying exponent gives the float 0.0 (negated: -0.0)
+    tree = expr.parse("-(2^(u1*u1*u1)) + u2", _V)
+    assert np.signbit(expr.eval_jet2(tree, (0.0, 0.3)).du1)
+    for at in [(0.0, 0.3), *_KEY_OPERANDS]:
+        for check in (True, False):
+            _assert_tape_matches_jet2((tree,), at, check)
+
+
 def test_tape_cache_holds_one_nan_exponent_tape_and_stays_bounded():
     # a literal in an exponent is part of the key, as its bits: a NaN,
     # which never equals itself as a node, must still find its tape

@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # write no __pycache__ into perfbench/
 sys.path.insert(0, str(HERE / "src"))
 sys.path.insert(0, str(HERE / "perfbench"))
 
