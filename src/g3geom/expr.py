@@ -26,7 +26,8 @@ on numpy arrays, the interpreter behind `eval_jet` and `eval_jet2`, and
 A Jet2 slot that is zero whatever the operands (the partials of a
 constant or a parameter, u1's seed by u2 and u2's by u1, and what only
 they feed) is a structural zero, one `_Zero` object: it absorbs * and /
-and is the identity of + and -, so no operation on it runs.  A literal
+and is the identity of +, so no operation on it runs (zero minus x is
+0.0 - x, one operation, as -x would be).  A literal
 0.0 would have to be multiplied out, and 0.0 * inf is NaN where the true
 partial is finite.  `eval_jet2` and the tapes return the float 0.0 in
 its place.  The univariate Jet keeps plain zeros.
@@ -49,7 +50,7 @@ their nodes in the interpreter's order, so an error has the same class
 and offset.  The tape skips `eval_jet2`'s final broadcast: each result
 keeps the shape of the operands it depends on, so with (n1, 1) and
 (1, n2) operands a u2-only coordinate stays a (1, n2) row.  A compiled
-tape keeps its source and its operation counts (`TapeOps`).
+tape keeps its operation counts (`TapeOps`).
 
 Tapes are cached by the trees' structure, not by object.  Parameter
 values and literals are read at call time, so every wavy surface, every
@@ -439,9 +440,9 @@ _ZERO_UFUNCS = {np.add: "add", np.subtract: "sub", np.multiply: "mul",
 class _Zero:
     """The structural zero of a Jet2 slot: the partials of a constant or a
     parameter, and a variable's seed partial by the other variable.  It
-    absorbs * and /, and it is the identity of + and -, so a slot that is
-    zero whatever the operands stays this object and no operation on it
-    runs, in the interpreter and in a traced tape alike.  A literal 0.0
+    absorbs * and /, and it is the identity of + (and of x - zero), so a
+    slot that is zero whatever the operands stays this object and no
+    operation on it runs, in the interpreter and in a traced tape alike.  A literal 0.0
     would not do: 0.0 * inf is NaN.  numpy's arithmetic on it is these
     operators; any other ufunc (np.hypot of the normal) sees a plain 0.0."""
 
@@ -461,7 +462,8 @@ class _Zero:
     __radd__ = __rsub__ = __add__
 
     def __sub__(self, other):
-        return -other
+        # 0.0 - x, not -x: a zero partial stays +0.0, as 0.0 - 0.0 gives it
+        return self if other is self else 0.0 - other
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         name = _ZERO_UFUNCS.get(ufunc) if method == "__call__" and not kwargs else None
@@ -1032,7 +1034,7 @@ class _Tape(_Values):
     after its last use.  Domain checks (check=True) are emitted at their
     nodes in evaluation order; one whose value is a constant is decided
     here.  The results turn a structural zero into the float 0.0.  The
-    source is kept as the function's `source`.
+    function keeps its operation counts as `ops` (TapeOps).
     """
 
     def __init__(self, asts: Sequence[ExprAST], check: bool, split: frozenset[str],
@@ -1162,7 +1164,7 @@ class _Tape(_Values):
             for code, _, _, dead in kept)
         exec(compile(src, "<first-order tape>", "exec"), self.env)
         tape = self.env["tape"]
-        tape.source, tape.ops = src, _count_ops(kept)
+        tape.ops = _count_ops(kept)
         return tape
 
 

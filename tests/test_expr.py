@@ -428,6 +428,18 @@ def test_structural_zero_partial_times_inf_is_zero():
     assert expr.eval_jet2(ast, (1.0, 0.5), check=False).du2 == 0.0
 
 
+def test_structural_zero_minus_zero_partial_is_positive_zero():
+    # a constant minus a slot computes 0.0 - x, as a run-time 0.0 slot did,
+    # so the du2 of 1 - u2^2 at u2 = 0 is +0.0, not -0.0
+    for src in ("1 - u2^2", "u1 - u2^2", "2 - u1*u2"):
+        ast = expr.parse(src, ["u1", "u2"])
+        for at in [(0.0, 0.0), (np.zeros((2, 1)), np.zeros((1, 3)))]:
+            j = expr.eval_jet2(ast, at, check=False)
+            p, = expr.first_partials([ast], at, check=False)
+            for slot in (j.du2, p.du2):
+                assert not np.signbit(slot).any(), (src, at)
+
+
 def _assert_tape_matches_jet2(asts, at, check):
     """first_partials on `asts` equals the first three slots of eval_jet2
     on each, broadcast as eval_jet2 broadcasts, by bytes and shape; or

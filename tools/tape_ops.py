@@ -1,10 +1,10 @@
 """Print what the compiled tapes of perfbench's surface families run.
 
-    python3 tools/tape_ops.py [--seed N] [--source]
+    python3 tools/tape_ops.py
 
 For each family that perfbench's isophote workloads extract on (wavy,
 cylinder, Euclidean revolution, isotropic quadratic revolution) one
-surface is drawn from `perfbench/gen.py` with the seed and loaded as the
+surface is drawn from `perfbench/gen.py` with seed 1 and loaded as the
 benchmark loads it.  For its coordinate tape (`expr.first_partials`, the
 lift and `tessellate`) and its field tape (`isophote._field_block`, the
 field grid and the refinement) the table gives `expr.TapeOps`: the
@@ -12,12 +12,11 @@ operations one call runs, those of them on the full grid when the
 operands are a column and a row, and the most temporaries alive at once.
 The field tape's count leaves out the two full-grid operations of the
 omega mask, which runs outside it.  Both tapes are compiled with
-check=False, as `extract` runs them.  --source also prints each tape.
+check=False, as `extract` runs them.
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import sys
 from pathlib import Path
@@ -33,6 +32,7 @@ from g3geom import expr, isophote, load_scene_dict  # noqa: E402
 from g3geom.surfrev import revolve_euclidean, revolve_isotropic  # noqa: E402
 
 FAMILIES = ("wavy", "cylinder", "revolution", "quadratic")
+SEED = 1
 
 
 def surface_of(kind: str, seed: int):
@@ -51,19 +51,13 @@ def tapes(surface) -> dict:
             "field": expr._compiled(asts, False, isophote._shading, 2)}
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--source", action="store_true", help="print each tape's source")
-    args = ap.parse_args(argv)
+def main() -> int:
     print(f"{'family':<11} {'tape':<10} {'operations':>10} {'full grid':>9} {'peak live':>9}")
     for kind in FAMILIES:
-        for name, tape in tapes(surface_of(kind, args.seed)).items():
+        for name, tape in tapes(surface_of(kind, SEED)).items():
             ops = tape.ops
             print(f"{kind:<11} {name:<10} {ops.operations:>10} {ops.full_grid:>9} "
                   f"{ops.peak_live:>9}")
-            if args.source:
-                print(tape.source)
     return 0
 
 
