@@ -307,9 +307,8 @@ def cmd_isophote(args) -> int:
     else:
         query = IsophoteQuery.raw_level(axis, args.level, grid, tol)
     iso = extract(surface, query)
-    nv = sum(len(p.points) for p in iso.polylines)
     print(f"level       {iso.level:.12g}")
-    print(f"polylines   {len(iso.polylines)} ({nv} vertices)")
+    print(f"polylines   {len(iso.closed)} ({len(iso.vertices)} vertices)")
     if iso.constant_field is not None:
         cf = iso.constant_field
         print(f"constant    value={cf.value:.12g} spread={cf.spread:.3e} "

@@ -18,8 +18,8 @@ import numpy as np
 
 from .curve import FrenetSample
 from .errors import ExprDomainError, G3Error
-from .isophote import IsophoteSet, Polyline
-from .surface import DarbouxSample, SurfaceSpec, _coordinate_partials
+from .isophote import IsophoteSet, Polyline, _chains, _polyline_arrays
+from .surface import DarbouxSample, SurfaceSpec, _coordinate_values
 
 
 def _fmt(v: float) -> str:
@@ -63,20 +63,26 @@ def tessellate(surface: SurfaceSpec, n1: int, n2: int) -> TriMesh:
     G1, G2 = U1[:, None], U2[None, :]
     shape = (n1 + 1, n2 + 1)
     try:
-        jets = _coordinate_partials(surface, G1, G2)
+        xyz = _coordinate_values(surface, G1, G2)
     except ExprDomainError:
-        # locate the offending grid point for the report
-        jx, jy, jz = _coordinate_partials(surface, G1, G2, check=False)
-        bad = ~(np.isfinite(jx.value) & np.isfinite(jy.value) & np.isfinite(jz.value))
-        i, j = map(int, np.argwhere(np.broadcast_to(bad, shape))[0])
+        # locate the offending grid point for the report: the first whose
+        # value is not finite, else (a check on a finite value, such as
+        # sqrt at 0) the first where the checked evaluation raises
+        x, y, z = _coordinate_values(surface, G1, G2, check=False)
+        bad = np.broadcast_to(~(np.isfinite(x) & np.isfinite(y) & np.isfinite(z)), shape)
+        if bad.any():
+            i, j = map(int, np.argwhere(bad)[0])
+        else:
+            i = next(i for i in range(n1 + 1) if _raises(surface, G1[i:i + 1], G2))
+            j = next(j for j in range(n2 + 1) if _raises(surface, G1[i], G2[0, j]))
         raise G3Error(
             f"surface evaluation failed at grid point ({i},{j}) = "
             f"(u1,u2)=({float(U1[i]):.6g},{float(U2[j]):.6g})") from None
     # the zero of eval_jet2's broadcast, so that -0.0 turns to 0.0 as there
     zero = (G1 + G2) * 0.0
     vertices = np.empty(shape + (3,))
-    for k, j in enumerate(jets):
-        np.add(j.value, zero, out=vertices[..., k])
+    for k, v in enumerate(xyz):
+        np.add(v, zero, out=vertices[..., k])
     vertices = vertices.reshape(-1, 3)
     # cell (i, j) has corners v00 = i*(n2+1) + j, v10 = v00 + n2+1, v11, v01
     v00 = (np.arange(n1)[:, None] * (n2 + 1) + np.arange(n2)).ravel()
@@ -85,10 +91,13 @@ def tessellate(surface: SurfaceSpec, n1: int, n2: int) -> TriMesh:
     return TriMesh(vertices, faces, (n1, n2))
 
 
-def _points(polylines) -> np.ndarray:
-    """The (u1, u2, x, y, z) points of all polylines as one (n, 5) array."""
-    return np.concatenate([np.asarray(pl.points, dtype=np.float64).reshape(-1, 5)
-                           for pl in polylines] or [np.empty((0, 5))])
+def _raises(surface: SurfaceSpec, U1, U2) -> bool:
+    """Whether the checked evaluation of the surface at U1, U2 raises."""
+    try:
+        _coordinate_values(surface, U1, U2)
+    except ExprDomainError:
+        return True
+    return False
 
 
 def write_obj(obj: TriMesh | IsophoteSet | list[Polyline]) -> bytes:
@@ -99,14 +108,13 @@ def write_obj(obj: TriMesh | IsophoteSet | list[Polyline]) -> bytes:
         v = "v %.17g %.17g %.17g\n" * len(obj.vertices) % tuple(obj.vertices.ravel().tolist())
         f = "f %d %d %d\n" * len(obj.faces) % tuple((obj.faces + 1).ravel().tolist())
         return (head + v + f).encode("ascii")
-    polylines = obj.polylines if isinstance(obj, IsophoteSet) else obj
-    xyz = _points(polylines)[:, 2:]
-    v = "v %.17g %.17g %.17g\n" * len(xyz) % tuple(xyz.ravel().tolist())
-    lines, base = [], 1
-    for pl in polylines:
-        idx = tuple(range(base, base + len(pl.points))) + (base,) * pl.closed
+    vertices, offsets, closed = ((obj.vertices, obj.offsets, obj.closed)
+                                 if isinstance(obj, IsophoteSet) else _polyline_arrays(obj))
+    v = "v %.17g %.17g %.17g\n" * len(vertices) % tuple(vertices[:, 2:].ravel().tolist())
+    lines = []
+    for a, b, c in _chains(offsets, closed):
+        idx = tuple(range(a + 1, b + 1)) + (a + 1,) * c
         lines.append("l " + " ".join(["%d"] * len(idx)) % idx + "\n")
-        base += len(pl.points)
     return (head + v + "".join(lines)).encode("ascii")
 
 
@@ -116,9 +124,9 @@ def write_csv(samples, columns: tuple[str, ...] | None = None) -> bytes:
     polyline,u1,u2,x,y,z) or passed explicitly for mapping rows."""
     if isinstance(samples, IsophoteSet):
         cols = columns or ("polyline", "u1", "u2", "x", "y", "z")
-        counts = [len(pl.points) for pl in samples.polylines]
-        rows = np.column_stack([np.repeat(np.arange(len(counts)), counts),
-                                _points(samples.polylines)]).tolist()
+        rows = np.column_stack([np.repeat(np.arange(len(samples.closed)),
+                                          np.diff(samples.offsets)),
+                                samples.vertices]).tolist()
     else:
         samples = list(samples)
         first = samples[0] if samples else {}
@@ -189,13 +197,13 @@ def write_svg(isoset: IsophoteSet, domain) -> bytes:
                 if isoset.constant_field.matches_level else "constant field")
         note.text = (f"{kind}: value = {_fmt(isoset.constant_field.value)}, "
                      f"spread = {_fmt(isoset.constant_field.spread)}")
-    for pl in isoset.polylines:
-        u = _points([pl])
-        u = np.concatenate([u, u[:int(pl.closed)]])
-        xy = np.column_stack([_SVG_MARGIN + (u[:, 0] - a1) / (b1 - a1) * span,
-                              _SVG_SIZE - _SVG_MARGIN - (u[:, 1] - a2) / (b2 - a2) * span])
+    u = isoset.vertices
+    xy = np.column_stack([_SVG_MARGIN + (u[:, 0] - a1) / (b1 - a1) * span,
+                          _SVG_SIZE - _SVG_MARGIN - (u[:, 1] - a2) / (b2 - a2) * span])
+    for a, b, c in _chains(isoset.offsets, isoset.closed):
+        pts = xy[a:b].ravel().tolist() + xy[a:min(a + c, b)].ravel().tolist()
         ET.SubElement(svg, "polyline", {
-            "points": " ".join(["%.3f,%.3f"] * len(xy)) % tuple(xy.ravel().tolist()),
+            "points": " ".join(["%.3f,%.3f"] * (len(pts) // 2)) % tuple(pts),
             "fill": "none", "stroke": "#d62728", "stroke-width": "1.5",
         })
     return ET.tostring(svg, encoding="utf-8", xml_declaration=True) + b"\n"

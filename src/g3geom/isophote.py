@@ -8,6 +8,13 @@ each crossing refined along its grid edge by Illinois regula falsi; a
 field that is constant over the whole grid is reported as such instead of
 being traced (the degenerate case realized by quadratic-profile isotropic
 surfaces of revolution).
+
+An extraction result, `IsophoteSet`, holds its polylines as arrays: one
+C-contiguous (V, 5) float64 array of the vertices (u1, u2, x, y, z), chain
+after chain, an int64 array of P + 1 offsets (polyline k is the rows
+offsets[k]:offsets[k+1]) and a bool array of P closed flags.  The writers
+read these; `IsophoteSet.polylines` is a view of them as `Polyline`s of
+Python floats, built on first access.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 from . import expr
 from .errors import G3Error, SingularNormalError
 from .galilean import GVec3, is_unit_axis
-from .surface import OMEGA_MIN, SurfaceSpec, _coordinate_partials, _normal_parts
+from .surface import OMEGA_MIN, SurfaceSpec, _coordinate_values, _normal_parts
 
 DEFAULT_GRID = (256, 256)
 DEFAULT_REFINE_TOL = 1e-9
@@ -195,9 +202,6 @@ class Polyline:
     points: list[tuple[float, float, float, float, float]]  # (u1, u2, x, y, z)
     closed: bool
 
-    def to_json_list(self) -> list[list[float]]:
-        return [list(p) for p in self.points]
-
 
 @dataclass
 class ConstantField:
@@ -228,22 +232,80 @@ class ExtractStats:
     refine_iterations_max: int = 0
 
 
-@dataclass
 class IsophoteSet:
-    polylines: list[Polyline]
-    level: float
-    constant_field: ConstantField | None
-    stats: ExtractStats
+    """The polylines of one extraction, its level, the constant field (when
+    the grid was constant) and the stats.
+
+    `vertices` is a read-only C-contiguous (V, 5) float64 array of (u1, u2,
+    x, y, z); polyline k is vertices[offsets[k]:offsets[k+1]] for the
+    read-only int64 `offsets` of length P + 1, and it is closed where the
+    read-only bool `closed` (length P) is.  `extract` marks a polyline
+    closed when it has more than 2 vertices and its two ends lie within
+    CLOSE_TOL of each other in (u1, u2); its last vertex then repeats its
+    first.  `polylines` views the same data as a list of `Polyline`s of
+    Python floats, built on first access.
+
+    `IsophoteSet(polylines, level, constant_field, stats)` copies a list of
+    Polylines into the arrays.
+    """
+
+    def __init__(self, polylines: list[Polyline], level: float,
+                 constant_field: ConstantField | None, stats: ExtractStats):
+        self._set(*_polyline_arrays(polylines), level, constant_field, stats)
+
+    @classmethod
+    def _from_arrays(cls, vertices: np.ndarray, offsets: np.ndarray, closed: np.ndarray,
+                     level: float, constant_field: ConstantField | None,
+                     stats: ExtractStats) -> "IsophoteSet":
+        """The set of these arrays, not copied where their dtype and layout
+        allow."""
+        iso = cls.__new__(cls)
+        iso._set(vertices, offsets, closed, level, constant_field, stats)
+        return iso
+
+    def _set(self, vertices, offsets, closed, level, constant_field, stats) -> None:
+        self.vertices = np.ascontiguousarray(vertices, dtype=np.float64).reshape(-1, 5)
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.closed = np.asarray(closed, dtype=bool)
+        for a in (self.vertices, self.offsets, self.closed):
+            a.flags.writeable = False
+        self.level, self.constant_field, self.stats = level, constant_field, stats
+        self._polylines = None
+
+    @property
+    def polylines(self) -> list[Polyline]:
+        if self._polylines is None:
+            rows = list(map(tuple, self.vertices.tolist()))
+            self._polylines = [Polyline(rows[a:b], c)
+                               for a, b, c in _chains(self.offsets, self.closed)]
+        return self._polylines
 
     def to_json_dict(self) -> dict:
+        rows = self.vertices.tolist()
         return {
             "level": self.level,
-            "polylines": [{"closed": p.closed, "points": p.to_json_list()}
-                          for p in self.polylines],
+            "polylines": [{"closed": c, "points": rows[a:b]}
+                          for a, b, c in _chains(self.offsets, self.closed)],
             "constant_field": (None if self.constant_field is None
                                else asdict(self.constant_field)),
             "stats": {**asdict(self.stats), "grid": list(self.stats.grid)},
         }
+
+
+def _chains(offsets: np.ndarray, closed: np.ndarray):
+    """(start, stop, closed) of each polyline, as Python ints and bools."""
+    o = offsets.tolist()
+    return zip(o, o[1:], closed.tolist())
+
+
+def _polyline_arrays(polylines) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertices, offsets and closed flags of an IsophoteSet of these
+    Polylines."""
+    counts = [len(pl.points) for pl in polylines]
+    vertices = np.array([p for pl in polylines for p in pl.points],
+                        dtype=np.float64).reshape(-1, 5)
+    offsets = np.cumsum([0, *counts], dtype=np.int64)
+    return vertices, offsets, np.array([bool(pl.closed) for pl in polylines], dtype=bool)
 
 
 def _cell_masks(F: np.ndarray, level: float, fin: np.ndarray | None = None):
@@ -419,30 +481,24 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery) -> IsophoteSet:
             np.where(same, np.column_stack((left, top)), np.column_stack((top, right))),
         ), axis=1).reshape(-1, 2))
 
-    chains = _link_segments(np.concatenate(segments))
-    out = []
-    if chains:
-        # ambient coordinates for every vertex, in one vectorized pass
-        rows = np.searchsorted(ids, [e for chain in chains for e in chain])
-        au1, au2 = pu[rows, 0], pu[rows, 1]
-        # the zero of eval_jet2's broadcast: it gives a constant coordinate
-        # the vertex count and turns -0.0 to 0.0 as eval_jet2 does
-        zero = (au1 + au2) * 0.0
-        xyz = [(j.value + zero).tolist()
-               for j in _coordinate_partials(surface, au1, au2, check=False)]
-        vertices = list(zip(au1.tolist(), au2.tolist(), *xyz))
-        k = 0
-        for chain in chains:
-            pts = vertices[k:k + len(chain)]
-            k += len(chain)
-            closed = (len(pts) > 2 and
-                      math.hypot(pts[0][0] - pts[-1][0],
-                                 pts[0][1] - pts[-1][1]) <= CLOSE_TOL)
-            out.append(Polyline(pts, closed))
-    return IsophoteSet(out, level, None, stats)
+    edge_ids, lengths = _link_segments(np.concatenate(segments))
+    if not len(edge_ids):
+        return IsophoteSet([], level, None, stats)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    # ambient coordinates for every vertex, in one pass of the values tape
+    rows = np.searchsorted(ids, edge_ids)
+    au1, au2 = pu[rows, 0], pu[rows, 1]
+    # the zero of eval_jet2's broadcast: it gives a constant coordinate
+    # the vertex count and turns -0.0 to 0.0 as eval_jet2 does
+    zero = (au1 + au2) * 0.0
+    vertices = np.column_stack((au1, au2, *(v + zero for v in _coordinate_values(
+        surface, au1, au2, check=False))))
+    gap = vertices[offsets[:-1], :2] - vertices[offsets[1:] - 1, :2]
+    closed = (lengths > 2) & (np.hypot(gap[:, 0], gap[:, 1]) <= CLOSE_TOL)
+    return IsophoteSet._from_arrays(vertices, offsets, closed, level, None, stats)
 
 
-def _link_segments(segments: np.ndarray) -> list[list[int]]:
+def _link_segments(segments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Join cell segments sharing an edge into ordered chains of edge ids.
 
     `segments` is a (K, 2) array of edge ids; segment k fills the slots
@@ -451,6 +507,9 @@ def _link_segments(segments: np.ndarray) -> list[list[int]]:
     of its edge, if any.  Each chain starts at the first unused segment,
     extends forward from its second edge and backward from its first; a
     closed chain repeats its first edge at the end.
+
+    Returns the edge ids of all chains, one after the other, as one int64
+    array, and the chain lengths.
     """
     flat = segments.ravel()
     order = np.argsort(flat, kind="stable")
@@ -473,7 +532,8 @@ def _link_segments(segments: np.ndarray) -> list[list[int]]:
             if edge[slot] == stop:
                 return path
 
-    chains = []
+    chained: list[int] = []
+    lengths = []
     for start, done in enumerate(used):
         if done:
             continue
@@ -481,8 +541,11 @@ def _link_segments(segments: np.ndarray) -> list[list[int]]:
         ea, eb = edge[2 * start], edge[2 * start + 1]
         forward = walk(2 * start + 1, ea)
         backward = walk(2 * start, forward[-1] if forward else eb)
-        chains.append(backward[::-1] + [ea, eb] + forward)
-    return chains
+        chained += backward[::-1]
+        chained += (ea, eb)
+        chained += forward
+        lengths.append(len(backward) + 2 + len(forward))
+    return np.array(chained, dtype=np.int64), np.array(lengths, dtype=np.int64)
 
 
 def silhouette(surface: SurfaceSpec, axis: GVec3, grid=DEFAULT_GRID,

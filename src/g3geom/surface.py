@@ -81,6 +81,19 @@ def _coordinate_partials(surface: SurfaceSpec, U1, U2, check: bool = True):
     return expr.first_partials((surface.x, surface.y, surface.z), (U1, U2), check=check)
 
 
+def _values(jx, jy, jz):
+    """The values of x, y and z; traced into the values tape."""
+    return jx.value, jy.value, jz.value
+
+
+def _coordinate_values(surface: SurfaceSpec, U1, U2, check: bool = True):
+    """x, y and z, each on the shape of the operands it depends on, not
+    broadcast: one call of a compiled tape that computes no partial
+    (expr.on_partials).  The values equal those of _coordinate_partials
+    bit for bit, and a domain error is its error."""
+    return expr.on_partials(_values, (surface.x, surface.y, surface.z), (U1, U2), check=check)
+
+
 def _normal_parts(jx, jy, jz):
     """Unnormalized normal components and omega from first partials."""
     A = jx.du2 * jz.du1 - jx.du1 * jz.du2

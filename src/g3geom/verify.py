@@ -440,13 +440,15 @@ def revolution_isophotes(grid=DEFAULT_GRID) -> dict:
     for name, (query, t0s, slope) in cases.items():
         iso = extract(surface, query)
         followed, worst = [], 0.0
-        for pl in iso.polylines:
-            t0 = min(t0s, key=lambda t: abs(pl.points[0][1] - t))
+        o = iso.offsets.tolist()
+        for a, b in zip(o, o[1:]):
+            u2 = iso.vertices[a:b, 1]
+            t0 = min(t0s, key=lambda t: abs(float(u2[0]) - t))
             followed.append(t0)
-            worst = max(worst, *(abs(p[1] - t0) for p in pl.points))
+            worst = max(worst, float(np.abs(u2 - t0).max()))
         out[name] = {
-            "vertices": [len(pl.points) for pl in iso.polylines],
-            "closed": [pl.closed for pl in iso.polylines],
+            "vertices": np.diff(iso.offsets).tolist(),
+            "closed": iso.closed.tolist(),
             "parallels": sorted(followed) == sorted(t0s),
             "max_u2_deviation": worst,
             "bound": (query.refine_tol + 8 * eps) / slope + 8 * eps * max(t0s),
@@ -470,15 +472,12 @@ def _():
                                     grid=DEFAULT_GRID)
     iso = extract(surface, query)
     targets = (math.pi / 3, 5.0 * math.pi / 3)
-    worst = 0.0
-    nvert = 0
-    for pl in iso.polylines:
-        for p in pl.points:
-            worst = max(worst, min(abs(p[1] - t) for t in targets))
-            nvert += 1
-    ok = len(iso.polylines) == 2 and nvert > 0 and worst <= 1e-6
+    u2 = iso.vertices[:, 1]
+    worst = float(np.max(np.minimum(*(np.abs(u2 - t) for t in targets)), initial=0.0))
+    nvert = len(u2)
+    ok = len(iso.closed) == 2 and nvert > 0 and worst <= 1e-6
     return ok, {
-        "polylines": len(iso.polylines), "vertices": nvert,
+        "polylines": len(iso.closed), "vertices": nvert,
         "max_u2_deviation": worst, "tol": 1e-6,
         "cells_crossing": iso.stats.cells_crossing}
 

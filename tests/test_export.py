@@ -1,3 +1,4 @@
+import json
 import math
 from xml.etree import ElementTree as ET
 
@@ -20,6 +21,8 @@ from g3geom import (
     write_svg,
 )
 from g3geom.export import TriMesh
+from g3geom.isophote import CLOSE_TOL, ExtractStats, IsophoteSet, Polyline
+from g3geom.surface import _coordinate_partials
 
 
 def _parse_obj(data: bytes):
@@ -172,3 +175,90 @@ def test_svg_constant_field_annotation():
     assert len(root.findall(f"{ns}rect")) == 2  # frame + shaded domain
     texts = [t.text for t in root.findall(f"{ns}text")]
     assert any("isophote" in t for t in texts)
+
+
+def _wavy_and_ring():
+    """A wavy extraction at 128^2 (open and closed chains) and the closed
+    ring of demos/04_isophote_extraction.py, with their surface domains."""
+    wavy = SurfaceSpec.from_strings("u1", "u2", "0.8*sin(3*u1)*cos(3*u2)",
+                                    ((0.0, 5.0), (0.0, 5.0)))
+    bowl = SurfaceSpec.from_strings("u1", "u2", "u1^2*u2 + u2^3/3",
+                                    ((-1.0, 1.0), (-1.0, 1.0)))
+    axis = GVec3(0.0, 0.0, 1.0)
+    return [(extract(wavy, IsophoteQuery.raw_level(axis, 0.8, grid=(128, 128))), wavy.domain),
+            (extract(bowl, IsophoteQuery.raw_level(axis, 1.0 / math.sqrt(1.0 + 0.64 ** 2),
+                                                   grid=(128, 128))), bowl.domain)]
+
+
+def test_array_path_matches_list_path():
+    closed_seen = open_seen = 0
+    for iso, domain in _wavy_and_ring():
+        # the writers read the arrays and leave the polylines view unbuilt
+        written = (write_obj(iso), write_svg(iso, domain), write_csv(iso),
+                   json.dumps(iso.to_json_dict(), sort_keys=True))
+        assert iso._polylines is None
+        V, offsets, closed = iso.vertices, iso.offsets, iso.closed
+        assert not (V.flags.writeable or offsets.flags.writeable or closed.flags.writeable)
+        assert V.ndim == 2 and V.shape[1] == 5 and V.dtype == np.float64
+        assert V.flags.c_contiguous
+        assert offsets.dtype == np.int64 and len(offsets) == len(closed) + 1
+        assert offsets[0] == 0 and offsets[-1] == len(V) and np.all(np.diff(offsets) >= 0)
+        assert closed.dtype == bool
+        for pl, c in zip(iso.polylines, closed.tolist()):
+            (a1, b1, *_), (a2, b2, *_) = pl.points[0], pl.points[-1]
+            assert c == (len(pl.points) > 2 and math.hypot(a1 - a2, b1 - b2) <= CLOSE_TOL)
+            assert pl.closed is c
+        closed_seen += int(closed.sum())
+        open_seen += int((~closed).sum())
+
+        assert iso.polylines is iso.polylines
+        assert write_obj(iso.polylines) == written[0]
+        rebuilt = IsophoteSet(iso.polylines, iso.level, iso.constant_field, iso.stats)
+        assert np.array_equal(rebuilt.vertices, V) and np.array_equal(rebuilt.offsets, offsets)
+        assert (write_obj(rebuilt), write_svg(rebuilt, domain), write_csv(rebuilt),
+                json.dumps(rebuilt.to_json_dict(), sort_keys=True)) == written
+    assert closed_seen > 0 and open_seen > 0
+
+
+def test_tessellate_domain_error_names_the_first_bad_point():
+    # the first grid point, row-major, where a coordinate is not finite
+    # (the values of the full first-order jets, as before the values tape)
+    cases = [("u1", "u2", "sqrt(u1-1)", ((0.5, 2.0), (0.0, 1.0))),
+             ("u1", "sqrt(1-u2)", "u1", ((0.0, 1.0), (0.0, 1.5))),
+             ("u1", "u2", "sqrt(u1-1)*sqrt(u2-1)", ((1.5, 2.0), (0.0, 2.0))),
+             ("u1", "log(u1*u2)", "sqrt(u1)", ((-1.0, 1.0), (1.0, 2.0)))]
+    for x, y, z, domain in cases:
+        surf = SurfaceSpec.from_strings(x, y, z, domain)
+        U1, U2 = surf.grid(5, 4)
+        jets = _coordinate_partials(surf, U1[:, None], U2[None, :], check=False)
+        bad = np.broadcast_to(~np.isfinite(sum(j.value for j in jets)), (5, 4))
+        i, j = map(int, np.argwhere(bad)[0])
+        with pytest.raises(G3Error) as exc:
+            tessellate(surf, 4, 3)
+        assert str(exc.value) == (f"surface evaluation failed at grid point ({i},{j}) = "
+                                  f"(u1,u2)=({float(U1[i]):.6g},{float(U2[j]):.6g})")
+    surf = SurfaceSpec.from_strings("u1", "u2", "sqrt(u1-1)", ((0.5, 2.0), (0.0, 1.0)))
+    with pytest.raises(G3Error, match=r"grid point \(0,0\) = \(u1,u2\)=\(0.5,0\)$"):
+        tessellate(surf, 4, 4)
+
+
+def test_tessellate_locates_a_failed_check_on_finite_values():
+    # sqrt at 0 and abs at 0 have finite values but no derivative: the
+    # report names the first grid point where the checked evaluation fails
+    for z, where in (("sqrt(u1-1)", r"\(0,0\) = \(u1,u2\)=\(1,0\)"),
+                     ("abs(u2-0.5)*u1", r"\(0,2\) = \(u1,u2\)=\(1,0.5\)")):
+        surf = SurfaceSpec.from_strings("u1", "u2", z, ((1.0, 2.0), (0.0, 1.0)))
+        with pytest.raises(G3Error, match=r"grid point " + where + "$"):
+            tessellate(surf, 4, 4)
+
+
+def test_svg_and_obj_of_an_empty_closed_polyline():
+    # an empty closed polyline draws no point in SVG, not the next
+    # polyline's first; OBJ still names its (absent) first vertex
+    pts = [(1.0, 2.0, 0.0, 0.0, 0.0), (3.0, 4.0, 0.0, 0.0, 0.0)]
+    iso = IsophoteSet([Polyline([], True), Polyline(pts, False)], 0.0, None,
+                      ExtractStats(grid=(2, 2), cells_total=4))
+    ns = "{http://www.w3.org/2000/svg}"
+    drawn = ET.fromstring(write_svg(iso, ((0.0, 4.0), (0.0, 4.0)))).findall(f"{ns}polyline")
+    assert [len(p.get("points").split()) for p in drawn] == [0, 2]
+    assert write_obj(iso).decode("ascii").splitlines()[-2:] == ["l 1", "l 1 2"]

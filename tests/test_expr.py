@@ -25,7 +25,13 @@ from g3geom.errors import (
 )
 from g3geom.expr import Bin, Call, Neg, Num, Param, Var
 from g3geom.galilean import GVec3
-from g3geom.surface import OMEGA_MIN, SurfaceSpec, _coordinate_partials, _normal_parts
+from g3geom.surface import (
+    OMEGA_MIN,
+    SurfaceSpec,
+    _coordinate_partials,
+    _coordinate_values,
+    _normal_parts,
+)
 
 # ---------------------------------------------------------------------------
 # grammar
@@ -667,6 +673,63 @@ def test_tape_equals_jet2_slots_on_generated_expressions(src, k, which):
         _assert_tape_matches_jet2((ast,), at, check)
         for surface in surfaces:
             _assert_field_tape_matches_interpreter(surface, at, check)
+
+
+def _assert_values_tape_matches_partials(surface, at, check):
+    """_coordinate_values (the values tape) equals the values of
+    _coordinate_partials by bytes and shape, or both raise the same domain
+    error with the same message at the same offset."""
+
+    def run(fn):
+        try:
+            return fn()
+        except ExprDomainError as e:
+            return (type(e), str(e), e.offset)
+
+    want = run(lambda: [j.value for j in _coordinate_partials(surface, *at, check=check)])
+    got = run(lambda: _coordinate_values(surface, *at, check=check))
+    if isinstance(want, tuple):
+        assert got == want, (at, check)
+        return
+    for have, need in zip(got, want):
+        have, need = np.asarray(have, dtype=float), np.asarray(need, dtype=float)
+        assert have.shape == need.shape, (at, check)
+        assert have.tobytes() == need.tobytes(), (at, check, have, need)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bivariate_sources(), st.sampled_from([0.0, -0.0, -0.4, 2.0]), st.integers(0, 4))
+def test_values_tape_equals_partials_values_on_generated_expressions(src, k, which):
+    ast = expr.parse(src, _V, {"k": k})
+    grid = np.linspace(-1.0, 2.0, 4)
+    at = [(0.7, 0.3), (0.0, 0.0), (grid, grid[::-1]), (grid, -0.5),
+          (grid[:, None], np.array([0.0, 0.25, 1.5])[None, :])][which]
+    swapped = expr.parse(src, _V[::-1], {"k": k})
+    surface = SurfaceSpec(expr.parse("u1", _V), ast, swapped, ((0.0, 1.0), (0.0, 1.0)))
+    for check in (True, False):
+        _assert_values_tape_matches_partials(surface, at, check)
+
+
+def test_values_tape_raises_where_the_partials_tape_raises():
+    # the derivative checks (sqrt at 0, abs at 0) stay in the values tape,
+    # though it computes no derivative
+    cases = [("u1", "u2", "sqrt(u1-1)"), ("u1", "sqrt(1-u2)", "u1"),
+             ("u1", "u2", "abs(u2-0.5)*u1"), ("u1", "log(u1*u2)", "sqrt(u1)"),
+             ("u1", "u2", "1/(u1-1) + u2^(u1-1)"), ("u1", "u2", "(u1-1)^0.5 + u2^k")]
+    grids = [(np.linspace(0.5, 2.0, 7)[:, None], np.linspace(0.0, 1.5, 7)[None, :]),
+             (np.linspace(1.0, 2.0, 5), np.linspace(0.0, 1.0, 5)),
+             (1.0, 0.5), (1.25, 0.25), (np.array([1.5]), 1.0)]
+    raised = 0
+    for x, y, z in cases:
+        surface = SurfaceSpec.from_strings(x, y, z, ((0.0, 2.0), (0.0, 1.5)), {"k": 0.5})
+        for at in grids:
+            for check in (True, False):
+                _assert_values_tape_matches_partials(surface, at, check)
+            try:
+                _coordinate_partials(surface, *at)
+            except ExprDomainError:
+                raised += 1
+    assert raised > 10
 
 
 # ---------------------------------------------------------------------------

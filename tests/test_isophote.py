@@ -493,6 +493,12 @@ def _link_segments_oracle(segments: list[list[int]]) -> list[list[int]]:
     return chains
 
 
+def _split(edge_ids: np.ndarray, lengths: np.ndarray) -> list[list[int]]:
+    """The chains of `_link_segments`' flat edge ids and chain lengths."""
+    ends = np.cumsum(lengths).tolist()
+    return [edge_ids[b - n:b].tolist() for n, b in zip(lengths.tolist(), ends)]
+
+
 def _random_field(seed: int):
     """A sum of random plane waves on [0, 1]^2, NaN inside two discs."""
     rng = np.random.default_rng(seed)
@@ -517,9 +523,9 @@ def test_link_segments_match_dict_oracle(monkeypatch):
     real = isophote._link_segments
 
     def spy(segments):
-        chains = real(segments)
-        seen.append((segments.tolist(), chains))
-        return chains
+        edge_ids, lengths = real(segments)
+        seen.append((segments.tolist(), _split(edge_ids, lengths)))
+        return edge_ids, lengths
 
     monkeypatch.setattr(isophote, "_link_segments", spy)
     saddles = closed = 0
@@ -536,7 +542,21 @@ def test_link_segments_match_dict_oracle(monkeypatch):
         assert chains == _link_segments_oracle(segments)
         closed += sum(c[0] == c[-1] for c in chains)
     assert len(seen) == 30 and saddles > 0 and closed > 0
-    assert real(np.empty((0, 2), dtype=np.int64)) == []
+    edge_ids, lengths = real(np.empty((0, 2), dtype=np.int64))
+    assert edge_ids.tolist() == [] and lengths.tolist() == []
+
+
+def test_link_segments_pinned_order():
+    # a closed loop (10, 11, 12), an open chain 19-23 whose first segment
+    # (21, 22) lies in its middle, and a lone segment (30, 31); the chains
+    # start in segment order, and four segments are stored reversed
+    segments = np.array([(21, 22), (11, 10), (23, 22), (12, 11),
+                         (30, 31), (20, 21), (10, 12), (19, 20)], dtype=np.int64)
+    edge_ids, lengths = isophote._link_segments(segments)
+    assert edge_ids.dtype == np.int64 and lengths.dtype == np.int64
+    assert edge_ids.tolist() == [19, 20, 21, 22, 23, 11, 10, 12, 11, 30, 31]
+    assert lengths.tolist() == [5, 4, 2]
+    assert _split(edge_ids, lengths) == _link_segments_oracle(segments.tolist())
 
 
 def test_cell_masks_match_sign_products():

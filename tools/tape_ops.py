@@ -5,9 +5,10 @@
 For each family that perfbench's isophote workloads extract on (wavy,
 cylinder, Euclidean revolution, isotropic quadratic revolution) one
 surface is drawn from `perfbench/gen.py` with seed 1 and loaded as the
-benchmark loads it.  For its coordinate tape (`expr.first_partials`, the
-lift and `tessellate`) and its field tape (`isophote._field_block`, the
-field grid and the refinement) the table gives `expr.TapeOps`: the
+benchmark loads it.  For its coordinate tape (`expr.first_partials`,
+`sample_surface`), its values tape (`surface._coordinate_values`, the lift
+and `tessellate`) and its field tape (`isophote._field_block`, the field
+grid and the refinement) the table gives `expr.TapeOps`: the
 operations one call runs, those of them on the full grid when the
 operands are a column and a row, and the most temporaries alive at once.
 The field tape's count leaves out the two full-grid operations of the
@@ -29,6 +30,7 @@ sys.path.insert(0, str(HERE / "perfbench"))
 import gen  # noqa: E402
 
 from g3geom import expr, isophote, load_scene_dict  # noqa: E402
+from g3geom.surface import _values  # noqa: E402
 from g3geom.surfrev import revolve_euclidean, revolve_isotropic  # noqa: E402
 
 FAMILIES = ("wavy", "cylinder", "revolution", "quadratic")
@@ -48,6 +50,7 @@ def surface_of(kind: str, seed: int):
 def tapes(surface) -> dict:
     asts = (surface.x, surface.y, surface.z)
     return {"coordinate": expr._compiled(asts, False),
+            "values": expr._compiled(asts, False, _values),
             "field": expr._compiled(asts, False, isophote._shading, 2)}
 
 
