@@ -275,7 +275,8 @@ class IsophoteSet:
     @property
     def polylines(self) -> list[Polyline]:
         if self._polylines is None:
-            rows = list(map(tuple, self.vertices.tolist()))
+            # tuples zipped from column lists: no list per vertex is made
+            rows = list(zip(*self.vertices.T.tolist()))
             self._polylines = [Polyline(rows[a:b], c)
                                for a, b, c in _chains(self.offsets, self.closed)]
         return self._polylines

@@ -16,7 +16,7 @@ and `refined_edges`.  So must these stats against the before tree's
 `tests/golden/extract.json`, for every case of `tests/extract_golden.py`.
 Vertex displacement and refinement counts are reported, not judged.  Test
 failures do not matter here, only what the calls returned.  Exit 0 when
-all of it is identical, 1 otherwise.
+at least one call pairs up and all of it is identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -102,6 +102,8 @@ def compare(before: Path, after: Path) -> int:
     evals = {"before": 0, "after": 0}
     steps = {"before": 0, "after": 0}
     common = sorted(old.keys() & new.keys())
+    if not common:
+        problems.append("no extract calls paired up")
     for key in common:
         b, a = old[key], new[key]
         if (b["grid"], b["level"]) != (a["grid"], a["level"]):
