@@ -225,8 +225,8 @@ def test_tessellate_domain_error_names_the_first_bad_point():
     # (the values of the full first-order jets, as before the values tape)
     cases = [("u1", "u2", "sqrt(u1-1)", ((0.5, 2.0), (0.0, 1.0))),
              ("u1", "sqrt(1-u2)", "u1", ((0.0, 1.0), (0.0, 1.5))),
-             ("u1", "u2", "sqrt(u1-1)*sqrt(u2-1)", ((1.5, 2.0), (0.0, 2.0))),
-             ("u1", "log(u1*u2)", "sqrt(u1)", ((-1.0, 1.0), (1.0, 2.0)))]
+             ("u1", "u2", "sqrt(u1-1)*sqrt(2-u2)", ((1.5, 2.0), (0.0, 3.0))),
+             ("u1", "log(0.6-u1)", "sqrt(u1)", ((0.0, 1.0), (1.0, 2.0)))]
     for x, y, z, domain in cases:
         surf = SurfaceSpec.from_strings(x, y, z, domain)
         U1, U2 = surf.grid(5, 4)
