@@ -32,22 +32,21 @@ and is the identity of +, so no operation on it runs (zero minus x is
 partial is finite.  `eval_jet2` and the tapes return the float 0.0 in
 its place.  The univariate Jet keeps plain zeros.
 
-The shading field reads only first partials, so x, y and z of a surface
-go through a compiled first-order tape: `first_partials` returns their
-values and partials, and `on_partials` traces a function of them (the
-normal parts and the axis product of the field) into the same tape.  The
-first call with a new tree structure runs `_eval` on Jet2s whose slots
-are traced symbols, so the Jet2 operators themselves record one
-straight-line numpy function for all the trees at once: a structural
-zero, an operation on constants only and x * 1.0 are decided while
-tracing, an operation repeated on the same slots is emitted once (so y
-and z of a revolution share their profile), the lines that no result
-reads are dropped (the second partials, and in a field tape every value
-and partial the field does not read), and each temporary is deleted
-after its last use.  Every slot equals the first three slots of
-`eval_jet2` bit for bit, and with check=True the domain checks run at
-their nodes in the interpreter's order, so an error has the same class
-and offset.  The tape skips `eval_jet2`'s final broadcast: each result
+Hot paths evaluate x, y and z of a surface through a compiled tape:
+`on_partials(fn, asts, at)` traces fn of the expressions' Jet2s (the
+values of the lift, the normal parts and the axis product of the field)
+into one tape.  The first call with a new tree structure runs `_eval` on
+Jet2s whose slots are traced symbols, so the Jet2 operators themselves
+record one straight-line numpy function for all the trees at once: a
+structural zero, an operation on constants only and x * 1.0 are decided
+while tracing, an operation repeated on the same slots is emitted once
+(so y and z of a revolution share their profile), the lines that no
+result of fn reads are dropped (the second partials when fn reads none,
+and in a field tape every value and partial the field does not read),
+and each temporary is deleted after its last use.  Every slot fn reads
+equals the slot of `eval_jet2` bit for bit, and with check=True the
+domain checks run at their nodes in the interpreter's order, so an error
+has the same class and offset.  The tape skips `eval_jet2`'s final broadcast: each result
 keeps the shape of the operands it depends on, so with (n1, 1) and
 (1, n2) operands a u2-only coordinate stays a (1, n2) row.  A compiled
 tape keeps its operation counts (`TapeOps`).
@@ -165,7 +164,7 @@ class ExprAST:
 
     @cached_property
     def structure(self) -> tuple[tuple, frozenset[str], tuple]:
-        """What the first-order tape reads of the expression: its key (the
+        """What a compiled tape reads of the expression: its key (the
         tree's shape, offsets and variables), the names of the parameters
         it reads, and its literals as float64 in tree order.  A literal in
         an exponent decides how `^` is evaluated, so it enters the key as
@@ -881,7 +880,7 @@ def eval_jet2(ast: ExprAST, at, *, check: bool = True) -> Jet2:
 
 
 # ---------------------------------------------------------------------------
-# First-order tapes
+# Compiled tapes
 # ---------------------------------------------------------------------------
 
 # compiled tapes kept at once; beyond it the oldest is dropped
@@ -891,60 +890,38 @@ _TAPES: dict[tuple, object] = {}
 _TAPES_LOCK = threading.Lock()
 _UNBOUND = object()
 # numpy ufuncs a traced value meets, written as the operators the
-# first-order formulas use; every other ufunc is written as np.<name>(...)
+# jet formulas use; every other ufunc is written as np.<name>(...)
 _OPERATORS = {"add": "{} + {}", "subtract": "{} - {}", "multiply": "{} * {}",
               "divide": "{} / {}", "power": "{} ** {}", "negative": "-{}"}
 
 
-class Partials(NamedTuple):
-    """Value and first partials of one expression, each on the shape of the
-    operands it depends on (a scalar where it depends on none)."""
-
-    value: Real
-    du1: Real
-    du2: Real
-
-
-def first_partials(asts: Sequence[ExprAST], at, *, check: bool = True) -> tuple:
-    """Value and first partials of each bivariate expression in `asts`, as
-    one Partials per expression, through one compiled tape.
-
-    Every slot equals the first three slots of `eval_jet2` before its final
-    broadcast, bit for bit, and a domain error is the same error at the same
-    offset.  The tape is cached by the expressions' structure (literals in
-    exponents by their exact bits) and by which parameter names they bind
-    differently; parameter values and the other literals are read at call
-    time.
-    """
-    tape = _compiled(asts, check)
-    with np.errstate(all="ignore"):
-        return tape(at, asts, [a.structure[2] for a in asts], ())
-
-
 def on_partials(fn, asts: Sequence[ExprAST], at, args: Sequence[float] = (), *,
                 check: bool = True) -> tuple:
-    """fn(*partials, *args) through one compiled tape, where `partials` are
-    the Partials of `asts` at `at` and `args` are numbers read at call time.
+    """fn(*jets, *args) through one compiled tape, where `jets` are the
+    Jet2s of the bivariate expressions `asts` at `at` and `args` are numbers
+    read at call time.
 
-    fn is traced once per structure of the expressions, on the traced
-    slots: it must be arithmetic and numpy ufuncs on its arguments, return
-    a tuple, and keep its identity (it is part of the cache key).  The tape
-    computes only what fn's results read.  Each result equals fn on the
-    interpreter's own Jet2s, bit for bit (the jets of `eval_jet2` before it
-    makes the structural zeros 0.0 and broadcasts), on the shape of the
-    operands it depends on; a domain error is first_partials' error.
+    fn is traced once per structure of the expressions, on Jet2s of traced
+    slots: it must be arithmetic and numpy ufuncs on their slots and on its
+    other arguments, return a tuple, and keep its identity (it is part of
+    the cache key).  The tape computes only what fn's results read.  Each
+    result equals fn on the interpreter's own Jet2s, bit for bit (the jets
+    of `eval_jet2` before it makes the structural zeros 0.0 and
+    broadcasts), on the shape of the operands it depends on; a domain error
+    is eval_jet2's error, at the same offset.  The tape is cached by the
+    expressions' structure (literals in exponents by their exact bits), by
+    which parameter names they bind differently, and by fn; parameter
+    values and the other literals are read at call time.
     """
     tape = _compiled(asts, check, fn, len(args))
     with np.errstate(all="ignore"):
         return tape(at, asts, [a.structure[2] for a in asts], args)
 
 
-def _compiled(asts: Sequence[ExprAST], check: bool, fn=None, nargs: int = 0):
-    """The cached tape of first_partials (fn None) or of on_partials."""
+def _compiled(asts: Sequence[ExprAST], check: bool, fn, nargs: int):
+    """The cached tape of on_partials."""
     split = _split_parameters(asts)
-    key = (check, split, *[a.structure[0] for a in asts])
-    if fn is not None:
-        key += (fn, nargs)
+    key = (check, split, *[a.structure[0] for a in asts], fn, nargs)
     tape = _TAPES.get(key)
     if tape is None:
         with np.errstate(all="ignore"):
@@ -1023,14 +1000,14 @@ class _Tape(_Values):
     """Traces `_eval` on Jet2s whose slots are _Syms into one straight-line
     function tape(at, A, L, D) of the pair (u1, u2), the expressions (whose
     parameters it reads), their literals (see ExprAST.structure) and the
-    arguments of fn.  It returns the Partials of each expression, or what
-    fn returns of them.
+    arguments of fn.  It returns what fn returns of the Jet2 of each
+    expression.
 
     The walk and the jet formulas are the interpreter's, so every slot is
     equal bit for bit.  A structural zero (_Zero) is decided here, as is an
     operation on constants only and x * 1.0; the same operation on the
-    same slots is emitted once; lines whose results nothing reads, the
-    second partials among them, are dropped, and each temporary is deleted
+    same slots is emitted once; lines whose results fn's results do not
+    read are dropped, and each temporary is deleted
     after its last use.  Domain checks (check=True) are emitted at their
     nodes in evaluation order; one whose value is a constant is decided
     here.  The results turn a structural zero into the float 0.0.  The
@@ -1038,10 +1015,10 @@ class _Tape(_Values):
     """
 
     def __init__(self, asts: Sequence[ExprAST], check: bool, split: frozenset[str],
-                 fn=None, nargs: int = 0):
+                 fn, nargs: int):
         super().__init__(Jet2, {}, check)
         self.asts, self.split, self.fn, self.nargs = asts, split, fn, nargs
-        self.env = {"np": np, "Partials": Partials, "ExprDomainError": ExprDomainError,
+        self.env = {"np": np, "ExprDomainError": ExprDomainError,
                     "_tape_pow": _tape_pow, "_arity_error": _arity_error}
         self.lines: list[tuple[str, tuple, tuple, bool]] = []  # code, defs, uses, pure
         self.memo: dict[tuple, object] = {}
@@ -1137,16 +1114,10 @@ class _Tape(_Values):
                 self.lines.append(("U1, U2 = (np.asarray(v, dtype=float) for v in at)",
                                    ("U1", "U2"), (), False))
             self.i, self.literals = i, 0
-            j = _eval(ast.root, _bivariate_seeds(ast.variables, u1, u2), 1, self)
-            out.append(Partials(j.value, j.du1, j.du2))
+            out.append(_eval(ast.root, _bivariate_seeds(ast.variables, u1, u2), 2, self))
         if out is not None:
-            if self.fn is None:
-                results = [s for j in out for s in j]
-                code = "".join(f"Partials({', '.join(self.ref(_real(s)) for s in j)}), "
-                               for j in out)
-            else:
-                results = self.fn(*out, *[self.load(f"D[{k}]") for k in range(self.nargs)])
-                code = "".join(f"{self.ref(_real(s))}, " for s in results)
+            results = self.fn(*out, *[self.load(f"D[{k}]") for k in range(self.nargs)])
+            code = "".join(f"{self.ref(_real(s))}, " for s in results)
             self.emit(f"({code})", results, 0, False)
             self.lines[-1] = ("return " + self.lines[-1][0],) + self.lines[-1][1:]
         kept = []  # (code, defs, uses, names deleted after it), last line first
@@ -1162,7 +1133,7 @@ class _Tape(_Values):
         src = "def tape(at, A, L, D):\n" + "".join(
             f"    {code}\n" + (f"    del {', '.join(dead)}\n" if dead else "")
             for code, _, _, dead in kept)
-        exec(compile(src, "<first-order tape>", "exec"), self.env)
+        exec(compile(src, "<tape>", "exec"), self.env)
         tape = self.env["tape"]
         tape.ops = _count_ops(kept)
         return tape

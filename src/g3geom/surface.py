@@ -74,13 +74,6 @@ class SurfaceSample:
     h22: float
 
 
-def _coordinate_partials(surface: SurfaceSpec, U1, U2, check: bool = True):
-    """Values and first partials of x, y and z, each on the shape of the
-    operands it depends on, not broadcast: one call of the compiled tape
-    (see expr.first_partials)."""
-    return expr.first_partials((surface.x, surface.y, surface.z), (U1, U2), check=check)
-
-
 def _values(jx, jy, jz):
     """The values of x, y and z; traced into the values tape."""
     return jx.value, jy.value, jz.value
@@ -89,8 +82,8 @@ def _values(jx, jy, jz):
 def _coordinate_values(surface: SurfaceSpec, U1, U2, check: bool = True):
     """x, y and z, each on the shape of the operands it depends on, not
     broadcast: one call of a compiled tape that computes no partial
-    (expr.on_partials).  The values equal those of _coordinate_partials
-    bit for bit, and a domain error is its error."""
+    (expr.on_partials).  The values equal those of eval_jet2 bit for bit,
+    and a domain error is its error."""
     return expr.on_partials(_values, (surface.x, surface.y, surface.z), (U1, U2), check=check)
 
 
@@ -101,24 +94,31 @@ def _normal_parts(jx, jy, jz):
     return A, B, np.hypot(A, B)
 
 
+def _sample_parts(jx, jy, jz):
+    """The values and first partials of x, y and z, then the normal parts;
+    traced into the tape of sample_surface."""
+    return (jx.value, jy.value, jz.value, jx.du1, jy.du1, jz.du1, jx.du2, jy.du2, jz.du2,
+            *_normal_parts(jx, jy, jz))
+
+
 def sample_surface(surface: SurfaceSpec, u1: float, u2: float,
                    omega_min: float = OMEGA_MIN) -> SurfaceSample:
     """First fundamental form data and the unit isotropic normal at a point."""
-    jx, jy, jz = _coordinate_partials(surface, float(u1), float(u2))
-    A, B, omega = _normal_parts(jx, jy, jz)
+    x, y, z, xu1, yu1, zu1, xu2, yu2, zu2, A, B, omega = expr.on_partials(
+        _sample_parts, (surface.x, surface.y, surface.z), (float(u1), float(u2)))
     if omega <= omega_min:
         raise SingularNormalError(
             f"omega = {float(omega):.3g} <= {omega_min:g} at (u1,u2)=({u1:.6g},{u2:.6g})")
     return SurfaceSample(
-        point=GVec3(float(jx.value), float(jy.value), float(jz.value)),
-        Xu1=GVec3(float(jx.du1), float(jy.du1), float(jz.du1)),
-        Xu2=GVec3(float(jx.du2), float(jy.du2), float(jz.du2)),
+        point=GVec3(float(x), float(y), float(z)),
+        Xu1=GVec3(float(xu1), float(yu1), float(zu1)),
+        Xu2=GVec3(float(xu2), float(yu2), float(zu2)),
         n=GVec3(0.0, float(A / omega), float(B / omega)),
         omega=float(omega),
-        g1=float(jx.du1), g2=float(jx.du2),
-        h11=float(jy.du1 ** 2 + jz.du1 ** 2),
-        h12=float(jy.du1 * jy.du2 + jz.du1 * jz.du2),
-        h22=float(jy.du2 ** 2 + jz.du2 ** 2),
+        g1=float(xu1), g2=float(xu2),
+        h11=float(yu1 ** 2 + zu1 ** 2),
+        h12=float(yu1 * yu2 + zu1 * zu2),
+        h22=float(yu2 ** 2 + zu2 ** 2),
     )
 
 

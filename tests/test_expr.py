@@ -21,6 +21,7 @@ from g3geom.errors import (
     ArityError,
     ExprDomainError,
     ExprSyntaxError,
+    G3Error,
     UnknownIdentifierError,
 )
 from g3geom.expr import Bin, Call, Neg, Num, Param, Var
@@ -28,9 +29,9 @@ from g3geom.galilean import GVec3
 from g3geom.surface import (
     OMEGA_MIN,
     SurfaceSpec,
-    _coordinate_partials,
     _coordinate_values,
     _normal_parts,
+    sample_surface,
 )
 
 # ---------------------------------------------------------------------------
@@ -374,21 +375,37 @@ def _outcome(fn):
         return (type(e), e.offset)
 
 
+_SLOTS = ("value", "du1", "du2", "du1u1", "du1u2", "du2u2")
+
+
+def _all_slots(*jets):
+    """Every slot of every jet, flat; traced into the tapes of _tape_jets."""
+    return tuple(getattr(j, name) for j in jets for name in _SLOTS)
+
+
+def _tape_jets(asts, at, check=True):
+    """The Jet2 of each expression in `asts` through one compiled tape
+    (expr.on_partials) that returns all six slots, each on the shape of
+    the operands it depends on."""
+    flat = expr.on_partials(_all_slots, asts, at, check=check)
+    return [expr.Jet2(*flat[k:k + 6]) for k in range(0, len(flat), 6)]
+
+
 def test_first_order_jets_equal_jet2_slots_bit_for_bit():
     for src in _FIRST_ORDER_CORPUS:
         ast = expr.parse(src, ["u1", "u2"], {"k": -0.4})
         for u1, u2 in _operands():
             for check in (True, False):
                 full = _outcome(lambda: expr.eval_jet2(ast, (u1, u2), check=check))
-                first = _outcome(lambda: expr.first_partials((ast,), (u1, u2), check=check)[0])
+                first = _outcome(lambda: _tape_jets((ast,), (u1, u2), check=check)[0])
                 if isinstance(full, tuple):
                     assert first == full, (src, u1, u2, check)
                     continue
-                assert isinstance(first, expr.Partials)
+                assert isinstance(first, expr.Jet2)
                 # eval_jet2's broadcast, applied to the unbroadcast slots
                 zero = ((np.asarray(u1) + np.asarray(u2)) * 0.0
                         if np.ndim(u1) or np.ndim(u2) else 0.0)
-                for name in ("value", "du1", "du2"):
+                for name in _SLOTS:
                     want = np.asarray(getattr(full, name), dtype=float)
                     got = np.asarray(getattr(first, name), dtype=float)
                     if np.ndim(u1) or np.ndim(u2):
@@ -399,14 +416,14 @@ def test_first_order_jets_equal_jet2_slots_bit_for_bit():
 
 def test_first_order_jets_keep_operand_shapes():
     u1, u2 = np.linspace(0.0, 1.0, 5)[:, None], np.linspace(0.0, 1.0, 3)[None, :]
-    j, = expr.first_partials([expr.parse("sin(u2) + 2", ["u1", "u2"])], (u1, u2))
+    j, = _tape_jets([expr.parse("sin(u2) + 2", ["u1", "u2"])], (u1, u2))
     assert np.shape(j.value) == (1, 3)
-    j, = expr.first_partials([expr.parse("u1 + sin(u2)", ["u1", "u2"])], (u1, u2))
+    j, = _tape_jets([expr.parse("u1 + sin(u2)", ["u1", "u2"])], (u1, u2))
     assert np.shape(j.value) == (5, 3)
     # du1 is the constant 1: sin(u2)'s du1 is a structural zero, not a row
     assert np.shape(j.du1) == () and j.du1 == 1.0
     assert np.shape(j.du2) == (1, 3)
-    j, = expr.first_partials([expr.parse("4", ["u1", "u2"])], (u1, u2))
+    j, = _tape_jets([expr.parse("4", ["u1", "u2"])], (u1, u2))
     assert np.shape(j.value) == ()
 
 
@@ -415,9 +432,9 @@ def test_first_order_constant_exponent_decided_on_second_partials():
     # partial of 2, so Jet2 takes the variable-exponent path
     ast = expr.parse("(u2 + 1)^(2 + u1^2)", ["u1", "u2"])
     full = expr.eval_jet2(ast, (0.0, 0.3))
-    first, = expr.first_partials([ast], (0.0, 0.3))
+    first, = _tape_jets([ast], (0.0, 0.3))
     assert full.value != 1.3 ** 2
-    assert (first.value, first.du1, first.du2) == (full.value, full.du1, full.du2)
+    assert first == full
 
 
 def test_structural_zero_partial_times_inf_is_zero():
@@ -429,8 +446,9 @@ def test_structural_zero_partial_times_inf_is_zero():
         j = expr.eval_jet2(ast, at, check=False)
         assert np.ravel(j.du2)[0] == -math.inf
         assert np.ravel(j.du1)[0] == math.inf and np.ravel(j.du1u2)[0] == math.inf
-        p, = expr.first_partials([ast], at, check=False)
+        p, = _tape_jets([ast], at, check=False)
         assert np.ravel(p.du2)[0] == -math.inf
+        assert np.ravel(p.du1u2)[0] == math.inf
     assert expr.eval_jet2(ast, (1.0, 0.5), check=False).du2 == 0.0
 
 
@@ -441,18 +459,18 @@ def test_structural_zero_minus_zero_partial_is_positive_zero():
         ast = expr.parse(src, ["u1", "u2"])
         for at in [(0.0, 0.0), (np.zeros((2, 1)), np.zeros((1, 3)))]:
             j = expr.eval_jet2(ast, at, check=False)
-            p, = expr.first_partials([ast], at, check=False)
+            p, = _tape_jets([ast], at, check=False)
             for slot in (j.du2, p.du2):
                 assert not np.signbit(slot).any(), (src, at)
 
 
 def _assert_tape_matches_jet2(asts, at, check):
-    """first_partials on `asts` equals the first three slots of eval_jet2
+    """The tape of _tape_jets on `asts` equals all six slots of eval_jet2
     on each, broadcast as eval_jet2 broadcasts, by bytes and shape; or
     both raise the same domain error class at the same offset."""
     u1, u2 = at
     full = _outcome(lambda: [expr.eval_jet2(a, at, check=check) for a in asts])
-    got = _outcome(lambda: expr.first_partials(asts, at, check=check))
+    got = _outcome(lambda: _tape_jets(asts, at, check=check))
     if isinstance(full, tuple):
         assert got == full, (at, check)
         return
@@ -460,7 +478,7 @@ def _assert_tape_matches_jet2(asts, at, check):
     broadcast = np.ndim(u1) or np.ndim(u2)
     zero = (np.asarray(u1) + np.asarray(u2)) * 0.0 if broadcast else 0.0
     for j, f in zip(got, full):
-        for name in ("value", "du1", "du2"):
+        for name in _SLOTS:
             want = np.asarray(getattr(f, name), dtype=float)
             have = np.asarray(getattr(j, name), dtype=float)
             if broadcast:
@@ -487,9 +505,9 @@ def test_tape_reads_literals_at_call_time():
         for at in _KEY_OPERANDS:
             for check in (True, False):
                 _assert_tape_matches_jet2(trees(c, d), at, check)
-    assert sum(key[2:] == tuple(t.structure[0] for t in trees(1.0, 1.0))
-               for key in expr._TAPES) == 2
-    got = expr.first_partials([trees(-0.0, 0.0)[0]], (np.array([2.0]), 0.0))[0]
+    structures = tuple(t.structure[0] for t in trees(1.0, 1.0))
+    assert sum(key[2:] == (*structures, _all_slots, 0) for key in expr._TAPES) == 2
+    got = _tape_jets([trees(-0.0, 0.0)[0]], (np.array([2.0]), 0.0))[0]
     assert np.signbit(got.value).all()
 
 
@@ -505,7 +523,7 @@ def test_tape_binds_parameters_per_expression():
             at = (np.abs(at[0]) + 0.5, at[1])
             for check in (True, False):
                 _assert_tape_matches_jet2((surface.x, surface.y, surface.z), at, check)
-        jx, jy, _ = _coordinate_partials(surface, 0.75, 0.25)
+        jx, jy, _ = _tape_jets((surface.x, surface.y, surface.z), (0.75, 0.25))
         assert (jx.value, jy.value) == (kx * 0.75 + math.sin(kx * 0.25),
                                         ky * 0.75 + math.sin(ky * 0.25))
 
@@ -570,10 +588,11 @@ def test_tape_cache_holds_one_nan_exponent_tape_and_stays_bounded():
     assert nan_tree().root != nan_tree().root
     for _ in range(expr.TAPE_CACHE_SIZE + 2):
         _assert_tape_matches_jet2((nan_tree(),), _KEY_OPERANDS[1], False)
-    assert sum(key[2:] == (nan_tree().structure[0],) for key in expr._TAPES) == 1
+    assert sum(key[2:] == (nan_tree().structure[0], _all_slots, 0)
+               for key in expr._TAPES) == 1
     # distinct structures beyond the bound evict the oldest
     for k in range(expr.TAPE_CACHE_SIZE + 3):
-        expr.first_partials([expr.parse("u1" + " + u2" * k, _V)], (0.5, 0.5))
+        _tape_jets([expr.parse("u1" + " + u2" * k, _V)], (0.5, 0.5))
     assert len(expr._TAPES) == expr.TAPE_CACHE_SIZE
 
 
@@ -676,9 +695,9 @@ def test_tape_equals_jet2_slots_on_generated_expressions(src, k, which):
 
 
 def _assert_values_tape_matches_partials(surface, at, check):
-    """_coordinate_values (the values tape) equals the values of
-    _coordinate_partials by bytes and shape, or both raise the same domain
-    error with the same message at the same offset."""
+    """_coordinate_values (the values tape) equals the values of the
+    all-slot tape of _tape_jets by bytes and shape, or both raise the same
+    domain error with the same message at the same offset."""
 
     def run(fn):
         try:
@@ -686,7 +705,8 @@ def _assert_values_tape_matches_partials(surface, at, check):
         except ExprDomainError as e:
             return (type(e), str(e), e.offset)
 
-    want = run(lambda: [j.value for j in _coordinate_partials(surface, *at, check=check)])
+    asts = (surface.x, surface.y, surface.z)
+    want = run(lambda: [j.value for j in _tape_jets(asts, at, check=check)])
     got = run(lambda: _coordinate_values(surface, *at, check=check))
     if isinstance(want, tuple):
         assert got == want, (at, check)
@@ -726,10 +746,55 @@ def test_values_tape_raises_where_the_partials_tape_raises():
             for check in (True, False):
                 _assert_values_tape_matches_partials(surface, at, check)
             try:
-                _coordinate_partials(surface, *at)
+                _tape_jets((surface.x, surface.y, surface.z), at)
             except ExprDomainError:
                 raised += 1
     assert raised > 10
+
+
+def test_sample_surface_equals_the_interpreter():
+    # sample_surface's tape: the values and first partials of eval_jet2,
+    # then _normal_parts on the interpreter's Jet2s, structural zeros
+    # included (so the sign of an exactly zero normal part is the field
+    # tape's), bit for bit; NaNs from finite points pass through
+    surfaces = [("u1", "u2", "amp*sin(a*u1)*cos(b*u2)"), ("u1", "r*sin(u2)", "r*cos(u2)"),
+                ("u1", "-u1*u2", "u2^2 - u1"), ("u1 + u2", "(u2 - u2)*exp(400*u1)", "u2"),
+                ("u1", "u2*log(u1)", "u1*u2"), ("u1 + rotc*u2", "u1*u2", "sqrt(u1)"),
+                ("u1", "u1*cos(u2)", "u1*sin(u2)")]
+    params = {"amp": 1.0, "a": 3.0, "b": 2.8, "r": 0.8, "rotc": 1.5}
+    points = [-1.0, -0.0, 0.0, 0.5, 2.0]
+
+    def outcome(fn):
+        try:
+            return fn()
+        except G3Error as e:
+            return (type(e), str(e))
+
+    def interpreted(surface, u1, u2):
+        at = (np.float64(u1), np.float64(u2))
+        with np.errstate(all="ignore"):
+            jets = [expr._eval(a.root, expr._bivariate_seeds(_V, *at), 2,
+                               expr._Values(expr.Jet2, a.params, True))
+                    for a in (surface.x, surface.y, surface.z)]
+            A, B, omega = map(expr._real, _normal_parts(*jets))
+            if omega <= OMEGA_MIN:
+                sample_surface(surface, u1, u2)  # raises SingularNormalError
+            vec = [GVec3(*(float(expr._real(getattr(j, name))) for j in jets))
+                   for name in ("value", "du1", "du2")]
+            return repr((*vec, GVec3(0.0, float(A / omega), float(B / omega)), float(omega)))
+
+    seen = set()
+    for x, y, z in surfaces:
+        surface = SurfaceSpec.from_strings(x, y, z, parameters=params)
+        for u1 in points:
+            for u2 in points:
+                want = outcome(lambda: interpreted(surface, u1, u2))
+                got = outcome(lambda: repr(
+                    (lambda p: (p.point, p.Xu1, p.Xu2, p.n, p.omega))(
+                        sample_surface(surface, u1, u2))))
+                assert got == want, (x, y, z, u1, u2)
+                seen.add("error" if isinstance(want, tuple) else "nan" in want)
+    assert seen == {"error", True, False}
 
 
 # ---------------------------------------------------------------------------
