@@ -36,7 +36,13 @@ from .errors import (
     StraightSegmentError,
 )
 from .galilean import GVec3, normalize_axis
-from .isophote import DEFAULT_GRID, DEFAULT_REFINE_TOL, IsophoteQuery, extract
+from .isophote import (
+    DEFAULT_GRID,
+    DEFAULT_REFINE_TOL,
+    MAX_GRID_POINTS,
+    IsophoteQuery,
+    extract,
+)
 from .scene import Scene, load_scene
 from .surface import (
     ANALYTIC_TOL,
@@ -52,9 +58,9 @@ from .surfrev import ProfileSpec, revolve_euclidean, revolve_isotropic
 from .verify import run_suite
 
 SCHEMA_VERSION = "1"
-# caps on the sizes the command line accepts: N1*N2 of --grid and --mesh,
-# and --samples (whose samples are Python objects, so cost far more each)
-MAX_GRID_POINTS = 1 << 22
+# caps on the sizes the command line accepts: N1*N2 of --grid and --mesh
+# is isophote.MAX_GRID_POINTS, the cap of every isophote query; --samples
+# (whose samples are Python objects, so cost far more each) has its own
 MAX_SAMPLES = 1 << 16
 
 # The exit code of each G3Error kind; an error takes the code of the

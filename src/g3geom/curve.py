@@ -54,6 +54,19 @@ class FrenetSample:
     tau: float
 
 
+def _finite_samples(S, name: str = "S") -> np.ndarray:
+    """S as a 1-D float array; a ValueError names its shape if it is not
+    1-D, or else its first sample that is not finite."""
+    S = np.asarray(S, dtype=float)
+    if S.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D array of samples, got shape {S.shape}")
+    bad = ~np.isfinite(S)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{name}[{i}] = {float(S[i])!r} is not finite")
+    return S
+
+
 def _curve_arrays(curve: CurveSpec, S: np.ndarray, kappa_min: float = KAPPA_MIN) -> dict:
     """Batch Frenet data over sample points; raises if the frame degenerates."""
     jf = expr.eval_jet(curve.f, S, order=3)
@@ -84,7 +97,7 @@ def frenet(curve: CurveSpec, s: float, kappa_min: float = KAPPA_MIN) -> FrenetSa
 
 
 def frenet_samples(curve: CurveSpec, S, kappa_min: float = KAPPA_MIN) -> list[FrenetSample]:
-    S = np.asarray(S, dtype=float)
+    S = _finite_samples(S)
     a = _curve_arrays(curve, S, kappa_min)
     out = []
     for i, s in enumerate(S):

@@ -149,6 +149,9 @@ def angle(a: GVec3, b: GVec3) -> AngleMeasure:
 def normalize_axis(d: GVec3) -> GVec3:
     """Scale to the unit convention: isotropic vectors to Euclidean yz-norm 1,
     non-isotropic vectors to first component exactly 1."""
+    if not all(math.isfinite(c) for c in (d.x, d.y, d.z)):
+        raise G3Error(f"cannot normalize a vector with a non-finite component: "
+                      f"({d.x:g}, {d.y:g}, {d.z:g})")
     if d.is_isotropic:
         n = yz_norm(d)
         if n == 0.0:

@@ -20,6 +20,7 @@ Python floats, built on first access.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -27,11 +28,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import expr
+from .curve import _finite_samples
 from .errors import G3Error, SingularNormalError
 from .galilean import GVec3, is_unit_axis
 from .surface import OMEGA_MIN, SurfaceSpec, _coordinate_values, _normal_parts
 
 DEFAULT_GRID = (256, 256)
+# most points an isophote query's grid may have, N1*N2
+MAX_GRID_POINTS = 1 << 22
 DEFAULT_REFINE_TOL = 1e-9
 MAX_REFINE_STEPS = 30
 CLOSE_TOL = 1e-9
@@ -61,9 +65,10 @@ def field(surface: SurfaceSpec, axis: GVec3, u1: float, u2: float) -> float:
     a one-sample call into the `field_grid` kernel that raises where it gives NaN."""
     if not is_unit_axis(axis):
         raise G3Error("axis must be normalized (see normalize_axis)")
+    u1, u2 = _finite_samples((float(u1), float(u2)), "(u1, u2)")
     # a surface whose partials are all constant gives 0-d results
     value, omega = (float(np.ravel(a)[0]) for a in _field_block(
-        surface, axis, np.array([float(u1)]), np.array([float(u2)]), check=True))
+        surface, axis, np.array([u1]), np.array([u2]), check=True))
     if omega <= OMEGA_MIN:
         raise SingularNormalError(
             f"omega = {omega:.3g} at (u1,u2)=({u1:.6g},{u2:.6g})")
@@ -150,6 +155,24 @@ def _field(surface: SurfaceSpec, axis: GVec3, U1: np.ndarray, U2: np.ndarray) ->
     return F
 
 
+def _grid_shape(grid) -> tuple[int, int]:
+    """grid as two ints; a ValueError unless it is two integers (numpy's
+    too, bool not), each at least 2, with at most MAX_GRID_POINTS points."""
+    try:
+        n1, n2 = grid
+    except (TypeError, ValueError):
+        n1 = n2 = None
+    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in (n1, n2)):
+        raise ValueError(f"grid must be two integers, got {grid!r}")
+    n1, n2 = int(n1), int(n2)
+    if n1 < 2 or n2 < 2:
+        raise ValueError("grid must be at least 2x2")
+    if n1 * n2 > MAX_GRID_POINTS:
+        raise ValueError(f"grid {n1}x{n2} has {n1 * n2} points, above the cap "
+                         f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
+    return n1, n2
+
+
 @dataclass(frozen=True)
 class IsophoteQuery:
     """What to extract: the axis, the level, grid resolution, refinement tol.
@@ -168,8 +191,7 @@ class IsophoteQuery:
     def __post_init__(self):
         if not is_unit_axis(self.axis):
             raise G3Error("query axis must be normalized (see normalize_axis)")
-        if self.grid[0] < 2 or self.grid[1] < 2:
-            raise ValueError("grid must be at least 2x2")
+        object.__setattr__(self, "grid", _grid_shape(self.grid))
         if not math.isfinite(self.level):
             raise ValueError(f"level must be finite, got {self.level!r}")
         if not (math.isfinite(self.refine_tol) and self.refine_tol > 0.0):
@@ -184,17 +206,17 @@ class IsophoteQuery:
             raise G3Error("an angle-level query needs an isotropic axis")
         if not 0.0 <= beta <= math.pi / 2 + 1e-15:
             raise ValueError("beta must lie in [0, pi/2]")
-        return cls(axis, math.cos(beta), "angle", beta, tuple(grid), refine_tol)
+        return cls(axis, math.cos(beta), "angle", beta, grid, refine_tol)
 
     @classmethod
     def raw_level(cls, axis: GVec3, level: float, grid=DEFAULT_GRID,
                   refine_tol=DEFAULT_REFINE_TOL) -> "IsophoteQuery":
-        return cls(axis, float(level), "raw", None, tuple(grid), refine_tol)
+        return cls(axis, float(level), "raw", None, grid, refine_tol)
 
     @classmethod
     def for_silhouette(cls, axis: GVec3, grid=DEFAULT_GRID,
                        refine_tol=DEFAULT_REFINE_TOL) -> "IsophoteQuery":
-        return cls(axis, 0.0, "silhouette", None, tuple(grid), refine_tol)
+        return cls(axis, 0.0, "silhouette", None, grid, refine_tol)
 
 
 @dataclass

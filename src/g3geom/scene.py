@@ -15,7 +15,7 @@ from pathlib import Path
 from .curve import CurveSpec
 from .errors import SceneError
 from .galilean import GVec3, normalize_axis
-from .isophote import DEFAULT_GRID, DEFAULT_REFINE_TOL, IsophoteQuery
+from .isophote import DEFAULT_GRID, DEFAULT_REFINE_TOL, MAX_GRID_POINTS, IsophoteQuery
 from .surface import SurfaceSpec, TraceSpec
 from .surfrev import ProfileSpec
 
@@ -152,6 +152,9 @@ def _load_query(name: str, obj: dict, scene: Scene) -> QueryEntry:
     if (not isinstance(grid, (list, tuple)) or len(grid) != 2
             or not all(type(n) is int and n >= 2 for n in grid)):
         raise SceneError(f"grid must be two integers >= 2 in {where}, got {grid!r}")
+    if grid[0] * grid[1] > MAX_GRID_POINTS:
+        raise SceneError(f"grid {grid[0]}x{grid[1]} in {where} has {grid[0] * grid[1]} "
+                         f"points, above the cap MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     tol = float(_number(obj.get("refine_tol", DEFAULT_REFINE_TOL), "refine_tol", where))
     chosen = [k for k in ("beta", "level", "silhouette") if obj.get(k) is not None]
     if len(chosen) != 1:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr
-from .curve import KAPPA_MIN, CurveSpec, _curve_arrays
+from .curve import KAPPA_MIN, CurveSpec, _curve_arrays, _finite_samples
 from .errors import (
     AxisConstraintError,
     AxisUndefinedError,
@@ -104,8 +104,9 @@ def _sample_parts(jx, jy, jz):
 def sample_surface(surface: SurfaceSpec, u1: float, u2: float,
                    omega_min: float = OMEGA_MIN) -> SurfaceSample:
     """First fundamental form data and the unit isotropic normal at a point."""
+    u1, u2 = _finite_samples((float(u1), float(u2)), "(u1, u2)")
     x, y, z, xu1, yu1, zu1, xu2, yu2, zu2, A, B, omega = expr.on_partials(
-        _sample_parts, (surface.x, surface.y, surface.z), (float(u1), float(u2)))
+        _sample_parts, (surface.x, surface.y, surface.z), (u1, u2))
     if omega <= omega_min:
         raise SingularNormalError(
             f"omega = {float(omega):.3g} <= {omega_min:g} at (u1,u2)=({u1:.6g},{u2:.6g})")
@@ -250,7 +251,7 @@ def darboux(surface: SurfaceSpec, trace: TraceSpec, s: float) -> DarbouxSample:
 
 
 def darboux_samples(surface: SurfaceSpec, trace: TraceSpec, S) -> list[DarbouxSample]:
-    S = np.asarray(S, dtype=float)
+    S = _finite_samples(S)
     a = _darboux_arrays(surface, trace, S)
     return [
         DarbouxSample(

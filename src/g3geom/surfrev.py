@@ -67,8 +67,9 @@ def revolve_euclidean(profile: ProfileSpec, check_samples: int = 64) -> SurfaceS
     """Euclidean surface of revolution; t runs over [0, 2 pi]."""
     S = np.linspace(profile.domain[0], profile.domain[1], check_samples)
     gv = expr.eval_jet(profile.g, S, order=0).value
-    if np.any(gv <= 0.0):
-        i = int(np.argmax(gv <= 0.0))
+    bad = ~(gv > 0.0)  # a NaN g is bad too
+    if np.any(bad):
+        i = int(np.argmax(bad))
         raise G3Error(
             f"euclidean revolution needs g > 0; g({float(S[i]):.6g}) = {float(gv[i]):.6g}")
     v = ["u1", "u2"]

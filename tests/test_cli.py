@@ -138,6 +138,13 @@ def test_scene_rejects_bad_references():
                 "surfaces": SCENE["surfaces"],
                 "queries": {"q": {"surface": "cyl", "axis": [0, 0, 1],
                                   "beta": 0.5, "grid": grid}}})
+    # ... with at most the cap of every query's points
+    for grid in ([2 ** 11 + 1, 2 ** 11], [10 ** 9, 10 ** 9]):
+        with pytest.raises(SceneError, match=r"above the cap MAX_GRID_POINTS = 4194304$"):
+            load_scene_dict({
+                "surfaces": SCENE["surfaces"],
+                "queries": {"q": {"surface": "cyl", "axis": [0, 0, 1],
+                                  "beta": 0.5, "grid": grid}}})
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +370,15 @@ def test_param_rejects_nan(capsys):
         captured = capsys.readouterr()
         assert "must be finite" in captured.err
         assert "nan" not in captured.out
+
+
+def test_isophote_non_finite_axis_exits_2(capsys):
+    # it exited 2 too, but with "query axis must be normalized"
+    for axis in ("0,nan,1", "0,inf,1", "nan,1,0"):
+        rc = main(["isophote", "--surface", "u1,sin(u2),cos(u2)", "--surface-domain",
+                   "0:2,0:6", "--axis", axis, "--beta", "1"])
+        assert rc == 2, axis
+        assert "cannot normalize a vector with a non-finite component" in capsys.readouterr().err
 
 
 def test_isophote_refine_tol_not_above_zero_exits_2(capsys):

@@ -89,6 +89,14 @@ def test_normalize_axis():
         normalize_axis(GVec3(0, 0, 0))
 
 
+def test_normalize_axis_rejects_non_finite_components():
+    # (0, nan, 1) normalized to a NaN axis and (0, inf, 1) to (0, nan, 0)
+    for d in (GVec3(0, math.nan, 1), GVec3(0, math.inf, 1), GVec3(0, 1, -math.inf),
+              GVec3(math.nan, 1, 0), GVec3(math.inf, 1, 0), GVec3(2, math.nan, 0)):
+        with pytest.raises(G3Error, match="non-finite component"):
+            normalize_axis(d)
+
+
 def test_apply_motion_examples():
     ident = GalileanMotion.identity()
     p = GVec3(0.3, -1.2, 2.5)

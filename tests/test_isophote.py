@@ -23,7 +23,8 @@ from g3geom import (
     transform_surface,
 )
 from g3geom import expr, isophote
-from g3geom.isophote import crossing_cells
+from g3geom.isophote import MAX_GRID_POINTS, crossing_cells
+from g3geom.surface import _values
 from g3geom.verify import random_motions, revolution_isophotes
 
 Z_AXIS = GVec3(0.0, 0.0, 1.0)
@@ -107,13 +108,22 @@ def _perfbench_family(name):
     if name == "cylinder":
         return SurfaceSpec.from_strings("u1", "r*sin(u2)", "r*cos(u2)",
                                         ((0.0, 2.0), (0.0, 6.0)), {"r": 0.8})
+    if name == "quadratic":
+        return revolve_isotropic(ProfileSpec.from_string(
+            "s^2/(2*cc) + AA", (0.001, 5.0), c=1.2, parameters={"cc": 1.2, "AA": 0.3}))
     return revolve_euclidean(ProfileSpec.from_string(
         "p0 + p1*s^2 + p2*sin(w*s)", (0.5, 2.0),
         parameters={"p0": 1.5, "p1": 0.2, "p2": 0.1, "w": 2.0}))
 
 
+# expr.TapeOps (operations, full grid, peak live) of the values tape and
+# the field tape that extract runs
+_TAPE_OPS = {"wavy": ((6, 1, 3), (13, 6, 5)), "cylinder": ((4, 0, 4), (11, 0, 6)),
+             "revolution": ((11, 2, 4), (18, 8, 6)), "quadratic": ((13, 3, 6), (19, 6, 7))}
+
+
 @pytest.mark.parametrize("family, full_grid", [("wavy", 6), ("cylinder", 0),
-                                                ("revolution", 8)])
+                                                ("revolution", 8), ("quadratic", 6)])
 def test_field_tape_full_grid_operations(family, full_grid):
     # the field tape computes only the slots the field reads: a dead
     # partial, normal part or seed zero would add full-grid operations.
@@ -121,10 +131,15 @@ def test_field_tape_full_grid_operations(family, full_grid):
     # (a column times a row), A, omega, A d_y, the sum with d_z (B is the
     # constant 1) and the quotient.  Revolution: y_u2 and z_u2 (g(u1)
     # times a row each), A, omega, two axis products, sum and quotient.
-    # The cylinder's field is a row of u2.
+    # The cylinder's field is a row of u2.  The values tape (the lift and
+    # tessellate) is pinned as well, so a change to any tape extract runs
+    # shows here.
     surface = _perfbench_family(family)
-    tape = expr._compiled((surface.x, surface.y, surface.z), False, isophote._shading, 2)
-    assert tape.ops.full_grid == full_grid
+    asts = (surface.x, surface.y, surface.z)
+    values, shading = _TAPE_OPS[family]
+    assert expr._compiled(asts, False, _values, 0).ops == values
+    tape = expr._compiled(asts, False, isophote._shading, 2)
+    assert tape.ops == shading and tape.ops.full_grid == full_grid
     U1, U2 = surface.grid(9, 7)
     F = field_grid(surface, normalize_axis(GVec3(0.0, 0.3, 1.0)), U1[:, None], U2[None, :])
     assert np.isfinite(F).all()
@@ -383,6 +398,33 @@ def test_level_validation():
     # non-isotropic axes accept any raw level
     q = IsophoteQuery.raw_level(GVec3(1.0, 0.5, 0.0), 3.7)
     assert q.level == 3.7
+
+
+def test_query_grid_is_two_integers_under_the_cap():
+    # the query checks its grid where it is built, from any caller, so a
+    # bad grid raises before extract allocates anything
+    assert MAX_GRID_POINTS == 1 << 22
+    bad = [(8.5, 8), (8, 8.0), ("8", 8), "88", (True, 8), (8, np.bool_(True)), (8,),
+           (8, 8, 8), 8, 8.5, None, (2 ** 11 + 1, 2 ** 11), (10 ** 9, 10 ** 9), (1, 8)]
+    for grid in bad:
+        for build in (lambda: IsophoteQuery.raw_level(Z_AXIS, 0.5, grid),
+                      lambda: IsophoteQuery.for_angle(Z_AXIS, 0.5, grid),
+                      lambda: IsophoteQuery.for_silhouette(Z_AXIS, grid)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="grid"):
+                    build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 16, (grid, peak)
+    with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+        IsophoteQuery.raw_level(Z_AXIS, 0.5, (2 ** 11 + 1, 2 ** 11))
+    q = IsophoteQuery.raw_level(Z_AXIS, 0.5, (2 ** 11, 2 ** 11))
+    assert q.grid == (2048, 2048)
+    # numpy integers are integers; the grid holds Python ints
+    q = IsophoteQuery.for_angle(Z_AXIS, 0.5, (np.int64(8), np.int32(2)))
+    assert q.grid == (8, 2) and all(type(n) is int for n in q.grid)
 
 
 _WAVY_AXIS = GVec3(0.0, math.sin(0.2), math.cos(0.2))

@@ -24,6 +24,7 @@ from g3geom import (
     frenet_samples,
     induced_curve,
     normalize_axis,
+    sample_surface,
 )
 
 Z_AXIS = GVec3(0.0, 0.0, 1.0)
@@ -77,6 +78,30 @@ def test_field_keeps_singular_normal_error_on_cone():
     with pytest.raises(SingularNormalError,
                        match=r"^omega = 0 at \(u1,u2\)=\(0,1\)$"):
         field(cone, Z_AXIS, 0.0, 1.0)
+
+
+def test_sample_arrays_are_one_dimensional_and_finite(cubic_curve, cylinder, helix_trace):
+    # these raised TypeError, IndexError or returned NaN before the check
+    with pytest.raises(ValueError, match=r"^S must be a 1-D array of samples, got shape \(\)$"):
+        frenet_samples(cubic_curve, 4096)
+    with pytest.raises(ValueError, match=r"^S must be a 1-D array of samples, got shape \(\)$"):
+        darboux_samples(cylinder, helix_trace, 5)
+    with pytest.raises(ValueError, match=r"shape \(2, 2\)$"):
+        frenet_samples(cubic_curve, [[0.1, 0.2], [0.3, 0.4]])
+    with pytest.raises(ValueError, match=r"^S\[2\] = inf is not finite$"):
+        frenet_samples(cubic_curve, [0.1, 0.2, math.inf, math.nan])
+    with pytest.raises(ValueError, match=r"^S\[1\] = nan is not finite$"):
+        darboux_samples(cylinder, helix_trace, [0.5, math.nan])
+    with pytest.raises(ValueError, match=r"^S\[0\] = nan is not finite$"):
+        frenet(cubic_curve, math.nan)
+    with pytest.raises(ValueError, match=r"^S\[0\] = -inf is not finite$"):
+        darboux(cylinder, helix_trace, -math.inf)
+    paraboloid = SurfaceSpec.from_strings("u1", "u2", "u1^2+u2^2")
+    with pytest.raises(ValueError, match=r"^\(u1, u2\)\[0\] = nan is not finite$"):
+        field(paraboloid, Z_AXIS, math.nan, 0.0)
+    with pytest.raises(ValueError, match=r"^\(u1, u2\)\[1\] = inf is not finite$"):
+        sample_surface(paraboloid, 0.5, math.inf)
+    assert frenet_samples(cubic_curve, []) == []
 
 
 def test_field_keeps_domain_error():

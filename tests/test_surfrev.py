@@ -43,6 +43,14 @@ def test_revolve_euclidean_requires_positive_profile():
         revolve_euclidean(ProfileSpec.from_string("s", (-1.0, 1.0)))
 
 
+def test_revolve_euclidean_rejects_a_nan_profile():
+    # nan <= 0.0 is False, so a profile that is NaN on the domain once built
+    for src, domain in (("0*exp(1000*s) + 1", (0.0, 1.0)), ("1", (0.0, math.nan)),
+                        ("s + 1", (0.0, math.nan))):
+        with pytest.raises(G3Error, match=r"^euclidean revolution needs g > 0; g\(.*\) = nan"):
+            revolve_euclidean(ProfileSpec.from_string(src, domain))
+
+
 def test_revolve_isotropic_point_and_normal():
     profile = ProfileSpec.from_string("s^2/2 + 1", (0.0, 3.0), c=2.0)
     surf = revolve_isotropic(profile)
