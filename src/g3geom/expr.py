@@ -46,10 +46,10 @@ and in a field tape every value and partial the field does not read),
 and each temporary is deleted after its last use.  Every slot fn reads
 equals the slot of `eval_jet2` bit for bit, and with check=True the
 domain checks run at their nodes in the interpreter's order, so an error
-has the same class and offset.  The tape skips `eval_jet2`'s final broadcast: each result
-keeps the shape of the operands it depends on, so with (n1, 1) and
-(1, n2) operands a u2-only coordinate stays a (1, n2) row.  A compiled
-tape keeps its operation counts (`TapeOps`).
+has the same class and offset.  The tape skips `eval_jet2`'s final
+broadcast: each result keeps the shape of the operands it depends on, so
+with (n1, 1) and (1, n2) operands a u2-only coordinate stays a (1, n2)
+row.  A compiled tape keeps its operation counts (`TapeOps`).
 
 Tapes are cached by the trees' structure, not by object.  Parameter
 values and literals are read at call time, so every wavy surface, every
@@ -1007,11 +1007,11 @@ class _Tape(_Values):
     equal bit for bit.  A structural zero (_Zero) is decided here, as is an
     operation on constants only and x * 1.0; the same operation on the
     same slots is emitted once; lines whose results fn's results do not
-    read are dropped, and each temporary is deleted
-    after its last use.  Domain checks (check=True) are emitted at their
-    nodes in evaluation order; one whose value is a constant is decided
-    here.  The results turn a structural zero into the float 0.0.  The
-    function keeps its operation counts as `ops` (TapeOps).
+    read are dropped, and each temporary is deleted after its last use.
+    Domain checks (check=True) are emitted at their nodes in evaluation
+    order; one whose value is a constant is decided here.  The results
+    turn a structural zero into the float 0.0.  The function keeps its
+    operation counts as `ops` (TapeOps).
     """
 
     def __init__(self, asts: Sequence[ExprAST], check: bool, split: frozenset[str],

@@ -21,8 +21,8 @@ from g3geom import (
     write_svg,
 )
 from g3geom.export import TriMesh
+from g3geom.expr import eval_jet2
 from g3geom.isophote import CLOSE_TOL, ExtractStats, IsophoteSet, Polyline
-from g3geom.surface import _coordinate_values
 
 
 def _parse_obj(data: bytes):
@@ -222,7 +222,7 @@ def test_array_path_matches_list_path():
 
 def test_tessellate_domain_error_names_the_first_bad_point():
     # the first grid point, row-major, where a coordinate is not finite
-    # (the values tape, with the checks off)
+    # (the interpreter's values, with the checks off)
     cases = [("u1", "u2", "sqrt(u1-1)", ((0.5, 2.0), (0.0, 1.0))),
              ("u1", "sqrt(1-u2)", "u1", ((0.0, 1.0), (0.0, 1.5))),
              ("u1", "u2", "sqrt(u1-1)*sqrt(2-u2)", ((1.5, 2.0), (0.0, 3.0))),
@@ -230,8 +230,9 @@ def test_tessellate_domain_error_names_the_first_bad_point():
     for x, y, z, domain in cases:
         surf = SurfaceSpec.from_strings(x, y, z, domain)
         U1, U2 = surf.grid(5, 4)
-        xyz = _coordinate_values(surf, U1[:, None], U2[None, :], check=False)
-        bad = np.broadcast_to(~np.isfinite(sum(xyz)), (5, 4))
+        xyz = [eval_jet2(c, (U1[:, None], U2[None, :]), check=False).value
+               for c in (surf.x, surf.y, surf.z)]
+        bad = ~np.isfinite(sum(xyz))
         i, j = map(int, np.argwhere(bad)[0])
         with pytest.raises(G3Error) as exc:
             tessellate(surf, 4, 3)
