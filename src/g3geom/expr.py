@@ -23,6 +23,14 @@ decides the leaves, the domain tests and the powers: `_Values` evaluates
 on numpy arrays, the interpreter behind `eval_jet` and `eval_jet2`, and
 `_Tape` traces.
 
+The tree, never the values, decides how `a^b` is evaluated.  An exponent
+b that reads no variable is a constant, and its value picks the rule
+(`_pow_rule`): an integer power, whose base may be negative, or a real
+power of a positive base.  Any other exponent takes exp(b log a), which
+needs a > 0, even at points where b's partials vanish.  So a point and an
+array that holds it take the same way, and a tape knows every way while
+it traces.
+
 A Jet2 slot that is zero whatever the operands (the partials of a
 constant or a parameter, u1's seed by u2 and u2's by u1, and what only
 they feed) is a structural zero, one `_Zero` object: it absorbs * and /
@@ -54,11 +62,12 @@ row.  A compiled tape keeps its operation counts (`TapeOps`).
 Tapes are cached by the trees' structure, not by object.  Parameter
 values and literals are read at call time, so every wavy surface, every
 revolution of one profile family, and every motion image of a surface in
-`verify` runs one tape.  A literal in an exponent decides how `^` is
-evaluated, so it is part of the key, as its exact bits: Num(0.0) and
-Num(-0.0) are equal nodes, and a NaN is not equal to itself.  A parameter
-name that the trees bind to different values is read per tree.  At most
-TAPE_CACHE_SIZE tapes are kept.
+`verify` runs one tape.  A literal or a parameter in an exponent is
+instead a constant while tracing, so the tape knows every constant
+exponent; it is part of the key, as its exact bits: Num(0.0) and Num(-0.0) are equal
+nodes, and a NaN is not equal to itself.  A parameter name that the trees
+bind to different values is read per tree.  At most TAPE_CACHE_SIZE tapes
+are kept.
 """
 
 from __future__ import annotations
@@ -166,16 +175,19 @@ class ExprAST:
     def structure(self) -> tuple[tuple, frozenset[str], tuple]:
         """What a compiled tape reads of the expression: its key (the
         tree's shape, offsets and variables), the names of the parameters
-        it reads, and its literals as float64 in tree order.  A literal in
-        an exponent decides how `^` is evaluated, so it enters the key as
-        its exact bits (Num(0.0) == Num(-0.0) as nodes) and not the list."""
+        it reads, and its literals as float64 in tree order.  A literal or
+        a parameter in an exponent is a constant of the tape, which then
+        knows the value of every exponent that reads no variable, so it
+        enters the key as its exact bits (Num(0.0) == Num(-0.0) as nodes)
+        and not the list or the names."""
         names: set[str] = set()
         literals: list = []
 
         def key(node: Node, exponent: bool) -> tuple:
+            if isinstance(node, (Num, Param)) and exponent:
+                value = node.value if isinstance(node, Num) else self.params[node.name]
+                return ("num", struct.pack("<d", value), node.offset)
             if isinstance(node, Num):
-                if exponent:
-                    return ("num", struct.pack("<d", node.value), node.offset)
                 literals.append(np.float64(node.value))
                 return ("num", node.offset)
             if isinstance(node, Bin):
@@ -705,15 +717,6 @@ _FUNCTION_DOMAINS = {
 }
 
 
-def _constant_exponent(j) -> float | None:
-    """Return the exponent as a plain float if it has no variable dependence."""
-    if np.ndim(j.value) != 0:
-        return None
-    if any(s is not _ZERO and np.any(s != 0.0) for s in j.derivatives()):
-        return None
-    return float(j.value)
-
-
 def _pow_derivs(v, c: float, max_order: int):
     """Derivatives of x**c at v; coefficient-guarded so 0**negative
     is never formed when its coefficient vanishes."""
@@ -732,9 +735,9 @@ def _pow_derivs(v, c: float, max_order: int):
 
 def _pow_rule(c: float | None):
     """How base ** expo is evaluated for the constant exponent c (None when
-    it varies): the exponent handed to _pow_derivs, or None for
-    exp(expo log base), and the (test, message) of the base's domain, or
-    None."""
+    the exponent reads a variable): the exponent handed to _pow_derivs, or
+    None for exp(expo log base), and the (test, message) of the base's
+    domain, or None."""
     if c is not None and math.isfinite(c):
         if c == int(c) and abs(c) < 2 ** 31:
             n = int(c)
@@ -747,8 +750,8 @@ def _pow_rule(c: float | None):
 
 class _Values:
     """The leaves, domain tests and powers of `_eval` on numbers: the
-    interpreter behind eval_jet and eval_jet2.  `_Tape` makes the same
-    three decisions on traced slots."""
+    interpreter behind eval_jet and eval_jet2.  `_Tape` decides the leaves
+    and the domain tests on traced slots, and traces the powers."""
 
     def __init__(self, kind, params: Mapping[str, float], check: bool):
         self.kind, self.params, self.check = kind, params, check
@@ -764,34 +767,25 @@ class _Values:
         if self.check and np.any(_TESTS[test](v)):
             raise ExprDomainError(message, offset)
 
-    def power(self, base, expo, offset: int):
-        """base ** expo; the exponent counts as constant where its value is a
-        scalar and all its derivative slots vanish.
-
-        Which structural zeros the result has must not depend on the values,
-        or a tape could not know them while tracing.  The two ways agree
-        when every partial of the exponent is a structural zero; otherwise
-        a structural zero of the result is made the float 0.0."""
-        p, domain = _pow_rule(_constant_exponent(expo))
+    def power(self, base, expo, offset: int, constant: bool):
+        """base ** expo; `constant` tells whether the exponent's subtree
+        reads no variable, so its value picks the power (_pow_rule)."""
+        p, domain = _pow_rule(float(expo.value) if constant else None)
         if domain:
             self.require(base.value, *domain, offset)
         if p is not None:
-            j = base.compose(*_pow_derivs(base.value, p, base.ORDER))
-        else:
-            logb = base.compose(*_outer_derivs("log", base.value)[:base.ORDER + 1])
-            prod = expo * logb
-            j = prod.compose(*_outer_derivs("exp", prod.value)[:prod.ORDER + 1])
-        slots = j.derivatives()
-        if any(s is _ZERO for s in slots) and not all(s is _ZERO for s in expo.derivatives()):
-            return type(j)(j.value, *map(_real, slots))
-        return j
+            return base.compose(*_pow_derivs(base.value, p, base.ORDER))
+        logb = base.compose(*_outer_derivs("log", base.value)[:base.ORDER + 1])
+        prod = expo * logb
+        return prod.compose(*_outer_derivs("exp", prod.value)[:prod.ORDER + 1])
 
 
 def _eval(root: Node, seeds: dict, order: int, values):
     """Evaluate the tree `root` with each variable bound to its seed jet.
 
     `values` decides the leaves, the domain tests and the powers (_Values
-    on numbers, _Tape on traced slots).  The jet class (Jet or Jet2) of the
+    on numbers, _Tape on traced slots); an exponent counts as constant
+    when its subtree reads no variable.  The jet class (Jet or Jet2) of the
     result is the class of the seeds; `order` only gates the
     derivative-domain checks.
     """
@@ -813,7 +807,7 @@ def _eval(root: Node, seeds: dict, order: int, values):
             lhs = ev(node.lhs, exponent)
             rhs = ev(node.rhs, exponent or node.op == "^")
             if node.op == "^":
-                return values.power(lhs, rhs, node.offset)
+                return values.power(lhs, rhs, node.offset, not node.rhs.free)
             if node.op == "+":
                 return lhs + rhs
             if node.op == "-":
@@ -909,9 +903,9 @@ def on_partials(fn, asts: Sequence[ExprAST], at, args: Sequence[float] = (), *,
     of `eval_jet2` before it makes the structural zeros 0.0 and
     broadcasts), on the shape of the operands it depends on; a domain error
     is eval_jet2's error, at the same offset.  The tape is cached by the
-    expressions' structure (literals in exponents by their exact bits), by
-    which parameter names they bind differently, and by fn; parameter
-    values and the other literals are read at call time.
+    expressions' structure (literals and parameters in exponents by their
+    exact bits), by which parameter names they bind differently, and by
+    fn; the other parameter values and literals are read at call time.
     """
     tape = _compiled(asts, check, fn, len(args))
     with np.errstate(all="ignore"):
@@ -946,18 +940,6 @@ def _split_parameters(asts: Sequence[ExprAST]) -> frozenset[str]:
                                    and math.copysign(1.0, v) == math.copysign(1.0, w)):
                 split.add(name)
     return frozenset(split)
-
-
-def _tape_pow(base: tuple, expo: tuple, offset: int, check: bool) -> tuple:
-    """base ** expo on Jet2 slots, for an exponent known only at run time:
-    Jet2 decides on the exponent's six slots whether it is constant."""
-    j = _Values(Jet2, {}, check).power(Jet2(*base), Jet2(*expo), offset)
-    return tuple(map(_real, (j.value, *j.derivatives())))
-
-
-def _probe(j: Jet2) -> Jet2:
-    """A Jet2 with the structural zeros of j and 1.0 in every other slot."""
-    return Jet2(1.0, *(s if s is _ZERO else 1.0 for s in j.derivatives()))
 
 
 class _Sym:
@@ -1019,7 +1001,7 @@ class _Tape(_Values):
         super().__init__(Jet2, {}, check)
         self.asts, self.split, self.fn, self.nargs = asts, split, fn, nargs
         self.env = {"np": np, "ExprDomainError": ExprDomainError,
-                    "_tape_pow": _tape_pow, "_arity_error": _arity_error}
+                    "_arity_error": _arity_error}
         self.lines: list[tuple[str, tuple, tuple, bool]] = []  # code, defs, uses, pure
         self.memo: dict[tuple, object] = {}
         self.consts: dict[tuple, str] = {}
@@ -1074,6 +1056,9 @@ class _Tape(_Values):
         return self.memo[code]
 
     def leaf(self, node: Num | Param, exponent: bool):
+        if exponent:
+            # keyed by its bits, so the tape knows every constant exponent
+            return super().leaf(node, exponent)
         if isinstance(node, Param):
             # a name bound alike by every tree is read from the first reading it
             i = self.i
@@ -1081,26 +1066,8 @@ class _Tape(_Values):
                 i = self.memo.setdefault(("param", node.name), i)
             return Jet2.constant(self.load(f"np.float64(A[{i}].params[{node.name!r}])",
                                            pure=False))
-        if exponent:
-            # an exponent literal decides how `^` is evaluated: a keyed constant
-            return Jet2.constant(np.float64(node.value))
         self.literals += 1
         return Jet2.constant(self.load(f"L[{self.i}][{self.literals - 1}]"))
-
-    def power(self, base: Jet2, expo: Jet2, offset: int) -> Jet2:
-        slots = (expo.value, *expo.derivatives())
-        if not any(isinstance(s, _Sym) for s in slots):
-            # a literal exponent: decided here, as _tape_pow decides at run time
-            return super().power(base, expo, offset)
-        args = tuple((j.value, *j.derivatives()) for j in (base, expo))
-        code = ", ".join(f"({', '.join(map(self.ref, t))})" for t in args)
-        outs = self.emit(f"_tape_pow({code}, {offset}, {self.check})",
-                         args[0] + args[1], 6, False)
-        # _tape_pow's structural zeros do not depend on the values, so
-        # _Values.power finds them on jets with 1.0 in every other slot
-        zeros = _Values(Jet2, {}, False).power(_probe(base), _probe(expo), offset)
-        return Jet2(*(_ZERO if z is _ZERO else o
-                      for o, z in zip(outs, (zeros.value, *zeros.derivatives()))))
 
     def compile(self):
         out: list | None = []
@@ -1113,7 +1080,7 @@ class _Tape(_Values):
             if i == 0:
                 self.lines.append(("U1, U2 = (np.asarray(v, dtype=float) for v in at)",
                                    ("U1", "U2"), (), False))
-            self.i, self.literals = i, 0
+            self.i, self.literals, self.params = i, 0, ast.params
             out.append(_eval(ast.root, _bivariate_seeds(ast.variables, u1, u2), 2, self))
         if out is not None:
             results = self.fn(*out, *[self.load(f"D[{k}]") for k in range(self.nargs)])

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from g3geom import ProfileSpec, expr, isophote
@@ -31,6 +31,7 @@ from g3geom.surface import (
     SurfaceSpec,
     _coordinate_values,
     _normal_parts,
+    _values,
     sample_surface,
 )
 
@@ -427,9 +428,10 @@ def test_first_order_jets_keep_operand_shapes():
     assert np.shape(j.value) == ()
 
 
-def test_first_order_constant_exponent_decided_on_second_partials():
-    # at u1 = 0 the exponent 2 + u1^2 has zero first partials but a second
-    # partial of 2, so Jet2 takes the variable-exponent path
+def test_exponent_reading_a_variable_takes_exp_log_where_its_partials_vanish():
+    # the exponent 2 + u1^2 reads u1, so it is a variable exponent even at
+    # u1 = 0, where its first partials vanish: exp((2 + u1^2) log(u2 + 1)),
+    # not the constant-exponent power (u2 + 1)^2
     ast = expr.parse("(u2 + 1)^(2 + u1^2)", ["u1", "u2"])
     full = expr.eval_jet2(ast, (0.0, 0.3))
     first, = _tape_jets([ast], (0.0, 0.3))
@@ -555,10 +557,10 @@ def test_tape_on_subtrees_shared_inside_and_outside_exponents():
             _assert_tape_matches_jet2((tree, a, b), at, check)
 
 
-def test_tape_power_in_an_exponent_keeps_its_second_partials():
-    # at u1 = 0 the exponent (u1*u1)^k has zero first partials; only its
-    # second partial, which needs the base's, makes Jet2 take the variable
-    # path, and so reject the negative base
+def test_tape_power_in_an_exponent_is_a_variable_exponent():
+    # the exponent (u1*u1)^k reads u1, so the outer power takes the
+    # variable path and rejects the negative base, also at u1 = 0, where
+    # every partial of the exponent but du1u1 vanishes
     tree = expr.parse("(0 - 2)^((u1*u1)^k) + u2", _V, {"k": 1.0})
     with pytest.raises(ExprDomainError, match="variable power"):
         expr.eval_jet2(tree, (0.0, 0.3))
@@ -568,10 +570,10 @@ def test_tape_power_in_an_exponent_keeps_its_second_partials():
 
 
 def test_power_structural_zeros_do_not_depend_on_the_values():
-    # at u1 = 0 every partial of u1*u1*u1 vanishes, so 2^(u1*u1*u1) takes
-    # the constant-exponent way, whose du1 would be a structural zero
-    # where the exp-log way's is not: the tape cannot know which way a
-    # call takes, so a varying exponent gives the float 0.0 (negated: -0.0)
+    # u1*u1*u1 reads u1, so 2^(u1*u1*u1) takes the exp-log way at every
+    # point, also at u1 = 0, where every partial of the exponent vanishes:
+    # its du1 there is the computed float 0.0 (negated: -0.0), never the
+    # structural zero of a constant exponent's power of the constant 2
     tree = expr.parse("-(2^(u1*u1*u1)) + u2", _V)
     assert np.signbit(expr.eval_jet2(tree, (0.0, 0.3)).du1)
     for at in [(0.0, 0.3), *_KEY_OPERANDS]:
@@ -643,6 +645,58 @@ def _bivariate_sources():
         return unary | neg | binary | power
 
     return st.recursive(leaves, extend, max_leaves=6)
+
+
+def _assert_point_equals_array(point, array):
+    """An evaluation at a point and one at a one-element array holding it
+    raise the same domain error at the same offset, or give equal slots by
+    value (NaN equal to NaN; the array's broadcast makes -0.0 +0.0)."""
+    if isinstance(point, tuple) or isinstance(array, tuple):
+        assert point == array
+        return
+    for p, a in zip((point.value, *point.derivatives()), (array.value, *array.derivatives())):
+        assert np.shape(p) == () and np.shape(a) == (1,)
+        np.testing.assert_array_equal(p, a[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bivariate_sources(), st.sampled_from([0.0, -0.0, -0.4, 2.0]),
+       st.sampled_from([(0.7, 0.3), (0.0, 0.0), (-1.0, 0.5), (2.0, -0.0)]))
+# each took a constant-exponent rule at the point and the exp-log rule on
+# the array, when the rule was decided from the exponent's values
+@example("3^(u1/u1)", 2.0, (0.7, 0.3))
+@example("k^(u1-u1)", 0.0, (0.7, 0.3))
+@example("(u1-5)^(u2*u2*u2+2)", 2.0, (0.0, 0.0))
+def test_a_point_and_a_one_element_array_agree(src, k, at):
+    u1, u2 = at
+    ast = expr.parse(src, _V, {"k": k})
+    # eval_jet on the same source, with u2 a parameter bound to the point's
+    univariate = expr.parse(src, ["u1"], {"k": k, "u2": u2})
+    for check in (True, False):
+        _assert_point_equals_array(
+            _outcome(lambda: expr.eval_jet2(ast, (u1, u2), check=check)),
+            _outcome(lambda: expr.eval_jet2(ast, (np.array([u1]), np.array([u2])),
+                                            check=check)))
+        _assert_point_equals_array(
+            _outcome(lambda: expr.eval_jet(univariate, u1, check=check)),
+            _outcome(lambda: expr.eval_jet(univariate, np.array([u1]), check=check)))
+
+
+def test_variable_exponent_tapes_are_numpy_arithmetic_only():
+    # every exponent is decided while tracing (a parameter in an exponent
+    # is a keyed constant), so a variable exponent traces exp(b log a) into
+    # the tape, and the field tape computes no second partial
+    at = (np.linspace(0.5, 2.0, 5)[:, None], np.linspace(0.0, 1.0, 4)[None, :])
+    cases = {"(u2 + 1)^(2 + u1^2) + k*u1^(1/3)": ((9, 3, 4), (14, 9, 5)),
+             "u1^k + u2^(2*k)": ((3, 1, 3), (7, 0, 5))}
+    for z, (values, field) in cases.items():
+        surface = SurfaceSpec.from_strings("u1", "u2", z, parameters={"k": 1.5})
+        asts = (surface.x, surface.y, surface.z)
+        assert expr._compiled(asts, False, _values, 0).ops == values, z
+        assert expr._compiled(asts, False, isophote._shading, 2).ops == field, z
+        for check in (True, False):
+            _assert_tape_matches_jet2(asts, at, check)
+            _assert_field_tape_matches_interpreter(surface, at, check)
 
 
 def _interpreted_field(surface, axis, at, check):
@@ -795,6 +849,19 @@ def test_sample_surface_equals_the_interpreter():
                 assert got == want, (x, y, z, u1, u2)
                 seen.add("error" if isinstance(want, tuple) else "nan" in want)
     assert seen == {"error", True, False}
+
+
+def test_sample_surface_and_field_raise_alike_on_a_variable_exponent():
+    # the exponent u2*u2*u2 + 2 reads u2, so the base u1 - 5 must be
+    # positive, also at (0, 0), where the exponent's partials vanish
+    surface = SurfaceSpec.from_strings("u1", "u2", "(u1-5)^(u2*u2*u2+2)")
+    errors = []
+    for call in (lambda: sample_surface(surface, 0.0, 0.0),
+                 lambda: isophote.field(surface, GVec3(0.0, 0.0, 1.0), 0.0, 0.0)):
+        with pytest.raises(ExprDomainError, match="variable power of a non-positive base") as e:
+            call()
+        errors.append((e.type, str(e.value), e.value.offset))
+    assert errors[0] == errors[1]
 
 
 # ---------------------------------------------------------------------------
