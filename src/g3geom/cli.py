@@ -10,10 +10,10 @@ error.  --grid and --mesh may ask for at most MAX_GRID_POINTS points and
 --samples for at most MAX_SAMPLES; more is a usage error, raised before
 anything is computed.
 
-Field grids are evaluated in row blocks of about 2^16 points.  The
-environment variable G3_THREADS caps the threads those blocks run on
-(0 or unset = auto) for grids of at least 2^19 points; smaller grids, and
-fields that depend on u2 alone, run on the calling thread.
+Field grids are evaluated in row blocks of about 2^16 points.  A grid of
+at least 2^19 points runs its blocks on one thread per CPU the process
+may run on, at most 8; smaller grids, and fields that depend on u2 alone,
+run on the calling thread.
 """
 
 from __future__ import annotations

@@ -48,28 +48,25 @@ BLOCK_POINTS = 1 << 16
 
 
 def worker_count() -> int:
-    """Worker cap from G3_THREADS (0 or unset = auto) for field grids of at
-    least PARALLEL_MIN_POINTS points."""
-    raw = os.environ.get("G3_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = min(os.cpu_count() or 1, 8)
-    return n
+    """Threads a field grid of at least PARALLEL_MIN_POINTS points runs on:
+    the CPUs this process may run on, at most 8."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(len(os.sched_getaffinity(0)), 8)
+    return min(os.cpu_count() or 1, 8)
 
 
 def field(surface: SurfaceSpec, axis: GVec3, u1: float, u2: float) -> float:
     """Shading value at one parameter point (axis must be unit, either kind):
-    a one-sample call into the `field_grid` kernel that raises where it gives NaN."""
+    a one-sample call into the `field_grid` kernel.  It raises
+    SingularNormalError naming the point where omega is not a finite number
+    above OMEGA_MIN, which covers every point where the kernel gives NaN."""
     if not is_unit_axis(axis):
         raise G3Error("axis must be normalized (see normalize_axis)")
     u1, u2 = _finite_samples((float(u1), float(u2)), "(u1, u2)")
     # a surface whose partials are all constant gives 0-d results
     value, omega = (float(np.ravel(a)[0]) for a in _field_block(
         surface, axis, np.array([u1]), np.array([u2]), check=True))
-    if omega <= OMEGA_MIN:
+    if not (math.isfinite(omega) and omega > OMEGA_MIN):
         raise SingularNormalError(
             f"omega = {omega:.3g} at (u1,u2)=({u1:.6g},{u2:.6g})")
     return value

@@ -20,6 +20,7 @@ from .curve import KAPPA_MIN, CurveSpec, _curve_arrays, _finite_samples
 from .errors import (
     AxisConstraintError,
     AxisUndefinedError,
+    G3Error,
     InadmissibleTraceError,
     NotAsymptoticError,
     NotLineOfCurvatureError,
@@ -103,24 +104,34 @@ def _sample_parts(jx, jy, jz):
 
 def sample_surface(surface: SurfaceSpec, u1: float, u2: float,
                    omega_min: float = OMEGA_MIN) -> SurfaceSample:
-    """First fundamental form data and the unit isotropic normal at a point."""
+    """First fundamental form data and the unit isotropic normal at a point.
+
+    Raises SingularNormalError where omega is not a finite number above
+    omega_min, and G3Error where another field is not finite (a coordinate,
+    a partial or a product of partials that overflows)."""
     u1, u2 = _finite_samples((float(u1), float(u2)), "(u1, u2)")
     x, y, z, xu1, yu1, zu1, xu2, yu2, zu2, A, B, omega = expr.on_partials(
         _sample_parts, (surface.x, surface.y, surface.z), (u1, u2))
-    if omega <= omega_min:
+    at = f"at (u1,u2)=({u1:.6g},{u2:.6g})"
+    if not (math.isfinite(omega) and omega > omega_min):
         raise SingularNormalError(
-            f"omega = {float(omega):.3g} <= {omega_min:g} at (u1,u2)=({u1:.6g},{u2:.6g})")
-    return SurfaceSample(
-        point=GVec3(float(x), float(y), float(z)),
-        Xu1=GVec3(float(xu1), float(yu1), float(zu1)),
-        Xu2=GVec3(float(xu2), float(yu2), float(zu2)),
-        n=GVec3(0.0, float(A / omega), float(B / omega)),
-        omega=float(omega),
-        g1=float(xu1), g2=float(xu2),
-        h11=float(yu1 ** 2 + zu1 ** 2),
-        h12=float(yu1 * yu2 + zu1 * zu2),
-        h22=float(yu2 ** 2 + zu2 ** 2),
-    )
+            f"omega = {float(omega):.3g} is not a finite number above {omega_min:g} {at}")
+    with np.errstate(all="ignore"):
+        sample = SurfaceSample(
+            point=GVec3(float(x), float(y), float(z)),
+            Xu1=GVec3(float(xu1), float(yu1), float(zu1)),
+            Xu2=GVec3(float(xu2), float(yu2), float(zu2)),
+            n=GVec3(0.0, float(A / omega), float(B / omega)),
+            omega=float(omega),
+            g1=float(xu1), g2=float(xu2),
+            h11=float(yu1 ** 2 + zu1 ** 2),
+            h12=float(yu1 * yu2 + zu1 * zu2),
+            h22=float(yu2 ** 2 + zu2 ** 2),
+        )
+    for name, value in vars(sample).items():
+        if not all(map(math.isfinite, value.to_list() if isinstance(value, GVec3) else [value])):
+            raise G3Error(f"{name} = {value} is not finite {at}")
+    return sample
 
 
 @dataclass(frozen=True)

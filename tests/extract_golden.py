@@ -12,12 +12,12 @@ committed files; running this module writes both files again:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
-import os
-from unittest import mock
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from g3geom import (
     write_obj,
     write_svg,
 )
+from g3geom import isophote
 from g3geom.export import TriMesh
 from g3geom.isophote import ExtractStats, IsophoteSet, Polyline
 
@@ -81,7 +82,7 @@ def _failed_edges():
         ((-1.0, 1.0), (-1.0, 1.0)))
 
 
-# name -> () -> (surface, query, G3_THREADS or None)
+# name -> () -> (surface, query, worker count or None for the default)
 CASES = {
     "wavy_17": lambda: (_wavy(), IsophoteQuery.raw_level(WAVY_AXIS, 0.5, (17, 17)), None),
     "wavy_256": lambda: (_wavy(), IsophoteQuery.raw_level(WAVY_AXIS, 0.5, (256, 256)), None),
@@ -112,7 +113,8 @@ def _sha(data: bytes) -> str:
 def record(name: str) -> dict:
     """Digests of the written outputs and the stats of one case."""
     surface, query, threads = CASES[name]()
-    with mock.patch.dict(os.environ, {} if threads is None else {"G3_THREADS": str(threads)}):
+    with (contextlib.nullcontext() if threads is None
+          else mock.patch.object(isophote, "worker_count", lambda: threads)):
         iso = extract(surface, query)
     return {"obj": _sha(write_obj(iso)),
             "svg": _sha(write_svg(iso, surface.domain)),

@@ -22,6 +22,7 @@ from g3geom.errors import (
     ExprDomainError,
     ExprSyntaxError,
     G3Error,
+    SingularNormalError,
     UnknownIdentifierError,
 )
 from g3geom.expr import Bin, Call, Neg, Num, Param, Var
@@ -806,15 +807,19 @@ def test_values_tape_raises_where_the_partials_tape_raises():
     assert raised > 10
 
 
+@pytest.mark.filterwarnings("error")
 def test_sample_surface_equals_the_interpreter():
     # sample_surface's tape: the values and first partials of eval_jet2,
     # then _normal_parts on the interpreter's Jet2s, structural zeros
     # included (so the sign of an exactly zero normal part is the field
-    # tape's), bit for bit; NaNs from finite points pass through
+    # tape's), bit for bit.  Where omega is not a finite number above
+    # OMEGA_MIN (a NaN from finite points, or inf) it raises
+    # SingularNormalError, and where another field is not finite (h11
+    # overflows on the last surface at u1 = 0.5) a G3Error, with no warning
     surfaces = [("u1", "u2", "amp*sin(a*u1)*cos(b*u2)"), ("u1", "r*sin(u2)", "r*cos(u2)"),
                 ("u1", "-u1*u2", "u2^2 - u1"), ("u1 + u2", "(u2 - u2)*exp(400*u1)", "u2"),
                 ("u1", "u2*log(u1)", "u1*u2"), ("u1 + rotc*u2", "u1*u2", "sqrt(u1)"),
-                ("u1", "u1*cos(u2)", "u1*sin(u2)")]
+                ("u1", "u1*cos(u2)", "u1*sin(u2)"), ("u1", "exp(800*u1)*u2", "u2")]
     params = {"amp": 1.0, "a": 3.0, "b": 2.8, "r": 0.8, "rotc": 1.5}
     points = [-1.0, -0.0, 0.0, 0.5, 2.0]
 
@@ -831,11 +836,21 @@ def test_sample_surface_equals_the_interpreter():
                                expr._Values(expr.Jet2, a.params, True))
                     for a in (surface.x, surface.y, surface.z)]
             A, B, omega = map(expr._real, _normal_parts(*jets))
-            if omega <= OMEGA_MIN:
-                sample_surface(surface, u1, u2)  # raises SingularNormalError
             vec = [GVec3(*(float(expr._real(getattr(j, name))) for j in jets))
                    for name in ("value", "du1", "du2")]
-            return repr((*vec, GVec3(0.0, float(A / omega), float(B / omega)), float(omega)))
+            n = GVec3(0.0, float(A / omega), float(B / omega))
+            _, (_, yu1, zu1), (_, yu2, zu2) = (np.array(v.to_list()) for v in vec)
+            h = (yu1 ** 2 + zu1 ** 2, yu1 * yu2 + zu1 * zu2, yu2 ** 2 + zu2 ** 2)
+        if not (np.isfinite(omega) and omega > OMEGA_MIN):
+            raises = SingularNormalError
+        elif not np.isfinite([*(c for v in vec for c in v.to_list()), n.y, n.z, *h]).all():
+            raises = G3Error
+        else:
+            return repr((*vec, n, float(omega)))
+        with pytest.raises(raises, match=rf"at \(u1,u2\)=\({u1:.6g},{u2:.6g}\)$") as e:
+            sample_surface(surface, u1, u2)
+        assert e.type is raises
+        raise e.value
 
     seen = set()
     for x, y, z in surfaces:
@@ -847,8 +862,8 @@ def test_sample_surface_equals_the_interpreter():
                     (lambda p: (p.point, p.Xu1, p.Xu2, p.n, p.omega))(
                         sample_surface(surface, u1, u2))))
                 assert got == want, (x, y, z, u1, u2)
-                seen.add("error" if isinstance(want, tuple) else "nan" in want)
-    assert seen == {"error", True, False}
+                seen.add(want[0].__name__ if isinstance(want, tuple) else "sample")
+    assert seen == {"ExprDomainError", "SingularNormalError", "G3Error", "sample"}
 
 
 def test_sample_surface_and_field_raise_alike_on_a_variable_exponent():

@@ -161,7 +161,7 @@ def test_field_grid_returns_a_new_full_array(cylinder):
 def test_field_grid_peak_allocation(cylinder, monkeypatch, family, bound):
     """Peak traced allocation of a 257^2 field, in multiples of its bytes:
     x, y and z carry first partials only, on their operands' shapes."""
-    monkeypatch.setenv("G3_THREADS", "1")
+    monkeypatch.setattr(isophote, "worker_count", lambda: 1)
     assert _field_grid_peak(cylinder, family, 257) <= bound
 
 
@@ -200,9 +200,9 @@ def test_field_grid_threads_equal_one_thread_on_large_grid(cylinder, monkeypatch
     assert n * n >= isophote.PARALLEL_MIN_POINTS
     for surf, axis in _grid_surfaces(cylinder):
         U1, U2 = surf.grid(n, n)
-        monkeypatch.setenv("G3_THREADS", "1")
+        monkeypatch.setattr(isophote, "worker_count", lambda: 1)
         one = field_grid(surf, axis, U1[:, None], U2[None, :])
-        monkeypatch.setenv("G3_THREADS", "2")
+        monkeypatch.setattr(isophote, "worker_count", lambda: 2)
         two = field_grid(surf, axis, U1[:, None], U2[None, :])
         assert two.tobytes() == one.tobytes()
     # wavy and the revolution; the cylinder's field is one broadcast row
@@ -216,12 +216,12 @@ def test_field_grid_threads_equal_one_thread_on_large_grid(cylinder, monkeypatch
 def test_field_grid_pool_capped_by_blocks(cylinder, monkeypatch):
     built = []
     _recording_pool(monkeypatch, built)
-    monkeypatch.setenv("G3_THREADS", "64")
+    monkeypatch.setattr(isophote, "worker_count", lambda: 64)
     surf, axis = _grid_surfaces(cylinder)[0]
     n = 725
     U1, U2 = surf.grid(n, n)
     F = field_grid(surf, axis, U1[:, None], U2[None, :])
-    monkeypatch.setenv("G3_THREADS", "1")
+    monkeypatch.setattr(isophote, "worker_count", lambda: 1)
     assert F.tobytes() == field_grid(surf, axis, U1[:, None], U2[None, :]).tobytes()
     # block 0 runs before the pool starts, on the calling thread
     blocks = -(-n // max(2, isophote.BLOCK_POINTS // n))
@@ -243,9 +243,9 @@ def _block_cases(cylinder):
             ("u1 only", ring, axis, 1801, 300), ("holes", holes, axis, 777, 777)]
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("threads", [1, 2])
 def test_blocked_field_equals_one_block(cylinder, monkeypatch, threads):
-    monkeypatch.setenv("G3_THREADS", threads)
+    monkeypatch.setattr(isophote, "worker_count", lambda: threads)
     seen = {}
     for name, surf, axis, n1, n2 in _block_cases(cylinder):
         U1, U2 = surf.grid(n1, n2)
@@ -265,7 +265,7 @@ def test_blocked_field_equals_one_block(cylinder, monkeypatch, threads):
 def test_field_grid_peak_allocation_blocked(cylinder, monkeypatch, family, bound):
     """At 1025^2 the grid runs in row blocks, so the peak traced
     allocation stays near the output's own bytes."""
-    monkeypatch.setenv("G3_THREADS", "1")
+    monkeypatch.setattr(isophote, "worker_count", lambda: 1)
     assert _field_grid_peak(cylinder, family, 1025) <= bound
 
 
@@ -277,9 +277,9 @@ def test_field_grid_below_threshold_builds_no_pool(cylinder, monkeypatch):
     n = 724
     assert n * n < isophote.PARALLEL_MIN_POINTS
     U1, U2 = cylinder.grid(n, n)
-    monkeypatch.setenv("G3_THREADS", "2")
+    monkeypatch.setattr(isophote, "worker_count", lambda: 2)
     field_grid(cylinder, Z_AXIS, U1[:, None], U2[None, :])
-    monkeypatch.setenv("G3_THREADS", "4")
+    monkeypatch.setattr(isophote, "worker_count", lambda: 4)
     iso = extract(cylinder, IsophoteQuery.for_angle(Z_AXIS, math.pi / 3, grid=(64, 64)))
     assert len(iso.polylines) == 2
 

@@ -10,6 +10,7 @@ import pytest
 from g3geom import (
     CurveSpec,
     ExprDomainError,
+    G3Error,
     GVec3,
     InadmissibleTraceError,
     SingularNormalError,
@@ -78,6 +79,24 @@ def test_field_keeps_singular_normal_error_on_cone():
     with pytest.raises(SingularNormalError,
                        match=r"^omega = 0 at \(u1,u2\)=\(0,1\)$"):
         field(cone, Z_AXIS, 0.0, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_field_and_sample_surface_raise_where_omega_is_not_finite():
+    # 0 * inf makes omega NaN at u1 = 2 (field returned nan there, and
+    # sample_surface a sample of NaNs), and y_u2 = e^1600 makes it inf
+    nan_omega = SurfaceSpec.from_strings("u1", "u2", "(u2 - u2)*exp(400*u1)")
+    inf_omega = SurfaceSpec.from_strings("u1", "exp(800*u1)*u2", "u2")
+    for surface, omega in ((nan_omega, "nan"), (inf_omega, "inf")):
+        for call in (lambda: field(surface, Z_AXIS, 2.0, 0.5),
+                     lambda: sample_surface(surface, 2.0, 0.5)):
+            with pytest.raises(SingularNormalError,
+                               match=rf"^omega = {omega} .*at \(u1,u2\)=\(2,0\.5\)$"):
+                call()
+        assert field(surface, Z_AXIS, 0.5, 0.5) == 1.0
+    # omega is finite at u1 = 0.5, but y_u1^2 overflows in h11
+    with pytest.raises(G3Error, match=r"^h11 = inf is not finite at \(u1,u2\)=\(0\.5,1\)$"):
+        sample_surface(inf_omega, 0.5, 1.0)
 
 
 def test_sample_arrays_are_one_dimensional_and_finite(cubic_curve, cylinder, helix_trace):
