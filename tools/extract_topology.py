@@ -14,13 +14,13 @@ to import against a tree (the older tree lacks a name that a newer test
 imports) makes no calls on that side; its calls are counted as "only
 after" or "only before", and the other test set still covers what the
 module tested before.  The paired count is printed per set.  Topology
-must be identical: polyline count, polyline
-lengths, closed flags, `cells_crossing`, `cells_skipped`, `failed_edges`
-and `refined_edges`.  So must these stats against the before tree's
-`tests/golden/extract.json`, for every case of `tests/extract_golden.py`.
-Vertex displacement and refinement counts are reported, not judged.  Test
-failures do not matter here, only what the calls returned.  Exit 0 when
-at least one call pairs up and all of it is identical, 1 otherwise.
+must be identical: polyline count, polyline lengths, closed flags,
+`cells_crossing`, `cells_skipped`, `failed_edges` and `refined_edges`.
+So must these stats against the before tree's `tests/golden/extract.json`,
+for every case of `tests/extract_golden.py`.  Vertex displacement and
+refinement counts are reported, not judged.  Test failures do not matter
+here, only what the calls returned.  Exit 0 when at least one call pairs
+up and all of it is identical, 1 otherwise.
 """
 
 from __future__ import annotations
