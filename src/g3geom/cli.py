@@ -340,7 +340,7 @@ def cmd_revolve(args) -> int:
         mode = mode or entry.mode
     else:
         domain = _parse_interval(args.domain) if args.domain else (0.0, 1.0)
-        profile = ProfileSpec.from_string(args.profile, domain, c=args.c, A=args.A,
+        profile = ProfileSpec.from_string(args.profile, domain, c=args.c,
                                           parameters=_parse_params(args.param))
     if mode is None:
         raise G3Error("--mode euclidean|isotropic is required for inline profiles")
@@ -368,7 +368,7 @@ def cmd_revolve(args) -> int:
         if mesh is not None:
             result["mesh"] = {"vertices": len(mesh.vertices),
                               "faces": len(mesh.faces)}
-        _emit_json(args.json, "revolve", result, _defaults(c=args.c, A=args.A))
+        _emit_json(args.json, "revolve", result, _defaults(c=args.c))
     return 0
 
 
@@ -479,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("euclidean", "isotropic"))
     p.add_argument("--domain", metavar="A:B", help="profile domain (inline)")
     p.add_argument("--c", type=_finite_option, default=1.0, help="isotropic rotation radius")
-    p.add_argument("--A", type=_finite_option, default=0.0, help="profile constant")
     p.add_argument("--mesh", metavar="N1xN2", help="tessellate to a mesh")
     p.add_argument("--obj", metavar="PATH", help="write the mesh as OBJ")
     _add_common(p)

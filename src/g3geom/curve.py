@@ -67,16 +67,16 @@ def _finite_samples(S, name: str = "S") -> np.ndarray:
     return S
 
 
-def _curve_arrays(curve: CurveSpec, S: np.ndarray, kappa_min: float = KAPPA_MIN) -> dict:
+def _curve_arrays(curve: CurveSpec, S: np.ndarray) -> dict:
     """Batch Frenet data over sample points; raises if the frame degenerates."""
     jf = expr.eval_jet(curve.f, S, order=3)
     jg = expr.eval_jet(curve.g, S, order=3)
     kappa = np.hypot(jf.d2, jg.d2)
-    bad = kappa <= kappa_min
+    bad = kappa <= KAPPA_MIN
     if np.any(bad):
         s_bad = float(np.asarray(S, dtype=float).reshape(-1)[np.argmax(np.ravel(bad))])
         raise StraightSegmentError(
-            f"kappa <= {kappa_min:g} at s = {s_bad:.6g}: Frenet frame undefined")
+            f"kappa <= {KAPPA_MIN:g} at s = {s_bad:.6g}: Frenet frame undefined")
     tau = (jf.d2 * jg.d3 - jg.d2 * jf.d3) / (kappa * kappa)
     return {
         "s": S,
@@ -90,15 +90,15 @@ def _curve_arrays(curve: CurveSpec, S: np.ndarray, kappa_min: float = KAPPA_MIN)
     }
 
 
-def frenet(curve: CurveSpec, s: float, kappa_min: float = KAPPA_MIN) -> FrenetSample:
+def frenet(curve: CurveSpec, s: float) -> FrenetSample:
     """Frenet frame and invariants at one parameter value (a one-sample
     `frenet_samples` call)."""
-    return frenet_samples(curve, [float(s)], kappa_min)[0]
+    return frenet_samples(curve, [float(s)])[0]
 
 
-def frenet_samples(curve: CurveSpec, S, kappa_min: float = KAPPA_MIN) -> list[FrenetSample]:
+def frenet_samples(curve: CurveSpec, S) -> list[FrenetSample]:
     S = _finite_samples(S)
-    a = _curve_arrays(curve, S, kappa_min)
+    a = _curve_arrays(curve, S)
     out = []
     for i, s in enumerate(S):
         out.append(FrenetSample(

@@ -34,11 +34,11 @@ class ExprDomainError(ExprError):
 
 
 class StraightSegmentError(G3Error):
-    """Curvature fell below kappa_min: the Frenet frame is undefined."""
+    """Curvature fell below KAPPA_MIN: the Frenet frame is undefined."""
 
 
 class SingularNormalError(G3Error):
-    """The normal normalizer omega fell below omega_min: no unit normal."""
+    """omega is not a finite number above OMEGA_MIN: no unit normal."""
 
 
 class InadmissibleTraceError(G3Error):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .curve import FrenetSample
 from .errors import ExprDomainError, G3Error
-from .isophote import IsophoteSet, Polyline, _chains, _polyline_arrays
+from .isophote import IsophoteSet, _chains
 from .surface import DarbouxSample, SurfaceSpec, _coordinate_values
 
 
@@ -100,7 +100,7 @@ def _raises(surface: SurfaceSpec, U1, U2) -> bool:
     return False
 
 
-def write_obj(obj: TriMesh | IsophoteSet | list[Polyline]) -> bytes:
+def write_obj(obj: TriMesh | IsophoteSet) -> bytes:
     """Wavefront OBJ bytes: `v` lines then 1-based `f` triangles for a
     mesh, or `l` polylines for extracted level sets."""
     head = "# g3geom OBJ export\n"
@@ -108,11 +108,10 @@ def write_obj(obj: TriMesh | IsophoteSet | list[Polyline]) -> bytes:
         v = "v %.17g %.17g %.17g\n" * len(obj.vertices) % tuple(obj.vertices.ravel().tolist())
         f = "f %d %d %d\n" * len(obj.faces) % tuple((obj.faces + 1).ravel().tolist())
         return (head + v + f).encode("ascii")
-    vertices, offsets, closed = ((obj.vertices, obj.offsets, obj.closed)
-                                 if isinstance(obj, IsophoteSet) else _polyline_arrays(obj))
-    v = "v %.17g %.17g %.17g\n" * len(vertices) % tuple(vertices[:, 2:].ravel().tolist())
+    v = ("v %.17g %.17g %.17g\n" * len(obj.vertices)
+         % tuple(obj.vertices[:, 2:].ravel().tolist()))
     lines = []
-    for a, b, c in _chains(offsets, closed):
+    for a, b, c in _chains(obj.offsets, obj.closed):
         idx = tuple(range(a + 1, b + 1)) + (a + 1,) * c
         lines.append("l " + " ".join(["%d"] * len(idx)) % idx + "\n")
     return (head + v + "".join(lines)).encode("ascii")

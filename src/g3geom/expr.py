@@ -824,7 +824,8 @@ def _eval(root: Node, seeds: dict, order: int, values):
 def eval_jet(ast: ExprAST, at, order: int = 3, *, check: bool = True) -> Jet:
     """Evaluate a univariate expression, returning derivatives up to `order`.
 
-    `at` may be a scalar or a numpy array.  Slots above `order` are zeroed.
+    `at` may be a scalar, which runs as a one-element array, or a numpy
+    array.  Slots above `order` are zeroed.
     With check=False, domain violations produce NaN instead of raising,
     which is what grid shading wants for isolated singular points.
     """
@@ -834,15 +835,14 @@ def eval_jet(ast: ExprAST, at, order: int = 3, *, check: bool = True) -> Jet:
         raise ArityError(
             f"eval_jet needs exactly one declared variable, got {ast.variables}")
     at = np.asarray(at, dtype=float)
-    seeds = {ast.variables[0]: Jet(at, np.float64(1.0))}
+    point = at.ndim == 0
+    seeds = {ast.variables[0]: Jet(at.reshape(1) if point else at, np.float64(1.0))}
     with np.errstate(all="ignore"):
         j = _eval(ast.root, seeds, order, _Values(Jet, ast.params, check))
-    # broadcast constant subresults to the sample shape, zero unused slots
-    shaped = at * 0.0 if np.ndim(at) else np.float64(0.0)
-    d1 = j.d1 + shaped if order >= 1 else shaped
-    d2 = j.d2 + shaped if order >= 2 else shaped
-    d3 = j.d3 + shaped if order >= 3 else shaped
-    return Jet(j.value + shaped, d1, d2, d3)
+        # broadcast constant subresults to the sample shape, zero unused slots
+        shaped = np.float64(0.0) if point else at * 0.0
+        slots = [_first(s) if point else s for s in (j.value, *j.derivatives())]
+        return Jet(*(s + shaped for s in slots[:order + 1]), *[shaped] * (3 - order))
 
 
 def _arity_error(ast: ExprAST) -> ArityError:
@@ -858,19 +858,34 @@ def _bivariate_seeds(variables: Sequence[str], u1, u2) -> dict:
 def eval_jet2(ast: ExprAST, at, *, check: bool = True) -> Jet2:
     """Evaluate a bivariate expression: value, first and second partials.
 
-    `at` is a pair (u1, u2) of scalars or broadcastable numpy arrays.
+    `at` is a pair (u1, u2) of scalars or broadcastable numpy arrays; a
+    point runs as one-element arrays and keeps its signed zeros.
     """
     if len(ast.variables) != 2:
         raise _arity_error(ast)
-    u1, u2 = (np.asarray(v, dtype=float) for v in at)
+    (u1, u2), point = _as_arrays(at)
     with np.errstate(all="ignore"):
         j = _eval(ast.root, _bivariate_seeds(ast.variables, u1, u2), 2,
                   _Values(Jet2, ast.params, check))
-    slots = map(_real, (j.value, *j.derivatives()))
-    if np.ndim(u1) or np.ndim(u2):
+        slots = [_real(s) for s in (j.value, *j.derivatives())]
+        if point:
+            return Jet2(*map(_first, slots))
         shaped = (u1 + u2) * 0.0
         return Jet2(*(s + shaped for s in slots))
-    return Jet2(*slots)
+
+
+def _as_arrays(at) -> tuple[tuple[np.ndarray, np.ndarray], bool]:
+    """(u1, u2) as float arrays, one-element ones for a point (numpy's
+    scalar power can differ from its array loop in the last bit), and
+    whether it is a point."""
+    u1, u2 = (np.asarray(v, dtype=float) for v in at)
+    point = not (u1.ndim or u2.ndim)
+    return ((u1.reshape(1), u2.reshape(1)) if point else (u1, u2)), point
+
+
+def _first(slot):
+    """The point's slot of a one-element evaluation."""
+    return slot[0] if np.ndim(slot) else slot
 
 
 # ---------------------------------------------------------------------------
@@ -901,15 +916,18 @@ def on_partials(fn, asts: Sequence[ExprAST], at, args: Sequence[float] = (), *,
     the cache key).  The tape computes only what fn's results read.  Each
     result equals fn on the interpreter's own Jet2s, bit for bit (the jets
     of `eval_jet2` before it makes the structural zeros 0.0 and
-    broadcasts), on the shape of the operands it depends on; a domain error
-    is eval_jet2's error, at the same offset.  The tape is cached by the
+    broadcasts), on the shape of the operands it depends on; a point runs
+    as one-element arrays and gives scalars, as in eval_jet2.  A domain
+    error is eval_jet2's error, at the same offset.  The tape is cached by the
     expressions' structure (literals and parameters in exponents by their
     exact bits), by which parameter names they bind differently, and by
     fn; the other parameter values and literals are read at call time.
     """
     tape = _compiled(asts, check, fn, len(args))
+    at, point = _as_arrays(at)
     with np.errstate(all="ignore"):
-        return tape(at, asts, [a.structure[2] for a in asts], args)
+        out = tape(at, asts, [a.structure[2] for a in asts], args)
+    return tuple(map(_first, out)) if point else out
 
 
 def _compiled(asts: Sequence[ExprAST], check: bool, fn, nargs: int):

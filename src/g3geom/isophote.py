@@ -63,9 +63,7 @@ def field(surface: SurfaceSpec, axis: GVec3, u1: float, u2: float) -> float:
     if not is_unit_axis(axis):
         raise G3Error("axis must be normalized (see normalize_axis)")
     u1, u2 = _finite_samples((float(u1), float(u2)), "(u1, u2)")
-    # a surface whose partials are all constant gives 0-d results
-    value, omega = (float(np.ravel(a)[0]) for a in _field_block(
-        surface, axis, np.array([u1]), np.array([u2]), check=True))
+    value, omega = map(float, _field_block(surface, axis, u1, u2, check=True))
     if not (math.isfinite(omega) and omega > OMEGA_MIN):
         raise SingularNormalError(
             f"omega = {omega:.3g} at (u1,u2)=({u1:.6g},{u2:.6g})")
@@ -159,15 +157,21 @@ def _grid_shape(grid) -> tuple[int, int]:
         n1, n2 = grid
     except (TypeError, ValueError):
         n1 = n2 = None
-    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in (n1, n2)):
-        raise ValueError(f"grid must be two integers, got {grid!r}")
+    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 2
+               for n in (n1, n2)):
+        raise ValueError(f"grid must be two integers >= 2, got {grid!r}")
     n1, n2 = int(n1), int(n2)
-    if n1 < 2 or n2 < 2:
-        raise ValueError("grid must be at least 2x2")
     if n1 * n2 > MAX_GRID_POINTS:
         raise ValueError(f"grid {n1}x{n2} has {n1 * n2} points, above the cap "
                          f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     return n1, n2
+
+
+def _number(value, name: str) -> float:
+    """value as a float; a ValueError unless it is a number (bool not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -175,13 +179,12 @@ class IsophoteQuery:
     """What to extract: the axis, the level, grid resolution, refinement tol.
 
     Use the constructors: for_angle (isotropic axis, level = cos beta),
-    raw_level (any unit axis), or silhouette (level 0).
+    raw_level (any unit axis), or silhouette (level 0).  A level, beta or
+    refine_tol that is not a finite number is a ValueError naming it.
     """
 
     axis: GVec3
     level: float
-    kind: str  # "angle" | "raw" | "silhouette"
-    beta: float | None = None
     grid: tuple[int, int] = DEFAULT_GRID
     refine_tol: float = DEFAULT_REFINE_TOL
 
@@ -189,6 +192,8 @@ class IsophoteQuery:
         if not is_unit_axis(self.axis):
             raise G3Error("query axis must be normalized (see normalize_axis)")
         object.__setattr__(self, "grid", _grid_shape(self.grid))
+        for name in ("level", "refine_tol"):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
         if not math.isfinite(self.level):
             raise ValueError(f"level must be finite, got {self.level!r}")
         if not (math.isfinite(self.refine_tol) and self.refine_tol > 0.0):
@@ -201,19 +206,20 @@ class IsophoteQuery:
                   refine_tol=DEFAULT_REFINE_TOL) -> "IsophoteQuery":
         if not axis.is_isotropic:
             raise G3Error("an angle-level query needs an isotropic axis")
+        beta = _number(beta, "beta")
         if not 0.0 <= beta <= math.pi / 2 + 1e-15:
             raise ValueError("beta must lie in [0, pi/2]")
-        return cls(axis, math.cos(beta), "angle", beta, grid, refine_tol)
+        return cls(axis, math.cos(beta), grid, refine_tol)
 
     @classmethod
     def raw_level(cls, axis: GVec3, level: float, grid=DEFAULT_GRID,
                   refine_tol=DEFAULT_REFINE_TOL) -> "IsophoteQuery":
-        return cls(axis, float(level), "raw", None, grid, refine_tol)
+        return cls(axis, level, grid, refine_tol)
 
     @classmethod
     def for_silhouette(cls, axis: GVec3, grid=DEFAULT_GRID,
                        refine_tol=DEFAULT_REFINE_TOL) -> "IsophoteQuery":
-        return cls(axis, 0.0, "silhouette", None, grid, refine_tol)
+        return cls(axis, 0.0, grid, refine_tol)
 
 
 @dataclass
@@ -262,27 +268,12 @@ class IsophoteSet:
     closed when it has more than 2 vertices and its two ends lie within
     CLOSE_TOL of each other in (u1, u2); its last vertex then repeats its
     first.  `polylines` views the same data as a list of `Polyline`s of
-    Python floats, built on first access.
-
-    `IsophoteSet(polylines, level, constant_field, stats)` copies a list of
-    Polylines into the arrays.
+    Python floats, built on first access.  The arrays passed in are not
+    copied where their dtype and layout allow.
     """
 
-    def __init__(self, polylines: list[Polyline], level: float,
-                 constant_field: ConstantField | None, stats: ExtractStats):
-        self._set(*_polyline_arrays(polylines), level, constant_field, stats)
-
-    @classmethod
-    def _from_arrays(cls, vertices: np.ndarray, offsets: np.ndarray, closed: np.ndarray,
-                     level: float, constant_field: ConstantField | None,
-                     stats: ExtractStats) -> "IsophoteSet":
-        """The set of these arrays, not copied where their dtype and layout
-        allow."""
-        iso = cls.__new__(cls)
-        iso._set(vertices, offsets, closed, level, constant_field, stats)
-        return iso
-
-    def _set(self, vertices, offsets, closed, level, constant_field, stats) -> None:
+    def __init__(self, vertices: np.ndarray, offsets: np.ndarray, closed: np.ndarray,
+                 level: float, constant_field: ConstantField | None, stats: ExtractStats):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64).reshape(-1, 5)
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.closed = np.asarray(closed, dtype=bool)
@@ -316,16 +307,6 @@ def _chains(offsets: np.ndarray, closed: np.ndarray):
     """(start, stop, closed) of each polyline, as Python ints and bools."""
     o = offsets.tolist()
     return zip(o, o[1:], closed.tolist())
-
-
-def _polyline_arrays(polylines) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The vertices, offsets and closed flags of an IsophoteSet of these
-    Polylines."""
-    counts = [len(pl.points) for pl in polylines]
-    vertices = np.array([p for pl in polylines for p in pl.points],
-                        dtype=np.float64).reshape(-1, 5)
-    offsets = np.cumsum([0, *counts], dtype=np.int64)
-    return vertices, offsets, np.array([bool(pl.closed) for pl in polylines], dtype=bool)
 
 
 def _cell_masks(F: np.ndarray, level: float, fin: np.ndarray | None = None):
@@ -440,7 +421,7 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery) -> IsophoteSet:
     fin = np.isfinite(F)
     if not fin.any():
         stats.cells_skipped = stats.cells_total
-        return IsophoteSet([], level, None, stats)
+        return IsophoteSet(np.empty((0, 5)), [0], [], level, None, stats)
     all_finite = bool(fin.all())
     defined = F if all_finite else F[fin]
     fmin, fmax = float(defined.min()), float(defined.max())
@@ -449,7 +430,7 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery) -> IsophoteSet:
         value = float(np.ascontiguousarray(F).mean())
         cf = ConstantField(value=value, spread=fmax - fmin,
                            matches_level=abs(value - level) <= query.refine_tol)
-        return IsophoteSet([], level, cf, stats)
+        return IsophoteSet(np.empty((0, 5)), [0], [], level, cf, stats)
 
     up, cross_h, cross_v, cell, cell_ok = _cell_masks(F, level, fin)
     nh = n1 * (n2 + 1)  # the first v-edge id
@@ -503,7 +484,7 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery) -> IsophoteSet:
 
     edge_ids, lengths = _link_segments(np.concatenate(segments))
     if not len(edge_ids):
-        return IsophoteSet([], level, None, stats)
+        return IsophoteSet(np.empty((0, 5)), [0], [], level, None, stats)
     offsets = np.concatenate(([0], np.cumsum(lengths)))
     # ambient coordinates for every vertex, in one pass of the values tape
     rows = np.searchsorted(ids, edge_ids)
@@ -515,7 +496,7 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery) -> IsophoteSet:
         surface, au1, au2, check=False))))
     gap = vertices[offsets[:-1], :2] - vertices[offsets[1:] - 1, :2]
     closed = (lengths > 2) & (np.hypot(gap[:, 0], gap[:, 1]) <= CLOSE_TOL)
-    return IsophoteSet._from_arrays(vertices, offsets, closed, level, None, stats)
+    return IsophoteSet(vertices, offsets, closed, level, None, stats)
 
 
 def _link_segments(segments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from pathlib import Path
 from .curve import CurveSpec
 from .errors import SceneError
 from .galilean import GVec3, normalize_axis
-from .isophote import DEFAULT_GRID, DEFAULT_REFINE_TOL, MAX_GRID_POINTS, IsophoteQuery
+from .isophote import DEFAULT_GRID, DEFAULT_REFINE_TOL, IsophoteQuery
 from .surface import SurfaceSpec, TraceSpec
 from .surfrev import ProfileSpec
 
@@ -114,15 +114,13 @@ def _load_trace(name: str, obj: dict) -> TraceSpec:
 
 def _load_profile(name: str, obj: dict) -> ProfileEntry:
     where = f"profiles.{name}"
-    _check_keys(obj, {"g", "domain", "mode", "c", "A", "params"},
-                {"g", "domain", "mode"}, where)
+    _check_keys(obj, {"g", "domain", "mode", "c", "params"}, {"g", "domain", "mode"}, where)
     mode = obj["mode"]
     if mode not in ("euclidean", "isotropic"):
         raise SceneError(f"mode must be euclidean or isotropic in {where}")
     profile = ProfileSpec.from_string(
         _source(obj["g"], "g", where), _domain1(obj["domain"], where),
         c=float(_number(obj.get("c", 1.0), "c", where)),
-        A=float(_number(obj.get("A", 0.0), "A", where)),
         parameters=_params(obj, where))
     return ProfileEntry(profile, mode)
 
@@ -149,24 +147,19 @@ def _load_query(name: str, obj: dict, scene: Scene) -> QueryEntry:
         axis = _load_axis(name, axis_ref)
     axis = normalize_axis(axis)
     grid = obj.get("grid", DEFAULT_GRID)
-    if (not isinstance(grid, (list, tuple)) or len(grid) != 2
-            or not all(type(n) is int and n >= 2 for n in grid)):
-        raise SceneError(f"grid must be two integers >= 2 in {where}, got {grid!r}")
-    if grid[0] * grid[1] > MAX_GRID_POINTS:
-        raise SceneError(f"grid {grid[0]}x{grid[1]} in {where} has {grid[0] * grid[1]} "
-                         f"points, above the cap MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     tol = float(_number(obj.get("refine_tol", DEFAULT_REFINE_TOL), "refine_tol", where))
     chosen = [k for k in ("beta", "level", "silhouette") if obj.get(k) is not None]
     if len(chosen) != 1:
         raise SceneError(f"{where} needs exactly one of beta | level | silhouette")
-    if chosen[0] == "beta":
-        query = IsophoteQuery.for_angle(axis, float(_number(obj["beta"], "beta", where)),
-                                        grid, tol)
-    elif chosen[0] == "level":
-        query = IsophoteQuery.raw_level(axis, float(_number(obj["level"], "level", where)),
-                                        grid, tol)
-    else:
-        query = IsophoteQuery.for_silhouette(axis, grid, tol)
+    try:
+        if chosen == ["silhouette"]:
+            query = IsophoteQuery.for_silhouette(axis, grid, tol)
+        else:
+            make = IsophoteQuery.for_angle if chosen == ["beta"] else IsophoteQuery.raw_level
+            query = make(axis, _number(obj[chosen[0]], chosen[0], where), grid, tol)
+    except ValueError as e:
+        # the query's own checks: the grid, beta's range, an isotropic level
+        raise SceneError(f"{where}: {e}") from None
     return QueryEntry(sname, query)
 
 

@@ -102,20 +102,19 @@ def _sample_parts(jx, jy, jz):
             *_normal_parts(jx, jy, jz))
 
 
-def sample_surface(surface: SurfaceSpec, u1: float, u2: float,
-                   omega_min: float = OMEGA_MIN) -> SurfaceSample:
+def sample_surface(surface: SurfaceSpec, u1: float, u2: float) -> SurfaceSample:
     """First fundamental form data and the unit isotropic normal at a point.
 
     Raises SingularNormalError where omega is not a finite number above
-    omega_min, and G3Error where another field is not finite (a coordinate,
+    OMEGA_MIN, and G3Error where another field is not finite (a coordinate,
     a partial or a product of partials that overflows)."""
     u1, u2 = _finite_samples((float(u1), float(u2)), "(u1, u2)")
     x, y, z, xu1, yu1, zu1, xu2, yu2, zu2, A, B, omega = expr.on_partials(
         _sample_parts, (surface.x, surface.y, surface.z), (u1, u2))
     at = f"at (u1,u2)=({u1:.6g},{u2:.6g})"
-    if not (math.isfinite(omega) and omega > omega_min):
+    if not (math.isfinite(omega) and omega > OMEGA_MIN):
         raise SingularNormalError(
-            f"omega = {float(omega):.3g} is not a finite number above {omega_min:g} {at}")
+            f"omega = {float(omega):.3g} is not a finite number above {OMEGA_MIN:g} {at}")
     with np.errstate(all="ignore"):
         sample = SurfaceSample(
             point=GVec3(float(x), float(y), float(z)),
@@ -187,9 +186,10 @@ class DarbouxSample:
     phi: float
 
 
-def _darboux_arrays(surface: SurfaceSpec, trace: TraceSpec, S: np.ndarray,
-                    omega_min: float = OMEGA_MIN) -> dict:
-    """Darboux data along a trace, vectorized over the sample array."""
+def _darboux_arrays(surface: SurfaceSpec, trace: TraceSpec, S: np.ndarray) -> dict:
+    """Darboux data along a trace, vectorized over the 1-D sample array.
+    SingularNormalError or G3Error names the first sample where omega is
+    not a finite number above OMEGA_MIN, or another result is not finite."""
     j1 = expr.eval_jet(trace.u1_of_s, S, order=2)
     j2 = expr.eval_jet(trace.u2_of_s, S, order=2)
     u1p, u2p, u1pp, u2pp = j1.d1, j2.d1, j1.d2, j2.d2
@@ -203,43 +203,46 @@ def _darboux_arrays(surface: SurfaceSpec, trace: TraceSpec, S: np.ndarray,
         return (j.du1u1 * u1p * u1p + 2.0 * j.du1u2 * u1p * u2p
                 + j.du2u2 * u2p * u2p + j.du1 * u1pp + j.du2 * u2pp)
 
-    xv = chain1(jx)
-    err = np.abs(xv - 1.0)
-    if np.any(err > TRACE_TOL):
-        i = int(np.argmax(err))
-        raise InadmissibleTraceError(
-            f"trace x-velocity {float(np.ravel(xv)[i]):.6g} != 1 at "
-            f"s = {float(np.ravel(S)[i]):.6g}; substitute u1 = s (or shear-compensate)")
+    with np.errstate(all="ignore"):
+        xv = chain1(jx)
+        err = np.abs(xv - 1.0)
+        if np.any(err > TRACE_TOL):
+            i = int(np.argmax(err))
+            raise InadmissibleTraceError(
+                f"trace x-velocity {float(np.ravel(xv)[i]):.6g} != 1 at "
+                f"s = {float(np.ravel(S)[i]):.6g}; substitute u1 = s (or shear-compensate)")
 
-    A, B, omega = _normal_parts(jx, jy, jz)
-    if np.any(omega <= omega_min):
-        i = int(np.argmax(omega <= omega_min))
-        raise SingularNormalError(
-            f"omega <= {omega_min:g} along trace at s = {float(np.ravel(S)[i]):.6g}")
-    ny, nz = A / omega, B / omega
+        A, B, omega = _normal_parts(jx, jy, jz)
+        singular = ~(np.isfinite(omega) & (omega > OMEGA_MIN))
+        if np.any(singular):
+            i = int(np.argmax(singular))
+            raise SingularNormalError(
+                f"omega = {float(omega[i]):.3g} is not a finite number above "
+                f"{OMEGA_MIN:g} along trace at s = {float(S[i]):.6g}")
+        ny, nz = A / omega, B / omega
 
-    # d/ds of the normal: partials of A, B via the surface second partials
-    A_u1 = jx.du1u2 * jz.du1 + jx.du2 * jz.du1u1 - jx.du1u1 * jz.du2 - jx.du1 * jz.du1u2
-    A_u2 = jx.du2u2 * jz.du1 + jx.du2 * jz.du1u2 - jx.du1u2 * jz.du2 - jx.du1 * jz.du2u2
-    B_u1 = jx.du1u1 * jy.du2 + jx.du1 * jy.du1u2 - jx.du1u2 * jy.du1 - jx.du2 * jy.du1u1
-    B_u2 = jx.du1u2 * jy.du2 + jx.du1 * jy.du2u2 - jx.du2u2 * jy.du1 - jx.du2 * jy.du1u2
-    Ap = A_u1 * u1p + A_u2 * u2p
-    Bp = B_u1 * u1p + B_u2 * u2p
-    omega_p = (A * Ap + B * Bp) / omega
-    nyp = (Ap * omega - A * omega_p) / (omega * omega)
-    nzp = (Bp * omega - B * omega_p) / (omega * omega)
+        # d/ds of the normal: partials of A, B via the surface second partials
+        A_u1 = jx.du1u2 * jz.du1 + jx.du2 * jz.du1u1 - jx.du1u1 * jz.du2 - jx.du1 * jz.du1u2
+        A_u2 = jx.du2u2 * jz.du1 + jx.du2 * jz.du1u2 - jx.du1u2 * jz.du2 - jx.du1 * jz.du2u2
+        B_u1 = jx.du1u1 * jy.du2 + jx.du1 * jy.du1u2 - jx.du1u2 * jy.du1 - jx.du2 * jy.du1u1
+        B_u2 = jx.du1u2 * jy.du2 + jx.du1 * jy.du2u2 - jx.du2u2 * jy.du1 - jx.du2 * jy.du1u2
+        Ap = A_u1 * u1p + A_u2 * u2p
+        Bp = B_u1 * u1p + B_u2 * u2p
+        omega_p = (A * Ap + B * Bp) / omega
+        nyp = (Ap * omega - A * omega_p) / (omega * omega)
+        nzp = (Bp * omega - B * omega_p) / (omega * omega)
 
-    Ty, Tz = chain1(jy), chain1(jz)
-    Tpy, Tpz = chain2(jy), chain2(jz)
-    Qy, Qz = nz, -ny
-    Qpy, Qpz = nzp, -nyp
+        Ty, Tz = chain1(jy), chain1(jz)
+        Tpy, Tpz = chain2(jy), chain2(jz)
+        Qy, Qz = nz, -ny
+        Qpy, Qpz = nzp, -nyp
 
-    kg = Tpy * Qy + Tpz * Qz
-    kn = Tpy * ny + Tpz * nz
-    taug = Qpy * ny + Qpz * nz
-    kappa = np.hypot(kg, kn)
-    phi = np.arctan2(-kn, kg)
-    return {
+        kg = Tpy * Qy + Tpz * Qz
+        kn = Tpy * ny + Tpz * nz
+        taug = Qpy * ny + Qpz * nz
+        kappa = np.hypot(kg, kn)
+        phi = np.arctan2(-kn, kg)
+    out = {
         "s": S, "u1": j1.value, "u2": j2.value,
         "x": jx.value, "y": jy.value, "z": jz.value,
         "Ty": Ty, "Tz": Tz, "Tpy": Tpy, "Tpz": Tpz,
@@ -248,6 +251,12 @@ def _darboux_arrays(surface: SurfaceSpec, trace: TraceSpec, S: np.ndarray,
         "kg": kg, "kn": kn, "taug": taug, "kappa": kappa, "phi": phi,
         "omega": omega,
     }
+    finite = np.isfinite(list(out.values()))  # one row per result
+    if not finite.all():
+        i = int(np.argmin(finite.all(axis=0)))
+        name = list(out)[int(np.argmin(finite[:, i]))]
+        raise G3Error(f"{name} = {out[name][i]} is not finite along trace at s = {S[i]:.6g}")
+    return out
 
 
 def darboux(surface: SurfaceSpec, trace: TraceSpec, s: float) -> DarbouxSample:

@@ -38,7 +38,7 @@ ISOTROPIC_T_RANGE = (-2.0, 2.0)
 @dataclass(frozen=True)
 class ProfileSpec:
     """Profile curve data: g(s) over a domain, plus the isotropic-rotation
-    radius c and the quadratic-profile constant A where applicable.
+    radius c.
 
     The first coordinate function is always f(s) = s (arc-length form).
     Euclidean rotation additionally needs g > 0 on the domain.
@@ -47,14 +47,12 @@ class ProfileSpec:
     g: expr.ExprAST
     domain: tuple[float, float]
     c: float = 1.0
-    A: float = 0.0
 
     @classmethod
-    def from_string(cls, g_src: str, domain: tuple[float, float],
-                    c: float = 1.0, A: float = 0.0,
+    def from_string(cls, g_src: str, domain: tuple[float, float], c: float = 1.0,
                     parameters: dict[str, float] | None = None) -> "ProfileSpec":
         return cls(expr.parse(g_src, ["s"], dict(parameters or {})),
-                   (float(domain[0]), float(domain[1])), float(c), float(A))
+                   (float(domain[0]), float(domain[1])), float(c))
 
 
 def profile_curve(profile: ProfileSpec) -> CurveSpec:
@@ -63,9 +61,10 @@ def profile_curve(profile: ProfileSpec) -> CurveSpec:
     return CurveSpec(zero, profile.g, profile.domain, dict(profile.g.params))
 
 
-def revolve_euclidean(profile: ProfileSpec, check_samples: int = 64) -> SurfaceSpec:
-    """Euclidean surface of revolution; t runs over [0, 2 pi]."""
-    S = np.linspace(profile.domain[0], profile.domain[1], check_samples)
+def revolve_euclidean(profile: ProfileSpec) -> SurfaceSpec:
+    """Euclidean surface of revolution; t runs over [0, 2 pi].  g must be
+    positive at 64 points spread over the profile's domain."""
+    S = np.linspace(profile.domain[0], profile.domain[1], 64)
     gv = expr.eval_jet(profile.g, S, order=0).value
     bad = ~(gv > 0.0)  # a NaN g is bad too
     if np.any(bad):
@@ -185,8 +184,8 @@ def verify_prop_4_3(c: float, A: float, lam: float, branch: str,
         raise ValueError("lam must be nonzero")
     if c <= 0.0:
         raise G3Error("c must be positive")
-    profile = ProfileSpec.from_string("s^2/(2*cc) + AA", s_range,
-                                      c=c, A=A, parameters={"cc": c, "AA": A})
+    profile = ProfileSpec.from_string("s^2/(2*cc) + AA", s_range, c=c,
+                                      parameters={"cc": c, "AA": A})
     d = GVec3(0.0, 0.0, lam) if branch == "i" else GVec3(0.0, lam, 0.0)
     surf = revolve_isotropic(profile, s_min=s_range[0], t_range=t_range)
     U1 = np.linspace(surf.domain[0][0], surf.domain[0][1], grid[0] + 1)

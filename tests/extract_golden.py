@@ -41,7 +41,7 @@ from g3geom import (
 )
 from g3geom import isophote
 from g3geom.export import TriMesh
-from g3geom.isophote import ExtractStats, IsophoteSet, Polyline
+from g3geom.isophote import ExtractStats, IsophoteSet
 
 GOLDEN = Path(__file__).parent / "golden" / "extract.json"
 EXPORT_GOLDEN = Path(__file__).parent / "golden" / "export.json"
@@ -151,8 +151,13 @@ def _handmade_set():
     # an empty, a one-point closed and a closed polyline with signed zeros
     pts = [(0.0, -0.0, -0.0, 1e-320, 2.0), (1.5, 2.0, 1 / 3, -1e300, 0.1),
            (6.25, 0.5, 7.0, float("inf"), -2.5)]
-    polylines = [Polyline([], False), Polyline([pts[1]], True), Polyline(pts, True)]
-    return IsophoteSet(polylines, 0.25, None, ExtractStats(grid=(2, 2), cells_total=4))
+    return IsophoteSet([pts[1], *pts], [0, 0, 1, 4], [False, True, True], 0.25, None,
+                       ExtractStats(grid=(2, 2), cells_total=4))
+
+
+def _empty_set():
+    return IsophoteSet(np.empty((0, 5)), [0], [], 0.25, None,
+                       ExtractStats(grid=(2, 2), cells_total=4))
 
 
 # name -> () -> bytes
@@ -165,8 +170,8 @@ EXPORT_CASES = {
     "obj_trimesh_from_tuples": lambda: write_obj(TriMesh(
         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.5, -0.0, 1e-310)],
         [(0, 1, 2), (1, 3, 2)], (1, 1))),
-    "obj_polyline_list": lambda: write_obj(_handmade_set().polylines),
-    "obj_empty": lambda: write_obj([]),
+    "obj_polyline_list": lambda: write_obj(_handmade_set()),
+    "obj_empty": lambda: write_obj(_empty_set()),
     "csv_frenet": lambda: write_csv(_frenet()),
     "csv_frenet_two_columns": lambda: write_csv(_frenet(), columns=("s", "kappa")),
     "csv_darboux": lambda: write_csv(_darboux()),

@@ -99,7 +99,6 @@ def test_scene_rejects_non_finite_numbers():
     query = {"surface": "cyl", "axis": "zhat", "beta": 0.5}
     bad_docs = [
         {"profiles": {"p": {**profile, "c": "x"}}},
-        {"profiles": {"p": {**profile, "A": float("inf")}}},
         {"axes": {"a": [0, "1", 0]}},
         {"axes": {"a": [0, float("nan"), 1]}},
         {"surfaces": SCENE["surfaces"], "axes": SCENE["axes"],
@@ -145,6 +144,26 @@ def test_scene_rejects_bad_references():
                 "surfaces": SCENE["surfaces"],
                 "queries": {"q": {"surface": "cyl", "axis": [0, 0, 1],
                                   "beta": 0.5, "grid": grid}}})
+
+
+def test_scene_query_checks_are_scene_errors():
+    # the checks of IsophoteQuery raise ValueError; a scene names the query
+    def doc(**query):
+        return {"surfaces": SCENE["surfaces"],
+                "queries": {"q": {"surface": "cyl", "axis": [0, 0, 1], **query}}}
+
+    cases = [(doc(beta=2.0), "beta must lie in [0, pi/2]"),
+             (doc(level=1.5), "level must lie in [-1, 1] for an isotropic axis"),
+             (doc(beta=0.5, grid=[64, 1]), "grid must be two integers >= 2, got [64, 1]"),
+             (doc(silhouette=True, refine_tol=0.0), "refine_tol must be finite and > 0, got 0.0")]
+    for bad, message in cases:
+        with pytest.raises(SceneError) as exc:
+            load_scene_dict(bad)
+        assert str(exc.value) == f"queries.q: {message}"
+    # a profile has no key A: its constant is a parameter of g
+    profile = {"g": "s^2/2 + A", "domain": [0.001, 5], "mode": "isotropic", "A": 1.0}
+    with pytest.raises(SceneError, match=r"unknown keys \['A'\] in profiles.p"):
+        load_scene_dict({"profiles": {"p": profile}})
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +381,6 @@ def test_param_rejects_nan(capsys):
          "--tol", "inf"],
         ["revolve", "--profile", "s^2/2", "--mode", "isotropic", "--domain", "0.1:1",
          "--c", "nan"],
-        ["revolve", "--profile", "s^2/2", "--mode", "isotropic", "--domain", "0.1:1",
-         "--A", "inf"],
     ]:
         rc = main(argv)
         assert rc == 2, argv
@@ -522,7 +539,7 @@ _FUZZ_OPTIONS = {
                  "--param": ["k=2"], "--obj": ["out"], "--svg": ["out"], "--json": ["out"]},
     "revolve": {"--profile": ["bowl", "s^2/2", "1+s^2", "s^3", "log(s)", "s,s"],
                 "--mode": ["euclidean", "isotropic", "other"], "--domain": _INTERVALS,
-                "--c": _NUMBERS, "--A": _NUMBERS, "--mesh": _GRIDS, "--obj": ["out"],
+                "--c": _NUMBERS, "--mesh": _GRIDS, "--obj": ["out"],
                 "--json": ["out"]},
     "verify": {"--filter": ["frenet_closed_form", "thm_3_2", "cor 4.4", "nosuchcheck"],
                "--json": ["out"]},

@@ -22,7 +22,7 @@ from g3geom import (
 )
 from g3geom.export import TriMesh
 from g3geom.expr import eval_jet2
-from g3geom.isophote import CLOSE_TOL, ExtractStats, IsophoteSet, Polyline
+from g3geom.isophote import CLOSE_TOL, ExtractStats, IsophoteSet
 
 
 def _parse_obj(data: bytes):
@@ -116,8 +116,8 @@ def test_obj_polylines(cylinder):
     assert len(lines) == len(iso.polylines)
     assert len(vertices) == sum(len(p.points) for p in iso.polylines)
 
-    empty = write_obj([])
-    assert empty == b"# g3geom OBJ export\n"
+    empty = IsophoteSet(np.empty((0, 5)), [0], [], 0.5, None, iso.stats)
+    assert write_obj(empty) == b"# g3geom OBJ export\n"
 
 
 def test_csv_frenet_columns(cubic_curve):
@@ -212,11 +212,6 @@ def test_array_path_matches_list_path():
         open_seen += int((~closed).sum())
 
         assert iso.polylines is iso.polylines
-        assert write_obj(iso.polylines) == written[0]
-        rebuilt = IsophoteSet(iso.polylines, iso.level, iso.constant_field, iso.stats)
-        assert np.array_equal(rebuilt.vertices, V) and np.array_equal(rebuilt.offsets, offsets)
-        assert (write_obj(rebuilt), write_svg(rebuilt, domain), write_csv(rebuilt),
-                json.dumps(rebuilt.to_json_dict(), sort_keys=True)) == written
     assert closed_seen > 0 and open_seen > 0
 
 
@@ -257,7 +252,7 @@ def test_svg_and_obj_of_an_empty_closed_polyline():
     # an empty closed polyline draws no point in SVG, not the next
     # polyline's first; OBJ still names its (absent) first vertex
     pts = [(1.0, 2.0, 0.0, 0.0, 0.0), (3.0, 4.0, 0.0, 0.0, 0.0)]
-    iso = IsophoteSet([Polyline([], True), Polyline(pts, False)], 0.0, None,
+    iso = IsophoteSet(pts, [0, 0, 2], [True, False], 0.0, None,
                       ExtractStats(grid=(2, 2), cells_total=4))
     ns = "{http://www.w3.org/2000/svg}"
     drawn = ET.fromstring(write_svg(iso, ((0.0, 4.0), (0.0, 4.0)))).findall(f"{ns}polyline")

@@ -459,6 +459,26 @@ def test_query_rejects_level_that_is_not_finite():
             IsophoteQuery.raw_level(_WAVY_AXIS, level)
 
 
+def test_query_rejects_values_that_are_not_numbers():
+    # each raised TypeError, or (the string '0.5', True) was taken as a number
+    cases = [(lambda: IsophoteQuery.raw_level(Z_AXIS, 0.5, (8, 8), "a"),
+              "refine_tol must be a number, got 'a'"),
+             (lambda: IsophoteQuery.for_angle(Z_AXIS, "a"), "beta must be a number, got 'a'"),
+             (lambda: IsophoteQuery.for_silhouette(Z_AXIS, (8, 8), None),
+              "refine_tol must be a number, got None"),
+             (lambda: IsophoteQuery.raw_level(_WAVY_AXIS, "0.5"),
+              "level must be a number, got '0.5'"),
+             (lambda: IsophoteQuery.raw_level(_WAVY_AXIS, [0.5]),
+              r"level must be a number, got \[0.5\]"),
+             (lambda: IsophoteQuery.for_angle(Z_AXIS, True), "beta must be a number, got True")]
+    for build, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+    # numpy's numbers are numbers; the query holds Python floats
+    q = IsophoteQuery.raw_level(_WAVY_AXIS, np.float32(0.5), (8, 8), np.float64(1e-6))
+    assert type(q.level) is float and type(q.refine_tol) is float
+
+
 # ---------------------------------------------------------------------------
 # oracle and regression properties
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from g3geom import (
     StraightSegmentError,
     SurfaceSpec,
     TraceSpec,
+    classify_trace,
     darboux,
     darboux_samples,
     field,
@@ -97,6 +98,30 @@ def test_field_and_sample_surface_raise_where_omega_is_not_finite():
     # omega is finite at u1 = 0.5, but y_u1^2 overflows in h11
     with pytest.raises(G3Error, match=r"^h11 = inf is not finite at \(u1,u2\)=\(0\.5,1\)$"):
         sample_surface(inf_omega, 0.5, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_darboux_raises_where_omega_or_a_result_is_not_finite():
+    # darboux returned a frame of NaNs and classify_trace NaN maxima with
+    # every flag False on the first surface; the second overflowed with a
+    # RuntimeWarning
+    nan_omega = SurfaceSpec.from_strings("u1", "u2", "(u2 - u2)*exp(400*u1)")
+    inf_omega = SurfaceSpec.from_strings("u1", "exp(800*u1)*u2", "u2")
+    trace = TraceSpec.from_strings("s", "0.5", (0.0, 3.0))
+    # at s = 2 (x_u2 y_u1 is 0 * inf in eval_jet2's jets, so the second
+    # surface's omega is NaN too)
+    for surface in (nan_omega, inf_omega):
+        with pytest.raises(SingularNormalError, match=r"^omega = nan is not a finite "
+                           r"number above 1e-10 along trace at s = 2$"):
+            darboux(surface, trace, 2.0)
+    # the first of 64 samples on [0, 3] where z_u1 = 400 e^(400 s) overflows
+    with pytest.raises(SingularNormalError, match=r"^omega = nan .* at s = 1\.7619$"):
+        classify_trace(nan_omega, trace)
+    # omega is finite at s = 0.5, but the derivative of the normal is not
+    with pytest.raises(G3Error, match=r"^nyp = nan is not finite along trace at s = 0\.5$"):
+        darboux(inf_omega, trace, 0.5)
+    sample = darboux(nan_omega, trace, 0.5)
+    assert (sample.kg, sample.kn, sample.tau_g) == (0.0, 0.0, 0.0)
 
 
 def test_sample_arrays_are_one_dimensional_and_finite(cubic_curve, cylinder, helix_trace):
