@@ -209,8 +209,8 @@ def _darboux_arrays(surface: SurfaceSpec, trace: TraceSpec, S: np.ndarray) -> di
         if np.any(err > TRACE_TOL):
             i = int(np.argmax(err))
             raise InadmissibleTraceError(
-                f"trace x-velocity {float(np.ravel(xv)[i]):.6g} != 1 at "
-                f"s = {float(np.ravel(S)[i]):.6g}; substitute u1 = s (or shear-compensate)")
+                f"trace x-velocity {float(xv[i]):.6g} != 1 at "
+                f"s = {float(S[i]):.6g}; substitute u1 = s (or shear-compensate)")
 
         A, B, omega = _normal_parts(jx, jy, jz)
         singular = ~(np.isfinite(omega) & (omega > OMEGA_MIN))
