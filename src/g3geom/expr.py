@@ -40,10 +40,11 @@ and is the identity of +, so no operation on it runs (zero minus x is
 partial is finite.  `eval_jet2` and the tapes return the float 0.0 in
 its place.  The univariate Jet keeps plain zeros.
 
-Hot paths evaluate x, y and z of a surface through a compiled tape:
-`on_partials(fn, asts, at)` traces fn of the expressions' Jet2s (the
-values of the lift, the normal parts and the axis product of the field)
-into one tape.  The first call with a new tree structure runs `_eval` on
+Every library evaluation of a surface runs a compiled tape, and the
+`eval_jet2` interpreter is their reference.  `on_partials(fn, asts, at,
+args)` traces fn of the expressions' Jet2s and of args read at call time
+(the lift's values, the field's normal, the Darboux frame from the trace
+jets) into one tape.  The first call with a new tree structure runs `_eval` on
 Jet2s whose slots are traced symbols, so the Jet2 operators themselves
 record one straight-line numpy function for all the trees at once: a
 structural zero, an operation on constants only and x * 1.0 are decided
@@ -904,11 +905,11 @@ _OPERATORS = {"add": "{} + {}", "subtract": "{} - {}", "multiply": "{} * {}",
               "divide": "{} / {}", "power": "{} ** {}", "negative": "-{}"}
 
 
-def on_partials(fn, asts: Sequence[ExprAST], at, args: Sequence[float] = (), *,
-                check: bool = True) -> tuple:
+def on_partials(fn, asts: Sequence[ExprAST], at, args: Sequence[float | np.ndarray] = (),
+                *, check: bool = True) -> tuple:
     """fn(*jets, *args) through one compiled tape, where `jets` are the
-    Jet2s of the bivariate expressions `asts` at `at` and `args` are numbers
-    read at call time.
+    Jet2s of the bivariate expressions `asts` at `at` and `args` are
+    numbers, or arrays that broadcast with `at`, read at call time.
 
     fn is traced once per structure of the expressions, on Jet2s of traced
     slots: it must be arithmetic and numpy ufuncs on their slots and on its

@@ -29,9 +29,9 @@ import numpy as np
 
 from . import expr
 from .curve import _finite_samples
-from .errors import G3Error, SingularNormalError
+from .errors import G3Error
 from .galilean import GVec3, is_unit_axis
-from .surface import OMEGA_MIN, SurfaceSpec, _coordinate_values, _normal_parts
+from .surface import OMEGA_MIN, SurfaceSpec, _check_omega, _coordinate_values, _normal_parts
 
 DEFAULT_GRID = (256, 256)
 # most points an isophote query's grid may have, N1*N2
@@ -63,11 +63,9 @@ def field(surface: SurfaceSpec, axis: GVec3, u1: float, u2: float) -> float:
     if not is_unit_axis(axis):
         raise G3Error("axis must be normalized (see normalize_axis)")
     u1, u2 = _finite_samples((float(u1), float(u2)), "(u1, u2)")
-    value, omega = map(float, _field_block(surface, axis, u1, u2, check=True))
-    if not (math.isfinite(omega) and omega > OMEGA_MIN):
-        raise SingularNormalError(
-            f"omega = {omega:.3g} at (u1,u2)=({u1:.6g},{u2:.6g})")
-    return value
+    value, omega = _field_block(surface, axis, u1, u2, check=True)
+    _check_omega(omega, lambda i: f"at (u1,u2)=({u1:.6g},{u2:.6g})")
+    return float(value)
 
 
 def _shading(jx, jy, jz, dy, dz):

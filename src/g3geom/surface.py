@@ -1,11 +1,13 @@
 """Parametric surfaces, the Darboux frame along admissible traces, trace
 classification, and isophote-axis reconstruction.
 
-All frame derivatives are analytic: surface coordinates are evaluated as
-bivariate jets (second partials included), traces as univariate jets, and
-the chain rule is applied explicitly.  Inner products of isotropic vectors
-(T', Q', n' are all isotropic) use the Euclidean yz branch of the Galilean
-product throughout.
+All frame derivatives are analytic: traces are evaluated as univariate
+jets, and one compiled tape (`expr.on_partials`) runs the surface's
+bivariate jets (second partials included) and the explicit chain rule,
+so `darboux`, `field` and `sample_surface` share one evaluator and one
+singular-normal rule (`_check_omega`).  Inner products of isotropic
+vectors (T', Q', n' are all isotropic) use the Euclidean yz branch of
+the Galilean product throughout.
 """
 
 from __future__ import annotations
@@ -95,6 +97,17 @@ def _normal_parts(jx, jy, jz):
     return A, B, np.hypot(A, B)
 
 
+def _check_omega(omega, where) -> None:
+    """Raise SingularNormalError at the first sample where omega is not a
+    finite number above OMEGA_MIN; where(i) names sample i (0 for a point)."""
+    omega = np.atleast_1d(omega)
+    singular = ~(np.isfinite(omega) & (omega > OMEGA_MIN))
+    if singular.any():
+        i = int(np.argmax(singular))
+        raise SingularNormalError(f"omega = {float(omega[i]):.3g} is not a finite number "
+                                  f"above {OMEGA_MIN:g} {where(i)}")
+
+
 def _sample_parts(jx, jy, jz):
     """The values and first partials of x, y and z, then the normal parts;
     traced into the tape of sample_surface."""
@@ -112,9 +125,7 @@ def sample_surface(surface: SurfaceSpec, u1: float, u2: float) -> SurfaceSample:
     x, y, z, xu1, yu1, zu1, xu2, yu2, zu2, A, B, omega = expr.on_partials(
         _sample_parts, (surface.x, surface.y, surface.z), (u1, u2))
     at = f"at (u1,u2)=({u1:.6g},{u2:.6g})"
-    if not (math.isfinite(omega) and omega > OMEGA_MIN):
-        raise SingularNormalError(
-            f"omega = {float(omega):.3g} is not a finite number above {OMEGA_MIN:g} {at}")
+    _check_omega(omega, lambda i: at)
     with np.errstate(all="ignore"):
         sample = SurfaceSample(
             point=GVec3(float(x), float(y), float(z)),
@@ -186,15 +197,9 @@ class DarbouxSample:
     phi: float
 
 
-def _darboux_arrays(surface: SurfaceSpec, trace: TraceSpec, S: np.ndarray) -> dict:
-    """Darboux data along a trace, vectorized over the 1-D sample array.
-    SingularNormalError or G3Error names the first sample where omega is
-    not a finite number above OMEGA_MIN, or another result is not finite."""
-    j1 = expr.eval_jet(trace.u1_of_s, S, order=2)
-    j2 = expr.eval_jet(trace.u2_of_s, S, order=2)
-    u1p, u2p, u1pp, u2pp = j1.d1, j2.d1, j1.d2, j2.d2
-    jx, jy, jz = (expr.eval_jet2(c, (j1.value, j2.value))
-                  for c in (surface.x, surface.y, surface.z))
+def _darboux_parts(jx, jy, jz, u1p, u2p, u1pp, u2pp):
+    """The trace's x-velocity, then `_darboux_arrays` from x to omega, of the
+    Jet2s of x, y, z and u1', u2', u1'', u2''; traced into the Darboux tape."""
 
     def chain1(j):
         return j.du1 * u1p + j.du2 * u2p
@@ -203,54 +208,50 @@ def _darboux_arrays(surface: SurfaceSpec, trace: TraceSpec, S: np.ndarray) -> di
         return (j.du1u1 * u1p * u1p + 2.0 * j.du1u2 * u1p * u2p
                 + j.du2u2 * u2p * u2p + j.du1 * u1pp + j.du2 * u2pp)
 
-    with np.errstate(all="ignore"):
-        xv = chain1(jx)
-        err = np.abs(xv - 1.0)
-        if np.any(err > TRACE_TOL):
-            i = int(np.argmax(err))
-            raise InadmissibleTraceError(
-                f"trace x-velocity {float(xv[i]):.6g} != 1 at "
-                f"s = {float(S[i]):.6g}; substitute u1 = s (or shear-compensate)")
+    A, B, omega = _normal_parts(jx, jy, jz)
+    ny, nz = A / omega, B / omega
+    # d/ds of the normal: partials of A, B via the surface second partials
+    A_u1 = jx.du1u2 * jz.du1 + jx.du2 * jz.du1u1 - jx.du1u1 * jz.du2 - jx.du1 * jz.du1u2
+    A_u2 = jx.du2u2 * jz.du1 + jx.du2 * jz.du1u2 - jx.du1u2 * jz.du2 - jx.du1 * jz.du2u2
+    B_u1 = jx.du1u1 * jy.du2 + jx.du1 * jy.du1u2 - jx.du1u2 * jy.du1 - jx.du2 * jy.du1u1
+    B_u2 = jx.du1u2 * jy.du2 + jx.du1 * jy.du2u2 - jx.du2u2 * jy.du1 - jx.du2 * jy.du1u2
+    Ap = A_u1 * u1p + A_u2 * u2p
+    Bp = B_u1 * u1p + B_u2 * u2p
+    omega_p = (A * Ap + B * Bp) / omega
+    nyp = (Ap * omega - A * omega_p) / (omega * omega)
+    nzp = (Bp * omega - B * omega_p) / (omega * omega)
+    Tpy, Tpz = chain2(jy), chain2(jz)
+    Qy, Qz = nz, -ny
+    Qpy, Qpz = nzp, -nyp
+    kg = Tpy * Qy + Tpz * Qz
+    kn = Tpy * ny + Tpz * nz
+    taug = Qpy * ny + Qpz * nz
+    return (chain1(jx), jx.value, jy.value, jz.value, chain1(jy), chain1(jz), Tpy, Tpz,
+            ny, nz, nyp, nzp, Qy, Qz, Qpy, Qpz, kg, kn, taug,
+            np.hypot(kg, kn), np.arctan2(-kn, kg), omega)
 
-        A, B, omega = _normal_parts(jx, jy, jz)
-        singular = ~(np.isfinite(omega) & (omega > OMEGA_MIN))
-        if np.any(singular):
-            i = int(np.argmax(singular))
-            raise SingularNormalError(
-                f"omega = {float(omega[i]):.3g} is not a finite number above "
-                f"{OMEGA_MIN:g} along trace at s = {float(S[i]):.6g}")
-        ny, nz = A / omega, B / omega
 
-        # d/ds of the normal: partials of A, B via the surface second partials
-        A_u1 = jx.du1u2 * jz.du1 + jx.du2 * jz.du1u1 - jx.du1u1 * jz.du2 - jx.du1 * jz.du1u2
-        A_u2 = jx.du2u2 * jz.du1 + jx.du2 * jz.du1u2 - jx.du1u2 * jz.du2 - jx.du1 * jz.du2u2
-        B_u1 = jx.du1u1 * jy.du2 + jx.du1 * jy.du1u2 - jx.du1u2 * jy.du1 - jx.du2 * jy.du1u1
-        B_u2 = jx.du1u2 * jy.du2 + jx.du1 * jy.du2u2 - jx.du2u2 * jy.du1 - jx.du2 * jy.du1u2
-        Ap = A_u1 * u1p + A_u2 * u2p
-        Bp = B_u1 * u1p + B_u2 * u2p
-        omega_p = (A * Ap + B * Bp) / omega
-        nyp = (Ap * omega - A * omega_p) / (omega * omega)
-        nzp = (Bp * omega - B * omega_p) / (omega * omega)
+_DARBOUX_NAMES = ("x y z Ty Tz Tpy Tpz ny nz nyp nzp Qy Qz Qpy Qpz "
+                  "kg kn taug kappa phi omega").split()
 
-        Ty, Tz = chain1(jy), chain1(jz)
-        Tpy, Tpz = chain2(jy), chain2(jz)
-        Qy, Qz = nz, -ny
-        Qpy, Qpz = nzp, -nyp
 
-        kg = Tpy * Qy + Tpz * Qz
-        kn = Tpy * ny + Tpz * nz
-        taug = Qpy * ny + Qpz * nz
-        kappa = np.hypot(kg, kn)
-        phi = np.arctan2(-kn, kg)
-    out = {
-        "s": S, "u1": j1.value, "u2": j2.value,
-        "x": jx.value, "y": jy.value, "z": jz.value,
-        "Ty": Ty, "Tz": Tz, "Tpy": Tpy, "Tpz": Tpz,
-        "ny": ny, "nz": nz, "nyp": nyp, "nzp": nzp,
-        "Qy": Qy, "Qz": Qz, "Qpy": Qpy, "Qpz": Qpz,
-        "kg": kg, "kn": kn, "taug": taug, "kappa": kappa, "phi": phi,
-        "omega": omega,
-    }
+def _darboux_arrays(surface: SurfaceSpec, trace: TraceSpec, S: np.ndarray) -> dict:
+    """Darboux data along a trace, vectorized over the 1-D sample array, by
+    one tape of x, y, z and `_darboux_parts`.  SingularNormalError or G3Error
+    names the first sample where omega is not a finite number above
+    OMEGA_MIN, or another result is not finite."""
+    j1 = expr.eval_jet(trace.u1_of_s, S, order=2)
+    j2 = expr.eval_jet(trace.u2_of_s, S, order=2)
+    xv, *parts = (np.broadcast_to(r, S.shape) for r in expr.on_partials(
+        _darboux_parts, (surface.x, surface.y, surface.z), (j1.value, j2.value),
+        (j1.d1, j2.d1, j1.d2, j2.d2)))
+    err = np.abs(xv - 1.0)
+    if np.any(err > TRACE_TOL):
+        i = int(np.argmax(err))
+        raise InadmissibleTraceError(f"trace x-velocity {float(xv[i]):.6g} != 1 at s = "
+                                     f"{float(S[i]):.6g}; substitute u1 = s (or shear-compensate)")
+    out = {"s": S, "u1": j1.value, "u2": j2.value, **dict(zip(_DARBOUX_NAMES, parts))}
+    _check_omega(out["omega"], lambda i: f"along trace at s = {float(S[i]):.6g}")
     finite = np.isfinite(list(out.values()))  # one row per result
     if not finite.all():
         i = int(np.argmin(finite.all(axis=0)))

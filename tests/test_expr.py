@@ -22,6 +22,7 @@ from g3geom.errors import (
     ExprDomainError,
     ExprSyntaxError,
     G3Error,
+    InadmissibleTraceError,
     SingularNormalError,
     UnknownIdentifierError,
 )
@@ -29,8 +30,11 @@ from g3geom.expr import Bin, Call, Neg, Num, Param, Var
 from g3geom.galilean import GVec3
 from g3geom.surface import (
     OMEGA_MIN,
+    TRACE_TOL,
     SurfaceSpec,
+    TraceSpec,
     _coordinate_values,
+    _darboux_arrays,
     _normal_parts,
     _values,
     sample_surface,
@@ -885,6 +889,132 @@ def test_sample_surface_and_field_raise_alike_on_a_variable_exponent():
             call()
         errors.append((e.type, str(e.value), e.value.offset))
     assert errors[0] == errors[1]
+
+
+def _interpreted_darboux(surface, trace, S):
+    """_darboux_arrays on eval_jet2's jets, the interpreter's structural
+    zeros made 0.0 and broadcast, with the chain rule written out: the
+    oracle of the Darboux tape."""
+    j1 = expr.eval_jet(trace.u1_of_s, S, order=2)
+    j2 = expr.eval_jet(trace.u2_of_s, S, order=2)
+    u1p, u2p, u1pp, u2pp = j1.d1, j2.d1, j1.d2, j2.d2
+    jx, jy, jz = (expr.eval_jet2(c, (j1.value, j2.value))
+                  for c in (surface.x, surface.y, surface.z))
+
+    def chain1(j):
+        return j.du1 * u1p + j.du2 * u2p
+
+    def chain2(j):
+        return (j.du1u1 * u1p * u1p + 2.0 * j.du1u2 * u1p * u2p
+                + j.du2u2 * u2p * u2p + j.du1 * u1pp + j.du2 * u2pp)
+
+    with np.errstate(all="ignore"):
+        xv = chain1(jx)
+        err = np.abs(xv - 1.0)
+        if np.any(err > TRACE_TOL):
+            i = int(np.argmax(err))
+            raise InadmissibleTraceError(
+                f"trace x-velocity {float(xv[i]):.6g} != 1 at "
+                f"s = {float(S[i]):.6g}; substitute u1 = s (or shear-compensate)")
+        A, B, omega = _normal_parts(jx, jy, jz)
+        singular = ~(np.isfinite(omega) & (omega > OMEGA_MIN))
+        if np.any(singular):
+            raise SingularNormalError("omega")
+        ny, nz = A / omega, B / omega
+        A_u1 = jx.du1u2 * jz.du1 + jx.du2 * jz.du1u1 - jx.du1u1 * jz.du2 - jx.du1 * jz.du1u2
+        A_u2 = jx.du2u2 * jz.du1 + jx.du2 * jz.du1u2 - jx.du1u2 * jz.du2 - jx.du1 * jz.du2u2
+        B_u1 = jx.du1u1 * jy.du2 + jx.du1 * jy.du1u2 - jx.du1u2 * jy.du1 - jx.du2 * jy.du1u1
+        B_u2 = jx.du1u2 * jy.du2 + jx.du1 * jy.du2u2 - jx.du2u2 * jy.du1 - jx.du2 * jy.du1u2
+        Ap = A_u1 * u1p + A_u2 * u2p
+        Bp = B_u1 * u1p + B_u2 * u2p
+        omega_p = (A * Ap + B * Bp) / omega
+        nyp = (Ap * omega - A * omega_p) / (omega * omega)
+        nzp = (Bp * omega - B * omega_p) / (omega * omega)
+        Ty, Tz = chain1(jy), chain1(jz)
+        Tpy, Tpz = chain2(jy), chain2(jz)
+        Qy, Qz = nz, -ny
+        Qpy, Qpz = nzp, -nyp
+        kg = Tpy * Qy + Tpz * Qz
+        kn = Tpy * ny + Tpz * nz
+        taug = Qpy * ny + Qpz * nz
+        out = {"s": S, "u1": j1.value, "u2": j2.value,
+               "x": jx.value, "y": jy.value, "z": jz.value,
+               "Ty": Ty, "Tz": Tz, "Tpy": Tpy, "Tpz": Tpz,
+               "ny": ny, "nz": nz, "nyp": nyp, "nzp": nzp,
+               "Qy": Qy, "Qz": Qz, "Qpy": Qpy, "Qpz": Qpz,
+               "kg": kg, "kn": kn, "taug": taug, "kappa": np.hypot(kg, kn),
+               "phi": np.arctan2(-kn, kg), "omega": omega}
+    if not np.isfinite(list(out.values())).all():
+        raise G3Error("not finite")
+    return out
+
+
+# x of the surface, then a trace (u1, u2) along which x advances at unit
+# rate, except for the last
+_DARBOUX_TRACES = [("u1", "s", "0.5"), ("u1", "s", "s"), ("u1", "s", "1 - s^2"),
+                   ("u1", "s", "-sin(s)"), ("u1 + u2", "0.75*s", "0.25*s"),
+                   ("u1 + u2", "s - sin(s)", "sin(s)"), ("u1", "2*s", "s")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bivariate_sources(), st.sampled_from([0.0, -0.0, -0.4, 2.0]),
+       st.sampled_from(_DARBOUX_TRACES))
+# on (u1, -u2^3, -u1^3), k_g and k_n are 0 at s = 0 with other signs than
+# the interpreter's: phi is -0.0 against -pi
+@example("-((u2)^3)", 0.0, ("u1", "s", "0.5"))
+def test_darboux_tape_equals_the_interpreter(src, k, xuv):
+    # where the interpreter's Darboux data is finite the tape's equals it
+    # (== : a structural zero may give the other signed zero, and so phi
+    # the other of -pi and pi where k_n is 0, or 0 against +-pi where
+    # kappa is 0 too); where it raises a domain error or rejects the
+    # trace, the tape raises the same; and the tape's normal and omega are
+    # sample_surface's, bit for bit
+    x, *uv = xuv
+    ast = expr.parse(src, _V, {"k": k})
+    swapped = expr.parse(src, _V[::-1], {"k": k})
+    x = expr.parse(x, _V)
+    domain = ((0.0, 1.0), (0.0, 1.0))
+    # the graph form of the benchmark's surfaces, whose omega is at least 1,
+    # and a general one
+    surfaces = [SurfaceSpec(x, expr.parse("u2", _V), ast, domain),
+                SurfaceSpec(x, ast, swapped, domain)]
+    trace = TraceSpec.from_strings(*uv)
+    S = np.linspace(-1.0, 2.0, 7)
+    for surface in surfaces:
+        try:
+            want = _interpreted_darboux(surface, trace, S)
+        except (ExprDomainError, InadmissibleTraceError) as e:
+            with pytest.raises(type(e)) as got:
+                _darboux_arrays(surface, trace, S)
+            assert (got.type, str(got.value)) == (type(e), str(e)), (src, uv)
+            continue
+        except G3Error:
+            want = None
+        try:
+            got = _darboux_arrays(surface, trace, S)
+        except G3Error:
+            assert want is None, (src, uv)
+            continue
+        for i, s in enumerate(S):
+            try:
+                sample = sample_surface(surface, got["u1"][i], got["u2"][i])
+            except G3Error:
+                continue
+            assert [float(got[key][i]).hex() for key in ("ny", "nz", "omega")] == \
+                [v.hex() for v in (sample.n.y, sample.n.z, sample.omega)], (src, uv, s)
+        if want is None:
+            continue
+        assert list(got) == list(want)
+        for key, need in want.items():
+            have = got[key]
+            assert have.shape == np.shape(need) == S.shape, key
+            if key == "phi":
+                # atan2(-k_n, k_g) of a zero k_n (and k_g, where kappa is 0)
+                # turns the sign of a zero into -pi or pi (or 0 or pi)
+                alike = np.where(want["kg"] == 0.0, np.isin(np.abs(have), (0.0, np.pi)),
+                                 np.abs(have) == np.abs(need))
+                have = np.where((want["kn"] == 0.0) & alike, need, have)
+            assert (have == need).all(), (src, uv, key, have, need)
 
 
 # ---------------------------------------------------------------------------

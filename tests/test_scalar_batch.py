@@ -78,7 +78,8 @@ def test_field_keeps_singular_normal_error_on_cone():
     cone = SurfaceSpec.from_strings("u1", "u1*cos(u2)", "u1*sin(u2)",
                                     ((0.0, 1.0), (0.0, 2 * math.pi)))
     with pytest.raises(SingularNormalError,
-                       match=r"^omega = 0 at \(u1,u2\)=\(0,1\)$"):
+                       match=r"^omega = 0 is not a finite number above 1e-10 "
+                             r"at \(u1,u2\)=\(0,1\)$"):
         field(cone, Z_AXIS, 0.0, 1.0)
 
 
@@ -104,19 +105,31 @@ def test_field_and_sample_surface_raise_where_omega_is_not_finite():
 def test_darboux_raises_where_omega_or_a_result_is_not_finite():
     # darboux returned a frame of NaNs and classify_trace NaN maxima with
     # every flag False on the first surface; the second overflowed with a
-    # RuntimeWarning
+    # RuntimeWarning.  darboux, field and sample_surface run one evaluator,
+    # so they name the same omega
     nan_omega = SurfaceSpec.from_strings("u1", "u2", "(u2 - u2)*exp(400*u1)")
     inf_omega = SurfaceSpec.from_strings("u1", "exp(800*u1)*u2", "u2")
     trace = TraceSpec.from_strings("s", "0.5", (0.0, 3.0))
-    # at s = 2 (x_u2 y_u1 is 0 * inf in eval_jet2's jets, so the second
-    # surface's omega is NaN too)
-    for surface in (nan_omega, inf_omega):
-        with pytest.raises(SingularNormalError, match=r"^omega = nan is not a finite "
-                           r"number above 1e-10 along trace at s = 2$"):
-            darboux(surface, trace, 2.0)
+
+    def raises_omega(surface, omega, s):
+        at = f"{s:.6g}".replace(".", r"\.")
+        with pytest.raises(SingularNormalError, match=rf"^omega = {omega} is not a finite "
+                           rf"number above 1e-10 along trace at s = {at}$"):
+            darboux(surface, trace, s)
+        for call in (lambda: field(surface, Z_AXIS, s, 0.5),
+                     lambda: sample_surface(surface, s, 0.5)):
+            with pytest.raises(SingularNormalError, match=rf"^omega = {omega} is not a finite "
+                               rf"number above 1e-10 at \(u1,u2\)=\({at},0\.5\)$"):
+                call()
+
+    raises_omega(nan_omega, "nan", 2.0)
+    raises_omega(inf_omega, "inf", 2.0)
     # the first of 64 samples on [0, 3] where z_u1 = 400 e^(400 s) overflows
-    with pytest.raises(SingularNormalError, match=r"^omega = nan .* at s = 1\.7619$"):
+    with pytest.raises(SingularNormalError, match=r"^omega = nan .* at s = 1\.80952$"):
         classify_trace(nan_omega, trace)
+    S = trace.samples(64)
+    assert field(nan_omega, Z_AXIS, S[37], 0.5) == 1.0
+    raises_omega(nan_omega, "nan", S[38])
     # omega is finite at s = 0.5, but the derivative of the normal is not
     with pytest.raises(G3Error, match=r"^nyp = nan is not finite along trace at s = 0\.5$"):
         darboux(inf_omega, trace, 0.5)

@@ -7,15 +7,17 @@ cylinder, Euclidean revolution, isotropic quadratic revolution) one
 surface is drawn from `perfbench/gen.py` with seed 1 and loaded as the
 benchmark loads it.  Every tape is an `expr.on_partials` tape.  For its
 sample tape (`surface._sample_parts`, `sample_surface`), its values tape
-(`surface._coordinate_values`, the lift and `tessellate`) and its field
-tape (`isophote._field_block`, the field grid and the refinement) the
-table gives `expr.TapeOps`: the operations one call runs, those of them
-on the full grid when the operands are a column and a row, and the most
-temporaries alive at once.  The field tape's count leaves out the two
-full-grid operations of the omega mask, which runs outside it.  The
-values and field tapes are compiled with check=False, as `extract` runs
-them, and the sample tape with check=True, as `sample_surface` runs it
-(so its domain tests count as operations).
+(`surface._coordinate_values`, the lift and `tessellate`), its field
+tape (`isophote._field_block`, the field grid and the refinement) and its
+Darboux tape (`surface._darboux_parts`, `darboux` and every caller of
+`surface._darboux_arrays`) the table gives `expr.TapeOps`: the operations
+one call runs, those of them on the full grid when the operands are a
+column and a row, and the most temporaries alive at once.  The field
+tape's count leaves out the two full-grid operations of the omega mask,
+which runs outside it.  The values and field tapes are compiled with
+check=False, as `extract` runs them, and the sample and Darboux tapes
+with check=True, as `sample_surface` and `darboux` run them (so their
+domain tests count as operations).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ sys.path.insert(0, str(HERE / "perfbench"))
 import gen  # noqa: E402
 
 from g3geom import expr, isophote, load_scene_dict  # noqa: E402
-from g3geom.surface import _sample_parts, _values  # noqa: E402
+from g3geom.surface import _darboux_parts, _sample_parts, _values  # noqa: E402
 from g3geom.surfrev import revolve_euclidean, revolve_isotropic  # noqa: E402
 
 FAMILIES = ("wavy", "cylinder", "revolution", "quadratic")
@@ -53,7 +55,8 @@ def tapes(surface) -> dict:
     asts = (surface.x, surface.y, surface.z)
     return {"sample": expr._compiled(asts, True, _sample_parts, 0),
             "values": expr._compiled(asts, False, _values, 0),
-            "field": expr._compiled(asts, False, isophote._shading, 2)}
+            "field": expr._compiled(asts, False, isophote._shading, 2),
+            "darboux": expr._compiled(asts, True, _darboux_parts, 4)}
 
 
 def main() -> int:
