@@ -6,10 +6,14 @@ the parameter s is automatically the invariant (unit speed) parameter.
     T = alpha',  N = alpha''/kappa,  B = T x N
     kappa = sqrt(f''^2 + g''^2)
     tau   = (f'' g''' - g'' f''') / kappa^2
+
+f and g run as Jets through one compiled tape (`expr.on_partials`) of
+`_frenet_parts`, the evaluator of every surface.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +33,9 @@ class CurveSpec:
     g: expr.ExprAST
     domain: tuple[float, float]
     parameters: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        _check_interval(self.domain)
 
     @classmethod
     def from_strings(cls, f_src: str, g_src: str,
@@ -54,6 +61,13 @@ class FrenetSample:
     tau: float
 
 
+def _check_interval(interval, name: str = "domain") -> None:
+    """Raise ValueError unless the interval (lo, hi) is finite with lo < hi."""
+    lo, hi = (float(v) for v in interval)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"{name} must be finite with lo < hi, got ({lo!r}, {hi!r})")
+
+
 def _finite_samples(S, name: str = "S") -> np.ndarray:
     """S as a 1-D float array; a ValueError names its shape if it is not
     1-D, or else its first sample that is not finite."""
@@ -67,27 +81,48 @@ def _finite_samples(S, name: str = "S") -> np.ndarray:
     return S
 
 
-def _curve_arrays(curve: CurveSpec, S: np.ndarray) -> dict:
-    """Batch Frenet data over sample points; raises if the frame degenerates."""
-    jf = expr.eval_jet(curve.f, S, order=3)
-    jg = expr.eval_jet(curve.g, S, order=3)
+def _check_finite(out: dict, where) -> None:
+    """Raise G3Error at the first sample where a result in `out` is not
+    finite, naming its first such result; where(i) names sample i."""
+    finite = np.isfinite(list(out.values()))  # one row per result
+    if not finite.all():
+        i = int(np.argmin(finite.all(axis=0)))
+        name = list(out)[int(np.argmin(finite[:, i]))]
+        raise G3Error(f"{name} = {out[name][i]} is not finite {where(i)}")
+
+
+def _values(*jets):
+    """The values of the jets; traced into a values tape."""
+    return tuple(j.value for j in jets)
+
+
+def _frenet_parts(jf, jg):
+    """The results of `_curve_arrays` after s, from the Jets of f and g;
+    traced into the curve tape."""
     kappa = np.hypot(jf.d2, jg.d2)
-    bad = kappa <= KAPPA_MIN
-    if np.any(bad):
-        s_bad = float(np.asarray(S, dtype=float).reshape(-1)[np.argmax(np.ravel(bad))])
-        raise StraightSegmentError(
-            f"kappa <= {KAPPA_MIN:g} at s = {s_bad:.6g}: Frenet frame undefined")
     tau = (jf.d2 * jg.d3 - jg.d2 * jf.d3) / (kappa * kappa)
-    return {
-        "s": S,
-        "f": jf.value, "g": jg.value,
-        "fp": jf.d1, "gp": jg.d1,
-        "fpp": jf.d2, "gpp": jg.d2,
-        "kappa": kappa, "tau": tau,
-        # frame components (x components: T has 1, N and B have 0)
-        "Ny": jf.d2 / kappa, "Nz": jg.d2 / kappa,
-        "By": -jg.d2 / kappa, "Bz": jf.d2 / kappa,
-    }
+    return (jf.value, jg.value, jf.d1, jg.d1, jf.d2, jg.d2, kappa, tau,
+            jf.d2 / kappa, jg.d2 / kappa, -jg.d2 / kappa, jf.d2 / kappa)
+
+
+# frame components (x components: T has 1, N and B have 0)
+_FRENET_NAMES = "f g fp gp fpp gpp kappa tau Ny Nz By Bz".split()
+
+
+def _curve_arrays(curve: CurveSpec, S: np.ndarray, check: bool = True) -> dict:
+    """Batch Frenet data over the 1-D sample array, each of its shape.
+    StraightSegmentError names the first sample where kappa <= KAPPA_MIN,
+    and G3Error the first where a result is not finite; check=False runs
+    no check, so a result may be NaN."""
+    parts = expr.on_partials(_frenet_parts, (curve.f, curve.g), (S,), check=check)
+    out = {"s": S, **{k: np.broadcast_to(r, S.shape) for k, r in zip(_FRENET_NAMES, parts)}}
+    if check:
+        bad = out["kappa"] <= KAPPA_MIN
+        if np.any(bad):
+            raise StraightSegmentError(f"kappa <= {KAPPA_MIN:g} at s = "
+                                       f"{float(S[np.argmax(bad)]):.6g}: Frenet frame undefined")
+        _check_finite(out, lambda i: f"at s = {float(S[i]):.6g}")
+    return out
 
 
 def frenet(curve: CurveSpec, s: float) -> FrenetSample:
@@ -130,23 +165,19 @@ def is_admissible(curve: CurveSpec, samples: int = 128,
         raise ValueError("samples must be >= 2")
     S = curve.samples(samples)
     violations: list[dict] = []
-    jets = []
-    for ast in (curve.f, curve.g):
-        j = expr.eval_jet(ast, S, order=3, check=False)
-        jets.append(j)
-        finite = np.isfinite(j.value) & np.isfinite(j.d1) & np.isfinite(j.d2)
+    a = _curve_arrays(curve, S, check=False)
+    for ast, name in ((curve.f, "f"), (curve.g, "g")):
+        finite = np.isfinite(a[name]) & np.isfinite(a[name + "p"]) & np.isfinite(a[name + "pp"])
         for i in np.nonzero(~finite)[0]:
             # re-evaluate the bad point in checking mode to get the message
             try:
-                expr.eval_jet(ast, float(S[i]), order=3)
+                expr.on_partials(_values, (ast,), (float(S[i]),))
                 msg = "non-finite value"
             except ExprDomainError as e:
                 msg = str(e)
             violations.append({"s": float(S[i]), "kind": "domain", "message": msg})
     eval_ok = not violations
-    jf, jg = jets
-    with np.errstate(invalid="ignore"):
-        kappa = np.hypot(jf.d2, jg.d2)
+    kappa = a["kappa"]
     finite_kappa = kappa[np.isfinite(kappa)]
     min_kappa = float(finite_kappa.min()) if finite_kappa.size else float("nan")
     frame_ok = bool(finite_kappa.size == samples and np.all(finite_kappa > tol))
@@ -201,12 +232,11 @@ def transform_curve(curve: CurveSpec, m: GalileanMotion) -> CurveSpec:
         f'(t) = b + c1 (t-a) + cos(phi) f(t-a) + sin(phi) g(t-a)
         g'(t) = d0 + e1 (t-a) - sin(phi) f(t-a) + cos(phi) g(t-a)
     """
-    import math as _math
     var = curve.f.variables[0]
     shift = expr.parse(f"{var} - shift0", [var], {"shift0": m.a})
     fs = expr.subst(curve.f, {var: shift}, [var])
     gs = expr.subst(curve.g, {var: shift}, [var])
-    cp, sp = _math.cos(m.phi), _math.sin(m.phi)
+    cp, sp = math.cos(m.phi), math.sin(m.phi)
 
     def lin(b0: float, c0: float) -> expr.ExprAST:
         return expr.combine("+", expr.const(b0),

@@ -31,34 +31,36 @@ needs a > 0, even at points where b's partials vanish.  So a point and an
 array that holds it take the same way, and a tape knows every way while
 it traces.
 
-A Jet2 slot that is zero whatever the operands (the partials of a
-constant or a parameter, u1's seed by u2 and u2's by u1, and what only
-they feed) is a structural zero, one `_Zero` object: it absorbs * and /
-and is the identity of +, so no operation on it runs (zero minus x is
-0.0 - x, one operation, as -x would be).  A literal
-0.0 would have to be multiplied out, and 0.0 * inf is NaN where the true
-partial is finite.  `eval_jet2` and the tapes return the float 0.0 in
-its place.  The univariate Jet keeps plain zeros.
+A jet slot that is zero whatever the operands (the derivatives of a
+constant or a parameter, a seed's slots but its own first derivative, and
+what only they feed) is a structural zero, one `_Zero` object: it absorbs
+* and / and is the identity of +, so no operation on it runs (zero minus
+x is 0.0 - x, one operation, as -x would be).  A literal 0.0 would have
+to be multiplied out, and 0.0 * inf is NaN where the true derivative is
+finite.  `eval_jet`, `eval_jet2` and the tapes return the float 0.0 in
+its place.
 
-Every library evaluation of a surface runs a compiled tape, and the
-`eval_jet2` interpreter is their reference.  `on_partials(fn, asts, at,
-args)` traces fn of the expressions' Jet2s and of args read at call time
-(the lift's values, the field's normal, the Darboux frame from the trace
-jets) into one tape.  The first call with a new tree structure runs `_eval` on
-Jet2s whose slots are traced symbols, so the Jet2 operators themselves
-record one straight-line numpy function for all the trees at once: a
-structural zero, an operation on constants only and x * 1.0 are decided
-while tracing, an operation repeated on the same slots is emitted once
-(so y and z of a revolution share their profile), the lines that no
-result of fn reads are dropped (the second partials when fn reads none,
-and in a field tape every value and partial the field does not read),
-and each temporary is deleted after its last use.  Every slot fn reads
-equals the slot of `eval_jet2` bit for bit, and with check=True the
-domain checks run at their nodes in the interpreter's order, so an error
-has the same class and offset.  The tape skips `eval_jet2`'s final
-broadcast: each result keeps the shape of the operands it depends on, so
-with (n1, 1) and (1, n2) operands a u2-only coordinate stays a (1, n2)
-row.  A compiled tape keeps its operation counts (`TapeOps`).
+Every library evaluation of an expression runs a compiled tape, and the
+`eval_jet` and `eval_jet2` interpreters are their reference.
+`on_partials(fn, asts, at, args)` traces fn of the expressions' jets (the
+Jets of curves, traces and profiles over (s,), the Jet2s of surfaces over
+(u1, u2)) and of args read at call time (the lift's values, the field's
+normal, the Darboux frame from the trace's derivatives) into one tape.
+The first call with a new tree structure runs `_eval` on jets whose slots
+are traced symbols, so the jet operators themselves record one
+straight-line numpy function for all the trees at once: a structural
+zero, an operation on constants only and x * 1.0 are decided while
+tracing, an operation repeated on the same slots is emitted once (so y
+and z of a revolution share their profile), the lines that no result of
+fn reads are dropped (the higher derivatives when fn reads none, and in a
+field tape every value and partial the field does not read), and each
+temporary is deleted after its last use.  Every slot fn reads equals the
+interpreter's slot bit for bit, and with check=True the domain checks run
+at their nodes in the interpreter's order, so an error has the same class
+and offset.  The tape skips the interpreters' final broadcast: each
+result keeps the shape of the operands it depends on, so with (n1, 1) and
+(1, n2) operands a u2-only coordinate stays a (1, n2) row.  A compiled
+tape keeps its operation counts (`TapeOps`).
 
 Tapes are cached by the trees' structure, not by object.  Parameter
 values and literals are read at call time, so every wavy surface, every
@@ -77,7 +79,7 @@ import math
 import re
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence, Union
 
@@ -450,11 +452,12 @@ _ZERO_UFUNCS = {np.add: "add", np.subtract: "sub", np.multiply: "mul",
 
 
 class _Zero:
-    """The structural zero of a Jet2 slot: the partials of a constant or a
-    parameter, and a variable's seed partial by the other variable.  It
-    absorbs * and /, and it is the identity of + (and of x - zero), so a
-    slot that is zero whatever the operands stays this object and no
-    operation on it runs, in the interpreter and in a traced tape alike.  A literal 0.0
+    """The structural zero of a jet slot: the derivatives of a constant or
+    a parameter, and a seed's slots but its own first derivative.  It
+    absorbs *, / and the positive integer powers of the jet formulas (g1 **
+    3), and it is the identity of + (and of x - zero), so a slot that is
+    zero whatever the operands stays this object and no operation on it
+    runs, in the interpreter and in a traced tape alike.  A literal 0.0
     would not do: 0.0 * inf is NaN.  numpy's arithmetic on it is these
     operators; any other ufunc (np.hypot of the normal) sees a plain 0.0."""
 
@@ -463,7 +466,7 @@ class _Zero:
     def __mul__(self, other):
         return self
 
-    __rmul__ = __truediv__ = __mul__
+    __rmul__ = __truediv__ = __pow__ = __mul__
 
     def __neg__(self):
         return self
@@ -509,8 +512,9 @@ class _JetOps:
 
     @classmethod
     def constant(cls, value) -> "_JetOps":
-        """The jet of a value that depends on no variable."""
-        return cls(value)
+        """The jet of a value that depends on no variable: every derivative
+        slot is the structural zero."""
+        return cls(value, *[_ZERO] * (len(fields(cls)) - 1))
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
@@ -606,10 +610,6 @@ class Jet2(_JetOps):
 
     def derivatives(self) -> tuple:
         return self.du1, self.du2, self.du1u1, self.du1u2, self.du2u2
-
-    @classmethod
-    def constant(cls, value) -> "Jet2":
-        return cls(value, _ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -833,25 +833,29 @@ def eval_jet(ast: ExprAST, at, order: int = 3, *, check: bool = True) -> Jet:
     if order not in (0, 1, 2, 3):
         raise ValueError("order must be 0..3")
     if len(ast.variables) != 1:
-        raise ArityError(
-            f"eval_jet needs exactly one declared variable, got {ast.variables}")
-    at = np.asarray(at, dtype=float)
-    point = at.ndim == 0
-    seeds = {ast.variables[0]: Jet(at.reshape(1) if point else at, np.float64(1.0))}
+        raise _arity_error(ast, Jet)
+    (s,), point = _as_arrays((at,))
     with np.errstate(all="ignore"):
-        j = _eval(ast.root, seeds, order, _Values(Jet, ast.params, check))
+        j = _eval(ast.root, _seeds(ast.variables, (s,)), order, _Values(Jet, ast.params, check))
         # broadcast constant subresults to the sample shape, zero unused slots
-        shaped = np.float64(0.0) if point else at * 0.0
-        slots = [_first(s) if point else s for s in (j.value, *j.derivatives())]
-        return Jet(*(s + shaped for s in slots[:order + 1]), *[shaped] * (3 - order))
+        shaped = np.float64(0.0) if point else s * 0.0
+        slots = [_real(_first(x) if point else x) for x in (j.value, *j.derivatives())]
+        return Jet(*(x + shaped for x in slots[:order + 1]), *[shaped] * (3 - order))
 
 
-def _arity_error(ast: ExprAST) -> ArityError:
-    return ArityError(
-        f"eval_jet2 needs exactly two declared variables, got {ast.variables}")
+def _arity_error(ast: ExprAST, kind) -> ArityError:
+    """The interpreter's error for an expression that is not of kind's arity."""
+    if kind is Jet:
+        return ArityError(f"eval_jet needs exactly one declared variable, got {ast.variables}")
+    return ArityError(f"eval_jet2 needs exactly two declared variables, got {ast.variables}")
 
 
-def _bivariate_seeds(variables: Sequence[str], u1, u2) -> dict:
+def _seeds(variables: Sequence[str], at: Sequence) -> dict:
+    """Each variable's seed at its operand, a Jet for one and Jet2s for two,
+    with every slot but its own first derivative the structural zero."""
+    if len(at) == 1:
+        return {variables[0]: Jet(at[0], np.float64(1.0), _ZERO, _ZERO)}
+    u1, u2 = at
     return {variables[0]: Jet2(u1, np.float64(1.0), _ZERO, _ZERO, _ZERO, _ZERO),
             variables[1]: Jet2(u2, _ZERO, np.float64(1.0), _ZERO, _ZERO, _ZERO)}
 
@@ -863,10 +867,10 @@ def eval_jet2(ast: ExprAST, at, *, check: bool = True) -> Jet2:
     point runs as one-element arrays and keeps its signed zeros.
     """
     if len(ast.variables) != 2:
-        raise _arity_error(ast)
+        raise _arity_error(ast, Jet2)
     (u1, u2), point = _as_arrays(at)
     with np.errstate(all="ignore"):
-        j = _eval(ast.root, _bivariate_seeds(ast.variables, u1, u2), 2,
+        j = _eval(ast.root, _seeds(ast.variables, (u1, u2)), 2,
                   _Values(Jet2, ast.params, check))
         slots = [_real(s) for s in (j.value, *j.derivatives())]
         if point:
@@ -875,13 +879,13 @@ def eval_jet2(ast: ExprAST, at, *, check: bool = True) -> Jet2:
         return Jet2(*(s + shaped for s in slots))
 
 
-def _as_arrays(at) -> tuple[tuple[np.ndarray, np.ndarray], bool]:
-    """(u1, u2) as float arrays, one-element ones for a point (numpy's
-    scalar power can differ from its array loop in the last bit), and
-    whether it is a point."""
-    u1, u2 = (np.asarray(v, dtype=float) for v in at)
-    point = not (u1.ndim or u2.ndim)
-    return ((u1.reshape(1), u2.reshape(1)) if point else (u1, u2)), point
+def _as_arrays(at) -> tuple[tuple[np.ndarray, ...], bool]:
+    """The operands (s,) or (u1, u2) as float arrays, one-element ones for
+    a point (numpy's scalar power can differ from its array loop in the
+    last bit), and whether it is a point."""
+    arrays = tuple(np.asarray(v, dtype=float) for v in at)
+    point = not any(a.ndim for a in arrays)
+    return (tuple(a.reshape(1) for a in arrays) if point else arrays), point
 
 
 def _first(slot):
@@ -908,18 +912,19 @@ _OPERATORS = {"add": "{} + {}", "subtract": "{} - {}", "multiply": "{} * {}",
 def on_partials(fn, asts: Sequence[ExprAST], at, args: Sequence[float | np.ndarray] = (),
                 *, check: bool = True) -> tuple:
     """fn(*jets, *args) through one compiled tape, where `jets` are the
-    Jet2s of the bivariate expressions `asts` at `at` and `args` are
-    numbers, or arrays that broadcast with `at`, read at call time.
+    Jets of univariate expressions `asts` at at = (s,), or the Jet2s of
+    bivariate ones at (u1, u2), and `args` are numbers, or arrays that
+    broadcast with `at`, read at call time.
 
-    fn is traced once per structure of the expressions, on Jet2s of traced
+    fn is traced once per structure of the expressions, on jets of traced
     slots: it must be arithmetic and numpy ufuncs on their slots and on its
     other arguments, return a tuple, and keep its identity (it is part of
     the cache key).  The tape computes only what fn's results read.  Each
-    result equals fn on the interpreter's own Jet2s, bit for bit (the jets
-    of `eval_jet2` before it makes the structural zeros 0.0 and
-    broadcasts), on the shape of the operands it depends on; a point runs
-    as one-element arrays and gives scalars, as in eval_jet2.  A domain
-    error is eval_jet2's error, at the same offset.  The tape is cached by the
+    result equals fn on the interpreter's own jets, bit for bit (those of
+    `eval_jet` at order 3 or `eval_jet2` before they make the structural
+    zeros 0.0 and broadcast), on the shape of the operands it depends on; a
+    point runs as one-element arrays and gives scalars, as there.  An error
+    is the interpreter's error, at the same offset.  The tape is cached by the
     expressions' structure (literals and parameters in exponents by their
     exact bits), by which parameter names they bind differently, and by
     fn; the other parameter values and literals are read at call time.
@@ -998,11 +1003,13 @@ def _const_key(x) -> tuple:
 
 
 class _Tape(_Values):
-    """Traces `_eval` on Jet2s whose slots are _Syms into one straight-line
-    function tape(at, A, L, D) of the pair (u1, u2), the expressions (whose
-    parameters it reads), their literals (see ExprAST.structure) and the
-    arguments of fn.  It returns what fn returns of the Jet2 of each
-    expression.
+    """Traces `_eval` on jets whose slots are _Syms into one straight-line
+    function tape(at, A, L, D) of the operands (s,) or (u1, u2), the
+    expressions (whose parameters it reads), their literals (see
+    ExprAST.structure) and the arguments of fn.  It returns what fn
+    returns of the jet of each expression: Jets when the first expression
+    has one variable, else Jet2s, with the domain checks gated at the
+    jet's ORDER.
 
     The walk and the jet formulas are the interpreter's, so every slot is
     equal bit for bit.  A structural zero (_Zero) is decided here, as is an
@@ -1017,10 +1024,11 @@ class _Tape(_Values):
 
     def __init__(self, asts: Sequence[ExprAST], check: bool, split: frozenset[str],
                  fn, nargs: int):
-        super().__init__(Jet2, {}, check)
+        super().__init__(Jet if len(asts[0].variables) == 1 else Jet2, {}, check)
         self.asts, self.split, self.fn, self.nargs = asts, split, fn, nargs
+        self.operands = ("S",) if self.kind is Jet else ("U1", "U2")
         self.env = {"np": np, "ExprDomainError": ExprDomainError,
-                    "_arity_error": _arity_error}
+                    "_arity_error": _arity_error, "kind": self.kind}
         self.lines: list[tuple[str, tuple, tuple, bool]] = []  # code, defs, uses, pure
         self.memo: dict[tuple, object] = {}
         self.consts: dict[tuple, str] = {}
@@ -1083,24 +1091,23 @@ class _Tape(_Values):
             i = self.i
             if node.name not in self.split:
                 i = self.memo.setdefault(("param", node.name), i)
-            return Jet2.constant(self.load(f"np.float64(A[{i}].params[{node.name!r}])",
-                                           pure=False))
+            return self.kind.constant(self.load(
+                f"np.float64(A[{i}].params[{node.name!r}])", pure=False))
         self.literals += 1
-        return Jet2.constant(self.load(f"L[{self.i}][{self.literals - 1}]"))
+        return self.kind.constant(self.load(f"L[{self.i}][{self.literals - 1}]"))
 
     def compile(self):
         out: list | None = []
-        u1, u2 = _Sym(self, "U1"), _Sym(self, "U2")
+        operands = [_Sym(self, name) for name in self.operands]
         for i, ast in enumerate(self.asts):
-            if len(ast.variables) != 2:
-                self.emit(f"raise _arity_error(A[{i}])", outs=0, pure=False)
+            if len(ast.variables) != len(operands):
+                self.emit(f"raise _arity_error(A[{i}], kind)", outs=0, pure=False)
                 out = None
                 break
             if i == 0:
-                self.lines.append(("U1, U2 = (np.asarray(v, dtype=float) for v in at)",
-                                   ("U1", "U2"), (), False))
+                self.lines.append((f"{', '.join(self.operands)}, = at", self.operands, (), False))
             self.i, self.literals, self.params = i, 0, ast.params
-            out.append(_eval(ast.root, _bivariate_seeds(ast.variables, u1, u2), 2, self))
+            out.append(_eval(ast.root, _seeds(ast.variables, operands), self.kind.ORDER, self))
         if out is not None:
             results = self.fn(*out, *[self.load(f"D[{k}]") for k in range(self.nargs)])
             code = "".join(f"{self.ref(_real(s))}, " for s in results)
@@ -1121,24 +1128,25 @@ class _Tape(_Values):
             for code, _, _, dead in kept)
         exec(compile(src, "<tape>", "exec"), self.env)
         tape = self.env["tape"]
-        tape.ops = _count_ops(kept)
+        tape.ops = _count_ops(kept, self.operands)
         return tape
 
 
 class TapeOps(NamedTuple):
     """What one call of a compiled tape runs (its `ops`): the lines that
-    compute on a run-time slot, those of them whose result depends on both
-    u1 and u2 (a full grid where the operands are an (n1, 1) column and a
-    (1, n2) row, as field_grid passes them), and the most temporaries
-    alive at once."""
+    compute on a run-time slot, those of them whose result depends on
+    every operand (for a bivariate tape both u1 and u2, a full grid where
+    the operands are an (n1, 1) column and a (1, n2) row, as field_grid
+    passes them; for a univariate tape s, the whole sample array), and the
+    most temporaries alive at once."""
 
     operations: int
     full_grid: int
     peak_live: int
 
 
-def _count_ops(kept) -> TapeOps:
-    grid = {"U1", "U2"}
+def _count_ops(kept, operands: Sequence[str]) -> TapeOps:
+    grid = set(operands)
     deps: dict[str, set] = {}
     operations = full_grid = peak = 0
     live: set[str] = set()

@@ -1,11 +1,12 @@
 """Parametric surfaces, the Darboux frame along admissible traces, trace
 classification, and isophote-axis reconstruction.
 
-All frame derivatives are analytic: traces are evaluated as univariate
-jets, and one compiled tape (`expr.on_partials`) runs the surface's
-bivariate jets (second partials included) and the explicit chain rule,
-so `darboux`, `field` and `sample_surface` share one evaluator and one
-singular-normal rule (`_check_omega`).  Inner products of isotropic
+All frame derivatives are analytic: a trace tape (`expr.on_partials` on
+the trace's univariate jets) gives u1, u2 and their first two
+derivatives, and one compiled tape runs the surface's bivariate jets
+(second partials included) and the explicit chain rule, so `darboux`,
+`field` and `sample_surface` share one evaluator and one singular-normal
+rule (`_check_omega`).  Inner products of isotropic
 vectors (T', Q', n' are all isotropic) use the Euclidean yz branch of
 the Galilean product throughout.
 """
@@ -18,7 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr
-from .curve import KAPPA_MIN, CurveSpec, _curve_arrays, _finite_samples
+from .curve import (
+    KAPPA_MIN,
+    CurveSpec,
+    _check_finite,
+    _check_interval,
+    _curve_arrays,
+    _finite_samples,
+    _values,
+)
 from .errors import (
     AxisConstraintError,
     AxisUndefinedError,
@@ -45,6 +54,11 @@ class SurfaceSpec:
     z: expr.ExprAST
     domain: tuple[tuple[float, float], tuple[float, float]]
     parameters: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        u1_domain, u2_domain = self.domain
+        _check_interval(u1_domain, "u1 domain")
+        _check_interval(u2_domain, "u2 domain")
 
     @classmethod
     def from_strings(cls, x_src: str, y_src: str, z_src: str,
@@ -75,11 +89,6 @@ class SurfaceSample:
     h11: float
     h12: float
     h22: float
-
-
-def _values(jx, jy, jz):
-    """The values of x, y and z; traced into the values tape."""
-    return jx.value, jy.value, jz.value
 
 
 def _coordinate_values(surface: SurfaceSpec, U1, U2, check: bool = True):
@@ -155,6 +164,9 @@ class TraceSpec:
     u1_of_s: expr.ExprAST
     u2_of_s: expr.ExprAST
     domain: tuple[float, float]
+
+    def __post_init__(self):
+        _check_interval(self.domain)
 
     @classmethod
     def from_strings(cls, u1_src: str, u2_src: str,
@@ -235,28 +247,36 @@ _DARBOUX_NAMES = ("x y z Ty Tz Tpy Tpz ny nz nyp nzp Qy Qz Qpy Qpz "
                   "kg kn taug kappa phi omega").split()
 
 
+def _trace_parts(j1, j2):
+    """u1, u2, then u1', u2', u1'', u2'' from the Jets of the trace;
+    traced into the trace tape."""
+    return j1.value, j2.value, j1.d1, j2.d1, j1.d2, j2.d2
+
+
 def _darboux_arrays(surface: SurfaceSpec, trace: TraceSpec, S: np.ndarray) -> dict:
     """Darboux data along a trace, vectorized over the 1-D sample array, by
-    one tape of x, y, z and `_darboux_parts`.  SingularNormalError or G3Error
-    names the first sample where omega is not a finite number above
-    OMEGA_MIN, or another result is not finite."""
-    j1 = expr.eval_jet(trace.u1_of_s, S, order=2)
-    j2 = expr.eval_jet(trace.u2_of_s, S, order=2)
+    the trace tape and one tape of x, y, z and `_darboux_parts`; phi is 0
+    where kappa is 0.  SingularNormalError or G3Error names the first
+    sample where omega is not a finite number above OMEGA_MIN, or another
+    result is not finite."""
+    u1, u2, *derivatives = (np.broadcast_to(r, S.shape) for r in expr.on_partials(
+        _trace_parts, (trace.u1_of_s, trace.u2_of_s), (S,)))
     xv, *parts = (np.broadcast_to(r, S.shape) for r in expr.on_partials(
-        _darboux_parts, (surface.x, surface.y, surface.z), (j1.value, j2.value),
-        (j1.d1, j2.d1, j1.d2, j2.d2)))
+        _darboux_parts, (surface.x, surface.y, surface.z), (u1, u2), derivatives))
     err = np.abs(xv - 1.0)
     if np.any(err > TRACE_TOL):
         i = int(np.argmax(err))
         raise InadmissibleTraceError(f"trace x-velocity {float(xv[i]):.6g} != 1 at s = "
                                      f"{float(S[i]):.6g}; substitute u1 = s (or shear-compensate)")
-    out = {"s": S, "u1": j1.value, "u2": j2.value, **dict(zip(_DARBOUX_NAMES, parts))}
-    _check_omega(out["omega"], lambda i: f"along trace at s = {float(S[i]):.6g}")
-    finite = np.isfinite(list(out.values()))  # one row per result
-    if not finite.all():
-        i = int(np.argmin(finite.all(axis=0)))
-        name = list(out)[int(np.argmin(finite[:, i]))]
-        raise G3Error(f"{name} = {out[name][i]} is not finite along trace at s = {S[i]:.6g}")
+    out = {"s": S, "u1": u1, "u2": u2, **dict(zip(_DARBOUX_NAMES, parts))}
+    # phi = atan2(-k_n, k_g) is undefined where kappa is 0
+    out["phi"] = np.where(out["kappa"] == 0.0, 0.0, out["phi"])
+
+    def where(i):
+        return f"along trace at s = {float(S[i]):.6g}"
+
+    _check_omega(out["omega"], where)
+    _check_finite(out, where)
     return out
 
 

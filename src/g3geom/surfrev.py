@@ -21,6 +21,8 @@ import numpy as np
 from . import expr
 from .curve import (
     CurveSpec,
+    _check_interval,
+    _values,
     detect_general_helix,
     detect_slant_helix,
     frenet,
@@ -48,6 +50,9 @@ class ProfileSpec:
     domain: tuple[float, float]
     c: float = 1.0
 
+    def __post_init__(self):
+        _check_interval(self.domain)
+
     @classmethod
     def from_string(cls, g_src: str, domain: tuple[float, float], c: float = 1.0,
                     parameters: dict[str, float] | None = None) -> "ProfileSpec":
@@ -63,10 +68,12 @@ def profile_curve(profile: ProfileSpec) -> CurveSpec:
 
 def revolve_euclidean(profile: ProfileSpec) -> SurfaceSpec:
     """Euclidean surface of revolution; t runs over [0, 2 pi].  g must be
-    positive at 64 points spread over the profile's domain."""
+    finite and positive at 64 points spread over the profile's domain; a g
+    that cannot be evaluated there is NaN, so it is rejected too."""
     S = np.linspace(profile.domain[0], profile.domain[1], 64)
-    gv = expr.eval_jet(profile.g, S, order=0).value
-    bad = ~(gv > 0.0)  # a NaN g is bad too
+    gv = np.broadcast_to(expr.on_partials(_values, (profile.g,), (S,), check=False)[0],
+                         S.shape)
+    bad = ~(np.isfinite(gv) & (gv > 0.0))
     if np.any(bad):
         i = int(np.argmax(bad))
         raise G3Error(

@@ -251,6 +251,17 @@ def test_frenet_straight_segment_exit_1(capsys):
     assert "kappa <= 1e-10" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+def test_frenet_overflow_exit_2(capsys):
+    # g = 2 e^(800 s) overflows at s = 1: this printed a row of NaNs after an
+    # overflow warning and exited 0
+    rc = main(["frenet", "--curve", "s^2,2*exp(800*s)", "--domain", "0:1", "--samples", "3"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: g = inf is not finite at s = 1\n"
+    assert "nan" not in captured.out
+
+
 def test_axis_success(scene_path, capsys):
     rc = main(["axis", "--case", "isotropic", "--scene", scene_path,
                "--surface", "plane", "--trace", "parabola", "--angle", "0"])

@@ -101,6 +101,16 @@ def test_is_admissible_log_domain():
     assert any(v["kind"] == "domain" and v["s"] <= 0 for v in rep.violations)
 
 
+def test_is_admissible_names_each_expressions_own_error():
+    # f and g both fail at s = 0, and each violation carries the message of
+    # its own expression; g overflows at s = 1 with no domain error
+    c = CurveSpec.from_strings("log(s)", "1/s + exp(800*s)", (0.0, 1.0))
+    rep = is_admissible(c, samples=5)
+    assert [(v["s"], v["message"]) for v in rep.violations] == [
+        (0.0, "log of non-positive value (offset 0)"),
+        (0.0, "division by zero (offset 1)"), (1.0, "non-finite value")]
+
+
 def test_is_admissible_flags_straight_line():
     c = CurveSpec.from_strings("0", "0", (0.0, 1.0))
     rep = is_admissible(c, samples=16)

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from g3geom import ProfileSpec, expr, isophote
+from g3geom import CurveSpec, ProfileSpec, expr, isophote
+from g3geom.curve import KAPPA_MIN, _curve_arrays
 from g3geom.errors import (
     ArityError,
     ExprDomainError,
@@ -24,6 +25,7 @@ from g3geom.errors import (
     G3Error,
     InadmissibleTraceError,
     SingularNormalError,
+    StraightSegmentError,
     UnknownIdentifierError,
 )
 from g3geom.expr import Bin, Call, Neg, Num, Param, Var
@@ -459,6 +461,14 @@ def test_structural_zero_partial_times_inf_is_zero():
     assert expr.eval_jet2(ast, (1.0, 0.5), check=False).du2 == 0.0
 
 
+def test_eval_jet_keeps_structural_zeros():
+    # the literal 2's derivatives are structural zeros, so the derivatives
+    # of 2*exp(800*s) at s = 1 are 2 * inf; plain zeros gave 0 * inf = NaN
+    for at in (1.0, np.array([0.0, 1.0])):
+        j = expr.eval_jet(expr.parse("2*exp(800*s)", ["s"]), at)
+        assert np.ravel(j.d1)[-1] == np.ravel(j.d2)[-1] == np.ravel(j.d3)[-1] == math.inf
+
+
 def test_structural_zero_minus_zero_partial_is_positive_zero():
     # a constant minus a slot computes 0.0 - x, as a run-time 0.0 slot did,
     # so the du2 of 1 - u2^2 at u2 = 0 is +0.0, not -0.0
@@ -692,6 +702,66 @@ def test_a_point_and_a_one_element_array_agree(src, k, at):
             _outcome(lambda: expr.eval_jet(univariate, np.array([u1]), check=check)))
 
 
+_JET_SLOTS = ("value", "d1", "d2", "d3")
+
+
+def _all_jet_slots(*jets):
+    """Every slot of every Jet, flat; traced into univariate tapes."""
+    return tuple(getattr(j, name) for j in jets for name in _JET_SLOTS)
+
+
+def _interpreted_jet(ast, at, check):
+    """The slots of eval_jet's Jet before it makes structural zeros 0.0 and
+    broadcasts; a point runs as a one-element array, as in eval_jet."""
+    (s,), point = expr._as_arrays((at,))
+    with np.errstate(all="ignore"):
+        j = expr._eval(ast.root, expr._seeds(ast.variables, (s,)), 3,
+                       expr._Values(expr.Jet, ast.params, check))
+    slots = [expr._real(x) for x in (j.value, *j.derivatives())]
+    return tuple(map(expr._first, slots)) if point else tuple(slots)
+
+
+def _error(fn):
+    try:
+        return fn()
+    except ExprDomainError as e:
+        return (type(e), str(e), e.offset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bivariate_sources(), st.sampled_from([0.0, -0.0, -0.4, 2.0]),
+       st.sampled_from([-0.0, 0.5, -1.0]), st.integers(0, 3))
+def test_univariate_tape_equals_eval_jet_slots(src, k, u2, which):
+    # the univariate tape of a source over u1, with u2 a parameter: every
+    # slot equals the interpreter's before eval_jet's broadcast by bytes and
+    # shape, and eval_jet's after it; or it raises eval_jet's domain error
+    # with the same message at the same offset
+    ast = expr.parse(src, ["u1"], {"k": k, "u2": u2})
+    at = [0.7, -0.0, np.linspace(-1.0, 2.0, 7), np.array([-0.0, 1e-200, 3.0])][which]
+    shaped = np.asarray(at) * 0.0 if np.ndim(at) else 0.0
+    for check in (True, False):
+        full = _error(lambda: expr.eval_jet(ast, at, check=check))
+        got = _error(lambda: expr.on_partials(_all_jet_slots, (ast,), (at,), check=check))
+        if isinstance(full, tuple):
+            assert got == full, (src, at, check)
+            continue
+        for have, need, name in zip(got, _interpreted_jet(ast, at, check), _JET_SLOTS):
+            have, need = np.asarray(have, dtype=float), np.asarray(need, dtype=float)
+            assert have.shape == need.shape, (src, name)
+            assert have.tobytes() == need.tobytes(), (src, name, at, check)
+            assert (have + shaped).tobytes() == np.asarray(getattr(full, name)).tobytes()
+
+
+def test_a_tape_raises_the_arity_error_of_its_kind():
+    # the first expression decides the kind; an expression of another
+    # arity raises the ArityError of that kind's interpreter
+    s_ast, uv = expr.parse("s", ["s"]), expr.parse("u1", _V)
+    for asts, at, kind in (((s_ast, uv), (0.5,), "eval_jet needs exactly one"),
+                           ((uv, s_ast), (0.5, 0.5), "eval_jet2 needs exactly two")):
+        with pytest.raises(ArityError, match=kind):
+            expr.on_partials(_all_slots, asts, at)
+
+
 def test_variable_exponent_tapes_are_numpy_arithmetic_only():
     # every exponent is decided while tracing (a parameter in an exponent
     # is a keyed constant), so a variable exponent traces exp(b log a) into
@@ -716,7 +786,7 @@ def _interpreted_field(surface, axis, at, check):
     A point runs as one-element arrays, as in eval_jet2."""
     (u1, u2), point = expr._as_arrays(at)
     with np.errstate(all="ignore"):
-        jets = [expr._eval(a.root, expr._bivariate_seeds(a.variables, u1, u2), 2,
+        jets = [expr._eval(a.root, expr._seeds(a.variables, (u1, u2)), 2,
                            expr._Values(expr.Jet2, a.params, check))
                 for a in (surface.x, surface.y, surface.z)]
         A, B, omega = _normal_parts(*jets)
@@ -844,7 +914,7 @@ def test_sample_surface_equals_the_interpreter():
     def interpreted(surface, u1, u2):
         at = (np.float64(u1), np.float64(u2))
         with np.errstate(all="ignore"):
-            jets = [expr._eval(a.root, expr._bivariate_seeds(_V, *at), 2,
+            jets = [expr._eval(a.root, expr._seeds(_V, at), 2,
                                expr._Values(expr.Jet2, a.params, True))
                     for a in (surface.x, surface.y, surface.z)]
             A, B, omega = map(expr._real, _normal_parts(*jets))
@@ -937,13 +1007,14 @@ def _interpreted_darboux(surface, trace, S):
         kg = Tpy * Qy + Tpz * Qz
         kn = Tpy * ny + Tpz * nz
         taug = Qpy * ny + Qpz * nz
+        kappa = np.hypot(kg, kn)
         out = {"s": S, "u1": j1.value, "u2": j2.value,
                "x": jx.value, "y": jy.value, "z": jz.value,
                "Ty": Ty, "Tz": Tz, "Tpy": Tpy, "Tpz": Tpz,
                "ny": ny, "nz": nz, "nyp": nyp, "nzp": nzp,
                "Qy": Qy, "Qz": Qz, "Qpy": Qpy, "Qpz": Qpz,
-               "kg": kg, "kn": kn, "taug": taug, "kappa": np.hypot(kg, kn),
-               "phi": np.arctan2(-kn, kg), "omega": omega}
+               "kg": kg, "kn": kn, "taug": taug, "kappa": kappa,
+               "phi": np.where(kappa == 0.0, 0.0, np.arctan2(-kn, kg)), "omega": omega}
     if not np.isfinite(list(out.values())).all():
         raise G3Error("not finite")
     return out
@@ -960,13 +1031,13 @@ _DARBOUX_TRACES = [("u1", "s", "0.5"), ("u1", "s", "s"), ("u1", "s", "1 - s^2"),
 @given(_bivariate_sources(), st.sampled_from([0.0, -0.0, -0.4, 2.0]),
        st.sampled_from(_DARBOUX_TRACES))
 # on (u1, -u2^3, -u1^3), k_g and k_n are 0 at s = 0 with other signs than
-# the interpreter's: phi is -0.0 against -pi
+# the interpreter's: phi was -0.0 against -pi, and is 0 in both now
 @example("-((u2)^3)", 0.0, ("u1", "s", "0.5"))
 def test_darboux_tape_equals_the_interpreter(src, k, xuv):
     # where the interpreter's Darboux data is finite the tape's equals it
     # (== : a structural zero may give the other signed zero, and so phi
-    # the other of -pi and pi where k_n is 0, or 0 against +-pi where
-    # kappa is 0 too); where it raises a domain error or rejects the
+    # the other of -pi and pi where k_n is 0; where kappa is 0 phi is 0 in
+    # both); where it raises a domain error or rejects the
     # trace, the tape raises the same; and the tape's normal and omega are
     # sample_surface's, bit for bit
     x, *uv = xuv
@@ -1009,12 +1080,71 @@ def test_darboux_tape_equals_the_interpreter(src, k, xuv):
             have = got[key]
             assert have.shape == np.shape(need) == S.shape, key
             if key == "phi":
-                # atan2(-k_n, k_g) of a zero k_n (and k_g, where kappa is 0)
-                # turns the sign of a zero into -pi or pi (or 0 or pi)
-                alike = np.where(want["kg"] == 0.0, np.isin(np.abs(have), (0.0, np.pi)),
-                                 np.abs(have) == np.abs(need))
-                have = np.where((want["kn"] == 0.0) & alike, need, have)
+                # atan2(-k_n, k_g) of a zero k_n turns its sign into -pi or pi
+                have = np.where((want["kn"] == 0.0) & (np.abs(have) == np.abs(need)), need, have)
             assert (have == need).all(), (src, uv, key, have, need)
+
+
+def _interpreted_frenet(curve, S):
+    """_curve_arrays as it was written on eval_jet's jets, structural zeros
+    made 0.0 and broadcast: the oracle of the curve tape."""
+    jf = expr.eval_jet(curve.f, S, order=3)
+    jg = expr.eval_jet(curve.g, S, order=3)
+    with np.errstate(all="ignore"):
+        kappa = np.hypot(jf.d2, jg.d2)
+        bad = kappa <= KAPPA_MIN
+        if np.any(bad):
+            s_bad = float(np.asarray(S, dtype=float).reshape(-1)[np.argmax(np.ravel(bad))])
+            raise StraightSegmentError(
+                f"kappa <= {KAPPA_MIN:g} at s = {s_bad:.6g}: Frenet frame undefined")
+        tau = (jf.d2 * jg.d3 - jg.d2 * jf.d3) / (kappa * kappa)
+        return {
+            "s": S,
+            "f": jf.value, "g": jg.value,
+            "fp": jf.d1, "gp": jg.d1,
+            "fpp": jf.d2, "gpp": jg.d2,
+            "kappa": kappa, "tau": tau,
+            "Ny": jf.d2 / kappa, "Nz": jg.d2 / kappa,
+            "By": -jg.d2 / kappa, "Bz": jf.d2 / kappa,
+        }
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bivariate_sources(), st.sampled_from([0.0, -0.0, -0.4, 2.0]),
+       st.sampled_from(["u1^2/2", "u1^3/6", "sin(u1)", "0", "exp(800*u1)"]))
+def test_curve_tape_equals_the_interpreter(src, k, other):
+    # curves over u1 (u2 a parameter) of a generated source and a fixed one,
+    # either way round.  Where the oracle is finite the tape's Frenet data
+    # equals it (== : a structural zero may give the other signed zero);
+    # where the oracle raises a domain or straight-segment error the tape
+    # raises the same; where a result is not finite the tape names the
+    # oracle's first such sample and result
+    params = {"k": k, "u2": 0.5}
+    ast, other = expr.parse(src, ["u1"], params), expr.parse(other, ["u1"], params)
+    S = np.linspace(-1.0, 2.0, 7)
+    for curve in (CurveSpec(ast, other, (-1.0, 2.0)), CurveSpec(other, ast, (-1.0, 2.0))):
+        try:
+            want = _interpreted_frenet(curve, S)
+        except (ExprDomainError, StraightSegmentError) as e:
+            with pytest.raises(type(e)) as got:
+                _curve_arrays(curve, S)
+            assert (got.type, str(got.value)) == (type(e), str(e)), src
+            continue
+        finite = np.isfinite([np.broadcast_to(v, S.shape) for v in want.values()])
+        if not finite.all():
+            i = int(np.argmin(finite.all(axis=0)))
+            name = list(want)[int(np.argmin(finite[:, i]))]
+            with pytest.raises(G3Error) as got:
+                _curve_arrays(curve, S)
+            assert got.type is G3Error
+            assert str(got.value) == (f"{name} = {np.broadcast_to(want[name], S.shape)[i]} "
+                                      f"is not finite at s = {S[i]:.6g}"), src
+            continue
+        got = _curve_arrays(curve, S)
+        assert list(got) == list(want)
+        for key, need in want.items():
+            assert got[key].shape == S.shape, key
+            assert (got[key] == need).all(), (src, key, got[key], need)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from g3geom import (
     G3Error,
     GVec3,
     InadmissibleTraceError,
+    ProfileSpec,
     SingularNormalError,
     StraightSegmentError,
     SurfaceSpec,
@@ -159,6 +160,36 @@ def test_sample_arrays_are_one_dimensional_and_finite(cubic_curve, cylinder, hel
     with pytest.raises(ValueError, match=r"^\(u1, u2\)\[1\] = inf is not finite$"):
         sample_surface(paraboloid, 0.5, math.inf)
     assert frenet_samples(cubic_curve, []) == []
+
+
+def test_spec_domains_are_finite_intervals():
+    # each of these built at the parent, and a NaN domain was only caught
+    # later (revolve_euclidean's g > 0 check) or not at all
+    for domain in ((0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0), (1.0, 1.0), (2.0, 1.0)):
+        lo, hi = domain
+        message = rf"^domain must be finite with lo < hi, got \({lo!r}, {hi!r}\)$"
+        for build in (lambda: ProfileSpec.from_string("1", domain),
+                      lambda: ProfileSpec.from_string("s + 1", domain),
+                      lambda: CurveSpec.from_strings("s^2", "s^3", domain),
+                      lambda: TraceSpec.from_strings("s", "0.5", domain)):
+            with pytest.raises(ValueError, match=message):
+                build()
+        with pytest.raises(ValueError, match=message.replace("^domain", "^u1 domain")):
+            SurfaceSpec.from_strings("u1", "u2", "0", (domain, (0.0, 1.0)))
+        with pytest.raises(ValueError, match=message.replace("^domain", "^u2 domain")):
+            SurfaceSpec.from_strings("u1", "u2", "0", ((0.0, 1.0), domain))
+    assert CurveSpec.from_strings("s^2", "s^3", (-1, 2)).domain == (-1.0, 2.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_frenet_raises_where_a_result_is_not_finite():
+    # g = 2 e^(800 s) overflows at s = 1; frenet_samples returned a row of
+    # NaNs there, with an overflow warning
+    curve = CurveSpec.from_strings("s^2", "2*exp(800*s)", (0.0, 1.0))
+    with pytest.raises(G3Error, match=r"^g = inf is not finite at s = 1$") as e:
+        frenet_samples(curve, curve.samples(3))
+    assert type(e.value) is G3Error
+    assert frenet(curve, 0.5).kappa == pytest.approx(1600.0 * 800.0 * math.exp(400.0))
 
 
 def test_field_keeps_domain_error():

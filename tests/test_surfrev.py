@@ -45,10 +45,24 @@ def test_revolve_euclidean_requires_positive_profile():
 
 def test_revolve_euclidean_rejects_a_nan_profile():
     # nan <= 0.0 is False, so a profile that is NaN on the domain once built
-    for src, domain in (("0*exp(1000*s) + 1", (0.0, 1.0)), ("1", (0.0, math.nan)),
-                        ("s + 1", (0.0, math.nan))):
-        with pytest.raises(G3Error, match=r"^euclidean revolution needs g > 0; g\(.*\) = nan"):
-            revolve_euclidean(ProfileSpec.from_string(src, domain))
+    # (a NaN domain is rejected by ProfileSpec itself: see
+    # test_scalar_batch.py::test_spec_domains_are_finite_intervals)
+    with pytest.raises(G3Error, match=r"^euclidean revolution needs g > 0; g\(.*\) = nan"):
+        revolve_euclidean(ProfileSpec.from_string("0*exp(1000*s) + 1", (0.0, 1.0)))
+
+
+def test_revolve_euclidean_checks_the_values_of_g():
+    # the check evaluates g alone, with no domain checks: a g that is -inf
+    # or NaN at a sample is rejected by its value, and sqrt(s) at s = 0,
+    # which has no derivative there, still revolves
+    for src, value in (("log(s) + 2", "-inf"), ("sqrt(s - 0.5) + 1", "nan")):
+        with pytest.raises(G3Error, match=rf"^euclidean revolution needs g > 0; "
+                                          rf"g\(0\) = {value}$"):
+            revolve_euclidean(ProfileSpec.from_string(src, (0.0, 1.0)))
+    with pytest.raises(G3Error, match=r"^euclidean revolution needs g > 0; g\(0\.714286\) = inf$"):
+        revolve_euclidean(ProfileSpec.from_string("exp(1000*s) + 1", (0.0, 1.0)))
+    surf = revolve_euclidean(ProfileSpec.from_string("sqrt(s) + 1", (0.0, 1.0)))
+    assert sample_surface(surf, 0.25, 0.0).point.z == 1.5
 
 
 def test_revolve_isotropic_point_and_normal():
