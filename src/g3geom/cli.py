@@ -12,8 +12,8 @@ anything is computed.
 
 Field grids are evaluated in row blocks of about 2^16 points.  A grid of
 at least 2^19 points runs its blocks on one thread per CPU the process
-may run on, at most 8; smaller grids, and fields that depend on u2 alone,
-run on the calling thread.
+may run on, at most 8; smaller grids, and fields that depend on one
+parameter alone, run on the calling thread.
 """
 
 from __future__ import annotations

@@ -7,7 +7,11 @@ non-isotropic axis.  Isophotes are extracted by marching squares, with
 each crossing refined along its grid edge by Illinois regula falsi; a
 field that is constant over the whole grid is reported as such instead of
 being traced (the degenerate case realized by quadratic-profile isotropic
-surfaces of revolution).
+surfaces of revolution), and a field of one parameter gives coordinate
+lines, found on one row or column.  A surface with a closed-form normal
+(`SurfaceSpec.normal`, set by `revolve_euclidean`: n = (0, sin t, cos t)
+as in Section 4 of the paper) has its field read from it, so its
+isophotes are the parallels t = t0.
 
 An extraction result, `IsophoteSet`, holds its polylines as arrays: one
 C-contiguous (V, 5) float64 array of the vertices (u1, u2, x, y, z), chain
@@ -75,13 +79,41 @@ def _shading(jx, jy, jz, dy, dz):
     return (A * dy + B * dz) / omega, omega
 
 
+def _normal_shading(jw, jny, jnz, dy, dz):
+    """The field and w from the values of a closed-form normal (w, ny, nz)
+    and the axis components d_y, d_z; traced into the normal tape."""
+    return jny.value * dy + jnz.value * dz, jw.value
+
+
+def _normal_field(surface: SurfaceSpec, axis: GVec3, U1, U2):
+    """The field and w from surface.normal, through one compiled tape; None
+    where the surface has no closed-form normal, or unless w is a finite
+    number above OMEGA_MIN at every u1 of U1 and every field value is
+    finite, so that every NaN and every error comes from the general
+    path."""
+    if surface.normal is None:
+        return None
+    value, w = expr.on_partials(_normal_shading, surface.normal, (U1, U2),
+                                (axis.y, axis.z), check=False)
+    if np.all(np.isfinite(w) & (w > OMEGA_MIN)) and np.all(np.isfinite(value)):
+        return np.asarray(value, dtype=float), w
+    return None
+
+
 def _field_block(surface: SurfaceSpec, axis: GVec3, U1, U2, check: bool = False):
     """Shading values (NaN where omega <= OMEGA_MIN) and omega, on the
-    broadcast shape of the operands the field depends on.
+    broadcast shape of the operands the field depends on: those of the
+    closed-form normal where it holds (`_normal_field`, whose w is omega
+    there), else those of `_shading_block`."""
+    found = _normal_field(surface, axis, U1, U2)
+    return found if found is not None else _shading_block(surface, axis, U1, U2, check)
 
-    One compiled field tape (expr.on_partials) runs the surface and
-    `_shading`, so it computes only the partials and the normal parts the
-    field reads; the axis is read at call time."""
+
+def _shading_block(surface: SurfaceSpec, axis: GVec3, U1, U2, check: bool = False):
+    """The general path of `_field_block`: one compiled field tape
+    (expr.on_partials) runs the surface and `_shading`, so it computes
+    only the partials and the normal parts the field reads; the axis is
+    read at call time."""
     out, omega = expr.on_partials(_shading, (surface.x, surface.y, surface.z), (U1, U2),
                                   (axis.y, axis.z), check=check)
     return np.asarray(np.where(omega > OMEGA_MIN, out, np.nan), dtype=float), omega
@@ -96,7 +128,8 @@ def field_grid(surface: SurfaceSpec, axis: GVec3, U1, U2) -> np.ndarray:
     operands it depends on: a tensor grid passed as (n1, 1) and (1, n2)
     operands evaluates each u1-only or u2-only subexpression once per row
     or column, and a field that depends on u2 alone is computed as one
-    (1, n2) row.
+    (1, n2) row.  Where the surface has a closed-form normal that holds on
+    the grid, the field is read from it instead (`_normal_field`).
     A 2-D grid is evaluated in row blocks of about BLOCK_POINTS points,
     over worker_count() threads when it has at least PARALLEL_MIN_POINTS
     points.  The result is a new writable array of the broadcast shape of
@@ -113,29 +146,40 @@ def _field(surface: SurfaceSpec, axis: GVec3, U1: np.ndarray, U2: np.ndarray) ->
     depends on fewer operand dimensions than the grid has.
 
     A 2-D grid of more than one block is cut into blocks of at least two
-    rows.  Block 0 runs first; a result without a row dimension (a field
-    of u2 alone, or a constant) is broadcast as it is.  Otherwise the other
-    blocks are written into one array, over a pool of at most
-    worker_count() threads from PARALLEL_MIN_POINTS points on.
+    rows, after the closed-form normal, if any, is tried on all of U1 at
+    once.  Otherwise block 0 runs first; a result without a row dimension
+    (a field of u2 alone, or a constant) is broadcast as it is, and one
+    without a column dimension (a field of u1 alone) is evaluated once
+    more on all of U1 as a column.  Otherwise the other blocks are written
+    into one array, over a pool of at most worker_count() threads from
+    PARALLEL_MIN_POINTS points on.
     """
     shape = np.broadcast_shapes(U1.shape, U2.shape)
+
+    def whole(F: np.ndarray) -> np.ndarray:
+        return F if F.shape == shape else np.broadcast_to(F, shape)
+
     rows = max(2, BLOCK_POINTS // max(shape[-1], 1)) if len(shape) == 2 else 0
     if rows == 0 or rows >= shape[0]:
-        F = _field_block(surface, axis, U1, U2)[0]
-        return F if F.shape == shape else np.broadcast_to(F, shape)
+        return whole(_field_block(surface, axis, U1, U2)[0])
+    found = _normal_field(surface, axis, U1, U2)
+    if found is not None:
+        return whole(found[0])
 
     def rows_of(k: int):
         return (U[k * rows:(k + 1) * rows] if U.ndim == 2 and U.shape[0] > 1 else U
                 for U in (U1, U2))
 
-    F0 = _field_block(surface, axis, *rows_of(0))[0]
+    F0 = _shading_block(surface, axis, *rows_of(0))[0]
     if F0.ndim < 2 or F0.shape[0] == 1:
         return np.broadcast_to(F0, shape)
+    if F0.shape[1] == 1 < shape[1]:
+        return np.broadcast_to(_shading_block(surface, axis, U1, U2)[0], shape)
     F = np.empty(shape)
     F[:rows] = F0
 
     def block(k: int) -> None:
-        F[k * rows:(k + 1) * rows] = _field_block(surface, axis, *rows_of(k))[0]
+        F[k * rows:(k + 1) * rows] = _shading_block(surface, axis, *rows_of(k))[0]
 
     rest = range(1, -(-shape[0] // rows))
     n = min(worker_count(), len(rest)) if shape[0] * shape[1] >= PARALLEL_MIN_POINTS else 1
@@ -239,10 +283,16 @@ class ExtractStats:
 
     cells_crossing: cells that gave segments.  cells_skipped: cells with an
     undefined corner or a failed edge.  refined_edges: crossing edges, each
-    refined once.  failed_edges: edges with a non-finite probe.
+    of which gives a vertex.  failed_edges: edges with a non-finite probe.
     refine_iterations_total: field evaluations the refinement ran, one per
     probe of an open edge.  refine_iterations_max: refinement steps run,
     the most probes any one edge took (at most MAX_REFINE_STEPS).
+
+    On the line path of a field of one parameter (see `extract`) the
+    topology counters are those of the grid path, but only one edge per
+    line is refined: refine_iterations_total counts the evaluations run on
+    those edges, and refine_iterations_max their steps, which every edge of
+    the line would take alike.
     """
 
     grid: tuple[int, int]
@@ -354,9 +404,10 @@ def _refine_edges(surface, axis, level, p0, p1, f0, f1, refine_tol):
     a - fa (b - a) / (fb - fa), or the midpoint when that is not strictly
     inside (a, b).  At most MAX_REFINE_STEPS steps run.
 
-    Returns the points of least |field - level| per edge, that error (inf
-    where no probe was finite), the failed mask, the number of field
-    evaluations and the number of steps run.
+    Returns the t of least |field - level| per edge (its point is
+    p0 + t (p1 - p0)), that error (inf where no probe was finite), the
+    failed mask, the number of field evaluations and the number of steps
+    run.
     """
     t = f0 / (f0 - f1)  # linear interpolation start
     best_t = t.copy()
@@ -391,8 +442,7 @@ def _refine_edges(surface, axis, level, p0, p1, f0, f1, refine_tol):
         side = np.where(on_a, -1, 1).astype(np.int8)
         t = a - fa * (b - a) / (fb - fa)
         t = np.where((t > a) & (t < b), t, 0.5 * (a + b))
-    pu = p0 + best_t[:, None] * (p1 - p0)
-    return pu, best_err, failed, evaluations, steps
+    return best_t, best_err, failed, evaluations, steps
 
 
 def extract(surface: SurfaceSpec, query: IsophoteQuery) -> IsophoteSet:
@@ -409,6 +459,15 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery) -> IsophoteSet:
     normals abort only the affected cells and are counted in stats.  When
     the whole grid is constant to within refine_tol, no tracing happens
     and the constant is reported instead.
+
+    A field of u2 alone (or of u1 alone), such as that of a surface of
+    revolution with its closed-form normal, is a broadcast row (column) of
+    the grid; its isophotes are coordinate lines.  When every sample is
+    finite, the line path finds the crossings on that one row (column),
+    refines one edge per crossing and writes each line as n1 + 1 (n2 + 1)
+    vertices, equal to the grid path's vertices, chains and stats except
+    refine_iterations_total (see ExtractStats).  If an edge fails there,
+    the grid path runs instead.
     """
     n1, n2 = query.grid
     U1, U2 = surface.grid(n1 + 1, n2 + 1)
@@ -416,12 +475,15 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery) -> IsophoteSet:
     stats = ExtractStats(grid=(n1, n2), cells_total=n1 * n2)
     level = query.level
 
-    fin = np.isfinite(F)
+    # the samples of a field broadcast along a grid axis are one row or column
+    line = 0 in F.strides
+    D = (F[:1] if F.strides[0] == 0 else F[:, :1]) if line else F
+    fin = np.isfinite(D)
     if not fin.any():
         stats.cells_skipped = stats.cells_total
         return IsophoteSet(np.empty((0, 5)), [0], [], level, None, stats)
     all_finite = bool(fin.all())
-    defined = F if all_finite else F[fin]
+    defined = D if all_finite else D[fin]
     fmin, fmax = float(defined.min()), float(defined.max())
     if all_finite and fmax - fmin <= query.refine_tol:
         # summed in the order of a contiguous grid, whatever F's strides
@@ -429,8 +491,12 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery) -> IsophoteSet:
         cf = ConstantField(value=value, spread=fmax - fmin,
                            matches_level=abs(value - level) <= query.refine_tol)
         return IsophoteSet(np.empty((0, 5)), [0], [], level, cf, stats)
+    if all_finite and line:
+        lines = _coordinate_lines(surface, query, U1, U2, F, stats)
+        if lines is not None:
+            return lines
 
-    up, cross_h, cross_v, cell, cell_ok = _cell_masks(F, level, fin)
+    up, cross_h, cross_v, cell, cell_ok = _cell_masks(F, level, np.broadcast_to(fin, F.shape))
     nh = n1 * (n2 + 1)  # the first v-edge id
 
     # crossing edges in id order, with the endpoints (I0, J0) and (I1, J1);
@@ -441,12 +507,13 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery) -> IsophoteSet:
     vi, vj = np.divmod(ev, n2)
     I0, J0 = np.concatenate((hi, vi)), np.concatenate((hj, vj))
     I1, J1 = np.concatenate((hi + 1, vi)), np.concatenate((hj, vj + 1))
-    failed_ids = ids[:0]
+    p0, p1 = np.column_stack((U1[I0], U2[J0])), np.column_stack((U1[I1], U2[J1]))
+    pu, failed_ids = p0, ids[:0]
     if len(ids):
-        pu, err, failed, iters, max_used = _refine_edges(
-            surface, query.axis, level,
-            np.column_stack((U1[I0], U2[J0])), np.column_stack((U1[I1], U2[J1])),
-            F[I0, J0] - level, F[I1, J1] - level, query.refine_tol)
+        t, err, failed, iters, max_used = _refine_edges(
+            surface, query.axis, level, p0, p1, F[I0, J0] - level, F[I1, J1] - level,
+            query.refine_tol)
+        pu = p0 + t[:, None] * (p1 - p0)
         failed_ids = ids[failed | ~np.isfinite(err)]
         stats.refined_edges = len(ids)
         stats.refine_iterations_total = iters
@@ -481,12 +548,63 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery) -> IsophoteSet:
         ), axis=1).reshape(-1, 2))
 
     edge_ids, lengths = _link_segments(np.concatenate(segments))
-    if not len(edge_ids):
+    rows = np.searchsorted(ids, edge_ids)
+    return _lift(surface, pu[rows, 0], pu[rows, 1], lengths, level, stats)
+
+
+def _coordinate_lines(surface: SurfaceSpec, query: IsophoteQuery, U1, U2, F,
+                      stats: ExtractStats) -> IsophoteSet | None:
+    """The isophotes of a finite field of one parameter, which are
+    coordinate lines; None, with stats untouched, where an edge fails to
+    refine.
+
+    F is a broadcast row (a field of u2 alone) or column (of u1 alone).
+    The level then crosses the same edges across every row, or column, so
+    the grid path's chains are lines of n1 + 1 (n2 + 1) vertices: for a row,
+    one per crossing u2-edge j, in ascending j, from u1 = U1[n1] down to
+    U1[0]; for a column, one per crossing u1-edge i, in ascending i, from
+    u2 = U2[0] up to U2[n2].  Each crossing is refined once, on the edge of
+    its first vertex, and the vertices take the t found there, as the
+    grid path finds it on each edge; no saddle can occur.  The stats are
+    the grid path's, except that refine_iterations_total counts the
+    evaluations run on the one edge per crossing.
+    """
+    row = F.strides[0] == 0
+    # f and V along the field's parameter, W along the lines
+    f, V, W = (F[0], U2, U1[::-1]) if row else (F[:, 0], U1, U2)
+    up = f > query.level
+    k = np.flatnonzero(up[:-1] != up[1:])
+
+    def points(m: np.ndarray) -> np.ndarray:
+        """(u1, u2) of the edge ends V[m] on the line W[0]."""
+        ends = (np.full(len(m), W[0]), V[m])
+        return np.column_stack(ends if row else ends[::-1])
+
+    t, err, failed, iters, max_used = _refine_edges(
+        surface, query.axis, query.level, points(k), points(k + 1),
+        f[k] - query.level, f[k + 1] - query.level, query.refine_tol)
+    if (failed | ~np.isfinite(err)).any():
+        return None
+    n = len(W)
+    along = np.repeat(V[k] + t * (V[k + 1] - V[k]), n)
+    # p0 + t (p1 - p0) where both ends share W, as the grid path computes it
+    across = (W + t[:, None] * (W - W)).ravel()
+    stats.refined_edges = len(k) * n
+    stats.cells_crossing = len(k) * (n - 1)
+    stats.refine_iterations_total = iters
+    stats.refine_iterations_max = max_used
+    au1, au2 = (across, along) if row else (along, across)
+    return _lift(surface, au1, au2, np.full(len(k), n), query.level, stats)
+
+
+def _lift(surface: SurfaceSpec, au1, au2, lengths, level: float,
+          stats: ExtractStats) -> IsophoteSet:
+    """The IsophoteSet of chains of parameter points (au1, au2), one after
+    the other, with the given lengths: ambient coordinates for every
+    vertex in one pass of the values tape, and the closed flags."""
+    if not len(lengths):
         return IsophoteSet(np.empty((0, 5)), [0], [], level, None, stats)
     offsets = np.concatenate(([0], np.cumsum(lengths)))
-    # ambient coordinates for every vertex, in one pass of the values tape
-    rows = np.searchsorted(ids, edge_ids)
-    au1, au2 = pu[rows, 0], pu[rows, 1]
     # the zero of eval_jet2's broadcast: it gives a constant coordinate
     # the vertex count and turns -0.0 to 0.0 as eval_jet2 does
     zero = (au1 + au2) * 0.0

@@ -47,13 +47,21 @@ RESIDUAL_TOL = 1e-5    # default for finite-difference residuals
 
 @dataclass(frozen=True)
 class SurfaceSpec:
-    """A surface X(u1,u2) = (x, y, z) over a parameter rectangle."""
+    """A surface X(u1,u2) = (x, y, z) over a parameter rectangle.
+
+    `normal`, when given, is a closed form (w, ny, nz) of the unit
+    isotropic normal: n = (0, ny, nz) wherever w > OMEGA_MIN.  Only
+    `revolve_euclidean` sets it; the isophote field reads it in place of
+    the partials where it holds.
+    """
 
     x: expr.ExprAST
     y: expr.ExprAST
     z: expr.ExprAST
     domain: tuple[tuple[float, float], tuple[float, float]]
     parameters: dict[str, float] = field(default_factory=dict)
+    normal: tuple[expr.ExprAST, expr.ExprAST, expr.ExprAST] | None = field(
+        default=None, compare=False)
 
     def __post_init__(self):
         u1_domain, u2_domain = self.domain

@@ -14,7 +14,7 @@ g = s^2/(2c) + A makes the whole isotropic surface a single isophote.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,10 +81,12 @@ def revolve_euclidean(profile: ProfileSpec) -> SurfaceSpec:
     v = ["u1", "u2"]
     g_u1 = expr.subst(profile.g, {"s": expr.parse("u1", v)}, v)
     x = expr.parse("u1", v)
-    y = expr.combine("*", g_u1, expr.parse("sin(u2)", v), v)
-    z = expr.combine("*", g_u1, expr.parse("cos(u2)", v), v)
+    sin_t, cos_t = expr.parse("sin(u2)", v), expr.parse("cos(u2)", v)
+    y = expr.combine("*", g_u1, sin_t, v)
+    z = expr.combine("*", g_u1, cos_t, v)
+    # omega = |g| and n = (0, sin t, cos t) where g > 0 (Section 4)
     return SurfaceSpec(x, y, z, (profile.domain, EUCLIDEAN_T_RANGE),
-                       dict(profile.g.params))
+                       dict(profile.g.params), normal=(g_u1, sin_t, cos_t))
 
 
 def revolve_isotropic(profile: ProfileSpec, s_min: float = S_MIN_DEFAULT,
@@ -132,13 +134,15 @@ def _verify_helix_prop(name: str, detect, t0s: tuple[float, float], reason: str,
                        profile: ProfileSpec, d: GVec3, tol: float,
                        samples: int) -> TheoremReport:
     """Gate on the helix detector; then the shading field along each
-    parallel t = t0 of the Euclidean revolution must be constant."""
+    parallel t = t0 of the Euclidean revolution must be constant.  The
+    field is taken from the partials, not from the closed-form normal,
+    which is constant on parallels by construction."""
     curve = profile_curve(profile)
     helix = detect(curve, d, samples=samples, tol=tol)
     details: dict = {"helix_value": helix.value, "helix_spread": helix.spread}
     if not helix.is_helix:
         return TheoremReport(name, False, None, {**details, "reason": reason})
-    surf = revolve_euclidean(profile)
+    surf = replace(revolve_euclidean(profile), normal=None)
     S = np.linspace(profile.domain[0], profile.domain[1], samples)
     ok = True
     for k, t0 in enumerate(t0s):

@@ -74,6 +74,11 @@ def _singular():
                        surf.parameters)
 
 
+def _plain(surface):
+    """The surface without its closed-form normal."""
+    return SurfaceSpec(surface.x, surface.y, surface.z, surface.domain, surface.parameters)
+
+
 def _failed_edges():
     # z_u2 is NaN for |u1| < 0.1, between the grid nodes: the edges across
     # that strip fail to refine, while the level line near u1 = 0.5 does not
@@ -88,7 +93,12 @@ CASES = {
     "wavy_256": lambda: (_wavy(), IsophoteQuery.raw_level(WAVY_AXIS, 0.5, (256, 256)), None),
     "cylinder_beta_pi_3": lambda: (
         _cylinder(), IsophoteQuery.for_angle(Z_AXIS, math.pi / 3, (256, 256)), None),
+    # the revolution as a plain SurfaceSpec, whose field reads the partials
     "euclidean_revolution": lambda: (
+        _plain(revolve_euclidean(ProfileSpec.from_string("s^2/2 + 1", (0.0, 2.0)))),
+        IsophoteQuery.for_angle(Z_AXIS, math.pi / 3, (64, 64)), None),
+    # and with its closed-form normal, a field of u2 alone
+    "euclidean_revolution_normal": lambda: (
         revolve_euclidean(ProfileSpec.from_string("s^2/2 + 1", (0.0, 2.0))),
         IsophoteQuery.for_angle(Z_AXIS, math.pi / 3, (64, 64)), None),
     "saddle_silhouette_31": lambda: (

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extract_golden import CASES as GOLDEN_CASES
 from g3geom import (
@@ -10,6 +13,7 @@ from g3geom import (
     GVec3,
     IsophoteQuery,
     ProfileSpec,
+    SingularNormalError,
     SurfaceSpec,
     apply_motion,
     extract,
@@ -145,6 +149,13 @@ def test_field_tape_full_grid_operations(family, full_grid):
     assert np.isfinite(F).all()
 
 
+def test_normal_tape_runs_nothing_on_the_full_grid():
+    # the revolution's closed-form field: w of u1, the field of u2
+    surface = _perfbench_family("revolution")
+    tape = expr._compiled(surface.normal, False, isophote._normal_shading, 2)
+    assert tape.ops.full_grid == 0
+
+
 def test_field_grid_returns_a_new_full_array(cylinder):
     # the cylinder's field depends on u2 alone, the others on both
     for surf, axis in _grid_surfaces(cylinder):
@@ -198,7 +209,9 @@ def test_field_grid_threads_equal_one_thread_on_large_grid(cylinder, monkeypatch
     _recording_pool(monkeypatch, built)
     n = 725
     assert n * n >= isophote.PARALLEL_MIN_POINTS
+    # the revolution as a plain SurfaceSpec: its field reads the partials
     for surf, axis in _grid_surfaces(cylinder):
+        surf = dataclasses.replace(surf, normal=None)
         U1, U2 = surf.grid(n, n)
         monkeypatch.setattr(isophote, "worker_count", lambda: 1)
         one = field_grid(surf, axis, U1[:, None], U2[None, :])
@@ -720,13 +733,15 @@ def _probed_field(monkeypatch, f):
 
 
 def _refine_along_u1(f, lo, hi, tol=1e-9):
-    """`_refine_edges` on the edges from (lo_k, k) to (hi_k, k), level 0."""
+    """`_refine_edges` on the edges from (lo_k, k) to (hi_k, k), level 0,
+    with the points p0 + t (p1 - p0) of its t in place of t."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     rows = np.arange(len(lo), dtype=float)
     f0, f1 = f(lo, rows), f(hi, rows)
     assert np.all((f0 > 0) != (f1 > 0))  # a crossing: 0 counts as below
-    return isophote._refine_edges(None, None, 0.0, np.column_stack((lo, rows)),
-                                  np.column_stack((hi, rows)), f0, f1, tol)
+    p0, p1 = np.column_stack((lo, rows)), np.column_stack((hi, rows))
+    t, *rest = isophote._refine_edges(None, None, 0.0, p0, p1, f0, f1, tol)
+    return (p0 + t[:, None] * (p1 - p0), *rest)
 
 
 @pytest.mark.parametrize("name", ["steep tanh", "flat cubic", "root at a node"])
@@ -813,3 +828,117 @@ def test_refine_iterations_on_wavy_golden_case(monkeypatch):
     probes = sizes[:stats.refine_iterations_max]
     assert probes[0] == stats.refined_edges and probes == sorted(probes, reverse=True)
     assert stats.refine_iterations_total == sum(probes)
+
+
+# ---------------------------------------------------------------------------
+# fields of one parameter: the line path and the closed-form normal
+# ---------------------------------------------------------------------------
+
+def _grid_path(monkeypatch, surface, query):
+    """`extract` with the line path turned off."""
+    with monkeypatch.context() as m:
+        m.setattr(isophote, "_coordinate_lines", lambda *args: None)
+        return extract(surface, query)
+
+
+def _same_extraction(a, b, iterations=True) -> bool:
+    sa, sb = dataclasses.asdict(a.stats), dataclasses.asdict(b.stats)
+    if not iterations:
+        del sa["refine_iterations_total"], sb["refine_iterations_total"]
+    return (a.vertices.tobytes() == b.vertices.tobytes()
+            and a.offsets.tobytes() == b.offsets.tobytes()
+            and a.closed.tobytes() == b.closed.tobytes() and sa == sb)
+
+
+_COLUMN = SurfaceSpec.from_strings("u1 + u2", "u2", "sin(3*u1)",
+                                   ((0.0, 2.0), (0.0, 2 * math.pi)))
+_REVOLUTION = ProfileSpec.from_string("1.5 + 0.2*s^2 + 0.1*sin(2*s)", (0.1, 2.0))
+
+
+@pytest.mark.parametrize("name, grid", [("row", (17, 40)), ("row", (256, 256)),
+                                        ("column", (40, 17)), ("column", (1024, 1024)),
+                                        ("revolution", (64, 48)),
+                                        ("revolution", (1024, 1024))])
+def test_line_path_equals_grid_path(cylinder, monkeypatch, name, grid):
+    surface = {"row": cylinder, "column": _COLUMN,
+               "revolution": revolve_euclidean(_REVOLUTION)}[name]
+    axis = normalize_axis(GVec3(0.0, 0.3, 1.0))
+    U1, U2 = surface.grid(grid[0] + 1, grid[1] + 1)
+    F = isophote._field(surface, axis, U1[:, None], U2[None, :])
+    assert F.strides == ((0, 8) if name != "column" else (8, 0))
+    for level in (0.5, 0.2, 0.9):
+        query = IsophoteQuery.raw_level(axis, level, grid)
+        lines, grid_path = extract(surface, query), _grid_path(monkeypatch, surface, query)
+        assert _same_extraction(lines, grid_path, iterations=False), level
+        crossings = len(lines.closed)
+        assert crossings > 0 and not lines.closed.any()
+        assert np.diff(lines.offsets).tolist() == [grid[name == "column"] + 1] * crossings
+        # one refined edge per line: evaluations fall by its vertex count
+        assert (lines.stats.refine_iterations_total * (grid[name == "column"] + 1)
+                == grid_path.stats.refine_iterations_total)
+
+
+def test_line_path_skipped_on_nan_samples_and_failed_edges(monkeypatch):
+    calls = []
+    real = isophote._coordinate_lines
+
+    def spy(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(isophote, "_coordinate_lines", spy)
+    # z = sqrt(u2) is NaN below u2 = 0: a row field with NaN samples
+    nan_row = SurfaceSpec.from_strings("u1", "u2", "sqrt(u2)", ((0.0, 1.0), (-0.5, 1.0)))
+    query = IsophoteQuery.raw_level(Y_AXIS, -0.5, (9, 12))
+    iso = extract(nan_row, query)
+    assert calls == [] and iso.stats.cells_skipped > 0 and len(iso.closed) == 1
+    assert _same_extraction(iso, _grid_path(monkeypatch, nan_row, query))
+    # z_u2 is NaN for |u2| < 0.1, inside the one crossing edge of each row
+    failing = SurfaceSpec.from_strings("u1", "u2", "u2 + sqrt(u2^2 - 0.01)",
+                                       ((0.0, 1.0), (-1.0, 1.0)))
+    query = IsophoteQuery.for_silhouette(Y_AXIS, (6, 9))
+    iso = extract(failing, query)
+    assert calls == [None] and iso.stats.failed_edges == 7 and len(iso.closed) == 0
+    assert _same_extraction(iso, _grid_path(monkeypatch, failing, query))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p0=st.floats(1.0, 2.0), p1=st.floats(0.0, 0.5), p2=st.floats(-0.3, 0.3),
+       w=st.floats(0.5, 4.0), phi=st.floats(-math.pi, math.pi),
+       u1=st.lists(st.floats(0.5, 2.0), min_size=1, max_size=8),
+       u2=st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=8))
+def test_closed_form_field_agrees_with_partials(p0, p1, p2, w, phi, u1, u2):
+    profile = ProfileSpec.from_string("p0 + p1*s^2 + p2*sin(w*s)", (0.5, 2.0),
+                                      parameters={"p0": p0, "p1": p1, "p2": p2, "w": w})
+    surface = revolve_euclidean(profile)
+    plain = dataclasses.replace(surface, normal=None)
+    axis = GVec3(0.0, math.sin(phi), math.cos(phi))
+    U1, U2 = np.array(u1)[:, None], np.array(u2)[None, :]
+    closed = field_grid(surface, axis, U1, U2)
+    assert np.abs(closed - field_grid(plain, axis, U1, U2)).max() <= 1e-14
+    assert field(surface, axis, u1[0], u2[0]) == closed[0, 0]
+
+
+def test_closed_form_falls_back_where_g_is_not_above_omega_min(monkeypatch):
+    # g = 1 - s is positive on the profile's domain, 0 at u1 = 1 and
+    # negative beyond it, where n = -(sin t, cos t)
+    surface = revolve_euclidean(ProfileSpec.from_string("1 - s", (-1.0, 0.5)))
+    plain = dataclasses.replace(surface, normal=None)
+    axis = normalize_axis(GVec3(0.0, 0.3, 1.0))
+    U1, U2 = np.linspace(-1.0, 3.0, 1025), np.linspace(0.0, 2 * math.pi, 1025)
+    assert max(2, isophote.BLOCK_POINTS // 1025) < np.searchsorted(U1, 1.0)
+    for G1, G2 in ((U1[:, None], U2[None, :]), (U1, U2)):
+        want = field_grid(plain, axis, G1, G2)
+        assert field_grid(surface, axis, G1, G2).tobytes() == want.tobytes()
+    assert np.isnan(field_grid(surface, axis, U1[:, None], U2[None, :])[512]).all()
+    with pytest.raises(SingularNormalError) as closed_error:
+        field(surface, axis, 1.0, 0.5)
+    with pytest.raises(SingularNormalError) as plain_error:
+        field(plain, axis, 1.0, 0.5)
+    assert str(closed_error.value) == str(plain_error.value)
+    assert field(surface, axis, 1.5, 0.5) == field(plain, axis, 1.5, 0.5)
+    wide = dataclasses.replace(surface, domain=((-1.0, 2.0), (0.0, 2 * math.pi)))
+    query = IsophoteQuery.for_angle(axis, 0.7, (96, 64))
+    iso = extract(wide, query)
+    assert iso.stats.cells_skipped > 0
+    assert _same_extraction(iso, extract(dataclasses.replace(wide, normal=None), query))

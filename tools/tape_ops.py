@@ -17,7 +17,9 @@ tape's count leaves out the two full-grid operations of the omega mask,
 which runs outside it.  The Euclidean revolution adds its profile tape
 (`curve._values` of g, the g > 0 check of `revolve_euclidean`), a
 univariate tape whose full-grid count is its operations on the whole
-sample array of s.  The values, field and profile tapes are compiled with
+sample array of s, and its normal tape (`isophote._normal_shading` on the
+closed-form normal of `SurfaceSpec.normal`), which gives its field in place
+of the field tape wherever the closed form holds.  The values, field, normal and profile tapes are compiled with
 check=False, as `extract` and `revolve_euclidean` run them, and the
 sample and Darboux tapes with check=True, as `sample_surface` and
 `darboux` run them (so their domain tests count as operations).
@@ -63,6 +65,8 @@ def tapes(surface, profile=None) -> dict:
            "values": expr._compiled(asts, False, _values, 0),
            "field": expr._compiled(asts, False, isophote._shading, 2),
            "darboux": expr._compiled(asts, True, _darboux_parts, 4)}
+    if surface.normal is not None:
+        out["normal"] = expr._compiled(surface.normal, False, isophote._normal_shading, 2)
     if profile is not None:
         out["profile"] = expr._compiled((profile.g,), False, _values, 0)
     return out
