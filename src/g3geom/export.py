@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import numbers
 from dataclasses import dataclass
 from xml.etree import ElementTree as ET
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .curve import FrenetSample
 from .errors import ExprDomainError, G3Error
-from .isophote import IsophoteSet, _chains
+from .isophote import MAX_GRID_POINTS, IsophoteSet, _chains
 from .surface import DarbouxSample, SurfaceSpec, _coordinate_values
 
 
@@ -56,9 +57,16 @@ class TriMesh:
 
 def tessellate(surface: SurfaceSpec, n1: int, n2: int) -> TriMesh:
     """Regular-grid tessellation: (n1+1)x(n2+1) vertices in row-major
-    order (u1 rows), two triangles per cell."""
-    if n1 < 1 or n2 < 1:
-        raise ValueError("n1 and n2 must be >= 1")
+    order (u1 rows), two triangles per cell.  A ValueError unless n1 and n2
+    are integers (numpy's too, bool not), each at least 1, with at most
+    MAX_GRID_POINTS vertices."""
+    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+               for n in (n1, n2)):
+        raise ValueError(f"n1 and n2 must be integers >= 1, got {n1!r} and {n2!r}")
+    n1, n2 = int(n1), int(n2)
+    if (n1 + 1) * (n2 + 1) > MAX_GRID_POINTS:
+        raise ValueError(f"a {n1}x{n2} mesh has {(n1 + 1) * (n2 + 1)} vertices, above the "
+                         f"cap MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     U1, U2 = surface.grid(n1 + 1, n2 + 1)
     G1, G2 = U1[:, None], U2[None, :]
     shape = (n1 + 1, n2 + 1)

@@ -10,6 +10,7 @@ tag a vector isotropic when |x| <= ISO_TOL.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,9 +22,19 @@ UNIT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GVec3:
+    """A vector (x, y, z); a component that is not a real number is a
+    ValueError."""
+
     x: float
     y: float
     z: float
+
+    def __post_init__(self):
+        for name in ("x", "y", "z"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"GVec3 component {name} must be a real number, "
+                                 f"got {value!r}")
 
     @property
     def is_isotropic(self) -> bool:

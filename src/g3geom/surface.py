@@ -264,11 +264,18 @@ def _trace_parts(j1, j2):
 def _darboux_arrays(surface: SurfaceSpec, trace: TraceSpec, S: np.ndarray) -> dict:
     """Darboux data along a trace, vectorized over the 1-D sample array, by
     the trace tape and one tape of x, y, z and `_darboux_parts`; phi is 0
-    where kappa is 0.  SingularNormalError or G3Error names the first
-    sample where omega is not a finite number above OMEGA_MIN, or another
-    result is not finite."""
+    where kappa is 0.  G3Error names the first sample where u1 or u2 is
+    not finite; then SingularNormalError or G3Error the first where omega
+    is not a finite number above OMEGA_MIN, or another result is not
+    finite."""
+
+    def where(i):
+        return f"along trace at s = {float(S[i]):.6g}"
+
     u1, u2, *derivatives = (np.broadcast_to(r, S.shape) for r in expr.on_partials(
         _trace_parts, (trace.u1_of_s, trace.u2_of_s), (S,)))
+    # an overflowing trace is named here, not reported as a singular normal
+    _check_finite({"u1": u1, "u2": u2}, where)
     xv, *parts = (np.broadcast_to(r, S.shape) for r in expr.on_partials(
         _darboux_parts, (surface.x, surface.y, surface.z), (u1, u2), derivatives))
     err = np.abs(xv - 1.0)
@@ -279,10 +286,6 @@ def _darboux_arrays(surface: SurfaceSpec, trace: TraceSpec, S: np.ndarray) -> di
     out = {"s": S, "u1": u1, "u2": u2, **dict(zip(_DARBOUX_NAMES, parts))}
     # phi = atan2(-k_n, k_g) is undefined where kappa is 0
     out["phi"] = np.where(out["kappa"] == 0.0, 0.0, out["phi"])
-
-    def where(i):
-        return f"along trace at s = {float(S[i]):.6g}"
-
     _check_omega(out["omega"], where)
     _check_finite(out, where)
     return out

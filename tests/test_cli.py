@@ -262,6 +262,17 @@ def test_frenet_overflow_exit_2(capsys):
     assert "nan" not in captured.out
 
 
+def test_darboux_trace_overflow_exit_2(capsys):
+    # u2 = e^(800 s) overflows at s = 1: this was reported as a singular
+    # normal ("omega = nan ...") and exited 1
+    rc = main(["darboux", "--surface", "u1,sin(u2),cos(u2)", "--trace", "s,exp(800*s)",
+               "--trace-domain=0:1", "--samples", "3"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: u2 = inf is not finite along trace at s = 1\n"
+    assert "nan" not in captured.out
+
+
 def test_axis_success(scene_path, capsys):
     rc = main(["axis", "--case", "isotropic", "--scene", scene_path,
                "--surface", "plane", "--trace", "parabola", "--angle", "0"])

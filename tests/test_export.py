@@ -20,9 +20,10 @@ from g3geom import (
     write_obj,
     write_svg,
 )
+from g3geom import export
 from g3geom.export import TriMesh
 from g3geom.expr import eval_jet2
-from g3geom.isophote import CLOSE_TOL, ExtractStats, IsophoteSet
+from g3geom.isophote import CLOSE_TOL, MAX_GRID_POINTS, ExtractStats, IsophoteSet
 
 
 def _parse_obj(data: bytes):
@@ -50,6 +51,23 @@ def test_tessellate_counts(plane, cylinder):
     for f in mesh.faces:
         assert len(set(f)) == 3
         assert all(0 <= i < 15 for i in f)
+
+
+def test_tessellate_sizes_are_integers_under_the_cap(plane, monkeypatch):
+    # 2.5 raised a bare TypeError from linspace, and True built a mesh
+    for n1, n2 in ((2.5, 3), (True, 3), (3, False), (0, 3), (3, -1), ("2", 3), (None, 3)):
+        with pytest.raises(ValueError, match="must be integers >= 1") as e:
+            tessellate(plane, n1, n2)
+        assert repr(n1) in str(e.value) and repr(n2) in str(e.value)
+    assert tessellate(plane, np.int64(2), 3).provenance == (2, 3)
+    side = math.isqrt(MAX_GRID_POINTS) - 1
+    with pytest.raises(ValueError, match=f"above the cap MAX_GRID_POINTS = {MAX_GRID_POINTS}"):
+        tessellate(plane, side, side + 1)
+    # the cap counts vertices: 3 x 4 of a 2x3 mesh
+    monkeypatch.setattr(export, "MAX_GRID_POINTS", 12)
+    assert len(tessellate(plane, 2, 3).vertices) == 12
+    with pytest.raises(ValueError, match="a 3x3 mesh has 16 vertices"):
+        tessellate(plane, 3, 3)
 
 
 def test_tessellate_figure_mesh_valid():

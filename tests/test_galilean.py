@@ -97,6 +97,15 @@ def test_normalize_axis_rejects_non_finite_components():
             normalize_axis(d)
 
 
+def test_vector_components_must_be_real_numbers():
+    # ("a", 1, 2) was built, and gdot on it raised TypeError
+    for parts in (("a", 1, 2), (0, None, 1), (0, 1, [2.0]), (0, 1j, 0)):
+        with pytest.raises(ValueError, match="must be a real number"):
+            GVec3(*parts)
+    v = GVec3(np.float64(0.5), np.int64(1), 2)
+    assert gdot(v, v) == 0.25
+
+
 def test_apply_motion_examples():
     ident = GalileanMotion.identity()
     p = GVec3(0.3, -1.2, 2.5)
