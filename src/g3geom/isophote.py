@@ -508,17 +508,15 @@ def extract(surface: SurfaceSpec, query: IsophoteQuery) -> IsophoteSet:
     I0, J0 = np.concatenate((hi, vi)), np.concatenate((hj, vj))
     I1, J1 = np.concatenate((hi + 1, vi)), np.concatenate((hj, vj + 1))
     p0, p1 = np.column_stack((U1[I0], U2[J0])), np.column_stack((U1[I1], U2[J1]))
-    pu, failed_ids = p0, ids[:0]
-    if len(ids):
-        t, err, failed, iters, max_used = _refine_edges(
-            surface, query.axis, level, p0, p1, F[I0, J0] - level, F[I1, J1] - level,
-            query.refine_tol)
-        pu = p0 + t[:, None] * (p1 - p0)
-        failed_ids = ids[failed | ~np.isfinite(err)]
-        stats.refined_edges = len(ids)
-        stats.refine_iterations_total = iters
-        stats.refine_iterations_max = max_used
-        stats.failed_edges = len(failed_ids)
+    t, err, failed, iters, max_used = _refine_edges(
+        surface, query.axis, level, p0, p1, F[I0, J0] - level, F[I1, J1] - level,
+        query.refine_tol)
+    pu = p0 + t[:, None] * (p1 - p0)
+    failed_ids = ids[failed | ~np.isfinite(err)]
+    stats.refined_edges = len(ids)
+    stats.refine_iterations_total = iters
+    stats.refine_iterations_max = max_used
+    stats.failed_edges = len(failed_ids)
 
     # per-cell segments; a cell with a failed edge is skipped.  All corners
     # are finite, so a cell has two crossing edges or four (a saddle).

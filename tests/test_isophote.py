@@ -866,16 +866,19 @@ def test_line_path_equals_grid_path(cylinder, monkeypatch, name, grid):
     U1, U2 = surface.grid(grid[0] + 1, grid[1] + 1)
     F = isophote._field(surface, axis, U1[:, None], U2[None, :])
     assert F.strides == ((0, 8) if name != "column" else (8, 0))
-    for level in (0.5, 0.2, 0.9):
+    n = grid[name == "column"] + 1  # vertices per line
+    crossings = []
+    for level in (0.5, 0.2, 0.9, 0.999999):
         query = IsophoteQuery.raw_level(axis, level, grid)
         lines, grid_path = extract(surface, query), _grid_path(monkeypatch, surface, query)
         assert _same_extraction(lines, grid_path, iterations=False), level
-        crossings = len(lines.closed)
-        assert crossings > 0 and not lines.closed.any()
-        assert np.diff(lines.offsets).tolist() == [grid[name == "column"] + 1] * crossings
+        crossings.append(len(lines.closed))
+        assert not lines.closed.any()
+        assert np.diff(lines.offsets).tolist() == [n] * crossings[-1]
         # one refined edge per line: evaluations fall by its vertex count
-        assert (lines.stats.refine_iterations_total * (grid[name == "column"] + 1)
+        assert (lines.stats.refine_iterations_total * n
                 == grid_path.stats.refine_iterations_total)
+    assert min(crossings[:3]) > 0
 
 
 def test_line_path_skipped_on_nan_samples_and_failed_edges(monkeypatch):
