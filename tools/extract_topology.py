@@ -17,7 +17,8 @@ module tested before.  The paired count is printed per set.  Topology
 must be identical: polyline count, polyline lengths, closed flags,
 `cells_crossing`, `cells_skipped`, `failed_edges` and `refined_edges`.
 So must these stats against the before tree's `tests/golden/extract.json`,
-for every case of `tests/extract_golden.py`.  Vertex displacement and
+for every case of `tests/extract_golden.py` that it holds (a case it
+lacks is listed as new).  Vertex displacement and
 refinement counts are reported, not judged.  Test failures do not matter
 here, only what the calls returned.  Exit 0 when at least one call pairs
 up and all of it is identical, 1 otherwise.
@@ -146,7 +147,8 @@ def compare(before: Path, after: Path) -> int:
     sys.path.insert(0, str(HERE / "tests"))
     from extract_golden import CASES, record as record_case
 
-    for name in sorted(CASES):
+    added = sorted(CASES.keys() - golden.keys())
+    for name in sorted(CASES.keys() & golden.keys()):
         got = record_case(name)["stats"]
         want = golden[name]["stats"]
         diff = [f for f in ("cells_total", *TOPOLOGY[3:]) if got[f] != want[f]]
@@ -159,7 +161,8 @@ def compare(before: Path, after: Path) -> int:
             for keys in (common, old.keys() - new.keys(), new.keys() - old.keys()))
         print(f"tests of {tests.parent}: {paired} paired extract calls "
               f"({only_before} only before, {only_after} only after)")
-    print(f"{len(common)} paired in all, {len(CASES)} golden cases")
+    print(f"{len(common)} paired in all, {len(CASES) - len(added)} golden cases"
+          + (f" (new, not compared: {', '.join(added)})" if added else ""))
     print(f"largest vertex shift in u1 or u2: {shift:.3g} ({shift_at})")
     print(f"field evaluations: {evals['before']} -> {evals['after']}; "
           f"most steps in one call: {steps['before']} -> {steps['after']}")
