@@ -4,13 +4,17 @@ parameter-domain level sets to SVG.
 All writers are deterministic byte-for-byte: floats are written with 17
 significant digits (lossless for 64-bit values), lines end with LF, and
 element order is fixed by the input order.
+
+One formatter writes every 17-digit float, the OBJ vertices and the CSV
+bodies: `_float_rows`, whose bytes equal `b"%.17g" % v` for each value.
+It works on whole arrays for 1e-4 <= |v| < 1e17 and for zeros; other
+values (smaller, larger, inf and nan) go through `'%.17g'` one by one.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import numbers
 from dataclasses import dataclass
 from xml.etree import ElementTree as ET
@@ -25,6 +29,156 @@ from .surface import DarbouxSample, SurfaceSpec, _coordinate_values
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
+
+
+# A formatted float fills a cell of _CELL bytes, padded with NULs, which
+# are dropped when the rows are joined; "-2.2250738585072014e-308" fills one.
+_CELL = 24
+_BLOCK = 12288                       # values formatted at once
+_POW10 = 10.0 ** np.arange(21)       # 1 .. 1e20, each an exact double
+
+
+def _word_table() -> np.ndarray:
+    """The 4-byte words a cell is built from, as uint32s: the groups
+    "0000".."9999"; the same with their trailing zeros as NUL, for a group
+    that only zero groups follow; a leading digit, after three NULs; and
+    the sign, "-" or NUL, before three NULs."""
+    q = np.arange(10000, dtype=np.uint32)[:, None]
+    quads = q // np.array([1000, 100, 10, 1], np.uint32) % 10 + 48
+    trailing = q % np.array([10000, 1000, 100, 10], np.uint32) == 0
+    leads = np.zeros((10, 4), np.uint32)
+    leads[:, 3] = np.arange(48, 58)
+    signs = [[0, 0, 0, 0], [45, 0, 0, 0]]
+    words = np.concatenate([quads, quads * ~trailing, leads, signs])
+    return words.astype(np.uint8).view(np.uint32).ravel()
+
+
+_WORDS = _word_table()
+_STRIPPED, _LEAD, _SIGN = 10000, 20000, 20010     # offsets in _WORDS
+
+
+def _cell_masks():
+    """Per exponent k = -4..16, as three uint64 words of a cell: the bytes
+    of the integer digits, and the bytes the cell gets besides its digits
+    once they have moved one byte down: "0" in each integer digit (one
+    that only zeros follow is NUL), or the "0.", "0.0" .. "0.000" before
+    the first digit for k < 0."""
+    ints, marks = np.zeros((21, _CELL), np.uint8), np.zeros((21, _CELL), np.uint8)
+    for k in range(-4, 17):
+        if k >= 0:
+            ints[k + 4, 7:8 + k] = 0xFF
+            marks[k + 4, 6:7 + k] = ord("0")
+        else:
+            marks[k + 4, 6 + k:7] = np.frombuffer(b"0.000"[:1 - k], np.uint8)
+    return ints.view(np.uint64), marks.view(np.uint64)
+
+
+_INTS, _MARKS = _cell_masks()
+
+
+def _split(a):
+    """Veltkamp's split: a = hi + lo with each half 26 bits or fewer."""
+    c = 134217729.0 * a              # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _times_pow10(a, e):
+    """hi, lo with hi + lo = a * 10**e exactly (Dekker's product)."""
+    p = np.take(_POW10, e)
+    hi = a * p
+    a1, a2 = _split(a)
+    p1, p2 = _split(p)
+    return hi, ((a1 * p1 - hi) + a1 * p2 + a2 * p1) + a2 * p2
+
+
+def _float_cells(v: np.ndarray) -> np.ndarray:
+    """The (n, _CELL) uint8 cells of `b"%.17g" % x` for each x of v.
+
+    For 1e-4 <= |x| < 1e17, with k the decimal exponent, x * 10**(16-k)
+    is hi + lo exactly, so N = hi + round(lo) (half to even, as hi >= 2**53
+    is even wherever lo is a tie) is x's 17 significant digits; k is fixed
+    up by one where log10 missed it.  N < 10**17, as no double below a
+    power of ten is within 5e-18 of it.  %g writes N in fixed notation, as
+    -4 <= k < 17, without trailing fractional zeros or a bare point.  The
+    digits go to bytes 7..23 of the cell; the k + 1 integer digits then
+    move one byte down, so that the point goes to byte 7 + k, where the
+    lead "0." of k < 0 has it too; byte 0 holds the sign.
+    """
+    n = len(v)
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e17)
+    a = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int8)
+    np.clip(k, -4, 16, out=k)
+    hi, lo = _times_pow10(a, 16 - k)
+    up = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    down = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    fix = np.flatnonzero(up | down)
+    if len(fix):
+        k[fix] += up[fix].view(np.int8) - down[fix].view(np.int8)
+        hi[fix], lo[fix] = _times_pow10(a[fix], 16 - k[fix])
+    N = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # the indices in _WORDS of a cell's sign, leading digit and four
+    # groups of N's other 16 digits
+    high = N // 10**8
+    low = (N - high * 10**8).astype(np.int32)
+    high = high.astype(np.int32)
+    w = np.empty((n, 6), np.int32)
+    np.add(np.signbit(v), _SIGN, out=w[:, 0])
+    np.floor_divide(high, 10**8, out=w[:, 1])
+    high -= w[:, 1] * 10**8
+    w[:, 1] += _LEAD
+    np.floor_divide(high, 10**4, out=w[:, 2])
+    np.subtract(high, w[:, 2] * 10**4, out=w[:, 3])
+    np.floor_divide(low, 10**4, out=w[:, 4])
+    np.subtract(low, w[:, 4] * 10**4, out=w[:, 5])
+    w[:, 5] += _STRIPPED
+    for j in (4, 3, 2):
+        np.add(w[:, j], _STRIPPED, out=w[:, j], where=w[:, j + 1] == _STRIPPED)
+    cells = np.take(_WORDS, w).view(np.uint64)
+    k += 4                           # rows of _INTS and _MARKS
+    ints = cells & np.take(_INTS, k, axis=0)
+    cells ^= ints
+    cells |= np.take(_MARKS, k, axis=0)
+    cells = cells.view(np.uint8)
+    flat = cells.reshape(-1)
+    flat[:-1] |= ints.view(np.uint8).reshape(-1)[1:]
+    # the point at byte 7 + k, unless no digit follows it
+    at = np.arange(3, n * _CELL, _CELL) + k
+    flat[at] = (flat[at + (k < 20)] != 0) * np.uint8(46)
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        other = np.zeros((len(slow), _CELL), np.uint8)
+        other[:, 0] = cells[slow, 0]
+        other[:, 1] = 48
+        rest = np.flatnonzero(v[slow])
+        text = b"".join(_fmt(x).encode().ljust(_CELL, b"\0") for x in v[slow[rest]].tolist())
+        other[rest] = np.frombuffer(text, np.uint8).reshape(-1, _CELL)
+        cells[slow] = other
+    return cells
+
+
+def _float_rows(values, prefix: bytes, sep: bytes) -> bytes:
+    """Each row of a 2-D float array as `prefix`, its values written as
+    `b"%.17g"` joined by the one byte `sep`, and a LF."""
+    values = np.asarray(values, dtype=np.float64)
+    m, c = values.shape
+    if not values.size:
+        return (prefix + b"\n") * m
+    p = len(prefix)
+    parts = []
+    rows = max(1, _BLOCK // c)
+    for s in range(0, m, rows):
+        block = values[s:s + rows]
+        buf = np.zeros((len(block), p + c * (_CELL + 1)), np.uint8)
+        buf[:, :p] = np.frombuffer(prefix, np.uint8)
+        row = buf[:, p:].reshape(len(block), c, _CELL + 1)
+        row[:, :, :_CELL] = _float_cells(block.ravel()).reshape(len(block), c, _CELL)
+        row[:, :-1, _CELL] = ord(sep)
+        row[:, -1, _CELL] = 10
+        parts.append(buf.tobytes().translate(None, b"\0"))
+    return b"".join(parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,18 +265,17 @@ def _raises(surface: SurfaceSpec, U1, U2) -> bool:
 def write_obj(obj: TriMesh | IsophoteSet) -> bytes:
     """Wavefront OBJ bytes: `v` lines then 1-based `f` triangles for a
     mesh, or `l` polylines for extracted level sets."""
-    head = "# g3geom OBJ export\n"
+    head = b"# g3geom OBJ export\n"
     if isinstance(obj, TriMesh):
-        v = "v %.17g %.17g %.17g\n" * len(obj.vertices) % tuple(obj.vertices.ravel().tolist())
+        v = _float_rows(obj.vertices, b"v ", b" ")
         f = "f %d %d %d\n" * len(obj.faces) % tuple((obj.faces + 1).ravel().tolist())
-        return (head + v + f).encode("ascii")
-    v = ("v %.17g %.17g %.17g\n" * len(obj.vertices)
-         % tuple(obj.vertices[:, 2:].ravel().tolist()))
+        return head + v + f.encode("ascii")
+    v = _float_rows(obj.vertices[:, 2:], b"v ", b" ")
     lines = []
     for a, b, c in _chains(obj.offsets, obj.closed):
         idx = tuple(range(a + 1, b + 1)) + (a + 1,) * c
         lines.append("l " + " ".join(["%d"] * len(idx)) % idx + "\n")
-    return (head + v + "".join(lines)).encode("ascii")
+    return head + v + "".join(lines).encode("ascii")
 
 
 def write_csv(samples, columns: tuple[str, ...] | None = None) -> bytes:
@@ -133,7 +286,7 @@ def write_csv(samples, columns: tuple[str, ...] | None = None) -> bytes:
         cols = columns or ("polyline", "u1", "u2", "x", "y", "z")
         rows = np.column_stack([np.repeat(np.arange(len(samples.closed)),
                                           np.diff(samples.offsets)),
-                                samples.vertices]).tolist()
+                                samples.vertices])
     else:
         samples = list(samples)
         first = samples[0] if samples else {}
@@ -146,11 +299,11 @@ def write_csv(samples, columns: tuple[str, ...] | None = None) -> bytes:
         else:
             cols = tuple(columns) if columns else tuple(sorted(first))
             rows = [tuple(row[c] for c in cols) for row in samples]
+        width = len(rows[0]) if rows else 0
+        rows = np.array([list(map(float, row)) for row in rows]).reshape(len(rows), width)
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(cols)  # names may need quoting
-    fmt = ",".join(["%.17g"] * len(rows[0])) + "\n" if rows else ""
-    out.write(fmt * len(rows) % tuple(map(float, itertools.chain.from_iterable(rows))))
-    return out.getvalue().encode("ascii")
+    return out.getvalue().encode("ascii") + _float_rows(rows, b"", b",")
 
 
 _SVG_SIZE = 800

@@ -1,9 +1,16 @@
+import csv
+import io
+import itertools
 import json
 import math
+import warnings
+from fractions import Fraction
 from xml.etree import ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g3geom import (
     G3Error,
@@ -276,3 +283,139 @@ def test_svg_and_obj_of_an_empty_closed_polyline():
     drawn = ET.fromstring(write_svg(iso, ((0.0, 4.0), (0.0, 4.0)))).findall(f"{ns}polyline")
     assert [len(p.get("points").split()) for p in drawn] == [0, 2]
     assert write_obj(iso).decode("ascii").splitlines()[-2:] == ["l 1", "l 1 2"]
+
+
+# ---------------------------------------------------------------------------
+# the 17-digit float formatter
+# ---------------------------------------------------------------------------
+
+def _formatted(values, prefix=b"", sep=b",") -> bytes:
+    """_float_rows of the values as one column, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return export._float_rows(np.asarray(values, dtype=np.float64).reshape(-1, 1),
+                                  prefix, sep)
+
+
+def _assert_formatted(values):
+    values = np.asarray(values, dtype=np.float64)
+    want = b"".join(b"%.17g\n" % v for v in values.tolist())
+    got = _formatted(values)
+    if got != want:
+        bad = [(v, g, w) for v, g, w in zip(values.tolist(), got.split(b"\n"),
+                                             want.split(b"\n")) if g != w]
+        raise AssertionError(f"{len(bad)} values differ, first {bad[:3]}")
+
+
+_bit_patterns = st.integers(0, 2**64 - 1).map(
+    lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+_fixed_range = st.builds(lambda x, neg: -x if neg else x,
+                         st.floats(1e-4, 1e17, exclude_max=True), st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_bit_patterns, _fixed_range, st.floats()), min_size=1, max_size=40))
+def test_float_rows_equal_percent_17g_on_any_float(values):
+    _assert_formatted(values)
+
+
+def _ties():
+    """Doubles whose 18th significant digit is an exact 5 that nothing
+    follows: m * 2**(k - 17) with m odd, for decimal exponents k = -4..13."""
+    out = []
+    for k in range(-4, 14):
+        m = math.ceil(Fraction(10) ** k / Fraction(2) ** (k - 17)) | 1
+        for x in (math.ldexp(m, k - 17), math.ldexp(m + 2, k - 17), math.ldexp(m + 98, k - 17)):
+            assert math.floor(math.log10(x)) == k
+            assert (Fraction(x) * Fraction(10) ** (16 - k)).denominator == 2
+            out += [x, -x]
+    return out
+
+
+def test_float_rows_equal_percent_17g_on_edges():
+    tiny = 5e-324
+    edges = [0.0, -0.0, tiny, -tiny, math.inf, -math.inf, math.nan, -math.nan,
+             2.2250738585072014e-308, -2.2250738585072014e-308, 1.7976931348623157e308,
+             1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 1e17, np.nextafter(1e17, 0),
+             # decimal strings that round up to a power of ten, and exact ties
+             # at 17 digits
+             float("9.99999999999999999e16"), float("99999999999999999.5"),
+             float("9.999999999999999999e-5"), float("0.99999999999999999"),
+             2251799813685248.25, 2251799813685248.75, 1.00000762939453125, 0.5, 1.5, 2.5]
+    for k in range(-5, 18):
+        x = 10.0 ** k
+        edges += [x, np.nextafter(x, 0), np.nextafter(x, math.inf),
+                  np.nextafter(np.nextafter(x, 0), 0)]
+    edges += [v * 2 ** -20 for v in range(1, 40)] + [float(n) for n in range(-20, 121)]
+    edges += [float(n) * 10.0 ** e for n in (1, 12, 120, 1200) for e in range(-6, 16)]
+    edges += _ties()
+    edges += [-x for x in edges]
+    _assert_formatted(edges)
+    # every value's cell in every block position, row and column
+    values = np.array(edges)
+    for c in (1, 3, 7):
+        rows = values[:len(values) // c * c].reshape(-1, c)
+        want = b"".join(b"v" + b"".join(b" %.17g" % v for v in r) + b"\n" for r in rows.tolist())
+        assert export._float_rows(rows, b"v ", b" ") == want
+
+
+def test_float_rows_in_blocks(monkeypatch):
+    values = np.random.default_rng(5).standard_normal((101, 3)) * 10.0 ** np.arange(-5, 16, 7)
+    values[::7, 1] = 0.0
+    want = b"".join(b"%.17g;%.17g;%.17g\n" % tuple(r) for r in values.tolist())
+    for block in (1, 2, 3, 4, 50, 303, 10 ** 6):
+        monkeypatch.setattr(export, "_BLOCK", block)
+        assert export._float_rows(values, b"", b";") == want
+    assert export._float_rows(np.empty((0, 3)), b"v ", b" ") == b""
+    assert export._float_rows(np.empty((2, 0)), b"", b",") == b"\n\n"
+
+
+def _obj_oracle(obj) -> bytes:
+    """write_obj as `%` formatting writes it, one float at a time."""
+    head = "# g3geom OBJ export\n"
+    if isinstance(obj, TriMesh):
+        v = "v %.17g %.17g %.17g\n" * len(obj.vertices) % tuple(obj.vertices.ravel().tolist())
+        f = "f %d %d %d\n" * len(obj.faces) % tuple((obj.faces + 1).ravel().tolist())
+        return (head + v + f).encode("ascii")
+    v = ("v %.17g %.17g %.17g\n" * len(obj.vertices)
+         % tuple(obj.vertices[:, 2:].ravel().tolist()))
+    lines = []
+    for a, b, c in export._chains(obj.offsets, obj.closed):
+        idx = tuple(range(a + 1, b + 1)) + (a + 1,) * c
+        lines.append("l " + " ".join(["%d"] * len(idx)) % idx + "\n")
+    return (head + v + "".join(lines)).encode("ascii")
+
+
+def _csv_oracle(cols, rows) -> bytes:
+    """write_csv's bytes as `%` formatting writes them."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(cols)
+    fmt = ",".join(["%.17g"] * len(rows[0])) + "\n" if rows else ""
+    out.write(fmt * len(rows) % tuple(map(float, itertools.chain.from_iterable(rows))))
+    return out.getvalue().encode("ascii")
+
+
+def test_writers_equal_percent_formatting(plane, cylinder, cubic_curve, helix_trace):
+    isosets = [iso for iso, _ in _wavy_and_ring()]
+    isosets.append(extract(cylinder, IsophoteQuery.for_angle(GVec3(0, 0, 1), math.pi / 3,
+                                                             grid=(64, 64))))
+    for iso in isosets:
+        assert write_obj(iso) == _obj_oracle(iso)
+        rows = np.column_stack([np.repeat(np.arange(len(iso.closed)), np.diff(iso.offsets)),
+                                iso.vertices]).tolist()
+        assert write_csv(iso) == _csv_oracle(("polyline", "u1", "u2", "x", "y", "z"), rows)
+    for mesh in (tessellate(plane, 7, 5), tessellate(cylinder, 33, 65),
+                 TriMesh([(0.0, -0.0, 1e-300), (1e17, -1e20, 123.456), (5e-324, 0.1, -2.5)],
+                         [(0, 1, 2)], (1, 1))):
+        assert write_obj(mesh) == _obj_oracle(mesh)
+    frenet = frenet_samples(cubic_curve, np.linspace(0.0, 2.0, 9))
+    assert write_csv(frenet) == _csv_oracle(("s", "kappa", "tau"),
+                                            [(x.s, x.kappa, x.tau) for x in frenet])
+    darboux = darboux_samples(cylinder, helix_trace, np.linspace(0.0, 1.0, 9))
+    assert write_csv(darboux) == _csv_oracle(
+        ("s", "kg", "kn", "taug", "phi"), [(x.s, x.kg, x.kn, x.tau_g, x.phi) for x in darboux])
+    mapping = [{"a": math.nan, "b": -math.inf, "c": -0.0}, {"a": 1, "b": True, "c": 1e-7},
+               {"a": np.float32(0.1), "b": 3, "c": Fraction(1, 3)}]
+    assert write_csv(mapping) == _csv_oracle(("a", "b", "c"),
+                                             [tuple(r.values()) for r in mapping])
+    assert write_csv([]) == _csv_oracle((), [])
