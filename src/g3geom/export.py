@@ -185,7 +185,8 @@ def _float_rows(values, prefix: bytes, sep: bytes) -> bytes:
 class TriMesh:
     """Vertices as an (N,3) float64 array, triangle faces as an (M,3) int64
     array of 0-based index triples, and the grid dimensions the mesh was
-    tessellated from.  Sequences of triples are converted."""
+    tessellated from.  Sequences of triples are converted.  A vertex with
+    a component that is not finite is a ValueError naming its row."""
 
     vertices: np.ndarray
     faces: np.ndarray
@@ -193,6 +194,10 @@ class TriMesh:
 
     def __post_init__(self):
         vertices = np.asarray(self.vertices, dtype=np.float64).reshape(len(self.vertices), 3)
+        finite = np.isfinite(vertices).all(axis=1)
+        if not finite.all():
+            i = int(finite.argmin())
+            raise ValueError(f"vertex {i} is not finite: {vertices[i].tolist()}")
         try:
             faces = np.asarray(self.faces, dtype=np.int64).reshape(len(self.faces), 3)
         except ValueError:

@@ -108,6 +108,14 @@ def test_trimesh_validation():
         assert str(exc.value) == message
 
 
+def test_trimesh_rejects_vertices_that_are_not_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        vertices = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, bad), (bad, 0.0, 0.0)]
+        with pytest.raises(ValueError, match=rf"^vertex 2 is not finite: \[0.0, 1.0, {bad}\]$"):
+            TriMesh(vertices, [(0, 1, 2)], (1, 1))
+    TriMesh([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 1e308)], [(0, 1, 2)], (1, 1))
+
+
 def test_trimesh_holds_arrays(plane):
     mesh = tessellate(plane, 3, 2)
     assert mesh.vertices.shape == (12, 3) and mesh.vertices.dtype == np.float64
