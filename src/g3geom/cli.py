@@ -6,9 +6,9 @@ comma-separated expressions for quick experiments.  Exit codes: 0 ok;
 1 a numerical failure (StraightSegmentError, SingularNormalError,
 InadmissibleTraceError, AxisError: the kinds EXIT_CODES maps to 1) or a
 failed verify check; 2 any other G3Error, which is a usage or parse
-error.  --grid and --mesh may ask for at most MAX_GRID_POINTS points and
---samples for at most MAX_SAMPLES; more is a usage error, raised before
-anything is computed.
+error.  --grid may ask for at most MAX_GRID_POINTS points, --mesh for at
+most as many vertices, and --samples for at most MAX_SAMPLES; more is a
+usage error, raised before anything is computed.
 
 Field grids are evaluated in row blocks of about 2^16 points.  A grid of
 at least 2^19 points runs its blocks on one thread per CPU the process
@@ -58,8 +58,9 @@ from .surfrev import ProfileSpec, revolve_euclidean, revolve_isotropic
 from .verify import run_suite
 
 SCHEMA_VERSION = "1"
-# caps on the sizes the command line accepts: N1*N2 of --grid and --mesh
-# is isophote.MAX_GRID_POINTS, the cap of every isophote query; --samples
+# caps on the sizes the command line accepts: the N1*N2 points of --grid
+# and the (N1+1)*(N2+1) vertices of --mesh have isophote.MAX_GRID_POINTS,
+# the cap of every isophote query and of export.tessellate; --samples
 # (whose samples are Python objects, so cost far more each) has its own
 MAX_SAMPLES = 1 << 16
 
@@ -155,13 +156,16 @@ def _parse_interval(text: str) -> tuple[float, float]:
     return a, b
 
 
-def _parse_grid(text: str, option: str) -> tuple[int, int]:
+def _parse_grid(text: str, option: str, *, mesh: bool = False) -> tuple[int, int]:
+    """N1xN2 of a grid of N1*N2 points, or of a mesh of N1xN2 cells, which
+    has (N1+1)*(N2+1) vertices; either count has the cap MAX_GRID_POINTS."""
     try:
         n1, n2 = (int(p) for p in text.lower().split("x"))
     except ValueError:
         raise G3Error(f"{option} must be two integers written N1xN2, got {text!r}") from None
-    if n1 * n2 > MAX_GRID_POINTS:
-        raise G3Error(f"{option} {text} asks for {n1 * n2} points, above the cap "
+    count, what = ((n1 + 1) * (n2 + 1), "vertices") if mesh else (n1 * n2, "points")
+    if count > MAX_GRID_POINTS:
+        raise G3Error(f"{option} {text} asks for {count} {what}, above the cap "
                       f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     return n1, n2
 
@@ -332,6 +336,7 @@ def cmd_isophote(args) -> int:
 
 
 def cmd_revolve(args) -> int:
+    cells = _parse_grid(args.mesh, "--mesh", mesh=True) if args.mesh else None
     scene = _load_scene_opt(args)
     mode = args.mode
     if scene and args.profile in scene.profiles:
@@ -355,9 +360,8 @@ def cmd_revolve(args) -> int:
     print(f"domain  u1 in [{surf.domain[0][0]:g}, {surf.domain[0][1]:g}], "
           f"u2 in [{surf.domain[1][0]:g}, {surf.domain[1][1]:g}]")
     mesh = None
-    if args.mesh:
-        n1, n2 = _parse_grid(args.mesh, "--mesh")
-        mesh = export.tessellate(surf, n1, n2)
+    if cells:
+        mesh = export.tessellate(surf, *cells)
         print(f"mesh    {len(mesh.vertices)} vertices, {len(mesh.faces)} triangles")
         if args.obj:
             _write(args.obj, export.write_obj(mesh))

@@ -492,14 +492,19 @@ def test_size_caps_are_usage_errors_raised_before_any_work(capsys, monkeypatch):
     iso = ["isophote", "--surface", "u1,sin(u2),cos(u2)", "--axis", "0,0,1", "--silhouette"]
     rev = ["revolve", "--profile", "1+s^2", "--mode", "euclidean"]
     cap = cli.MAX_GRID_POINTS
-    for argv, option in ((iso, "--grid"), (rev, "--mesh")):
-        for text in (f"{cap + 1}x1", "2049x2048", "100000x100000"):
+    for argv, option, over in ((iso, "--grid", "2049x2048"), (rev, "--mesh", "2048x2048")):
+        for text in (f"{cap + 1}x1", over, "100000x100000"):
             assert main([*argv, option, text]) == 2, (option, text)
-            err = capsys.readouterr().err
-            assert f"error: {option} {text} asks for" in err
-            assert f"above the cap MAX_GRID_POINTS = {cap}" in err
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"error: {option} {text} asks for" in captured.err
+            assert f"above the cap MAX_GRID_POINTS = {cap}" in captured.err
     assert cli._parse_grid("2048x2048", "--grid") == (2048, 2048)
-    assert cli._parse_grid(f"1x{cap}", "--mesh") == (1, cap)
+    # a mesh of N1xN2 cells has (N1 + 1)(N2 + 1) vertices
+    assert cli._parse_grid("2047x2047", "--mesh", mesh=True) == (2047, 2047)
+    assert cli._parse_grid(f"1x{cap // 2 - 1}", "--mesh", mesh=True) == (1, cap // 2 - 1)
+    with pytest.raises(errors.G3Error, match=f"--mesh 1x{cap // 2} asks for {cap + 2} vertices"):
+        cli._parse_grid(f"1x{cap // 2}", "--mesh", mesh=True)
     surface_trace = ["--surface", "u1,sin(u2),cos(u2)", "--trace", "s,s"]
     for argv in (["frenet", "--curve", "s^2/2,s^3/6"], ["darboux", *surface_trace],
                  ["classify", *surface_trace]):
