@@ -825,8 +825,9 @@ def _eval(root: Node, seeds: dict, order: int, values):
 def eval_jet(ast: ExprAST, at, order: int = 3, *, check: bool = True) -> Jet:
     """Evaluate a univariate expression, returning derivatives up to `order`.
 
-    `at` may be a scalar, which runs as a one-element array, or a numpy
-    array.  Slots above `order` are zeroed.
+    `at` may be a scalar, which runs as a one-element array and keeps its
+    signed zeros, or a numpy array, whose shape every slot gets as a new
+    writable array.  Slots above `order` are zeroed.
     With check=False, domain violations produce NaN instead of raising,
     which is what grid shading wants for isolated singular points.
     """
@@ -837,10 +838,11 @@ def eval_jet(ast: ExprAST, at, order: int = 3, *, check: bool = True) -> Jet:
     (s,), point = _as_arrays((at,))
     with np.errstate(all="ignore"):
         j = _eval(ast.root, _seeds(ast.variables, (s,)), order, _Values(Jet, ast.params, check))
-        # broadcast constant subresults to the sample shape, zero unused slots
-        shaped = np.float64(0.0) if point else s * 0.0
-        slots = [_real(_first(x) if point else x) for x in (j.value, *j.derivatives())]
-        return Jet(*(x + shaped for x in slots[:order + 1]), *[shaped] * (3 - order))
+    slots = [_real(x) for x in (j.value, *j.derivatives())][:order + 1]
+    slots += [0.0] * (3 - order)
+    if point:
+        return Jet(*(np.float64(_first(x)) for x in slots))
+    return Jet(*(_broadcast(x, s.shape) for x in slots))
 
 
 def _arity_error(ast: ExprAST, kind) -> ArityError:
@@ -864,7 +866,8 @@ def eval_jet2(ast: ExprAST, at, *, check: bool = True) -> Jet2:
     """Evaluate a bivariate expression: value, first and second partials.
 
     `at` is a pair (u1, u2) of scalars or broadcastable numpy arrays; a
-    point runs as one-element arrays and keeps its signed zeros.
+    point runs as one-element arrays and keeps its signed zeros; arrays
+    give every slot their broadcast shape, as a new writable array.
     """
     if len(ast.variables) != 2:
         raise _arity_error(ast, Jet2)
@@ -872,11 +875,20 @@ def eval_jet2(ast: ExprAST, at, *, check: bool = True) -> Jet2:
     with np.errstate(all="ignore"):
         j = _eval(ast.root, _seeds(ast.variables, (u1, u2)), 2,
                   _Values(Jet2, ast.params, check))
-        slots = [_real(s) for s in (j.value, *j.derivatives())]
-        if point:
-            return Jet2(*map(_first, slots))
-        shaped = (u1 + u2) * 0.0
-        return Jet2(*(s + shaped for s in slots))
+    slots = [_real(s) for s in (j.value, *j.derivatives())]
+    if point:
+        return Jet2(*map(_first, slots))
+    shape = np.broadcast_shapes(u1.shape, u2.shape)
+    return Jet2(*(_broadcast(s, shape) for s in slots))
+
+
+def _broadcast(slot, shape) -> np.ndarray:
+    """A slot as a new float array of the operands' shape: a constant
+    subresult repeated, with no arithmetic on it (adding a zero would make
+    -0.0 +0.0, and inf * 0.0 NaN)."""
+    out = np.empty(shape)
+    out[...] = slot
+    return out
 
 
 def _as_arrays(at) -> tuple[tuple[np.ndarray, ...], bool]:

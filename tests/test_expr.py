@@ -180,6 +180,33 @@ def test_eval_jet_array_broadcast():
     assert np.all(j.value == 0.0)
 
 
+def test_broadcast_repeats_slots_without_arithmetic():
+    # the slots were broadcast by adding (u1 + u2) * 0.0 or s * 0.0, which
+    # is NaN where u1 + u2 overflows or s is infinite, and +0.0 for -0.0
+    j = expr.eval_jet2(expr.parse("u1 - u1 + 2", ["u1", "u2"]),
+                       (np.array([1e308]), np.array([1e308])))
+    assert j.value.tolist() == [2.0] and j.du1.tolist() == [0.0]
+    j = expr.eval_jet(expr.parse("s*s", ["s"]), np.array([math.inf]))
+    assert j.value.tolist() == [math.inf] and j.d1.tolist() == [math.inf]
+    assert j.d2.tolist() == [2.0] and j.d3.tolist() == [0.0]
+    # 0*s is -0.0 at s = -0.5, at the point and on the array
+    for at in (-0.5, np.array([-0.5])):
+        j = expr.eval_jet(expr.parse("0*s", ["s"]), at)
+        assert np.signbit(j.value).all() and np.shape(j.value) == np.shape(at)
+    # every slot is a writable array of its own, of the operands' shape
+    u1, u2 = np.linspace(0.0, 1.0, 3)[:, None], np.array([0.5])
+    j2 = expr.eval_jet2(expr.parse("u1 + 2", ["u1", "u2"]), (u1, u2))
+    j1 = expr.eval_jet(expr.parse("s", ["s"]), np.array([0.0, 1.0]), order=1)
+    for j in (j1, j2):
+        slots = (j.value, *j.derivatives())
+        assert all(x.flags.writeable for x in slots)
+        assert len({id(x) for x in slots}) == len(slots)
+        assert not any(np.shares_memory(x, y) for x in slots for y in (*slots, u1, u2)
+                       if x is not y)
+    assert j2.value.shape == j2.du2u2.shape == (3, 1)
+    assert j1.value.shape == j1.d3.shape == (2,)
+
+
 # ---------------------------------------------------------------------------
 # domain errors
 # ---------------------------------------------------------------------------
@@ -411,13 +438,10 @@ def test_first_order_jets_equal_jet2_slots_bit_for_bit():
                     continue
                 assert isinstance(first, expr.Jet2)
                 # eval_jet2's broadcast, applied to the unbroadcast slots
-                zero = ((np.asarray(u1) + np.asarray(u2)) * 0.0
-                        if np.ndim(u1) or np.ndim(u2) else 0.0)
+                shape = np.broadcast_shapes(np.shape(u1), np.shape(u2))
                 for name in _SLOTS:
                     want = np.asarray(getattr(full, name), dtype=float)
-                    got = np.asarray(getattr(first, name), dtype=float)
-                    if np.ndim(u1) or np.ndim(u2):
-                        got = got + zero
+                    got = np.broadcast_to(np.asarray(getattr(first, name), dtype=float), shape)
                     assert got.shape == want.shape, (src, name)
                     assert got.tobytes() == want.tobytes(), (src, name, u1, u2, check)
 
@@ -492,14 +516,11 @@ def _assert_tape_matches_jet2(asts, at, check):
         assert got == full, (at, check)
         return
     assert len(got) == len(asts)
-    broadcast = np.ndim(u1) or np.ndim(u2)
-    zero = (np.asarray(u1) + np.asarray(u2)) * 0.0 if broadcast else 0.0
+    shape = np.broadcast_shapes(np.shape(u1), np.shape(u2))
     for j, f in zip(got, full):
         for name in _SLOTS:
             want = np.asarray(getattr(f, name), dtype=float)
-            have = np.asarray(getattr(j, name), dtype=float)
-            if broadcast:
-                have = have + zero
+            have = np.broadcast_to(np.asarray(getattr(j, name), dtype=float), shape)
             assert have.shape == want.shape, name
             assert have.tobytes() == want.tobytes(), (name, at, check)
 
@@ -665,7 +686,7 @@ def _bivariate_sources():
 def _assert_point_equals_array(point, array):
     """An evaluation at a point and one at a one-element array holding it
     raise the same domain error at the same offset, or give equal slots by
-    value (NaN equal to NaN; the array's broadcast makes -0.0 +0.0)."""
+    value (NaN equal to NaN)."""
     if isinstance(point, tuple) or isinstance(array, tuple):
         assert point == array
         return
@@ -738,7 +759,6 @@ def test_univariate_tape_equals_eval_jet_slots(src, k, u2, which):
     # with the same message at the same offset
     ast = expr.parse(src, ["u1"], {"k": k, "u2": u2})
     at = [0.7, -0.0, np.linspace(-1.0, 2.0, 7), np.array([-0.0, 1e-200, 3.0])][which]
-    shaped = np.asarray(at) * 0.0 if np.ndim(at) else 0.0
     for check in (True, False):
         full = _error(lambda: expr.eval_jet(ast, at, check=check))
         got = _error(lambda: expr.on_partials(_all_jet_slots, (ast,), (at,), check=check))
@@ -749,7 +769,9 @@ def test_univariate_tape_equals_eval_jet_slots(src, k, u2, which):
             have, need = np.asarray(have, dtype=float), np.asarray(need, dtype=float)
             assert have.shape == need.shape, (src, name)
             assert have.tobytes() == need.tobytes(), (src, name, at, check)
-            assert (have + shaped).tobytes() == np.asarray(getattr(full, name)).tobytes()
+            want = np.asarray(getattr(full, name))
+            assert want.shape == np.shape(at), (src, name)
+            assert np.broadcast_to(have, want.shape).tobytes() == want.tobytes()
 
 
 def test_a_tape_raises_the_arity_error_of_its_kind():
