@@ -12,8 +12,14 @@ both sides alike.  --trace-seed adds one traced pair (--trace 1) per
 workload.  The output holds the host, Python and numpy versions, both
 commits, the seeds, every run's JSON line, and per side the median and
 quartiles of each metric; for each metric it counts the pairs the after
-side won.  The file is rewritten after every run, so an interrupted
-session keeps what it measured.
+side won.  Each end-to-end metric also gets its bound from BENCHMARK.json
+and a verdict: "gain" where the after side won at least 9 of 10 pairs and
+the medians differ, its way, by more than the before side's IQR; else
+"worse" where the after median is worse by more than the bound (a share
+of the before median); else "unresolved" where the before side's IQR over
+its median is above the bound; else "within bound".  The file is
+rewritten after every run, so an interrupted session keeps what it
+measured, and the verdicts are printed at the end.
 
 Both sides run without PYTHONDONTWRITEBYTECODE, so that perfbench's
 warm-up set-up run fills each tree's __pycache__ and setup_s does not
@@ -69,9 +75,23 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric: each side's median and quartiles, and how
-    many pairs the after side won."""
+def verdict(m: dict, pairs: int, better: str, bound: float) -> str:
+    """The verdict on one metric's summary `m` (see the module docstring)."""
+    before, after = m["before"]["median"], m["after"]["median"]
+    gain = after - before if better == "higher" else before - after
+    if m["after_wins"] >= 0.9 * pairs and gain > m["before_iqr"]:
+        return "gain"
+    if -gain > bound * abs(before):
+        return "worse"
+    if m["before_iqr"] > bound * abs(before):
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(runs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
+    """Per workload and metric: each side's median and quartiles, how many
+    pairs the after side won, and for a metric with a bound its verdict."""
     out: dict[str, dict] = {}
     pairs: dict[tuple, dict] = {}
     for r in runs:
@@ -98,6 +118,10 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 m[side] = _quartiles(vals[side])
             m["median_diff"] = m["after"]["median"] - m["before"]["median"]
             m["before_iqr"] = m["before"]["q3"] - m["before"]["q1"]
+        for name, m in wl["metrics"].items():
+            if bounds and name in bounds:
+                m["bound"] = bounds[name]
+                m["verdict"] = verdict(m, wl["pairs"], better.get(name), bounds[name])
     return out
 
 
@@ -114,6 +138,7 @@ def main(argv: list[str] | None = None) -> int:
     trees = {"before": args.before.resolve(), "after": args.after.resolve()}
     spec = json.loads((trees["after"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     doc = {
         "host": {"machine": platform.machine(), "system": platform.system(),
                  "release": platform.release(), "processor": platform.processor(),
@@ -137,10 +162,16 @@ def main(argv: list[str] | None = None) -> int:
     for side, workload, seed, trace in plan:
         run = _run(trees[side], workload, seed, args.seconds, trace)
         doc["runs"].append({"side": side, **run})
-        doc["summary"] = summarize(doc["runs"], better)
+        doc["summary"] = summarize(doc["runs"], better, bounds)
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
         print(f"{side:6s} {workload} seed {seed} trace {trace}: "
               f"{json.dumps(run['result']['metrics'])[:160]}", flush=True)
+    for workload, wl in doc["summary"].items():
+        for name, m in wl["metrics"].items():
+            if "verdict" in m:
+                b, a = m["before"], m["after"]
+                print(f"{workload} {name}: {b['median']:.4g} [{b['q1']:.4g}-{b['q3']:.4g}] -> "
+                      f"{a['median']:.4g} ({m['after_wins']}/{wl['pairs']}) {m['verdict']}")
     return 0
 
 
