@@ -43,18 +43,18 @@ def _word_table() -> np.ndarray:
     "0000".."9999"; the same with their trailing zeros as NUL, for a group
     that only zero groups follow; a leading digit, after three NULs; and
     the sign, "-" or NUL, before three NULs."""
-    q = np.arange(10000, dtype=np.uint32)[:, None]
-    quads = q // np.array([1000, 100, 10, 1], np.uint32) % 10 + 48
-    trailing = q % np.array([10000, 1000, 100, 10], np.uint32) == 0
-    leads = np.zeros((10, 4), np.uint32)
-    leads[:, 3] = np.arange(48, 58)
-    signs = [[0, 0, 0, 0], [45, 0, 0, 0]]
-    words = np.concatenate([quads, quads * ~trailing, leads, signs])
-    return words.astype(np.uint8).view(np.uint32).ravel()
+    q = np.arange(10000, dtype=np.uint16)[:, None]
+    words = np.zeros((_SIGN + 2, 4), np.uint8)
+    words[:_STRIPPED] = q // np.array([1000, 100, 10, 1], np.uint16) % 10 + 48
+    words[_STRIPPED:_LEAD] = words[:_STRIPPED] * (q % np.array([10000, 1000, 100, 10],
+                                                               np.uint16) != 0)
+    words[_LEAD:_SIGN, 3] = np.arange(48, 58)
+    words[_SIGN + 1, 0] = ord("-")
+    return words.view(np.uint32).ravel()
 
 
-_WORDS = _word_table()
 _STRIPPED, _LEAD, _SIGN = 10000, 20000, 20010     # offsets in _WORDS
+_WORDS = _word_table()
 
 
 def _cell_masks():
