@@ -88,8 +88,7 @@ def verdict(m: dict, pairs: int, better: str, bound: float) -> str:
     return "within bound"
 
 
-def summarize(runs: list[dict], better: dict[str, str],
-              bounds: dict[str, float] | None = None) -> dict:
+def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
     """Per workload and metric: each side's median and quartiles, how many
     pairs the after side won, and for a metric with a bound its verdict."""
     out: dict[str, dict] = {}
@@ -119,7 +118,7 @@ def summarize(runs: list[dict], better: dict[str, str],
             m["median_diff"] = m["after"]["median"] - m["before"]["median"]
             m["before_iqr"] = m["before"]["q3"] - m["before"]["q1"]
         for name, m in wl["metrics"].items():
-            if bounds and name in bounds:
+            if name in bounds:
                 m["bound"] = bounds[name]
                 m["verdict"] = verdict(m, wl["pairs"], better.get(name), bounds[name])
     return out
