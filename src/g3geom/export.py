@@ -137,16 +137,18 @@ def _float_cells(v: np.ndarray) -> np.ndarray:
     for j in (4, 3, 2):
         np.add(w[:, j], _STRIPPED, out=w[:, j], where=w[:, j + 1] == _STRIPPED)
     cells = np.take(_WORDS, w).view(np.uint64)
-    k += 4                           # rows of _INTS and _MARKS
-    ints = cells & np.take(_INTS, k, axis=0)
+    row = k + 4                      # k's row of _INTS and _MARKS
+    ints = cells & np.take(_INTS, row, axis=0)
     cells ^= ints
-    cells |= np.take(_MARKS, k, axis=0)
+    cells |= np.take(_MARKS, row, axis=0)
     cells = cells.view(np.uint8)
     flat = cells.reshape(-1)
     flat[:-1] |= ints.view(np.uint8).reshape(-1)[1:]
-    # the point at byte 7 + k, unless no digit follows it
-    at = np.arange(3, n * _CELL, _CELL) + k
-    flat[at] = (flat[at + (k < 20)] != 0) * np.uint8(46)
+    # the point at byte 7 + k, unless no digit follows it (none does for
+    # k = 16, whose last integer digit moved away from byte 23)
+    at = np.arange(7, n * _CELL, _CELL) + k
+    flat[at] = (flat[at + (k < 16)] != 0) * np.uint8(46)
+    # zeros are "0" or "-0"; other values outside the range go to '%.17g'
     slow = np.flatnonzero(~fast)
     if len(slow):
         other = np.zeros((len(slow), _CELL), np.uint8)

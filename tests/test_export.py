@@ -297,18 +297,14 @@ def test_svg_and_obj_of_an_empty_closed_polyline():
 # the 17-digit float formatter
 # ---------------------------------------------------------------------------
 
-def _formatted(values, prefix=b"", sep=b",") -> bytes:
-    """_float_rows of the values as one column, with every warning an error."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        return export._float_rows(np.asarray(values, dtype=np.float64).reshape(-1, 1),
-                                  prefix, sep)
-
-
 def _assert_formatted(values):
+    """_float_rows of the values as one column equals '%.17g', with every
+    warning an error."""
     values = np.asarray(values, dtype=np.float64)
     want = b"".join(b"%.17g\n" % v for v in values.tolist())
-    got = _formatted(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = export._float_rows(values.reshape(-1, 1), b"", b",")
     if got != want:
         bad = [(v, g, w) for v, g, w in zip(values.tolist(), got.split(b"\n"),
                                              want.split(b"\n")) if g != w]
@@ -359,7 +355,7 @@ def test_float_rows_equal_percent_17g_on_edges():
     edges += _ties()
     edges += [-x for x in edges]
     _assert_formatted(edges)
-    # every value's cell in every block position, row and column
+    # the same values in rows of 1, 3 and 7 columns
     values = np.array(edges)
     for c in (1, 3, 7):
         rows = values[:len(values) // c * c].reshape(-1, c)
