@@ -69,7 +69,7 @@ for branch, c, A in (("i", 1.0, 0.0), ("ii", 2.0, 5.0)):
 
 # the c=1, A=0 surface, meshed (the shape shown in the source figure)
 quad = ProfileSpec.from_string("s^2/2", (1e-3, 5.0), c=1.0)
-surf_i = revolve_isotropic(quad, t_range=(-2.0, 2.0))
+surf_i = revolve_isotropic(quad)
 mesh = tessellate(surf_i, 64, 64)
 (OUT / "isotropic_revolution.obj").write_bytes(write_obj(mesh))
 print(f"\nwrote {OUT / 'isotropic_revolution.obj'} "

@@ -44,7 +44,6 @@ from .galilean import (
     gdot,
     gnorm,
     normalize_axis,
-    yz_dot,
     yz_norm,
 )
 from .isophote import (

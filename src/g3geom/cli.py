@@ -110,7 +110,11 @@ def _emit_json(path: str, command: str, result, defaults: dict) -> None:
 
 
 def _finite(text: str, what: str) -> float:
-    value = float(text)
+    """The finite number `text`; anything else is a G3Error naming `what`."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise G3Error(f"{what} must be a number, got {text!r}") from None
     if not math.isfinite(value):
         raise G3Error(f"{what} must be finite, got {text!r}")
     return value
@@ -121,7 +125,7 @@ def _finite_option(text: str) -> float:
     inf and nan included, is a usage error (exit 2)."""
     try:
         return _finite(text, "value")
-    except (G3Error, ValueError) as e:
+    except G3Error as e:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
@@ -136,23 +140,26 @@ def _count_option(text: str) -> int:
     return value
 
 
+def _split(text: str, sep: str, form: str, option: str) -> list[str]:
+    """`text` cut at `sep` into as many parts as `form` has."""
+    parts = text.split(sep)
+    if len(parts) != len(form.split(sep)):
+        raise G3Error(f"{option} must be written {form}, got {text!r}")
+    return parts
+
+
 def _parse_params(items) -> dict[str, float]:
     params = {}
     for item in items or []:
-        if "=" not in item:
-            raise G3Error(f"--param needs name=value, got {item!r}")
-        k, v = item.split("=", 1)
+        k, v = _split(item, "=", "NAME=VALUE", "--param")
         params[k.strip()] = _finite(v, f"--param {k.strip()}")
     return params
 
 
-def _parse_interval(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise G3Error(f"interval must be written lo:hi, got {text!r}")
-    a, b = (_finite(p, "interval end") for p in parts)
+def _parse_interval(text: str, option: str) -> tuple[float, float]:
+    a, b = (_finite(p, f"{option} end") for p in _split(text, ":", "A:B", option))
     if not a < b:
-        raise G3Error(f"empty interval {text!r}")
+        raise G3Error(f"{option} {text} is an empty interval")
     return a, b
 
 
@@ -171,10 +178,8 @@ def _parse_grid(text: str, option: str, *, mesh: bool = False) -> tuple[int, int
 
 
 def _parse_axis(text: str) -> GVec3:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise G3Error(f"axis must be written x,y,z, got {text!r}")
-    return normalize_axis(GVec3(*(float(p) for p in parts)))
+    parts = _split(text, ",", "x,y,z", "--axis")
+    return normalize_axis(GVec3(*(_finite(p, "--axis component") for p in parts)))
 
 
 def _load_scene_opt(args) -> Scene | None:
@@ -195,7 +200,7 @@ def _resolve_curve(args, scene: Scene | None) -> CurveSpec:
     if scene and name in scene.curves:
         return scene.curves[name]
     f_src, g_src = _inline_parts(name, 2, "curve")
-    domain = _parse_interval(args.domain) if args.domain else (0.0, 1.0)
+    domain = _parse_interval(args.domain, "--domain") if args.domain else (0.0, 1.0)
     return CurveSpec.from_strings(f_src, g_src, domain, _parse_params(args.param))
 
 
@@ -205,8 +210,8 @@ def _resolve_surface(args, scene: Scene | None) -> SurfaceSpec:
         return scene.surfaces[name]
     x, y, z = _inline_parts(name, 3, "surface")
     if args.surface_domain:
-        d1, d2 = args.surface_domain.split(",")
-        domain = (_parse_interval(d1), _parse_interval(d2))
+        parts = _split(args.surface_domain, ",", "A:B,C:D", "--surface-domain")
+        domain = tuple(_parse_interval(p, "--surface-domain") for p in parts)
     else:
         domain = ((0.0, 1.0), (0.0, 1.0))
     return SurfaceSpec.from_strings(x, y, z, domain, _parse_params(args.param))
@@ -217,7 +222,8 @@ def _resolve_trace(args, scene: Scene | None) -> TraceSpec:
     if scene and name in scene.traces:
         return scene.traces[name]
     u1, u2 = _inline_parts(name, 2, "trace")
-    domain = _parse_interval(args.trace_domain) if args.trace_domain else (0.0, 1.0)
+    domain = (_parse_interval(args.trace_domain, "--trace-domain") if args.trace_domain
+              else (0.0, 1.0))
     return TraceSpec.from_strings(u1, u2, domain, _parse_params(args.param))
 
 
@@ -344,7 +350,7 @@ def cmd_revolve(args) -> int:
         profile = entry.profile
         mode = mode or entry.mode
     else:
-        domain = _parse_interval(args.domain) if args.domain else (0.0, 1.0)
+        domain = _parse_interval(args.domain, "--domain") if args.domain else (0.0, 1.0)
         profile = ProfileSpec.from_string(args.profile, domain, c=args.c,
                                           parameters=_parse_params(args.param))
     if mode is None:
@@ -353,15 +359,15 @@ def cmd_revolve(args) -> int:
         surf = revolve_euclidean(profile)
     else:
         surf = revolve_isotropic(profile)
+    # tessellate checks the mesh's sizes, so a bad --mesh prints nothing
+    mesh = export.tessellate(surf, *cells) if cells else None
     print(f"mode    {mode}")
     print(f"x       {surf.x.source}")
     print(f"y       {surf.y.source}")
     print(f"z       {surf.z.source}")
     print(f"domain  u1 in [{surf.domain[0][0]:g}, {surf.domain[0][1]:g}], "
           f"u2 in [{surf.domain[1][0]:g}, {surf.domain[1][1]:g}]")
-    mesh = None
-    if cells:
-        mesh = export.tessellate(surf, *cells)
+    if mesh is not None:
         print(f"mesh    {len(mesh.vertices)} vertices, {len(mesh.faces)} triangles")
         if args.obj:
             _write(args.obj, export.write_obj(mesh))

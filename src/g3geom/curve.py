@@ -40,11 +40,10 @@ class CurveSpec:
     @classmethod
     def from_strings(cls, f_src: str, g_src: str,
                      domain: tuple[float, float] = (0.0, 1.0),
-                     parameters: dict[str, float] | None = None,
-                     variable: str = "s") -> "CurveSpec":
+                     parameters: dict[str, float] | None = None) -> "CurveSpec":
         params = dict(parameters or {})
-        return cls(expr.parse(f_src, [variable], params),
-                   expr.parse(g_src, [variable], params),
+        return cls(expr.parse(f_src, ["s"], params),
+                   expr.parse(g_src, ["s"], params),
                    (float(domain[0]), float(domain[1])), params)
 
     def samples(self, n: int) -> np.ndarray:

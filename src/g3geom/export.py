@@ -247,7 +247,8 @@ def tessellate(surface: SurfaceSpec, n1: int, n2: int) -> TriMesh:
         raise G3Error(
             f"surface evaluation failed at grid point ({i},{j}) = "
             f"(u1,u2)=({float(U1[i]):.6g},{float(U2[j]):.6g})") from None
-    # the zero of eval_jet2's broadcast, so that -0.0 turns to 0.0 as there
+    # the zero gives a constant coordinate one value per vertex and turns
+    # a -0.0 into 0.0 where G1 + G2 >= 0; the OBJ goldens pin both
     zero = (G1 + G2) * 0.0
     vertices = np.empty(shape + (3,))
     for k, v in enumerate(xyz):

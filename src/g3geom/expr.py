@@ -378,11 +378,6 @@ def _check_depth(root: Node) -> None:
 # Tree utilities for building derived expressions (composition, transforms)
 # ---------------------------------------------------------------------------
 
-def free_variables(node: Node) -> frozenset[str]:
-    """Names of the variables `node` reads (cached on the node)."""
-    return node.free
-
-
 def _merge_params(*dicts: Mapping[str, float]) -> dict[str, float]:
     out: dict[str, float] = {}
     for d in dicts:
@@ -414,7 +409,7 @@ def subst(ast: ExprAST, mapping: Mapping[str, ExprAST], variables: Sequence[str]
     """
     root = _subst_node(ast.root, {k: v.root for k, v in mapping.items()})
     params = _merge_params(ast.params, *[v.params for v in mapping.values()])
-    missing = free_variables(root) - set(variables)
+    missing = root.free - set(variables)
     if missing:
         raise ValueError(f"substitution leaves unbound variables {sorted(missing)}")
     subs = ", ".join(f"{k}:={v.source}" for k, v in mapping.items())
@@ -436,7 +431,7 @@ def combine(op: str, a: ExprAST, b: ExprAST,
         variables = merged
     params = _merge_params(a.params, b.params)
     root = Bin(op, a.root, b.root)
-    missing = free_variables(root) - set(variables)
+    missing = root.free - set(variables)
     if missing:
         raise ValueError(f"combination leaves undeclared variables {sorted(missing)}")
     return ExprAST(root, f"({a.source}){op}({b.source})", tuple(variables), params)

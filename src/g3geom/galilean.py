@@ -86,16 +86,6 @@ def gcross(a: GVec3, b: GVec3) -> GVec3:
     return GVec3(0.0, a.z * b.x - a.x * b.z, a.x * b.y - a.y * b.x)
 
 
-def yz_dot(a: GVec3, b: GVec3) -> float:
-    """Euclidean product of the yz parts.
-
-    This is the branch of the Galilean product that applies to isotropic
-    vectors; frame derivatives (T', Q', n') are all isotropic, so every
-    curvature coefficient in this package reduces to it.
-    """
-    return a.y * b.y + a.z * b.z
-
-
 def yz_norm(a: GVec3) -> float:
     return math.hypot(a.y, a.z)
 
@@ -211,18 +201,6 @@ class GalileanMotion:
             e1=self.e1 - other.c1 * sp + other.e1 * cp,
             phi=self.phi + other.phi,
         )
-
-    def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "c1": self.c1,
-                "d0": self.d0, "e1": self.e1, "phi": self.phi}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GalileanMotion":
-        known = {"a", "b", "c1", "d0", "e1", "phi"}
-        extra = set(d) - known
-        if extra:
-            raise G3Error(f"unknown motion fields {sorted(extra)}")
-        return cls(**{k: float(v) for k, v in d.items()})
 
 
 def apply_motion(m: GalileanMotion, p: GVec3, as_direction: bool = False) -> GVec3:

@@ -603,8 +603,8 @@ def _lift(surface: SurfaceSpec, au1, au2, lengths, level: float,
     if not len(lengths):
         return IsophoteSet(np.empty((0, 5)), [0], [], level, None, stats)
     offsets = np.concatenate(([0], np.cumsum(lengths)))
-    # the zero of eval_jet2's broadcast: it gives a constant coordinate
-    # the vertex count and turns -0.0 to 0.0 as eval_jet2 does
+    # the zero gives a constant coordinate one value per vertex and turns
+    # a -0.0 into 0.0 where au1 + au2 >= 0; the OBJ goldens pin both
     zero = (au1 + au2) * 0.0
     vertices = np.column_stack((au1, au2, *(v + zero for v in _coordinate_values(
         surface, au1, au2, check=False))))

@@ -1,8 +1,7 @@
 """Scene documents: one JSON file naming curves, surfaces, traces,
-profiles, axes and isophote queries, for reproducible CLI runs.
+profiles and axes, for reproducible CLI runs.
 
-Validation is strict: unknown keys are rejected at every level and all
-cross references must resolve.
+Validation is strict: unknown keys are rejected at every level.
 """
 
 from __future__ import annotations
@@ -14,8 +13,7 @@ from pathlib import Path
 
 from .curve import CurveSpec
 from .errors import SceneError
-from .galilean import GVec3, normalize_axis
-from .isophote import DEFAULT_GRID, DEFAULT_REFINE_TOL, IsophoteQuery
+from .galilean import GVec3
 from .surface import SurfaceSpec, TraceSpec
 from .surfrev import ProfileSpec
 
@@ -27,19 +25,12 @@ class ProfileEntry:
 
 
 @dataclass
-class QueryEntry:
-    surface: str
-    query: IsophoteQuery
-
-
-@dataclass
 class Scene:
     curves: dict[str, CurveSpec] = field(default_factory=dict)
     surfaces: dict[str, SurfaceSpec] = field(default_factory=dict)
     traces: dict[str, TraceSpec] = field(default_factory=dict)
     profiles: dict[str, ProfileEntry] = field(default_factory=dict)
     axes: dict[str, GVec3] = field(default_factory=dict)
-    queries: dict[str, QueryEntry] = field(default_factory=dict)
 
 
 def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str):
@@ -131,39 +122,9 @@ def _load_axis(name: str, obj) -> GVec3:
     return GVec3.from_seq(_number(v, "axis component", f"axes.{name}") for v in obj)
 
 
-def _load_query(name: str, obj: dict, scene: Scene) -> QueryEntry:
-    where = f"queries.{name}"
-    _check_keys(obj, {"surface", "axis", "beta", "level", "silhouette",
-                      "grid", "refine_tol"}, {"surface", "axis"}, where)
-    sname = obj["surface"]
-    if not isinstance(sname, str) or sname not in scene.surfaces:
-        raise SceneError(f"{where} references unknown surface {sname!r}")
-    axis_ref = obj["axis"]
-    if isinstance(axis_ref, str):
-        if axis_ref not in scene.axes:
-            raise SceneError(f"{where} references unknown axis {axis_ref!r}")
-        axis = scene.axes[axis_ref]
-    else:
-        axis = _load_axis(name, axis_ref)
-    axis = normalize_axis(axis)
-    grid = obj.get("grid", DEFAULT_GRID)
-    tol = float(_number(obj.get("refine_tol", DEFAULT_REFINE_TOL), "refine_tol", where))
-    chosen = [k for k in ("beta", "level", "silhouette") if obj.get(k) is not None]
-    if len(chosen) != 1:
-        raise SceneError(f"{where} needs exactly one of beta | level | silhouette")
-    try:
-        if chosen == ["silhouette"]:
-            query = IsophoteQuery.for_silhouette(axis, grid, tol)
-        else:
-            make = IsophoteQuery.for_angle if chosen == ["beta"] else IsophoteQuery.raw_level
-            query = make(axis, _number(obj[chosen[0]], chosen[0], where), grid, tol)
-    except ValueError as e:
-        # the query's own checks: the grid, beta's range, an isotropic level
-        raise SceneError(f"{where}: {e}") from None
-    return QueryEntry(sname, query)
-
-
-_SECTIONS = ("curves", "surfaces", "traces", "profiles", "axes", "queries")
+# section -> loader of one named entry
+_SECTIONS = {"curves": _load_curve, "surfaces": _load_surface, "traces": _load_trace,
+             "profiles": _load_profile, "axes": _load_axis}
 
 
 def load_scene_dict(doc: dict) -> Scene:
@@ -171,9 +132,7 @@ def load_scene_dict(doc: dict) -> Scene:
         raise SceneError("scene document must be a JSON object")
     _check_keys(doc, set(_SECTIONS), set(), "scene")
     scene = Scene()
-    loaders = (_load_curve, _load_surface, _load_trace, _load_profile, _load_axis,
-               lambda name, obj: _load_query(name, obj, scene))
-    for key, load in zip(_SECTIONS, loaders):
+    for key, load in _SECTIONS.items():
         section = doc.get(key) or {}
         if not isinstance(section, dict):
             raise SceneError(f"{key} must be a JSON object of named entries")

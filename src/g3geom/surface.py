@@ -71,10 +71,9 @@ class SurfaceSpec:
     @classmethod
     def from_strings(cls, x_src: str, y_src: str, z_src: str,
                      domain=((0.0, 1.0), (0.0, 1.0)),
-                     parameters: dict[str, float] | None = None,
-                     variables=("u1", "u2")) -> "SurfaceSpec":
+                     parameters: dict[str, float] | None = None) -> "SurfaceSpec":
         params = dict(parameters or {})
-        v = list(variables)
+        v = ["u1", "u2"]
         return cls(expr.parse(x_src, v, params), expr.parse(y_src, v, params),
                    expr.parse(z_src, v, params),
                    ((float(domain[0][0]), float(domain[0][1])),
@@ -179,11 +178,10 @@ class TraceSpec:
     @classmethod
     def from_strings(cls, u1_src: str, u2_src: str,
                      domain: tuple[float, float] = (0.0, 1.0),
-                     parameters: dict[str, float] | None = None,
-                     variable: str = "s") -> "TraceSpec":
+                     parameters: dict[str, float] | None = None) -> "TraceSpec":
         params = dict(parameters or {})
-        return cls(expr.parse(u1_src, [variable], params),
-                   expr.parse(u2_src, [variable], params),
+        return cls(expr.parse(u1_src, ["s"], params),
+                   expr.parse(u2_src, ["s"], params),
                    (float(domain[0]), float(domain[1])))
 
     def samples(self, n: int) -> np.ndarray:

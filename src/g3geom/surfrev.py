@@ -89,18 +89,17 @@ def revolve_euclidean(profile: ProfileSpec) -> SurfaceSpec:
                        dict(profile.g.params), normal=(g_u1, sin_t, cos_t))
 
 
-def revolve_isotropic(profile: ProfileSpec, s_min: float = S_MIN_DEFAULT,
-                      t_range: tuple[float, float] = ISOTROPIC_T_RANGE) -> SurfaceSpec:
-    """Isotropic surface of revolution with radius c; the u1 domain is
-    clamped away from s = 0, where the normal direction is discontinuous
-    for profiles with g'(0) = 0."""
+def revolve_isotropic(profile: ProfileSpec) -> SurfaceSpec:
+    """Isotropic surface of revolution with radius c, t in ISOTROPIC_T_RANGE;
+    u1 is clamped to s >= S_MIN_DEFAULT, away from s = 0, where the normal
+    direction is discontinuous for profiles with g'(0) = 0."""
     if profile.c <= 0.0:
         raise G3Error("isotropic revolution needs c > 0")
-    lo = max(profile.domain[0], s_min)
+    lo = max(profile.domain[0], S_MIN_DEFAULT)
     hi = profile.domain[1]
     if lo >= hi:
         raise G3Error(f"profile domain [{profile.domain[0]:g}, {hi:g}] is empty "
-                      f"after clamping to s >= {s_min:g}")
+                      f"after clamping to s >= {S_MIN_DEFAULT:g}")
     v = ["u1", "u2"]
     params = dict(profile.g.params)
     if "rotc" in params and params["rotc"] != profile.c:
@@ -109,8 +108,7 @@ def revolve_isotropic(profile: ProfileSpec, s_min: float = S_MIN_DEFAULT,
     g_u1 = expr.subst(profile.g, {"s": expr.parse("u1", v)}, v)
     x = expr.parse("u1 + rotc*u2", v, {"rotc": profile.c})
     y = expr.parse("u1*u2 + rotc*u2^2/2", v, {"rotc": profile.c})
-    return SurfaceSpec(x, y, g_u1, ((lo, hi), (float(t_range[0]), float(t_range[1]))),
-                       params)
+    return SurfaceSpec(x, y, g_u1, ((lo, hi), ISOTROPIC_T_RANGE), params)
 
 
 def frame_normal_decomposition(profile: ProfileSpec, mode: str,
@@ -178,12 +176,10 @@ def verify_prop_4_2(profile: ProfileSpec, d: GVec3, tol: float = 1e-9,
 
 
 def verify_prop_4_3(c: float, A: float, lam: float, branch: str,
-                    tol: float = 1e-12,
-                    s_range: tuple[float, float] = (S_MIN_DEFAULT, 5.0),
-                    t_range: tuple[float, float] = ISOTROPIC_T_RANGE,
-                    grid: tuple[int, int] = (64, 64)) -> TheoremReport:
+                    tol: float = 1e-12, grid: tuple[int, int] = (64, 64)) -> TheoremReport:
     """The quadratic profile g = s^2/(2c) + A makes the whole isotropic
-    surface of revolution one isophote with constant <n, d> = lam/sqrt(2).
+    surface of revolution one isophote with constant <n, d> = lam/sqrt(2),
+    checked on s in [S_MIN_DEFAULT, 5].
 
     branch "i" takes the axis along the profile normal, d = (0, 0, lam);
     branch "ii" along minus the binormal, d = (0, lam, 0).  Also checks
@@ -195,10 +191,10 @@ def verify_prop_4_3(c: float, A: float, lam: float, branch: str,
         raise ValueError("lam must be nonzero")
     if c <= 0.0:
         raise G3Error("c must be positive")
-    profile = ProfileSpec.from_string("s^2/(2*cc) + AA", s_range, c=c,
+    profile = ProfileSpec.from_string("s^2/(2*cc) + AA", (S_MIN_DEFAULT, 5.0), c=c,
                                       parameters={"cc": c, "AA": A})
     d = GVec3(0.0, 0.0, lam) if branch == "i" else GVec3(0.0, lam, 0.0)
-    surf = revolve_isotropic(profile, s_min=s_range[0], t_range=t_range)
+    surf = revolve_isotropic(profile)
     U1 = np.linspace(surf.domain[0][0], surf.domain[0][1], grid[0] + 1)
     U2 = np.linspace(surf.domain[1][0], surf.domain[1][1], grid[1] + 1)
     unit = normalize_axis(d)

@@ -53,7 +53,7 @@ def test_acceptance_1_prop43_constant_field():
     256x256 grid, and the extractor reports it, in under 2 seconds."""
     t0 = time.perf_counter()
     profile = ProfileSpec.from_string("s^2/2", (1e-3, 5.0), c=1.0)
-    surf = revolve_isotropic(profile, s_min=1e-3, t_range=(-2.0, 2.0))
+    surf = revolve_isotropic(profile)
     U1 = np.linspace(1e-3, 5.0, 257)
     U2 = np.linspace(-2.0, 2.0, 257)
     F = field_grid(surf, Z, U1[:, None], U2[None, :])
@@ -287,7 +287,7 @@ def test_acceptance_9_export_integrity(tmp_path):
     identical mesh; SVG is well-formed; the verify JSON report is
     byte-deterministic across two runs."""
     profile = ProfileSpec.from_string("s^2/2", (1e-3, 5.0), c=1.0)
-    surf = revolve_isotropic(profile, s_min=1e-3, t_range=(-2.0, 2.0))
+    surf = revolve_isotropic(profile)
     mesh = tessellate(surf, 64, 64)
     data = write_obj(mesh)
     verts, faces = [], []

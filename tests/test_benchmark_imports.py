@@ -1,9 +1,12 @@
 """The benchmark scripts in perfbench/ import from g3geom, but tier-1 does
-not collect them: every name they import must still exist."""
+not collect them: every name they import must still exist, and the first
+job of each workload must run on what g3geom returns."""
 
 import ast
 import importlib
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -39,3 +42,18 @@ def test_benchmark_imports_resolve():
     missing = [f"{where}: {module}.{name}" if name else f"{where}: {module}"
                for where, module, name in imports if not _resolves(module, name)]
     assert not missing, missing
+
+
+@pytest.mark.parametrize("workload", ["iso_large", "iso_small", "frames", "revolve_mesh"])
+def test_benchmark_first_job_runs(workload, monkeypatch):
+    # a job reads attributes of g3geom's results (iso.polylines,
+    # Scene.profiles, ProfileEntry.mode) that the import check cannot see
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gen, jobs, spans = (importlib.import_module(m) for m in ("gen", "jobs", "spans"))
+    run, check, probe = jobs.WORKLOADS[workload]
+    job = next(gen.stream(workload, 0, "tiny", "timed"))
+    out = run(job, spans.NULL)
+    # the verdict is perfbench's to report: a coarse tiny grid may miss
+    verdict = check(job, out)
+    assert verdict is None or isinstance(verdict, str)
+    probe(job, out, spans.NULL)

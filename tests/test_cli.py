@@ -31,10 +31,6 @@ SCENE = {
         "bowl": {"g": "s^2/2", "domain": [0.001, 5], "mode": "isotropic", "c": 1.0},
     },
     "axes": {"zhat": [0, 0, 1]},
-    "queries": {
-        "cyl60": {"surface": "cyl", "axis": "zhat", "beta": 1.0471975511965976,
-                  "grid": [64, 64]},
-    },
 }
 
 
@@ -44,8 +40,6 @@ NON_STRING_EXPRESSIONS = [
     {"traces": {"t": {"u1": "s", "u2": None, "domain": [0, 1]}}},
     {"profiles": {"p": {"g": {}, "domain": [0.1, 1], "mode": "isotropic"}}},
 ]
-SURFACE_NOT_A_NAME = {"surfaces": SCENE["surfaces"],
-                      "queries": {"q": {"surface": ["cyl"], "axis": [0, 0, 1], "beta": 0.5}}}
 # domain ends that json.loads reads as infinite or NaN, a boolean, a string
 BAD_DOMAIN_ENDS = [
     json.loads(f'{{"curves": {{"c": {{"f": "s", "g": "s^3", "domain": {domain}}}}}}}')
@@ -68,8 +62,9 @@ def scene_path(tmp_path):
 def test_scene_loads():
     scene = load_scene_dict(SCENE)
     assert set(scene.curves) == {"cubic"}
-    assert set(scene.queries) == {"cyl60"}
-    assert scene.queries["cyl60"].query.level == pytest.approx(0.5)
+    assert set(scene.surfaces) == {"cyl", "plane"}
+    assert scene.profiles["bowl"].mode == "isotropic"
+    assert scene.axes["zhat"].to_list() == [0.0, 0.0, 1.0]
 
 
 def test_scene_rejects_unknown_keys():
@@ -80,7 +75,7 @@ def test_scene_rejects_unknown_keys():
                                           "extra": 1}}})
     # entries and sections that are not objects
     for bad in ({"curves": {"c": 5}}, {"surfaces": {"s": [1, 2]}},
-                {"queries": {"q": "cyl"}}, {"traces": [1]}):
+                {"profiles": {"p": "bowl"}}, {"traces": [1]}):
         with pytest.raises(SceneError):
             load_scene_dict(bad)
     # expressions that are not strings
@@ -92,21 +87,18 @@ def test_scene_rejects_unknown_keys():
     for value in ("x", float("nan"), float("inf"), None, [1], True):
         with pytest.raises(SceneError, match="params.a must be a finite number"):
             load_scene_dict({"curves": {"c": {**curve, "params": {"a": value}}}})
+    # a profile has no key A: its constant is a parameter of g
+    profile = {"g": "s^2/2 + A", "domain": [0.001, 5], "mode": "isotropic", "A": 1.0}
+    with pytest.raises(SceneError, match=r"unknown keys \['A'\] in profiles.p"):
+        load_scene_dict({"profiles": {"p": profile}})
 
 
 def test_scene_rejects_non_finite_numbers():
     profile = {"g": "s^2/2", "domain": [0.001, 5], "mode": "isotropic"}
-    query = {"surface": "cyl", "axis": "zhat", "beta": 0.5}
     bad_docs = [
         {"profiles": {"p": {**profile, "c": "x"}}},
         {"axes": {"a": [0, "1", 0]}},
         {"axes": {"a": [0, float("nan"), 1]}},
-        {"surfaces": SCENE["surfaces"], "axes": SCENE["axes"],
-         "queries": {"q": {**query, "beta": "0.5"}}},
-        {"surfaces": SCENE["surfaces"], "axes": SCENE["axes"],
-         "queries": {"q": {**query, "refine_tol": float("nan")}}},
-        {"surfaces": SCENE["surfaces"], "axes": SCENE["axes"],
-         "queries": {"q": {"surface": "cyl", "axis": "zhat", "level": [0.5]}}},
         *BAD_DOMAIN_ENDS,
     ]
     for doc in bad_docs:
@@ -114,56 +106,22 @@ def test_scene_rejects_non_finite_numbers():
             load_scene_dict(doc)
 
 
-def test_scene_rejects_bad_references():
-    with pytest.raises(SceneError):
-        load_scene_dict({"queries": {"q": {"surface": "nope", "axis": [0, 0, 1],
-                                           "beta": 0.5}}})
-    with pytest.raises(SceneError):
-        load_scene_dict({
-            "surfaces": SCENE["surfaces"],
-            "queries": {"q": {"surface": "cyl", "axis": "ghost", "beta": 0.5}}})
-    with pytest.raises(SceneError):
-        load_scene_dict({
-            "surfaces": SCENE["surfaces"],
-            "queries": {"q": {"surface": "cyl", "axis": [0, 0, 1]}}})  # no level
-    with pytest.raises(SceneError, match="references unknown surface"):
-        load_scene_dict(SURFACE_NOT_A_NAME)
+def test_scene_rejects_bad_references(scene_path, capsys):
     with pytest.raises(SceneError, match="bad domain"):
         load_scene_dict({"curves": {"c": {"f": "s", "g": "s^3", "domain": [0, 1, 2]}}})
-    # a query grid must be two integers >= 2
-    for grid in ("ab", [64], [64, 1], [64.0, 64], 64, [64, "64"], [True, 64]):
-        with pytest.raises(SceneError, match="grid must be two integers"):
-            load_scene_dict({
-                "surfaces": SCENE["surfaces"],
-                "queries": {"q": {"surface": "cyl", "axis": [0, 0, 1],
-                                  "beta": 0.5, "grid": grid}}})
-    # ... with at most the cap of every query's points
-    for grid in ([2 ** 11 + 1, 2 ** 11], [10 ** 9, 10 ** 9]):
-        with pytest.raises(SceneError, match=r"above the cap MAX_GRID_POINTS = 4194304$"):
-            load_scene_dict({
-                "surfaces": SCENE["surfaces"],
-                "queries": {"q": {"surface": "cyl", "axis": [0, 0, 1],
-                                  "beta": 0.5, "grid": grid}}})
+    # a name the scene does not hold is read as an inline object
+    assert main(["frenet", "--curve", "ghost", "--scene", scene_path]) == 2
+    assert ("inline curve must be 2 comma-separated expressions (or a scene object "
+            "name), got 'ghost'") in capsys.readouterr().err
 
 
-def test_scene_query_checks_are_scene_errors():
-    # the checks of IsophoteQuery raise ValueError; a scene names the query
-    def doc(**query):
-        return {"surfaces": SCENE["surfaces"],
-                "queries": {"q": {"surface": "cyl", "axis": [0, 0, 1], **query}}}
-
-    cases = [(doc(beta=2.0), "beta must lie in [0, pi/2]"),
-             (doc(level=1.5), "level must lie in [-1, 1] for an isotropic axis"),
-             (doc(beta=0.5, grid=[64, 1]), "grid must be two integers >= 2, got [64, 1]"),
-             (doc(silhouette=True, refine_tol=0.0), "refine_tol must be finite and > 0, got 0.0")]
-    for bad, message in cases:
+def test_scene_rejects_queries_section():
+    # isophote takes its query from the command line; a scene holds none
+    query = {"surface": "cyl", "axis": "zhat", "beta": 0.5}
+    for doc in ({"queries": {}}, {**SCENE, "queries": {"q": query}}):
         with pytest.raises(SceneError) as exc:
-            load_scene_dict(bad)
-        assert str(exc.value) == f"queries.q: {message}"
-    # a profile has no key A: its constant is a parameter of g
-    profile = {"g": "s^2/2 + A", "domain": [0.001, 5], "mode": "isotropic", "A": 1.0}
-    with pytest.raises(SceneError, match=r"unknown keys \['A'\] in profiles.p"):
-        load_scene_dict({"profiles": {"p": profile}})
+            load_scene_dict(doc)
+        assert str(exc.value) == "unknown keys ['queries'] in scene"
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +322,8 @@ def test_scene_error_exit_2(tmp_path, capsys):
     for doc in ({"curvez": {}}, {"curves": {"c": 5}},
                 {"curves": {"c": {"f": "a*s^2", "g": "s^3", "domain": [0, 1],
                                   "params": {"a": "x"}}}},
-                {"surfaces": SCENE["surfaces"],
-                 "queries": {"q": {"surface": "cyl", "axis": [0, 0, 1],
-                                   "beta": 0.5, "grid": "ab"}}},
-                *NON_STRING_EXPRESSIONS, SURFACE_NOT_A_NAME, *BAD_DOMAIN_ENDS):
+                {**SCENE, "queries": {}},
+                *NON_STRING_EXPRESSIONS, *BAD_DOMAIN_ENDS):
         bad.write_text(json.dumps(doc))
         rc = main(["frenet", "--curve", "cubic", "--scene", str(bad)])
         assert rc == 2
@@ -413,11 +369,11 @@ def test_param_rejects_nan(capsys):
 
 def test_isophote_non_finite_axis_exits_2(capsys):
     # it exited 2 too, but with "query axis must be normalized"
-    for axis in ("0,nan,1", "0,inf,1", "nan,1,0"):
+    for axis, component in (("0,nan,1", "nan"), ("0,inf,1", "inf"), ("nan,1,0", "nan")):
         rc = main(["isophote", "--surface", "u1,sin(u2),cos(u2)", "--surface-domain",
                    "0:2,0:6", "--axis", axis, "--beta", "1"])
         assert rc == 2, axis
-        assert "cannot normalize a vector with a non-finite component" in capsys.readouterr().err
+        assert f"--axis component must be finite, got {component!r}" in capsys.readouterr().err
 
 
 def test_isophote_refine_tol_not_above_zero_exits_2(capsys):
@@ -480,6 +436,40 @@ def test_grid_parts_must_be_integers(capsys):
             assert rc == 2, (option, text)
             err = capsys.readouterr().err
             assert f"{option} must be two integers written N1xN2, got {text!r}" in err
+
+
+@pytest.mark.parametrize("mesh", ["0x4", "4x0"])
+def test_revolve_mesh_size_error_prints_nothing(mesh, capsys):
+    # tessellate checks the sizes, so nothing is printed before it runs
+    rc = main(["revolve", "--profile", "1+s^2", "--mode", "euclidean", "--mesh", mesh])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    n1, n2 = mesh.split("x")
+    assert f"n1 and n2 must be integers >= 1, got {n1} and {n2}" in captured.err
+
+
+_CYL = ["--surface", "u1,sin(u2),cos(u2)", "--surface-domain", "0:2,0:6"]
+
+
+@pytest.mark.parametrize("option,argv", [
+    ("--param k", ["frenet", "--curve", "k*s^2,s^3", "--param", "k=abc"]),
+    ("--domain", ["frenet", "--curve", "s^2,s^3", "--domain", "a:1"]),
+    ("--domain", ["frenet", "--curve", "s^2,s^3", "--domain", "1"]),
+    ("--domain", ["revolve", "--profile", "1+s^2", "--mode", "euclidean",
+                  "--domain", "0:b"]),
+    ("--trace-domain", ["darboux", *_CYL, "--trace", "s,s", "--trace-domain", "0:x"]),
+    ("--axis", ["isophote", *_CYL, "--axis", "x,0,1", "--beta", "1"]),
+    ("--surface-domain", ["isophote", "--surface", "u1,sin(u2),cos(u2)",
+                          "--surface-domain", "0:1", "--axis", "0,0,1", "--beta", "1"]),
+    ("--surface-domain", ["isophote", "--surface", "u1,sin(u2),cos(u2)",
+                          "--surface-domain", "0:1,c:2", "--axis", "0,0,1", "--beta", "1"]),
+])
+def test_malformed_option_text_names_its_option(option, argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {option} " in captured.err
 
 
 def test_size_caps_are_usage_errors_raised_before_any_work(capsys, monkeypatch):

@@ -167,13 +167,6 @@ def test_motion_composition():
         pytest.approx(apply_motion(m, p).to_list(), abs=1e-12)
 
 
-def test_motion_serialization_round_trip():
-    m = GalileanMotion(a=1, b=2, c1=3, d0=4, e1=5, phi=0.5)
-    assert GalileanMotion.from_dict(m.to_dict()) == m
-    with pytest.raises(G3Error):
-        GalileanMotion.from_dict({"a": 1, "zz": 2})
-
-
 def test_vector_kind_tag():
     assert GVec3(0, 1, 2).kind == "isotropic"
     assert GVec3(1e-13, 1, 2).is_isotropic
