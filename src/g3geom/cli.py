@@ -177,6 +177,10 @@ def _parse_grid(text: str, option: str, *, mesh: bool = False) -> tuple[int, int
     return n1, n2
 
 
+def _parse_rectangle(text: str, option: str):
+    return tuple(_parse_interval(p, option) for p in _split(text, ",", "A:B,C:D", option))
+
+
 def _parse_axis(text: str) -> GVec3:
     parts = _split(text, ",", "x,y,z", "--axis")
     return normalize_axis(GVec3(*(_finite(p, "--axis component") for p in parts)))
@@ -186,45 +190,33 @@ def _load_scene_opt(args) -> Scene | None:
     return load_scene(args.scene) if getattr(args, "scene", None) else None
 
 
-def _inline_parts(text: str, n: int, what: str) -> list[str]:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise G3Error(
-            f"inline {what} must be {n} comma-separated expressions "
-            f"(or a scene object name), got {text!r}")
-    return parts
+# kind: (scene section, expressions inline, domain option, its parser, inline builder)
+_KINDS = {
+    "curve": ("curves", 2, "--domain", _parse_interval, CurveSpec.from_strings),
+    "surface": ("surfaces", 3, "--surface-domain", _parse_rectangle, SurfaceSpec.from_strings),
+    "trace": ("traces", 2, "--trace-domain", _parse_interval, TraceSpec.from_strings),
+}
 
 
-def _resolve_curve(args, scene: Scene | None) -> CurveSpec:
-    name = args.curve
-    if scene and name in scene.curves:
-        return scene.curves[name]
-    f_src, g_src = _inline_parts(name, 2, "curve")
-    domain = _parse_interval(args.domain, "--domain") if args.domain else (0.0, 1.0)
-    return CurveSpec.from_strings(f_src, g_src, domain, _parse_params(args.param))
-
-
-def _resolve_surface(args, scene: Scene | None) -> SurfaceSpec:
-    name = args.surface
-    if scene and name in scene.surfaces:
-        return scene.surfaces[name]
-    x, y, z = _inline_parts(name, 3, "surface")
-    if args.surface_domain:
-        parts = _split(args.surface_domain, ",", "A:B,C:D", "--surface-domain")
-        domain = tuple(_parse_interval(p, "--surface-domain") for p in parts)
-    else:
-        domain = ((0.0, 1.0), (0.0, 1.0))
-    return SurfaceSpec.from_strings(x, y, z, domain, _parse_params(args.param))
-
-
-def _resolve_trace(args, scene: Scene | None) -> TraceSpec:
-    name = args.trace
-    if scene and name in scene.traces:
-        return scene.traces[name]
-    u1, u2 = _inline_parts(name, 2, "trace")
-    domain = (_parse_interval(args.trace_domain, "--trace-domain") if args.trace_domain
-              else (0.0, 1.0))
-    return TraceSpec.from_strings(u1, u2, domain, _parse_params(args.param))
+def _objects(args, scene: Scene | None, *kinds: str) -> list:
+    """The object of each kind that args names: the scene's object of that
+    name, else an inline one from comma-separated expressions, its domain
+    option and --param."""
+    out = []
+    for kind in kinds:
+        section, n, option, parse_domain, build = _KINDS[kind]
+        name, text = getattr(args, kind), getattr(args, option[2:].replace("-", "_"))
+        named = getattr(scene, section) if scene else {}
+        if name in named:
+            out.append(named[name])
+            continue
+        parts = name.split(",")
+        if len(parts) != n:
+            raise G3Error(f"inline {kind} must be {n} comma-separated expressions "
+                          f"(or a scene object name), got {name!r}")
+        domain = {"domain": parse_domain(text, option)} if text else {}
+        out.append(build(*parts, parameters=_parse_params(args.param), **domain))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +224,7 @@ def _resolve_trace(args, scene: Scene | None) -> TraceSpec:
 # ---------------------------------------------------------------------------
 
 def cmd_frenet(args) -> int:
-    scene = _load_scene_opt(args)
-    curve = _resolve_curve(args, scene)
+    curve, = _objects(args, _load_scene_opt(args), "curve")
     S = np.linspace(curve.domain[0], curve.domain[1], args.samples)
     samples = frenet_samples(curve, S)
     print(f"{'s':>12} {'kappa':>16} {'tau':>16}")
@@ -250,9 +241,7 @@ def cmd_frenet(args) -> int:
 
 
 def cmd_darboux(args) -> int:
-    scene = _load_scene_opt(args)
-    surface = _resolve_surface(args, scene)
-    trace = _resolve_trace(args, scene)
+    surface, trace = _objects(args, _load_scene_opt(args), "surface", "trace")
     S = trace.samples(args.samples)
     samples = darboux_samples(surface, trace, S)
     print(f"{'s':>12} {'kg':>14} {'kn':>14} {'taug':>14} {'phi':>14}")
@@ -267,9 +256,7 @@ def cmd_darboux(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    scene = _load_scene_opt(args)
-    surface = _resolve_surface(args, scene)
-    trace = _resolve_trace(args, scene)
+    surface, trace = _objects(args, _load_scene_opt(args), "surface", "trace")
     c = classify_trace(surface, trace, samples=args.samples, tol=args.tol)
     print(f"geodesic           {c.geodesic}   (max |kg|   = {c.max_abs_kg:.3e})")
     print(f"asymptotic         {c.asymptotic}   (max |kn|   = {c.max_abs_kn:.3e})")
@@ -285,9 +272,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_axis(args) -> int:
-    scene = _load_scene_opt(args)
-    surface = _resolve_surface(args, scene)
-    trace = _resolve_trace(args, scene)
+    surface, trace = _objects(args, _load_scene_opt(args), "surface", "trace")
     reconstruct = axis_isotropic if args.case == "isotropic" else axis_nonisotropic
     rep = reconstruct(surface, trace, args.angle, samples=args.samples, tol=args.tol)
     d_str = "none" if rep.d is None else ",".join(f"{v:.12g}" for v in rep.d.to_list())
@@ -309,7 +294,7 @@ def cmd_axis(args) -> int:
 
 def cmd_isophote(args) -> int:
     scene = _load_scene_opt(args)
-    surface = _resolve_surface(args, scene)
+    surface, = _objects(args, scene, "surface")
     if scene and args.axis in scene.axes:
         axis = normalize_axis(scene.axes[args.axis])
     else:
@@ -407,12 +392,10 @@ def cmd_verify(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, scene=True, params=True):
-    if scene:
-        p.add_argument("--scene", help="scene JSON file providing named objects")
-    if params:
-        p.add_argument("--param", action="append", metavar="NAME=VALUE",
-                       help="bind a parameter for inline expressions")
+def _add_common(p):
+    p.add_argument("--scene", help="scene JSON file providing named objects")
+    p.add_argument("--param", action="append", metavar="NAME=VALUE",
+                   help="bind a parameter for inline expressions")
     p.add_argument("--json", metavar="PATH",
                    help="write a machine-readable JSON report ('-' for stdout)")
 

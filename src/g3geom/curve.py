@@ -155,11 +155,10 @@ class AdmissibilityReport:
     violations: list[dict]
 
 
-def is_admissible(curve: CurveSpec, samples: int = 128,
-                  tol: float = KAPPA_MIN) -> AdmissibilityReport:
+def is_admissible(curve: CurveSpec, samples: int = 128) -> AdmissibilityReport:
     """Scan the domain: do f, g evaluate everywhere, and does the curve
-    keep enough curvature for a Frenet frame?  Violations are data, not
-    exceptions."""
+    keep kappa above KAPPA_MIN for a Frenet frame?  Violations are data,
+    not exceptions."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
     S = curve.samples(samples)
@@ -179,12 +178,12 @@ def is_admissible(curve: CurveSpec, samples: int = 128,
     kappa = a["kappa"]
     finite_kappa = kappa[np.isfinite(kappa)]
     min_kappa = float(finite_kappa.min()) if finite_kappa.size else float("nan")
-    frame_ok = bool(finite_kappa.size == samples and np.all(finite_kappa > tol))
+    frame_ok = bool(finite_kappa.size == samples and np.all(finite_kappa > KAPPA_MIN))
     if eval_ok and not frame_ok:
-        for i in np.nonzero(~(np.nan_to_num(kappa) > tol))[0][:8]:
+        for i in np.nonzero(~(np.nan_to_num(kappa) > KAPPA_MIN))[0][:8]:
             violations.append({
                 "s": float(S[i]), "kind": "straight",
-                "message": f"kappa = {float(kappa[i]):.3g} <= {tol:g} (frame undefined)",
+                "message": f"kappa = {float(kappa[i]):.3g} <= {KAPPA_MIN:g} (frame undefined)",
             })
     return AdmissibilityReport(ok=eval_ok and frame_ok, eval_ok=eval_ok,
                                frame_ok=frame_ok, min_kappa=min_kappa,

@@ -420,15 +420,11 @@ def const(value: float) -> ExprAST:
     return ExprAST(Num(float(value)), repr(float(value)), (), {})
 
 
-def combine(op: str, a: ExprAST, b: ExprAST,
-            variables: Sequence[str] | None = None) -> ExprAST:
-    """Combine two parsed expressions with a binary operator."""
+def combine(op: str, a: ExprAST, b: ExprAST, variables: Sequence[str]) -> ExprAST:
+    """Combine two parsed expressions with a binary operator into an
+    expression in `variables`."""
     if op not in "+-*/^" or len(op) != 1:
         raise ValueError(f"unsupported operator {op!r}")
-    if variables is None:
-        merged = list(a.variables)
-        merged += [v for v in b.variables if v not in merged]
-        variables = merged
     params = _merge_params(a.params, b.params)
     root = Bin(op, a.root, b.root)
     missing = root.free - set(variables)

@@ -161,10 +161,10 @@ def normalize_axis(d: GVec3) -> GVec3:
     return GVec3(1.0, d.y / d.x, d.z / d.x)
 
 
-def is_unit_axis(d: GVec3, tol: float = UNIT_TOL) -> bool:
+def is_unit_axis(d: GVec3) -> bool:
     if d.is_isotropic:
-        return abs(yz_norm(d) - 1.0) <= tol
-    return abs(d.x - 1.0) <= tol
+        return abs(yz_norm(d) - 1.0) <= UNIT_TOL
+    return abs(d.x - 1.0) <= UNIT_TOL
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .galilean import GalileanMotion, GVec3
 OMEGA_MIN = 1e-10
 TRACE_TOL = 1e-9       # |d/ds x(u1(s),u2(s)) - 1| must stay below this
 ANALYTIC_TOL = 1e-8    # default for analytic quantities
-RESIDUAL_TOL = 1e-5    # default for finite-difference residuals
+RESIDUAL_TOL = 1e-5    # bound on finite-difference residuals
 
 
 @dataclass(frozen=True)
@@ -326,17 +326,17 @@ class TraceClassification:
     max_abs_taug: float
 
 
+def _classify(a: dict, tol: float) -> TraceClassification:
+    """classify_trace of the Darboux arrays `a`."""
+    mg, mn, mt = (float(np.abs(a[k]).max()) for k in ("kg", "kn", "taug"))
+    return TraceClassification(mg <= tol, mn <= tol, mt <= tol, mg, mn, mt)
+
+
 def classify_trace(surface: SurfaceSpec, trace: TraceSpec, samples: int = 64,
                    tol: float = ANALYTIC_TOL) -> TraceClassification:
     """Geodesic / asymptotic / line of curvature flags: k_g, k_n, tau_g
     within tol of zero at every sample."""
-    a = _darboux_arrays(surface, trace, trace.samples(samples))
-    mg = float(np.abs(a["kg"]).max())
-    mn = float(np.abs(a["kn"]).max())
-    mt = float(np.abs(a["taug"]).max())
-    return TraceClassification(
-        geodesic=mg <= tol, asymptotic=mn <= tol, line_of_curvature=mt <= tol,
-        max_abs_kg=mg, max_abs_kn=mn, max_abs_taug=mt)
+    return _classify(_darboux_arrays(surface, trace, trace.samples(samples)), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -362,20 +362,26 @@ class AxisReport:
     note: str = ""
 
 
-def _axis_residual(S: np.ndarray, dy: np.ndarray, dz: np.ndarray, residual_tol: float,
+def _axis_data(surface: SurfaceSpec, trace: TraceSpec, samples: int, tol: float):
+    """The samples, the Darboux arrays and the flags an axis is built from."""
+    S = trace.samples(samples)
+    a = _darboux_arrays(surface, trace, S)
+    return S, a, _classify(a, tol)
+
+
+def _axis_residual(S: np.ndarray, dy: np.ndarray, dz: np.ndarray,
                    msg: str = "reconstructed axis is not constant (residual {:.3g})") -> float:
-    """Max finite-difference |d'|; above residual_tol the axis is rejected."""
+    """Max finite-difference |d'|; above RESIDUAL_TOL the axis is rejected."""
     gy = np.gradient(dy, S)
     gz = np.gradient(dz, S)
     residual = float(np.hypot(gy, gz).max())
-    if not residual <= residual_tol:  # a NaN residual is rejected too
+    if not residual <= RESIDUAL_TOL:  # a NaN residual is rejected too
         raise AxisConstraintError(msg.format(residual))
     return residual
 
 
 def axis_isotropic(surface: SurfaceSpec, trace: TraceSpec, theta: float,
-                   samples: int = 64, tol: float = ANALYTIC_TOL,
-                   residual_tol: float = RESIDUAL_TOL) -> AxisReport:
+                   samples: int = 64, tol: float = ANALYTIC_TOL) -> AxisReport:
     """Reconstruct a unit isotropic axis making constant angle theta with n.
 
     Asymptotic traces admit only the trivial axis d = n (theta = 0).
@@ -385,21 +391,18 @@ def axis_isotropic(surface: SurfaceSpec, trace: TraceSpec, theta: float,
     """
     if not (0.0 <= theta <= math.pi / 2 + 1e-15):
         raise ValueError("theta must lie in [0, pi/2]")
-    S = trace.samples(samples)
-    a = _darboux_arrays(surface, trace, S)
-    asymptotic = bool(np.abs(a["kn"]).max() <= tol)
-    line_of_curvature = bool(np.abs(a["taug"]).max() <= tol)
+    S, a, c = _axis_data(surface, trace, samples, tol)
 
-    if asymptotic and abs(theta) <= tol:
+    if c.asymptotic and abs(theta) <= tol:
         dy, dz = a["ny"], a["nz"]
         residual = _axis_residual(
-            S, dy, dz, residual_tol, "d = n is not constant along the trace "
+            S, dy, dz, "d = n is not constant along the trace "
             "(residual {:.3g}); the trace is not a line of curvature")
         return AxisReport(d=GVec3(0.0, float(dy[0]), float(dz[0])),
                           theta_or_phi=theta, branch="C5-trivial",
                           residual=residual, status="ok")
 
-    if line_of_curvature:
+    if c.line_of_curvature:
         undef = np.abs(a["kg"]) <= tol
         if np.any(undef):
             i = int(np.argmax(undef))
@@ -409,7 +412,7 @@ def axis_isotropic(surface: SurfaceSpec, trace: TraceSpec, theta: float,
         t = math.tan(theta)
         minus = np.abs(a["kn"] + t * a["kg"]).max()
         plus = np.abs(a["kn"] - t * a["kg"]).max()
-        scale = max(1.0, float(np.abs(a["kg"]).max()))
+        scale = max(1.0, c.max_abs_kg)
         if min(minus, plus) > tol * scale:
             raise AxisConstraintError(
                 f"|k_n/k_g| != tan(theta) along the trace "
@@ -419,20 +422,18 @@ def axis_isotropic(surface: SurfaceSpec, trace: TraceSpec, theta: float,
         ct = math.cos(theta)
         dy = -ratio * ct * a["Qy"] + ct * a["ny"]
         dz = -ratio * ct * a["Qz"] + ct * a["nz"]
-        residual = _axis_residual(S, dy, dz, residual_tol)
+        residual = _axis_residual(S, dy, dz)
         return AxisReport(d=GVec3(0.0, float(dy[0]), float(dz[0])),
                           theta_or_phi=theta, branch="C6-line-of-curvature",
                           residual=residual, status="ok", sign=sign)
 
     raise NotLineOfCurvatureError(
         f"trace is neither asymptotic-with-theta-0 nor a line of curvature "
-        f"(max |k_n| = {float(np.abs(a['kn']).max()):.3g}, "
-        f"max |tau_g| = {float(np.abs(a['taug']).max()):.3g})")
+        f"(max |k_n| = {c.max_abs_kn:.3g}, max |tau_g| = {c.max_abs_taug:.3g})")
 
 
 def axis_nonisotropic(surface: SurfaceSpec, trace: TraceSpec, phi_measure: float,
-                      samples: int = 64, tol: float = ANALYTIC_TOL,
-                      residual_tol: float = RESIDUAL_TOL) -> AxisReport:
+                      samples: int = 64, tol: float = ANALYTIC_TOL) -> AxisReport:
     """Reconstruct a unit non-isotropic axis d = T + phi n.
 
     Requires an asymptotic trace; d is constant iff k_g = phi tau_g at
@@ -440,12 +441,9 @@ def axis_nonisotropic(surface: SurfaceSpec, trace: TraceSpec, phi_measure: float
     as degenerate: the corresponding formula forces kappa = 0, so only a
     straight line could carry such an axis.
     """
-    S = trace.samples(samples)
-    a = _darboux_arrays(surface, trace, S)
-    asymptotic = bool(np.abs(a["kn"]).max() <= tol)
-    line_of_curvature = bool(np.abs(a["taug"]).max() <= tol)
+    S, a, c = _axis_data(surface, trace, samples, tol)
 
-    if asymptotic:
+    if c.asymptotic:
         dev = np.abs(a["kg"] - phi_measure * a["taug"])
         if dev.max() > tol:
             i = int(np.argmax(dev))
@@ -454,12 +452,12 @@ def axis_nonisotropic(surface: SurfaceSpec, trace: TraceSpec, phi_measure: float
                 f"s = {float(S[i]):.6g} (deviation {float(dev[i]):.3g})")
         dy = a["Ty"] + phi_measure * a["ny"]
         dz = a["Tz"] + phi_measure * a["nz"]
-        residual = _axis_residual(S, dy, dz, residual_tol)
+        residual = _axis_residual(S, dy, dz)
         return AxisReport(d=GVec3(1.0, float(dy[0]), float(dz[0])),
                           theta_or_phi=phi_measure, branch="C13-asymptotic",
                           residual=residual, status="ok")
 
-    if line_of_curvature:
+    if c.line_of_curvature:
         return AxisReport(
             d=None, theta_or_phi=phi_measure, branch="C14-degenerate",
             residual=None, status="degenerate",
@@ -467,7 +465,7 @@ def axis_nonisotropic(surface: SurfaceSpec, trace: TraceSpec, phi_measure: float
                  "k_g = k_n = 0 (kappa = 0): only a straight line qualifies")
 
     raise NotAsymptoticError(
-        f"trace is not asymptotic (max |k_n| = {float(np.abs(a['kn']).max()):.3g})")
+        f"trace is not asymptotic (max |k_n| = {c.max_abs_kn:.3g})")
 
 
 def transform_surface(surface: SurfaceSpec, m: GalileanMotion) -> SurfaceSpec:
@@ -497,9 +495,6 @@ def transform_surface(surface: SurfaceSpec, m: GalileanMotion) -> SurfaceSpec:
 
 @dataclass
 class TheoremConfig:
-    samples: int = 64
-    tol: float = ANALYTIC_TOL
-    residual_tol: float = RESIDUAL_TOL
     axis: GVec3 | None = None
     theta: float | None = None         # reconstruct an isotropic axis
     phi_measure: float | None = None   # reconstruct a non-isotropic axis
@@ -526,8 +521,8 @@ def verify_theorems(surface: SurfaceSpec, trace: TraceSpec,
     the conclusion is asserted only when the hypothesis holds.
     """
     cfg = config or TheoremConfig()
-    tol = cfg.tol
-    S = trace.samples(cfg.samples)
+    tol = ANALYTIC_TOL
+    S = trace.samples(64)
     a = _darboux_arrays(surface, trace, S)
 
     axis = cfg.axis
@@ -535,15 +530,13 @@ def verify_theorems(surface: SurfaceSpec, trace: TraceSpec,
     recon_error = ""
     if axis is None and cfg.theta is not None:
         try:
-            recon = axis_isotropic(surface, trace, cfg.theta,
-                                   cfg.samples, tol, cfg.residual_tol)
+            recon = axis_isotropic(surface, trace, cfg.theta)
             axis = recon.d
         except Exception as e:  # noqa: BLE001 - reported, not swallowed
             recon_error = f"axis_isotropic failed: {e}"
     if axis is None and cfg.phi_measure is not None:
         try:
-            recon = axis_nonisotropic(surface, trace, cfg.phi_measure,
-                                      cfg.samples, tol, cfg.residual_tol)
+            recon = axis_nonisotropic(surface, trace, cfg.phi_measure)
             axis = recon.d
         except Exception as e:  # noqa: BLE001
             recon_error = f"axis_nonisotropic failed: {e}"
@@ -562,9 +555,7 @@ def verify_theorems(surface: SurfaceSpec, trace: TraceSpec,
     spread = float(fieldv.max() - fieldv.min())
     isophote = spread <= tol
     silhouette = bool(np.abs(fieldv).max() <= tol)
-    geodesic = bool(np.abs(a["kg"]).max() <= tol)
-    asymptotic = bool(np.abs(a["kn"]).max() <= tol)
-    line_of_curvature = bool(np.abs(a["taug"]).max() <= tol)
+    c = _classify(a, tol)
     kappa = a["kappa"]
     straight = bool(kappa.max() <= tol)
     max_kappa = float(kappa.max())
@@ -593,12 +584,12 @@ def verify_theorems(surface: SurfaceSpec, trace: TraceSpec,
         return None, float("nan")
 
     # 3.1 (i): a geodesic isophote with isotropic axis is a straight line
-    report("thm_3_1_i", iso and isophote and geodesic, straight,
-           max_abs_kg=float(np.abs(a["kg"]).max()))
+    report("thm_3_1_i", iso and isophote and c.geodesic, straight,
+           max_abs_kg=c.max_abs_kg)
 
     # 3.1 (ii): an asymptotic isophote with isotropic axis is a plane
     # curve and its axis is spanned by B
-    if iso and isophote and asymptotic and fren is not None:
+    if iso and isophote and c.asymptotic and fren is not None:
         tau_max = float(np.abs(fren["tau"]).max())
         proj = fren["By"] * axis.y + fren["Bz"] * axis.z
         collin = float(np.hypot(axis.y - proj * fren["By"],
@@ -615,10 +606,10 @@ def verify_theorems(surface: SurfaceSpec, trace: TraceSpec,
 
     # 3.2: on the k_n/k_g = -tan(theta) branch the axis is perpendicular
     # to the principal normal
-    if (iso and isophote and line_of_curvature and not straight
+    if (iso and isophote and c.line_of_curvature and not straight
             and fren is not None and theta is not None):
         t = math.tan(theta)
-        scale = max(1.0, float(np.abs(a["kg"]).max()))
+        scale = max(1.0, c.max_abs_kg)
         minus_branch = float(np.abs(a["kn"] + t * a["kg"]).max()) <= tol * scale
         if minus_branch:
             nd = float(np.abs(fren["Ny"] * axis.y + fren["Nz"] * axis.z).max())
@@ -634,10 +625,10 @@ def verify_theorems(surface: SurfaceSpec, trace: TraceSpec,
 
     # 3.3: tan(theta) branch with the binormal combination vanishing
     # forces theta = pi/4
-    if (iso and isophote and line_of_curvature and not geodesic
+    if (iso and isophote and c.line_of_curvature and not c.geodesic
             and not straight and theta is not None):
         t = math.tan(theta)
-        scale = max(1.0, float(np.abs(a["kg"]).max()))
+        scale = max(1.0, c.max_abs_kg)
         plus_branch = float(np.abs(a["kn"] - t * a["kg"]).max()) <= tol * scale
         comb = float(np.abs(-(a["kn"] / kappa) * math.sin(theta)
                             + (a["kg"] / kappa) * math.cos(theta)).max())
@@ -666,8 +657,7 @@ def verify_theorems(surface: SurfaceSpec, trace: TraceSpec,
             concl, tau_max = plane_curve()
             report("thm_3_4", True, concl, axis_off_Q=off_q,
                    max_abs_tau=tau_max,
-                   max_abs_kg=float(np.abs(a["kg"]).max()),
-                   max_abs_taug=float(np.abs(a["taug"]).max()))
+                   max_abs_kg=c.max_abs_kg, max_abs_taug=c.max_abs_taug)
         else:
             report("thm_3_4", False, None, axis_off_Q=off_q)
     else:
@@ -676,7 +666,7 @@ def verify_theorems(surface: SurfaceSpec, trace: TraceSpec,
     # Corollary 3.5: a geodesic or line-of-curvature isophote with
     # non-isotropic axis is a straight line
     report("cor_3_5",
-           (not iso) and isophote and (geodesic or line_of_curvature),
+           (not iso) and isophote and (c.geodesic or c.line_of_curvature),
            straight)
 
     # 3.6 (i): a silhouette with non-isotropic axis in span{T, Q} is a
@@ -697,8 +687,8 @@ def verify_theorems(surface: SurfaceSpec, trace: TraceSpec,
     # 3.6 (ii): a silhouette whose axis is spanned by T is a geodesic
     if (not iso) and silhouette:
         off_t = float(np.hypot(axis.y - a["Ty"], axis.z - a["Tz"]).max())
-        report("thm_3_6_ii", off_t <= tol, geodesic, axis_off_T=off_t,
-               max_abs_kg=float(np.abs(a["kg"]).max()))
+        report("thm_3_6_ii", off_t <= tol, c.geodesic, axis_off_T=off_t,
+               max_abs_kg=c.max_abs_kg)
     else:
         report("thm_3_6_ii", False, None)
 

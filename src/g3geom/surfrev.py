@@ -129,19 +129,18 @@ def frame_normal_decomposition(profile: ProfileSpec, mode: str,
 
 
 def _verify_helix_prop(name: str, detect, t0s: tuple[float, float], reason: str,
-                       profile: ProfileSpec, d: GVec3, tol: float,
-                       samples: int) -> TheoremReport:
+                       profile: ProfileSpec, d: GVec3, tol: float) -> TheoremReport:
     """Gate on the helix detector; then the shading field along each
     parallel t = t0 of the Euclidean revolution must be constant.  The
     field is taken from the partials, not from the closed-form normal,
     which is constant on parallels by construction."""
     curve = profile_curve(profile)
-    helix = detect(curve, d, samples=samples, tol=tol)
+    helix = detect(curve, d, samples=128, tol=tol)
     details: dict = {"helix_value": helix.value, "helix_spread": helix.spread}
     if not helix.is_helix:
         return TheoremReport(name, False, None, {**details, "reason": reason})
     surf = replace(revolve_euclidean(profile), normal=None)
-    S = np.linspace(profile.domain[0], profile.domain[1], samples)
+    S = np.linspace(profile.domain[0], profile.domain[1], 128)
     ok = True
     for k, t0 in enumerate(t0s):
         vals = field_grid(surf, d, S, np.full_like(S, t0))
@@ -153,8 +152,7 @@ def _verify_helix_prop(name: str, detect, t0s: tuple[float, float], reason: str,
     return TheoremReport(name, True, ok, details)
 
 
-def verify_prop_4_1(profile: ProfileSpec, d: GVec3, tol: float = 1e-9,
-                    samples: int = 128) -> TheoremReport:
+def verify_prop_4_1(profile: ProfileSpec, d: GVec3, tol: float = 1e-9) -> TheoremReport:
     """General-helix profiles give isophotes along t = (2k+1) pi/2.
 
     Gate: <B, d> constant for the profile.  Assertion: the shading field
@@ -164,22 +162,21 @@ def verify_prop_4_1(profile: ProfileSpec, d: GVec3, tol: float = 1e-9,
     return _verify_helix_prop("prop_4_1", detect_general_helix,
                               (math.pi / 2.0, 3 * math.pi / 2.0),
                               "profile is not a general helix for d",
-                              profile, d, tol, samples)
+                              profile, d, tol)
 
 
-def verify_prop_4_2(profile: ProfileSpec, d: GVec3, tol: float = 1e-9,
-                    samples: int = 128) -> TheoremReport:
+def verify_prop_4_2(profile: ProfileSpec, d: GVec3, tol: float = 1e-9) -> TheoremReport:
     """Slant-helix profiles give isophotes along t = k pi."""
     return _verify_helix_prop("prop_4_2", detect_slant_helix, (0.0, math.pi),
                               "profile is not a slant helix for d",
-                              profile, d, tol, samples)
+                              profile, d, tol)
 
 
 def verify_prop_4_3(c: float, A: float, lam: float, branch: str,
-                    tol: float = 1e-12, grid: tuple[int, int] = (64, 64)) -> TheoremReport:
+                    grid: tuple[int, int] = (64, 64)) -> TheoremReport:
     """The quadratic profile g = s^2/(2c) + A makes the whole isotropic
     surface of revolution one isophote with constant <n, d> = lam/sqrt(2),
-    checked on s in [S_MIN_DEFAULT, 5].
+    checked on s in [S_MIN_DEFAULT, 5] to within 1e-12 max(1, |lam|).
 
     branch "i" takes the axis along the profile normal, d = (0, 0, lam);
     branch "ii" along minus the binormal, d = (0, lam, 0).  Also checks
@@ -206,7 +203,7 @@ def verify_prop_4_3(c: float, A: float, lam: float, branch: str,
     cu = profile_curve(profile)
     gen = detect_general_helix(cu, unit, samples=64, tol=1e-10)
     sla = detect_slant_helix(cu, unit, samples=64, tol=1e-10)
-    ok = (spread <= tol * scale and abs(value - expected) <= max(tol, 1e-12) * scale
+    ok = (spread <= 1e-12 * scale and abs(value - expected) <= 1e-12 * scale
           and gen.is_helix and sla.is_helix)
     return TheoremReport("prop_4_3_" + branch, True, ok, {
         "value": value, "spread": spread, "expected": expected,

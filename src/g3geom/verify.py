@@ -76,9 +76,9 @@ def plane_surface() -> SurfaceSpec:
     return SurfaceSpec.from_strings("u1", "u2", "0", ((-1.0, 3.0), (-1.0, 6.0)))
 
 
-def cylinder_surface(u1_range=(0.0, 2.0)) -> SurfaceSpec:
+def cylinder_surface() -> SurfaceSpec:
     return SurfaceSpec.from_strings("u1", "sin(u2)", "cos(u2)",
-                                    (u1_range, (0.0, 2.0 * math.pi)))
+                                    ((0.0, 2.0), (0.0, 2.0 * math.pi)))
 
 
 def parabolic_cylinder(sign: float) -> SurfaceSpec:
@@ -88,8 +88,8 @@ def parabolic_cylinder(sign: float) -> SurfaceSpec:
     return SurfaceSpec.from_strings("u1", "u1^2/2 + u2", z, ((0.0, 2.0), (-1.0, 1.0)))
 
 
-def _trace(u1: str, u2: str, domain=(0.0, 2.0)) -> TraceSpec:
-    return TraceSpec.from_strings(u1, u2, domain)
+def _trace(u1: str, u2: str) -> TraceSpec:
+    return TraceSpec.from_strings(u1, u2, (0.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +97,13 @@ def _trace(u1: str, u2: str, domain=(0.0, 2.0)) -> TraceSpec:
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def random_corpus(seed: int = CORPUS_SEED, count: int = CORPUS_SIZE) -> tuple:
+def random_corpus() -> tuple:
     """Smooth random surfaces with admissible traces, curvature bounded
-    away from zero and well-defined normals.  Deterministic in the seed."""
-    rng = np.random.default_rng(seed)
+    away from zero and well-defined normals.  Deterministic in CORPUS_SEED."""
+    rng = np.random.default_rng(CORPUS_SEED)
     pairs = []
     attempts = 0
-    while len(pairs) < count and attempts < count * 20:
+    while len(pairs) < CORPUS_SIZE and attempts < CORPUS_SIZE * 20:
         attempts += 1
         p = {
             "ay": rng.uniform(-0.25, 0.25), "wy": rng.uniform(0.5, 1.5),
@@ -130,7 +130,7 @@ def random_corpus(seed: int = CORPUS_SEED, count: int = CORPUS_SIZE) -> tuple:
         if not all(np.all(np.isfinite(a[k])) for k in ("kg", "kn", "taug")):
             continue
         pairs.append((surface, trace))
-    if len(pairs) < count:
+    if len(pairs) < CORPUS_SIZE:
         raise RuntimeError("corpus generation failed to converge")
     return tuple(pairs)
 
@@ -156,8 +156,8 @@ def _central(arrays, S: np.ndarray, h: float):
     return a0, lambda key: (ap[key] - am[key]) / (2.0 * h)
 
 
-def _frenet_ode_residuals(curve: CurveSpec, S: np.ndarray, h: float = FD_STEP):
-    a0, fd = _central(lambda X: _curve_arrays(curve, X), S, h)
+def _frenet_ode_residuals(curve: CurveSpec, S: np.ndarray):
+    a0, fd = _central(lambda X: _curve_arrays(curve, X), S, FD_STEP)
     rT = np.hypot(fd("fp") - a0["kappa"] * a0["Ny"],
                   fd("gp") - a0["kappa"] * a0["Nz"])
     rN = np.hypot(fd("Ny") - a0["tau"] * a0["By"],
@@ -325,7 +325,7 @@ def _():
 def _():
     """Quadratic profile, axis along the profile normal; also drives the
     extractor over the full default (acceptance) grid."""
-    rep = verify_prop_4_3(1.0, 0.0, 1.0, "i", tol=1e-12, grid=DEFAULT_GRID)
+    rep = verify_prop_4_3(1.0, 0.0, 1.0, "i", grid=DEFAULT_GRID)
     profile = ProfileSpec.from_string("s^2/(2*cc)", (1e-3, 5.0), c=1.0,
                                       parameters={"cc": 1.0})
     surf = revolve_isotropic(profile)
@@ -342,7 +342,7 @@ def _():
 
 @check("prop_4_3_ii")
 def _():
-    rep = verify_prop_4_3(2.0, 5.0, 1.0, "ii", tol=1e-12)
+    rep = verify_prop_4_3(2.0, 5.0, 1.0, "ii")
     return rep.conclusion_verified, rep.details
 
 

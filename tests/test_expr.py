@@ -1186,11 +1186,11 @@ def test_subst_composes_expressions():
 def test_combine_merges_parameters():
     a = expr.parse("k*s", ["s"], {"k": 2.0})
     b = expr.parse("s + k", ["s"], {"k": 2.0})
-    c = expr.combine("*", a, b)
+    c = expr.combine("*", a, b, ["s"])
     assert float(expr.eval_jet(c, 1.0, 0).value) == pytest.approx(2.0 * 3.0)
     conflicting = expr.parse("k", [], {"k": 5.0})
     with pytest.raises(ValueError):
-        expr.combine("+", a, conflicting)
+        expr.combine("+", a, conflicting, ["s"])
     # the evaluator looks variables up by name, so every one must be declared
     with pytest.raises(ValueError, match="undeclared variables"):
         expr.combine("+", a, expr.parse("t", ["t"]), ["s"])

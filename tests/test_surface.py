@@ -245,7 +245,7 @@ def test_axis_isotropic_straight_trace_is_undefined(plane):
 def test_axis_residual_rejects_nan():
     S = np.linspace(0.0, 1.0, 5)
     with pytest.raises(AxisConstraintError, match="residual nan"):
-        _axis_residual(S, np.full(5, np.nan), np.zeros(5), 1e-6)
+        _axis_residual(S, np.full(5, np.nan), np.zeros(5))
 
 
 def test_axis_nonisotropic_straight_trace(plane):

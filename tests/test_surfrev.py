@@ -164,18 +164,18 @@ def test_prop_4_1_gate_rejects_non_helix():
 
 
 def test_prop_4_3_branches():
-    rep = verify_prop_4_3(1.0, 0.0, 1.0, "i", tol=1e-12)
+    rep = verify_prop_4_3(1.0, 0.0, 1.0, "i")
     assert rep.conclusion_verified
     assert rep.details["value"] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
     assert rep.details["spread"] <= 1e-12
     assert rep.details["corollary_4_4"]["general_helix"]
     assert rep.details["corollary_4_4"]["slant_helix"]
 
-    rep = verify_prop_4_3(2.0, 5.0, 1.0, "ii", tol=1e-12)
+    rep = verify_prop_4_3(2.0, 5.0, 1.0, "ii")
     assert rep.conclusion_verified
     assert rep.details["value"] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
-    rep = verify_prop_4_3(1.0, 0.0, 2.0, "i", tol=1e-12)
+    rep = verify_prop_4_3(1.0, 0.0, 2.0, "i")
     assert rep.conclusion_verified
     assert rep.details["value"] == pytest.approx(math.sqrt(2), abs=1e-12)
 
