@@ -190,6 +190,10 @@ def _load_scene_opt(args) -> Scene | None:
     return load_scene(args.scene) if getattr(args, "scene", None) else None
 
 
+def _inline_only(option: str, what: str) -> G3Error:
+    return G3Error(f"{option} applies only to inline objects, but {what} comes from the scene")
+
+
 # kind: (scene section, expressions inline, domain option, its parser, inline builder)
 _KINDS = {
     "curve": ("curves", 2, "--domain", _parse_interval, CurveSpec.from_strings),
@@ -201,13 +205,16 @@ _KINDS = {
 def _objects(args, scene: Scene | None, *kinds: str) -> list:
     """The object of each kind that args names: the scene's object of that
     name, else an inline one from comma-separated expressions, its domain
-    option and --param."""
-    out = []
+    option and --param.  A domain option given for a scene object is a
+    G3Error, as is --param when every object comes from the scene."""
+    out, inline = [], False
     for kind in kinds:
         section, n, option, parse_domain, build = _KINDS[kind]
         name, text = getattr(args, kind), getattr(args, option[2:].replace("-", "_"))
         named = getattr(scene, section) if scene else {}
         if name in named:
+            if text is not None:
+                raise _inline_only(option, f"{kind} {name!r}")
             out.append(named[name])
             continue
         parts = name.split(",")
@@ -216,6 +223,9 @@ def _objects(args, scene: Scene | None, *kinds: str) -> list:
                           f"(or a scene object name), got {name!r}")
         domain = {"domain": parse_domain(text, option)} if text else {}
         out.append(build(*parts, parameters=_parse_params(args.param), **domain))
+        inline = True
+    if args.param is not None and not inline:
+        raise _inline_only("--param", "every object")
     return out
 
 
@@ -331,12 +341,17 @@ def cmd_revolve(args) -> int:
     scene = _load_scene_opt(args)
     mode = args.mode
     if scene and args.profile in scene.profiles:
+        for option, value in (("--domain", args.domain), ("--c", args.c),
+                              ("--param", args.param)):
+            if value is not None:
+                raise _inline_only(option, f"profile {args.profile!r}")
         entry = scene.profiles[args.profile]
         profile = entry.profile
         mode = mode or entry.mode
     else:
         domain = _parse_interval(args.domain, "--domain") if args.domain else (0.0, 1.0)
-        profile = ProfileSpec.from_string(args.profile, domain, c=args.c,
+        profile = ProfileSpec.from_string(args.profile, domain,
+                                          c=1.0 if args.c is None else args.c,
                                           parameters=_parse_params(args.param))
     if mode is None:
         raise G3Error("--mode euclidean|isotropic is required for inline profiles")
@@ -363,7 +378,7 @@ def cmd_revolve(args) -> int:
         if mesh is not None:
             result["mesh"] = {"vertices": len(mesh.vertices),
                               "faces": len(mesh.faces)}
-        _emit_json(args.json, "revolve", result, _defaults(c=args.c))
+        _emit_json(args.json, "revolve", result, _defaults(c=profile.c))
     return 0
 
 
@@ -471,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scene profile name or inline g(s) expression")
     p.add_argument("--mode", choices=("euclidean", "isotropic"))
     p.add_argument("--domain", metavar="A:B", help="profile domain (inline)")
-    p.add_argument("--c", type=_finite_option, default=1.0, help="isotropic rotation radius")
+    p.add_argument("--c", type=_finite_option,
+                   help="isotropic rotation radius of an inline profile (default 1)")
     p.add_argument("--mesh", metavar="N1xN2", help="tessellate to a mesh")
     p.add_argument("--obj", metavar="PATH", help="write the mesh as OBJ")
     _add_common(p)

@@ -363,7 +363,10 @@ class AxisReport:
 
 
 def _axis_data(surface: SurfaceSpec, trace: TraceSpec, samples: int, tol: float):
-    """The samples, the Darboux arrays and the flags an axis is built from."""
+    """The samples, the Darboux arrays and the flags an axis is built from;
+    its residual is a finite difference, so it needs two samples."""
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
     S = trace.samples(samples)
     a = _darboux_arrays(surface, trace, S)
     return S, a, _classify(a, tol)

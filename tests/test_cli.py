@@ -472,6 +472,51 @@ def test_malformed_option_text_names_its_option(option, argv, capsys):
     assert f"error: {option} " in captured.err
 
 
+@pytest.mark.parametrize("option,argv", [
+    ("--surface-domain", ["isophote", "--surface", "cyl", "--surface-domain", "0:100,0:1",
+                          "--param", "k=abc", "--axis", "0,0,1", "--beta", "1", "--grid", "8x8"]),
+    ("--domain", ["frenet", "--curve", "cubic", "--domain", "0:1"]),
+    ("--trace-domain", ["darboux", "--surface", "u1,u2,0", "--trace", "helix",
+                        "--trace-domain", "0:1"]),
+    ("--param", ["classify", "--surface", "cyl", "--trace", "helix", "--param", "k=1"]),
+    ("--param", ["isophote", "--surface", "cyl", "--axis", "0,0,1", "--beta", "1",
+                 "--grid", "8x8", "--param", "k=2"]),
+    ("--domain", ["revolve", "--profile", "bowl", "--domain", "0:1"]),
+    ("--c", ["revolve", "--profile", "bowl", "--c", "2"]),
+    ("--param", ["revolve", "--profile", "bowl", "--mode", "euclidean", "--param", "a=1"]),
+])
+def test_inline_options_given_for_scene_objects_are_refused(option, argv, scene_path, capsys):
+    assert main([*argv, "--scene", scene_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {option} applies only to inline objects" in captured.err
+
+
+def test_revolve_json_reports_the_c_it_used(tmp_path, capsys):
+    doc = copy.deepcopy(SCENE)
+    doc["profiles"]["bowl"]["c"] = 2.0
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    inline = ["--profile", "s^2/2", "--domain", "0.1:1", "--mode", "isotropic"]
+    for argv, c, mode in ((["--profile", "bowl", "--scene", str(path)], 2.0, "isotropic"),
+                          (["--profile", "bowl", "--scene", str(path), "--mode", "euclidean"],
+                           2.0, "euclidean"),
+                          (inline, 1.0, "isotropic"), ([*inline, "--c", "3"], 3.0, "isotropic")):
+        assert main(["revolve", *argv, "--json", "-"]) == 0
+        report = json.loads(capsys.readouterr().out.split("\n", 5)[5])
+        assert (report["defaults"]["c"], report["result"]["mode"]) == (c, mode)
+
+
+@pytest.mark.parametrize("case", ["isotropic", "nonisotropic"])
+def test_axis_with_one_sample_is_a_usage_error(case, capsys):
+    rc = main(["axis", "--case", case, "--surface", "u1,u2,0", "--trace", "s,2*s",
+               "--angle", "0", "--samples", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: samples must be >= 2" in captured.err
+
+
 def test_size_caps_are_usage_errors_raised_before_any_work(capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a capped request reached the computation")
@@ -548,7 +593,7 @@ _FUZZ_OPTIONS = {
                  "--samples": ["2", "8"], "--tol": _NUMBERS, "--json": ["out"]},
     "axis": {"--case": ["isotropic", "nonisotropic", "other"], "--surface": _SURFACES,
              "--trace": _TRACES, "--angle": _NUMBERS, "--surface-domain": _SURFACE_DOMAINS,
-             "--samples": ["2", "8"], "--tol": _NUMBERS, "--json": ["out"]},
+             "--samples": ["1", "2", "8"], "--tol": _NUMBERS, "--json": ["out"]},
     "isophote": {"--surface": _SURFACES, "--axis": ["zhat", "0,0,1", "1,0,1", "0,1,0",
                                                     "0,0,0", "1,2", "nan,0,1"],
                  "--beta": _NUMBERS, "--level": _NUMBERS, "--silhouette": None,

@@ -248,6 +248,13 @@ def test_axis_residual_rejects_nan():
         _axis_residual(S, np.full(5, np.nan), np.zeros(5))
 
 
+def test_axis_reconstruction_needs_two_samples(plane):
+    trace = TraceSpec.from_strings("s", "2*s", (0.0, 2.0))
+    for reconstruct, angle in ((axis_isotropic, 0.0), (axis_nonisotropic, 0.5)):
+        with pytest.raises(ValueError, match="samples must be >= 2"):
+            reconstruct(plane, trace, angle, samples=1)
+
+
 def test_axis_nonisotropic_straight_trace(plane):
     trace = TraceSpec.from_strings("s", "2*s", (0.0, 2.0))
     rep = axis_nonisotropic(plane, trace, 0.5)
