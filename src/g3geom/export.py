@@ -247,12 +247,10 @@ def tessellate(surface: SurfaceSpec, n1: int, n2: int) -> TriMesh:
         raise G3Error(
             f"surface evaluation failed at grid point ({i},{j}) = "
             f"(u1,u2)=({float(U1[i]):.6g},{float(U2[j]):.6g})") from None
-    # the zero gives a constant coordinate one value per vertex and turns
-    # a -0.0 into 0.0 where G1 + G2 >= 0; the OBJ goldens pin both
-    zero = (G1 + G2) * 0.0
+    # a coordinate gets one value per vertex, and + 0.0 turns a -0.0 into 0.0
     vertices = np.empty(shape + (3,))
     for k, v in enumerate(xyz):
-        np.add(v, zero, out=vertices[..., k])
+        np.add(v, 0.0, out=vertices[..., k])
     vertices = vertices.reshape(-1, 3)
     # cell (i, j) has corners v00 = i*(n2+1) + j, v10 = v00 + n2+1, v11, v01
     v00 = (np.arange(n1)[:, None] * (n2 + 1) + np.arange(n2)).ravel()
@@ -275,9 +273,9 @@ def write_obj(obj: TriMesh | IsophoteSet) -> bytes:
     mesh, or `l` polylines for extracted level sets."""
     head = b"# g3geom OBJ export\n"
     if isinstance(obj, TriMesh):
-        v = _float_rows(obj.vertices, b"v ", b" ")
-        f = "f %d %d %d\n" * len(obj.faces) % tuple((obj.faces + 1).ravel().tolist())
-        return head + v + f.encode("ascii")
+        # %.17g writes an integral float as the integer
+        return (head + _float_rows(obj.vertices, b"v ", b" ")
+                + _float_rows(obj.faces + 1.0, b"f ", b" "))
     v = _float_rows(obj.vertices[:, 2:], b"v ", b" ")
     lines = []
     for a, b, c in _chains(obj.offsets, obj.closed):

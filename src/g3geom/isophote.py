@@ -603,11 +603,10 @@ def _lift(surface: SurfaceSpec, au1, au2, lengths, level: float,
     if not len(lengths):
         return IsophoteSet(np.empty((0, 5)), [0], [], level, None, stats)
     offsets = np.concatenate(([0], np.cumsum(lengths)))
-    # the zero gives a constant coordinate one value per vertex and turns
-    # a -0.0 into 0.0 where au1 + au2 >= 0; the OBJ goldens pin both
-    zero = (au1 + au2) * 0.0
-    vertices = np.column_stack((au1, au2, *(v + zero for v in _coordinate_values(
-        surface, au1, au2, check=False))))
+    # a coordinate gets one value per vertex, and + 0.0 turns a -0.0 into 0.0
+    x, y, z = (np.broadcast_to(v, au1.shape) + 0.0
+               for v in _coordinate_values(surface, au1, au2, check=False))
+    vertices = np.column_stack((au1, au2, x, y, z))
     gap = vertices[offsets[:-1], :2] - vertices[offsets[1:] - 1, :2]
     closed = (lengths > 2) & (np.hypot(gap[:, 0], gap[:, 1]) <= CLOSE_TOL)
     return IsophoteSet(vertices, offsets, closed, level, None, stats)

@@ -30,7 +30,7 @@ from g3geom import (
 from g3geom import export
 from g3geom.export import TriMesh
 from g3geom.expr import eval_jet2
-from g3geom.isophote import CLOSE_TOL, MAX_GRID_POINTS, ExtractStats, IsophoteSet
+from g3geom.isophote import CLOSE_TOL, MAX_GRID_POINTS, ExtractStats, IsophoteSet, _lift
 
 
 def _parse_obj(data: bytes):
@@ -388,6 +388,26 @@ def _obj_oracle(obj) -> bytes:
         idx = tuple(range(a + 1, b + 1)) + (a + 1,) * c
         lines.append("l " + " ".join(["%d"] * len(idx)) % idx + "\n")
     return (head + v + "".join(lines)).encode("ascii")
+
+
+def test_obj_mesh_lines_in_blocks_equal_percent_formatting(plane, monkeypatch):
+    big = tessellate(plane, 70, 70)  # 5,041 v lines and 9,800 f lines
+    assert write_obj(big) == _obj_oracle(big)
+    small = tessellate(plane, 7, 5)
+    want = _obj_oracle(small)
+    for block in (1, 2, 3, 4, 50):
+        monkeypatch.setattr(export, "_BLOCK", block)
+        assert write_obj(small) == want
+
+
+def test_obj_writes_an_identically_zero_coordinate_as_0():
+    """Whatever the sign of u1 + u2: a -0.0 of the expression is written 0."""
+    surface = SurfaceSpec.from_strings("u1", "u2", "0*u1", ((-1, 1), (-1, 1)))
+    iso = _lift(surface, np.array([-1.0, -0.5, 0.5]), np.array([-1.0, -1.0, 1.0]),
+                np.array([3]), 0.0, ExtractStats((1, 2), 2))
+    for obj in (tessellate(surface, 2, 2), iso):
+        z = [line.split()[3] for line in write_obj(obj).splitlines() if line.startswith(b"v ")]
+        assert z and set(z) == {b"0"}
 
 
 def _csv_oracle(cols, rows) -> bytes:
