@@ -383,6 +383,20 @@ def _axis_residual(S: np.ndarray, dy: np.ndarray, dz: np.ndarray,
     return residual
 
 
+def _check_theta(theta: float) -> None:
+    if not (0.0 <= theta <= math.pi / 2 + 1e-15):
+        raise ValueError("theta must lie in [0, pi/2]")
+
+
+def _tan_branches(a: dict, c: TraceClassification, theta: float):
+    """max |k_n + tan(theta) k_g|, max |k_n - tan(theta) k_g|, and the
+    scale max(1, max |k_g|) that a branch's tolerance is multiplied by."""
+    t = math.tan(theta)
+    return (float(np.abs(a["kn"] + t * a["kg"]).max()),
+            float(np.abs(a["kn"] - t * a["kg"]).max()),
+            max(1.0, c.max_abs_kg))
+
+
 def axis_isotropic(surface: SurfaceSpec, trace: TraceSpec, theta: float,
                    samples: int = 64, tol: float = ANALYTIC_TOL) -> AxisReport:
     """Reconstruct a unit isotropic axis making constant angle theta with n.
@@ -392,10 +406,13 @@ def axis_isotropic(surface: SurfaceSpec, trace: TraceSpec, theta: float,
     which is unit exactly when k_n/k_g = +-tan(theta) at every sample;
     either sign is accepted and the realized sign is recorded.
     """
-    if not (0.0 <= theta <= math.pi / 2 + 1e-15):
-        raise ValueError("theta must lie in [0, pi/2]")
-    S, a, c = _axis_data(surface, trace, samples, tol)
+    _check_theta(theta)  # before the trace is sampled
+    return _axis_isotropic(*_axis_data(surface, trace, samples, tol), theta, tol)
 
+
+def _axis_isotropic(S: np.ndarray, a: dict, c: TraceClassification, theta: float,
+                    tol: float) -> AxisReport:
+    _check_theta(theta)
     if c.asymptotic and abs(theta) <= tol:
         dy, dz = a["ny"], a["nz"]
         residual = _axis_residual(
@@ -412,15 +429,11 @@ def axis_isotropic(surface: SurfaceSpec, trace: TraceSpec, theta: float,
             raise AxisUndefinedError(
                 f"k_g vanishes at s = {float(S[i]):.6g}; "
                 "the line-of-curvature axis formula k_n/k_g is undefined")
-        t = math.tan(theta)
-        minus = np.abs(a["kn"] + t * a["kg"]).max()
-        plus = np.abs(a["kn"] - t * a["kg"]).max()
-        scale = max(1.0, c.max_abs_kg)
+        minus, plus, scale = _tan_branches(a, c, theta)
         if min(minus, plus) > tol * scale:
             raise AxisConstraintError(
-                f"|k_n/k_g| != tan(theta) along the trace "
-                f"(best deviation {min(minus, plus):.3g} at tan(theta) = {t:.6g})")
-        sign = 1 if plus <= minus else -1
+                f"|k_n/k_g| != tan(theta) along the trace (best deviation "
+                f"{min(minus, plus):.3g} at tan(theta) = {math.tan(theta):.6g})")
         ratio = a["kn"] / a["kg"]
         ct = math.cos(theta)
         dy = -ratio * ct * a["Qy"] + ct * a["ny"]
@@ -428,7 +441,7 @@ def axis_isotropic(surface: SurfaceSpec, trace: TraceSpec, theta: float,
         residual = _axis_residual(S, dy, dz)
         return AxisReport(d=GVec3(0.0, float(dy[0]), float(dz[0])),
                           theta_or_phi=theta, branch="C6-line-of-curvature",
-                          residual=residual, status="ok", sign=sign)
+                          residual=residual, status="ok", sign=1 if plus <= minus else -1)
 
     raise NotLineOfCurvatureError(
         f"trace is neither asymptotic-with-theta-0 nor a line of curvature "
@@ -444,8 +457,11 @@ def axis_nonisotropic(surface: SurfaceSpec, trace: TraceSpec, phi_measure: float
     as degenerate: the corresponding formula forces kappa = 0, so only a
     straight line could carry such an axis.
     """
-    S, a, c = _axis_data(surface, trace, samples, tol)
+    return _axis_nonisotropic(*_axis_data(surface, trace, samples, tol), phi_measure, tol)
 
+
+def _axis_nonisotropic(S: np.ndarray, a: dict, c: TraceClassification, phi_measure: float,
+                       tol: float) -> AxisReport:
     if c.asymptotic:
         dev = np.abs(a["kg"] - phi_measure * a["taug"])
         if dev.max() > tol:
@@ -511,10 +527,6 @@ class TheoremReport:
     details: dict
 
 
-def _not_met(name: str, reason: str) -> TheoremReport:
-    return TheoremReport(name, False, None, {"reason": reason})
-
-
 def verify_theorems(surface: SurfaceSpec, trace: TraceSpec,
                     config: TheoremConfig | None = None) -> dict[str, TheoremReport]:
     """Numerically check every statement of the axis section on one trace.
@@ -525,66 +537,48 @@ def verify_theorems(surface: SurfaceSpec, trace: TraceSpec,
     """
     cfg = config or TheoremConfig()
     tol = ANALYTIC_TOL
-    S = trace.samples(64)
-    a = _darboux_arrays(surface, trace, S)
+    S, a, c = _axis_data(surface, trace, 64, tol)
 
-    axis = cfg.axis
-    recon: AxisReport | None = None
-    recon_error = ""
-    if axis is None and cfg.theta is not None:
-        try:
-            recon = axis_isotropic(surface, trace, cfg.theta)
-            axis = recon.d
-        except Exception as e:  # noqa: BLE001 - reported, not swallowed
-            recon_error = f"axis_isotropic failed: {e}"
-    if axis is None and cfg.phi_measure is not None:
-        try:
-            recon = axis_nonisotropic(surface, trace, cfg.phi_measure)
-            axis = recon.d
-        except Exception as e:  # noqa: BLE001
-            recon_error = f"axis_nonisotropic failed: {e}"
+    axis, recon, reason = cfg.axis, None, "no axis provided or reconstructed"
+    for name, value, reconstruct in (("axis_isotropic", cfg.theta, _axis_isotropic),
+                                     ("axis_nonisotropic", cfg.phi_measure, _axis_nonisotropic)):
+        if axis is None and value is not None:
+            try:
+                recon = reconstruct(S, a, c, value, tol)
+                axis = recon.d
+            except Exception as e:  # noqa: BLE001 - reported, not swallowed
+                reason = f"{name} failed: {e}"
 
-    out: dict[str, TheoremReport] = {}
-    names = ["thm_3_1_i", "thm_3_1_ii", "thm_3_2", "thm_3_3",
-             "thm_3_4", "cor_3_5", "thm_3_6_i", "thm_3_6_ii"]
+    names = ("thm_3_1_i", "thm_3_1_ii", "thm_3_2", "thm_3_3",
+             "thm_3_4", "cor_3_5", "thm_3_6_i", "thm_3_6_ii")
     if axis is None:
-        reason = recon_error or "no axis provided or reconstructed"
-        for name in names:
-            out[name] = _not_met(name, reason)
-        return out
+        return {name: TheoremReport(name, False, None, {"reason": reason}) for name in names}
 
     iso = axis.is_isotropic
     fieldv = a["ny"] * axis.y + a["nz"] * axis.z
     spread = float(fieldv.max() - fieldv.min())
     isophote = spread <= tol
     silhouette = bool(np.abs(fieldv).max() <= tol)
-    c = _classify(a, tol)
     kappa = a["kappa"]
-    straight = bool(kappa.max() <= tol)
     max_kappa = float(kappa.max())
+    straight = max_kappa <= tol
 
-    fren = None
-    if kappa.min() > KAPPA_MIN:
-        fren = _curve_arrays(induced_curve(surface, trace), S)
+    fren = _curve_arrays(induced_curve(surface, trace), S) if kappa.min() > KAPPA_MIN else None
+    tau_max = None if fren is None else float(np.abs(fren["tau"]).max())
+    # is the trace a plane curve, and max |tau|; None and NaN if tau is unknown
+    plane, plane_tau = ((True, 0.0) if straight else (None, math.nan) if tau_max is None
+                        else (tau_max <= tol, tau_max))
+
     common = {"field_spread": spread, "field_mean": float(fieldv.mean()),
               "max_kappa": max_kappa,
               "axis": axis.to_list(), "axis_kind": axis.kind}
     if recon is not None:
-        common["axis_residual"] = recon.residual
-        common["axis_branch"] = recon.branch
+        common.update(axis_residual=recon.residual, axis_branch=recon.branch)
+    # a theorem whose hypothesis is not tested below stays not met
+    out = {name: TheoremReport(name, False, None, dict(common)) for name in names}
 
     def report(name, hyp, concl, **details):
-        out[name] = TheoremReport(name, hyp, concl if hyp else None,
-                                  {**common, **details})
-
-    def plane_curve():
-        """(is the trace a plane curve, max |tau|); None if tau is unknown."""
-        if straight:
-            return True, 0.0
-        if fren is not None:
-            tau_max = float(np.abs(fren["tau"]).max())
-            return tau_max <= tol, tau_max
-        return None, float("nan")
+        out[name] = TheoremReport(name, hyp, concl if hyp else None, {**common, **details})
 
     # 3.1 (i): a geodesic isophote with isotropic axis is a straight line
     report("thm_3_1_i", iso and isophote and c.geodesic, straight,
@@ -593,7 +587,6 @@ def verify_theorems(surface: SurfaceSpec, trace: TraceSpec,
     # 3.1 (ii): an asymptotic isophote with isotropic axis is a plane
     # curve and its axis is spanned by B
     if iso and isophote and c.asymptotic and fren is not None:
-        tau_max = float(np.abs(fren["tau"]).max())
         proj = fren["By"] * axis.y + fren["Bz"] * axis.z
         collin = float(np.hypot(axis.y - proj * fren["By"],
                                 axis.z - proj * fren["Bz"]).max())
@@ -601,54 +594,41 @@ def verify_theorems(surface: SurfaceSpec, trace: TraceSpec,
             float(np.abs(np.abs(proj) - 1.0).max()) <= tol
         report("thm_3_1_ii", True, concl, max_abs_tau=tau_max,
                axis_off_binormal=collin)
-    else:
-        report("thm_3_1_ii", False, None)
 
-    # theta for the isotropic-axis statements, from the measured field
-    theta = math.acos(max(-1.0, min(1.0, float(fieldv.mean())))) if iso else None
+    if iso and isophote and c.line_of_curvature and not straight:
+        # theta for the isotropic-axis statements, from the measured field
+        theta = math.acos(max(-1.0, min(1.0, float(fieldv.mean()))))
+        minus, plus, scale = _tan_branches(a, c, theta)
 
-    # 3.2: on the k_n/k_g = -tan(theta) branch the axis is perpendicular
-    # to the principal normal
-    if (iso and isophote and c.line_of_curvature and not straight
-            and fren is not None and theta is not None):
-        t = math.tan(theta)
-        scale = max(1.0, c.max_abs_kg)
-        minus_branch = float(np.abs(a["kn"] + t * a["kg"]).max()) <= tol * scale
-        if minus_branch:
+        # 3.2: on the k_n/k_g = -tan(theta) branch the axis is
+        # perpendicular to the principal normal
+        if fren is not None and minus <= tol * scale:
             nd = float(np.abs(fren["Ny"] * axis.y + fren["Nz"] * axis.z).max())
             comb = float(np.abs(-(a["kn"] / kappa) * math.cos(theta)
                                 - (a["kg"] / kappa) * math.sin(theta)).max())
             report("thm_3_2", True, nd <= tol and comb <= tol,
                    theta=theta, max_abs_N_dot_d=nd, frame_combination=comb)
-        else:
+        elif fren is not None:
             report("thm_3_2", False, None, theta=theta,
                    reason="trace is not on the -tan(theta) branch")
-    else:
-        report("thm_3_2", False, None)
 
-    # 3.3: tan(theta) branch with the binormal combination vanishing
-    # forces theta = pi/4
-    if (iso and isophote and c.line_of_curvature and not c.geodesic
-            and not straight and theta is not None):
-        t = math.tan(theta)
-        scale = max(1.0, c.max_abs_kg)
-        plus_branch = float(np.abs(a["kn"] - t * a["kg"]).max()) <= tol * scale
-        comb = float(np.abs(-(a["kn"] / kappa) * math.sin(theta)
-                            + (a["kg"] / kappa) * math.cos(theta)).max())
-        if plus_branch and comb <= tol:
-            forced = float(np.abs(np.arctan2(np.abs(a["kn"]), np.abs(a["kg"]))
-                                  - math.pi / 4).max())
-            report("thm_3_3", True,
-                   abs(theta - math.pi / 4) <= tol and forced <= tol,
-                   theta=theta, frame_combination=comb,
-                   max_theta_deviation=forced)
-        else:
-            report("thm_3_3", False, None, theta=theta,
-                   frame_combination=comb,
-                   reason="not on the tan(theta) branch with vanishing "
-                          "binormal combination")
-    else:
-        report("thm_3_3", False, None)
+        # 3.3: tan(theta) branch with the binormal combination vanishing
+        # forces theta = pi/4
+        if not c.geodesic:
+            comb = float(np.abs(-(a["kn"] / kappa) * math.sin(theta)
+                                + (a["kg"] / kappa) * math.cos(theta)).max())
+            if plus <= tol * scale and comb <= tol:
+                forced = float(np.abs(np.arctan2(np.abs(a["kn"]), np.abs(a["kg"]))
+                                      - math.pi / 4).max())
+                report("thm_3_3", True,
+                       abs(theta - math.pi / 4) <= tol and forced <= tol,
+                       theta=theta, frame_combination=comb,
+                       max_theta_deviation=forced)
+            else:
+                report("thm_3_3", False, None, theta=theta,
+                       frame_combination=comb,
+                       reason="not on the tan(theta) branch with vanishing "
+                              "binormal combination")
 
     # 3.4: a silhouette whose isotropic axis is parallel to Q is a plane curve
     if iso and silhouette:
@@ -657,14 +637,11 @@ def verify_theorems(surface: SurfaceSpec, trace: TraceSpec,
                                axis.z - proj * a["Qz"]).max())
         unit = float(np.abs(np.abs(proj) - 1.0).max())
         if off_q <= tol and unit <= tol:
-            concl, tau_max = plane_curve()
-            report("thm_3_4", True, concl, axis_off_Q=off_q,
-                   max_abs_tau=tau_max,
+            report("thm_3_4", True, plane, axis_off_Q=off_q,
+                   max_abs_tau=plane_tau,
                    max_abs_kg=c.max_abs_kg, max_abs_taug=c.max_abs_taug)
         else:
             report("thm_3_4", False, None, axis_off_Q=off_q)
-    else:
-        report("thm_3_4", False, None)
 
     # Corollary 3.5: a geodesic or line-of-curvature isophote with
     # non-isotropic axis is a straight line
@@ -672,27 +649,20 @@ def verify_theorems(surface: SurfaceSpec, trace: TraceSpec,
            (not iso) and isophote and (c.geodesic or c.line_of_curvature),
            straight)
 
-    # 3.6 (i): a silhouette with non-isotropic axis in span{T, Q} is a
-    # plane curve
     if (not iso) and silhouette:
+        # 3.6 (i): a silhouette with non-isotropic axis in span{T, Q} is a
+        # plane curve
         b_comp = (axis.y - a["Ty"]) * a["ny"] + (axis.z - a["Tz"]) * a["nz"]
-        in_span = float(np.abs(b_comp).max()) <= tol
-        if in_span:
-            concl, tau_max = plane_curve()
-            report("thm_3_6_i", True, concl, max_abs_tau=tau_max,
-                   max_span_defect=float(np.abs(b_comp).max()))
+        defect = float(np.abs(b_comp).max())
+        if defect <= tol:
+            report("thm_3_6_i", True, plane, max_abs_tau=plane_tau,
+                   max_span_defect=defect)
         else:
-            report("thm_3_6_i", False, None,
-                   max_span_defect=float(np.abs(b_comp).max()))
-    else:
-        report("thm_3_6_i", False, None)
+            report("thm_3_6_i", False, None, max_span_defect=defect)
 
-    # 3.6 (ii): a silhouette whose axis is spanned by T is a geodesic
-    if (not iso) and silhouette:
+        # 3.6 (ii): a silhouette whose axis is spanned by T is a geodesic
         off_t = float(np.hypot(axis.y - a["Ty"], axis.z - a["Tz"]).max())
         report("thm_3_6_ii", off_t <= tol, c.geodesic, axis_off_T=off_t,
                max_abs_kg=c.max_abs_kg)
-    else:
-        report("thm_3_6_ii", False, None)
 
     return out

@@ -24,6 +24,7 @@ from g3geom import (
     sample_surface,
     verify_theorems,
 )
+from g3geom import surface as surface_module
 from g3geom.surface import _axis_residual, _darboux_arrays
 from g3geom.curve import _curve_arrays
 
@@ -349,6 +350,40 @@ def test_theorems_without_axis_report_reason(plane):
     reports = verify_theorems(plane, trace, TheoremConfig())
     assert all(not r.hypothesis_met for r in reports.values())
     assert "no axis" in reports["thm_3_1_i"].details["reason"]
+
+
+def _count_darboux_calls(monkeypatch):
+    """The sample counts of every `_darboux_arrays` call from now on."""
+    sizes = []
+    darboux_arrays = surface_module._darboux_arrays
+
+    def counted(surface, trace, S):
+        sizes.append(S.size)
+        return darboux_arrays(surface, trace, S)
+
+    monkeypatch.setattr(surface_module, "_darboux_arrays", counted)
+    return sizes
+
+
+def test_theorems_reconstruct_the_axis_from_the_samples_they_check(monkeypatch):
+    sizes = _count_darboux_calls(monkeypatch)
+    reports = verify_theorems(_parabolic_cylinder(-1.0),
+                              TraceSpec.from_strings("s", "0", (0.0, 2.0)),
+                              TheoremConfig(theta=math.pi / 4))
+    assert sizes == [64]
+    assert reports["thm_3_2"].hypothesis_met
+    assert reports["thm_3_2"].details["axis_branch"] == "C6-line-of-curvature"
+
+
+def test_axis_isotropic_checks_theta_before_sampling(monkeypatch, plane):
+    sizes = _count_darboux_calls(monkeypatch)
+    trace = TraceSpec.from_strings("s", "2*s", (0.0, 2.0))
+    for theta in (-0.1, 2.0, float("nan")):
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, pi/2\]"):
+            axis_isotropic(plane, trace, theta, samples=1)
+    assert sizes == []
+    report = verify_theorems(plane, trace, TheoremConfig(theta=2.0))["thm_3_1_i"]
+    assert report.details == {"reason": "axis_isotropic failed: theta must lie in [0, pi/2]"}
 
 
 def test_induced_curve_matches_trace(cylinder, helix_trace):
