@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -221,7 +222,7 @@ def _objects(args, scene: Scene | None, *kinds: str) -> list:
         if len(parts) != n:
             raise G3Error(f"inline {kind} must be {n} comma-separated expressions "
                           f"(or a scene object name), got {name!r}")
-        domain = {"domain": parse_domain(text, option)} if text else {}
+        domain = {"domain": parse_domain(text, option)} if text is not None else {}
         out.append(build(*parts, parameters=_parse_params(args.param), **domain))
         inline = True
     if args.param is not None and not inline:
@@ -272,11 +273,7 @@ def cmd_classify(args) -> int:
     print(f"asymptotic         {c.asymptotic}   (max |kn|   = {c.max_abs_kn:.3e})")
     print(f"line of curvature  {c.line_of_curvature}   (max |taug| = {c.max_abs_taug:.3e})")
     if args.json:
-        result = {"geodesic": c.geodesic, "asymptotic": c.asymptotic,
-                  "line_of_curvature": c.line_of_curvature,
-                  "max_abs_kg": c.max_abs_kg, "max_abs_kn": c.max_abs_kn,
-                  "max_abs_taug": c.max_abs_taug}
-        _emit_json(args.json, "classify", result,
+        _emit_json(args.json, "classify", asdict(c),
                    _defaults(samples=args.samples, tol=args.tol))
     return 0
 
@@ -293,10 +290,7 @@ def cmd_axis(args) -> int:
     if rep.note:
         print(f"note     {rep.note}")
     if args.json:
-        result = {"branch": rep.branch, "status": rep.status,
-                  "d": None if rep.d is None else rep.d.to_list(),
-                  "theta_or_phi": rep.theta_or_phi, "residual": rep.residual,
-                  "sign": rep.sign, "note": rep.note}
+        result = {**asdict(rep), "d": None if rep.d is None else rep.d.to_list()}
         _emit_json(args.json, "axis", result,
                    _defaults(samples=args.samples, tol=args.tol))
     return 0
@@ -309,7 +303,7 @@ def cmd_isophote(args) -> int:
         axis = normalize_axis(scene.axes[args.axis])
     else:
         axis = _parse_axis(args.axis)
-    grid = _parse_grid(args.grid, "--grid") if args.grid else DEFAULT_GRID
+    grid = _parse_grid(args.grid, "--grid") if args.grid is not None else DEFAULT_GRID
     tol = args.refine_tol
     if args.silhouette:
         query = IsophoteQuery.for_silhouette(axis, grid, tol)
@@ -337,7 +331,7 @@ def cmd_isophote(args) -> int:
 
 
 def cmd_revolve(args) -> int:
-    cells = _parse_grid(args.mesh, "--mesh", mesh=True) if args.mesh else None
+    cells = _parse_grid(args.mesh, "--mesh", mesh=True) if args.mesh is not None else None
     scene = _load_scene_opt(args)
     mode = args.mode
     if scene and args.profile in scene.profiles:
@@ -349,7 +343,7 @@ def cmd_revolve(args) -> int:
         profile = entry.profile
         mode = mode or entry.mode
     else:
-        domain = _parse_interval(args.domain, "--domain") if args.domain else (0.0, 1.0)
+        domain = (0.0, 1.0) if args.domain is None else _parse_interval(args.domain, "--domain")
         profile = ProfileSpec.from_string(args.profile, domain,
                                           c=1.0 if args.c is None else args.c,
                                           parameters=_parse_params(args.param))

@@ -472,6 +472,24 @@ def test_malformed_option_text_names_its_option(option, argv, capsys):
     assert f"error: {option} " in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["frenet", "--curve", "s^2,s^3", "--domain=", "--samples", "3"],
+    ["darboux", "--surface", "u1,sin(u2),cos(u2)", "--surface-domain=", "--trace", "s,s",
+     "--samples", "3"],
+    ["darboux", *_CYL, "--trace", "s,s", "--trace-domain=", "--samples", "3"],
+    ["isophote", *_CYL, "--axis", "0,0,1", "--beta", "1", "--grid="],
+    ["revolve", "--profile", "1+s^2", "--mode", "euclidean", "--domain="],
+    ["revolve", "--profile", "1+s^2", "--mode", "euclidean", "--mesh="],
+], ids=lambda argv: next(a for a in argv if a.endswith("=")))
+def test_empty_option_value_names_its_option(argv, capsys):
+    # an empty value is a malformed value, not the option left out
+    option = next(a for a in argv if a.endswith("="))[:-1]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {option} " in captured.err and "''" in captured.err
+
+
 @pytest.mark.parametrize("option,argv", [
     ("--surface-domain", ["isophote", "--surface", "cyl", "--surface-domain", "0:100,0:1",
                           "--param", "k=abc", "--axis", "0,0,1", "--beta", "1", "--grid", "8x8"]),
