@@ -17,7 +17,6 @@ import csv
 import io
 import numbers
 from dataclasses import dataclass
-from xml.etree import ElementTree as ET
 
 import numpy as np
 
@@ -322,21 +321,18 @@ def write_svg(isoset: IsophoteSet, domain) -> bytes:
     A constant-field result is drawn as a shaded full-domain rectangle
     with the constant value annotated; otherwise each polyline becomes an
     SVG polyline element.  The level value sits in the document title.
+    The document is written as text: every attribute and every text is a
+    number or a fixed word, so nothing needs escaping.  Its bytes are
+    those of ElementTree's `tostring` with the XML declaration, and a
+    final LF.
     """
     (a1, b1), (a2, b2) = domain
     span = _SVG_SIZE - 2 * _SVG_MARGIN
-
-    svg = ET.Element("svg", {
-        "xmlns": "http://www.w3.org/2000/svg",
-        "viewBox": f"0 0 {_SVG_SIZE} {_SVG_SIZE}",
-    })
-    title = ET.SubElement(svg, "title")
-    title.text = f"level = {_fmt(isoset.level)}"
-    ET.SubElement(svg, "rect", {
-        "x": str(_SVG_MARGIN), "y": str(_SVG_MARGIN),
-        "width": str(span), "height": str(span),
-        "fill": "white", "stroke": "black", "stroke-width": "1",
-    })
+    frame = f'x="{_SVG_MARGIN}" y="{_SVG_MARGIN}" width="{span}" height="{span}"'
+    out = ["<?xml version='1.0' encoding='utf-8'?>\n"
+           f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">'
+           f"<title>level = {_fmt(isoset.level)}</title>"
+           f'<rect {frame} fill="white" stroke="black" stroke-width="1" />']
     labels = [
         (_SVG_MARGIN, _SVG_SIZE - _SVG_MARGIN + 24, f"u1 = {a1:.6g}", "start"),
         (_SVG_SIZE - _SVG_MARGIN, _SVG_SIZE - _SVG_MARGIN + 24, f"u1 = {b1:.6g}", "end"),
@@ -344,32 +340,22 @@ def write_svg(isoset: IsophoteSet, domain) -> bytes:
         (_SVG_MARGIN - 8, _SVG_MARGIN + 6, f"u2 = {b2:.6g}", "end"),
     ]
     for x, y, text, anchor in labels:
-        el = ET.SubElement(svg, "text", {
-            "x": str(x), "y": str(y), "font-size": "14", "text-anchor": anchor,
-        })
-        el.text = text
-    if isoset.constant_field is not None:
-        ET.SubElement(svg, "rect", {
-            "x": str(_SVG_MARGIN), "y": str(_SVG_MARGIN),
-            "width": str(span), "height": str(span),
-            "fill": "#9ecae1" if isoset.constant_field.matches_level else "#eeeeee",
-            "fill-opacity": "0.6",
-        })
-        note = ET.SubElement(svg, "text", {
-            "x": str(_SVG_SIZE // 2), "y": str(_SVG_SIZE // 2),
-            "font-size": "16", "text-anchor": "middle",
-        })
-        kind = ("entire domain is an isophote"
-                if isoset.constant_field.matches_level else "constant field")
-        note.text = (f"{kind}: value = {_fmt(isoset.constant_field.value)}, "
-                     f"spread = {_fmt(isoset.constant_field.spread)}")
+        out.append(f'<text x="{x}" y="{y}" font-size="14" text-anchor="{anchor}">{text}</text>')
+    cf = isoset.constant_field
+    if cf is not None:
+        fill = "#9ecae1" if cf.matches_level else "#eeeeee"
+        kind = "entire domain is an isophote" if cf.matches_level else "constant field"
+        out.append(f'<rect {frame} fill="{fill}" fill-opacity="0.6" />'
+                   f'<text x="{_SVG_SIZE // 2}" y="{_SVG_SIZE // 2}" font-size="16" '
+                   f'text-anchor="middle">{kind}: value = {_fmt(cf.value)}, '
+                   f"spread = {_fmt(cf.spread)}</text>")
     u = isoset.vertices
     xy = np.column_stack([_SVG_MARGIN + (u[:, 0] - a1) / (b1 - a1) * span,
                           _SVG_SIZE - _SVG_MARGIN - (u[:, 1] - a2) / (b2 - a2) * span])
     for a, b, c in _chains(isoset.offsets, isoset.closed):
         pts = xy[a:b].ravel().tolist() + xy[a:min(a + c, b)].ravel().tolist()
-        ET.SubElement(svg, "polyline", {
-            "points": " ".join(["%.3f,%.3f"] * (len(pts) // 2)) % tuple(pts),
-            "fill": "none", "stroke": "#d62728", "stroke-width": "1.5",
-        })
-    return ET.tostring(svg, encoding="utf-8", xml_declaration=True) + b"\n"
+        points = " ".join(["%.3f,%.3f"] * (len(pts) // 2)) % tuple(pts)
+        out.append(f'<polyline points="{points}" fill="none" stroke="#d62728" '
+                   'stroke-width="1.5" />')
+    out.append("</svg>\n")
+    return "".join(out).encode("utf-8")

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -43,17 +42,15 @@ MAX_GRID_POINTS = 1 << 22
 DEFAULT_REFINE_TOL = 1e-9
 MAX_REFINE_STEPS = 30
 CLOSE_TOL = 1e-9
-# field_grid starts a thread pool only for grids of at least this many
-# points; below it the pool costs more than it saves
-PARALLEL_MIN_POINTS = 1 << 19
 # points per row block of a 2-D field grid, so that the temporaries of one
 # block stay in cache (2^15 and 2^17 timed no better at 1025^2)
 BLOCK_POINTS = 1 << 16
 
 
 def worker_count() -> int:
-    """Threads a field grid of at least PARALLEL_MIN_POINTS points runs on:
-    the CPUs this process may run on, at most 8."""
+    """The CPUs this process may run on, at most 8: a figure the benchmark
+    records.  The library starts no thread; every field grid runs on the
+    calling thread."""
     if hasattr(os, "sched_getaffinity"):
         return min(len(os.sched_getaffinity(0)), 8)
     return min(os.cpu_count() or 1, 8)
@@ -67,7 +64,9 @@ def field(surface: SurfaceSpec, axis: GVec3, u1: float, u2: float) -> float:
     if not is_unit_axis(axis):
         raise G3Error("axis must be normalized (see normalize_axis)")
     u1, u2 = _finite_samples((float(u1), float(u2)), "(u1, u2)")
-    value, omega = _field_block(surface, axis, u1, u2, check=True)
+    found = _normal_field(surface, axis, u1, u2)
+    value, omega = (found if found is not None
+                    else _shading_block(surface, axis, u1, u2, check=True))
     _check_omega(omega, lambda i: f"at (u1,u2)=({u1:.6g},{u2:.6g})")
     return float(value)
 
@@ -100,17 +99,10 @@ def _normal_field(surface: SurfaceSpec, axis: GVec3, U1, U2):
     return None
 
 
-def _field_block(surface: SurfaceSpec, axis: GVec3, U1, U2, check: bool = False):
-    """Shading values (NaN where omega <= OMEGA_MIN) and omega, on the
-    broadcast shape of the operands the field depends on: those of the
-    closed-form normal where it holds (`_normal_field`, whose w is omega
-    there), else those of `_shading_block`."""
-    found = _normal_field(surface, axis, U1, U2)
-    return found if found is not None else _shading_block(surface, axis, U1, U2, check)
-
-
 def _shading_block(surface: SurfaceSpec, axis: GVec3, U1, U2, check: bool = False):
-    """The general path of `_field_block`: one compiled field tape
+    """Shading values (NaN where omega <= OMEGA_MIN) and omega, on the
+    broadcast shape of the operands the field depends on, where the
+    closed-form normal does not hold: one compiled field tape
     (expr.on_partials) runs the surface and `_shading`, so it computes
     only the partials and the normal parts the field reads; the axis is
     read at call time."""
@@ -130,10 +122,9 @@ def field_grid(surface: SurfaceSpec, axis: GVec3, U1, U2) -> np.ndarray:
     or column, and a field that depends on u2 alone is computed as one
     (1, n2) row.  Where the surface has a closed-form normal that holds on
     the grid, the field is read from it instead (`_normal_field`).
-    A 2-D grid is evaluated in row blocks of about BLOCK_POINTS points,
-    over worker_count() threads when it has at least PARALLEL_MIN_POINTS
-    points.  The result is a new writable array of the broadcast shape of
-    U1 and U2.
+    A 2-D grid is evaluated in row blocks of about BLOCK_POINTS points, one
+    after another on the calling thread.  The result is a new writable
+    array of the broadcast shape of U1 and U2.
     """
     if not is_unit_axis(axis):
         raise G3Error("axis must be normalized (see normalize_axis)")
@@ -145,26 +136,25 @@ def _field(surface: SurfaceSpec, axis: GVec3, U1: np.ndarray, U2: np.ndarray) ->
     """The field of field_grid, as a read-only broadcast view where it
     depends on fewer operand dimensions than the grid has.
 
-    A 2-D grid of more than one block is cut into blocks of at least two
-    rows, after the closed-form normal, if any, is tried on all of U1 at
-    once.  Otherwise block 0 runs first; a result without a row dimension
-    (a field of u2 alone, or a constant) is broadcast as it is, and one
-    without a column dimension (a field of u1 alone) is evaluated once
-    more on all of U1 as a column.  Otherwise the other blocks are written
-    into one array, over a pool of at most worker_count() threads from
-    PARALLEL_MIN_POINTS points on.
+    The closed-form normal, if any, is tried first on the whole grid.
+    Otherwise a 2-D grid of more than one block is cut into blocks of at
+    least two rows, and block 0 runs first; a result without a row
+    dimension (a field of u2 alone, or a constant) is broadcast as it is,
+    and one without a column dimension (a field of u1 alone) is evaluated
+    once more on all of U1 as a column.  Otherwise the other blocks are
+    written into one array in turn.
     """
     shape = np.broadcast_shapes(U1.shape, U2.shape)
 
     def whole(F: np.ndarray) -> np.ndarray:
         return F if F.shape == shape else np.broadcast_to(F, shape)
 
-    rows = max(2, BLOCK_POINTS // max(shape[-1], 1)) if len(shape) == 2 else 0
-    if rows == 0 or rows >= shape[0]:
-        return whole(_field_block(surface, axis, U1, U2)[0])
     found = _normal_field(surface, axis, U1, U2)
     if found is not None:
         return whole(found[0])
+    rows = max(2, BLOCK_POINTS // max(shape[-1], 1)) if len(shape) == 2 else 0
+    if rows == 0 or rows >= shape[0]:
+        return whole(_shading_block(surface, axis, U1, U2)[0])
 
     def rows_of(k: int):
         return (U[k * rows:(k + 1) * rows] if U.ndim == 2 and U.shape[0] > 1 else U
@@ -177,18 +167,8 @@ def _field(surface: SurfaceSpec, axis: GVec3, U1: np.ndarray, U2: np.ndarray) ->
         return np.broadcast_to(_shading_block(surface, axis, U1, U2)[0], shape)
     F = np.empty(shape)
     F[:rows] = F0
-
-    def block(k: int) -> None:
+    for k in range(1, -(-shape[0] // rows)):
         F[k * rows:(k + 1) * rows] = _shading_block(surface, axis, *rows_of(k))[0]
-
-    rest = range(1, -(-shape[0] // rows))
-    n = min(worker_count(), len(rest)) if shape[0] * shape[1] >= PARALLEL_MIN_POINTS else 1
-    if n > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            list(pool.map(block, rest))
-    else:
-        for k in rest:
-            block(k)
     return F
 
 

@@ -12,12 +12,10 @@ committed files; running this module writes both files again:
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 
@@ -39,7 +37,6 @@ from g3geom import (
     write_obj,
     write_svg,
 )
-from g3geom import isophote
 from g3geom.export import TriMesh
 from g3geom.isophote import ExtractStats, IsophoteSet
 
@@ -87,32 +84,33 @@ def _failed_edges():
         ((-1.0, 1.0), (-1.0, 1.0)))
 
 
-# name -> () -> (surface, query, worker count or None for the default)
+# name -> () -> (surface, query)
 CASES = {
-    "wavy_17": lambda: (_wavy(), IsophoteQuery.raw_level(WAVY_AXIS, 0.5, (17, 17)), None),
-    "wavy_256": lambda: (_wavy(), IsophoteQuery.raw_level(WAVY_AXIS, 0.5, (256, 256)), None),
+    "wavy_17": lambda: (_wavy(), IsophoteQuery.raw_level(WAVY_AXIS, 0.5, (17, 17))),
+    "wavy_256": lambda: (_wavy(), IsophoteQuery.raw_level(WAVY_AXIS, 0.5, (256, 256))),
     "cylinder_beta_pi_3": lambda: (
-        _cylinder(), IsophoteQuery.for_angle(Z_AXIS, math.pi / 3, (256, 256)), None),
+        _cylinder(), IsophoteQuery.for_angle(Z_AXIS, math.pi / 3, (256, 256))),
     # the revolution as a plain SurfaceSpec, whose field reads the partials
     "euclidean_revolution": lambda: (
         _plain(revolve_euclidean(ProfileSpec.from_string("s^2/2 + 1", (0.0, 2.0)))),
-        IsophoteQuery.for_angle(Z_AXIS, math.pi / 3, (64, 64)), None),
+        IsophoteQuery.for_angle(Z_AXIS, math.pi / 3, (64, 64))),
     # and with its closed-form normal, a field of u2 alone
     "euclidean_revolution_normal": lambda: (
         revolve_euclidean(ProfileSpec.from_string("s^2/2 + 1", (0.0, 2.0))),
-        IsophoteQuery.for_angle(Z_AXIS, math.pi / 3, (64, 64)), None),
+        IsophoteQuery.for_angle(Z_AXIS, math.pi / 3, (64, 64))),
     "saddle_silhouette_31": lambda: (
-        _saddle(), IsophoteQuery.for_silhouette(Y_AXIS, (31, 31)), None),
+        _saddle(), IsophoteQuery.for_silhouette(Y_AXIS, (31, 31))),
     "singular_cells_24": lambda: (
-        _singular(), IsophoteQuery.for_angle(Z_AXIS, math.pi / 3, (24, 24)), None),
+        _singular(), IsophoteQuery.for_angle(Z_AXIS, math.pi / 3, (24, 24))),
     "failed_edges_9": lambda: (
-        _failed_edges(), IsophoteQuery.for_silhouette(Y_AXIS, (9, 9)), None),
+        _failed_edges(), IsophoteQuery.for_silhouette(Y_AXIS, (9, 9))),
     "constant_field_quadratic": lambda: (
         revolve_isotropic(ProfileSpec.from_string("s^2/2", (1e-3, 3.0))),
-        IsophoteQuery.for_angle(Z_AXIS, math.pi / 4, (32, 32)), None),
-    # 725^2 samples: at least 2^19, so the field grid is split over threads
+        IsophoteQuery.for_angle(Z_AXIS, math.pi / 4, (32, 32))),
+    # 725^2 samples, so the field grid runs in many row blocks; the name
+    # is kept from when grids this large were split over threads
     "wavy_724_threaded": lambda: (
-        _wavy(), IsophoteQuery.raw_level(WAVY_AXIS, 0.5, (724, 724)), 2),
+        _wavy(), IsophoteQuery.raw_level(WAVY_AXIS, 0.5, (724, 724))),
 }
 
 
@@ -122,10 +120,8 @@ def _sha(data: bytes) -> str:
 
 def record(name: str) -> dict:
     """Digests of the written outputs and the stats of one case."""
-    surface, query, threads = CASES[name]()
-    with (contextlib.nullcontext() if threads is None
-          else mock.patch.object(isophote, "worker_count", lambda: threads)):
-        iso = extract(surface, query)
+    surface, query = CASES[name]()
+    iso = extract(surface, query)
     return {"obj": _sha(write_obj(iso)),
             "svg": _sha(write_svg(iso, surface.domain)),
             "csv": _sha(write_csv(iso)),

@@ -30,7 +30,14 @@ from g3geom import (
 from g3geom import export
 from g3geom.export import TriMesh
 from g3geom.expr import eval_jet2
-from g3geom.isophote import CLOSE_TOL, MAX_GRID_POINTS, ExtractStats, IsophoteSet, _lift
+from g3geom.isophote import (
+    CLOSE_TOL,
+    MAX_GRID_POINTS,
+    ConstantField,
+    ExtractStats,
+    IsophoteSet,
+    _lift,
+)
 
 
 def _parse_obj(data: bytes):
@@ -291,6 +298,69 @@ def test_svg_and_obj_of_an_empty_closed_polyline():
     drawn = ET.fromstring(write_svg(iso, ((0.0, 4.0), (0.0, 4.0)))).findall(f"{ns}polyline")
     assert [len(p.get("points").split()) for p in drawn] == [0, 2]
     assert write_obj(iso).decode("ascii").splitlines()[-2:] == ["l 1", "l 1 2"]
+
+
+def _svg_by_elementtree(isoset, domain) -> bytes:
+    """The SVG writer as an ElementTree document: the oracle of write_svg's
+    bytes."""
+    (a1, b1), (a2, b2) = domain
+    size, margin = 800, 60
+    span = size - 2 * margin
+    frame = {"x": str(margin), "y": str(margin), "width": str(span), "height": str(span)}
+    svg = ET.Element("svg", {"xmlns": "http://www.w3.org/2000/svg",
+                             "viewBox": f"0 0 {size} {size}"})
+    ET.SubElement(svg, "title").text = f"level = {float(isoset.level):.17g}"
+    ET.SubElement(svg, "rect", {**frame, "fill": "white", "stroke": "black",
+                                "stroke-width": "1"})
+    for x, y, text, anchor in [(margin, size - margin + 24, f"u1 = {a1:.6g}", "start"),
+                               (size - margin, size - margin + 24, f"u1 = {b1:.6g}", "end"),
+                               (margin - 8, size - margin, f"u2 = {a2:.6g}", "end"),
+                               (margin - 8, margin + 6, f"u2 = {b2:.6g}", "end")]:
+        ET.SubElement(svg, "text", {"x": str(x), "y": str(y), "font-size": "14",
+                                    "text-anchor": anchor}).text = text
+    cf = isoset.constant_field
+    if cf is not None:
+        ET.SubElement(svg, "rect", {**frame, "fill": "#9ecae1" if cf.matches_level
+                                    else "#eeeeee", "fill-opacity": "0.6"})
+        kind = "entire domain is an isophote" if cf.matches_level else "constant field"
+        ET.SubElement(svg, "text", {"x": str(size // 2), "y": str(size // 2),
+                                    "font-size": "16", "text-anchor": "middle"}).text = (
+            f"{kind}: value = {float(cf.value):.17g}, spread = {float(cf.spread):.17g}")
+    o = isoset.offsets.tolist()
+    for a, b, closed in zip(o, o[1:], isoset.closed.tolist()):
+        pts = [(margin + (u1 - a1) / (b1 - a1) * span,
+                size - margin - (u2 - a2) / (b2 - a2) * span)
+               for u1, u2 in isoset.vertices[a:b, :2]]
+        pts += pts[:1] if closed else []
+        ET.SubElement(svg, "polyline", {
+            "points": " ".join("%.3f,%.3f" % p for p in pts),
+            "fill": "none", "stroke": "#d62728", "stroke-width": "1.5"})
+    return ET.tostring(svg, encoding="utf-8", xml_declaration=True) + b"\n"
+
+
+def test_svg_bytes_equal_elementtree_document():
+    stats = ExtractStats(grid=(2, 2), cells_total=4)
+    pts = [(1.0, 2.0, 0.0, 0.0, 0.0), (3.0, 4.0, 0.0, 0.0, 0.0), (-2e10, 5e11, 0.0, 0.0, 0.0),
+           (1.0, 2.0, 0.0, 0.0, 0.0)]
+    chains = IsophoteSet(pts, [0, 0, 2, 4], [True, False, True], 0.5, None, stats)
+    empty = IsophoteSet(np.empty((0, 5)), [0], [], 0.25, None, stats)
+    surf = revolve_isotropic(ProfileSpec.from_string("s^2/2", (1e-3, 3.0)))
+    constant = extract(surf, IsophoteQuery.for_angle(GVec3(0, 0, 1), math.pi / 4, grid=(16, 16)))
+    cases = [*_wavy_and_ring(), (constant, surf.domain),
+             (chains, ((0.0, 4.0), (0.0, 4.0))),
+             (chains, ((-1e10, -5.0), (-3.5e-7, 1e12))),
+             (empty, ((-1.0, 1.0), (2.0, 3.0)))]
+    for matches in (True, False):
+        cf = ConstantField(0.7071067811865476, 1.5e-16, matches)
+        cases.append((IsophoteSet(np.empty((0, 5)), [0], [], -0.125, cf, stats),
+                      ((-1e10, 1e10), (0.0, 1.0))))
+    for level in (float("nan"), float("inf"), -0.0, 1e-300):
+        cases.append((IsophoteSet(pts, [0, 2, 4], [False, True], level, None, stats),
+                      ((-4.0, 6.0), (-10.0, 1e6))))
+    assert {cf.matches_level for iso, _ in cases if (cf := iso.constant_field)} == {True, False}
+    for iso, domain in cases:
+        assert write_svg(iso, domain) == _svg_by_elementtree(iso, domain), (iso.level, domain)
+    assert b"u1 = -1e+10" in write_svg(*cases[4])
 
 
 # ---------------------------------------------------------------------------

@@ -802,7 +802,7 @@ def test_variable_exponent_tapes_are_numpy_arithmetic_only():
 
 
 def _interpreted_field(surface, axis, at, check):
-    """The shading field, masked as _field_block masks it, and omega from
+    """The shading field, masked as _shading_block masks it, and omega from
     `_normal_parts` and the axis product on the interpreter's Jet2s: the
     jets of eval_jet2 before it makes structural zeros 0.0 and broadcasts.
     A point runs as one-element arrays, as in eval_jet2."""
@@ -820,11 +820,11 @@ def _interpreted_field(surface, axis, at, check):
 
 
 def _assert_field_tape_matches_interpreter(surface, at, check):
-    """_field_block (the field tape) equals _interpreted_field by bytes and
+    """_shading_block (the field tape) equals _interpreted_field by bytes and
     shape, NaNs included, or both raise the same error at the same offset."""
     for axis in (GVec3(0.0, 0.6, 0.8), GVec3(1.0, 0.0, -2.0)):
         want = _outcome(lambda: _interpreted_field(surface, axis, at, check))
-        got = _outcome(lambda: isophote._field_block(surface, axis, *at, check=check))
+        got = _outcome(lambda: isophote._shading_block(surface, axis, *at, check=check))
         if isinstance(want, tuple) and isinstance(want[0], type):
             assert got == want, (at, check)
             continue

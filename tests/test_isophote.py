@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -169,10 +170,9 @@ def test_field_grid_returns_a_new_full_array(cylinder):
 
 
 @pytest.mark.parametrize("family, bound", [("wavy", 14), ("cylinder", 2), ("revolution", 14)])
-def test_field_grid_peak_allocation(cylinder, monkeypatch, family, bound):
+def test_field_grid_peak_allocation(cylinder, family, bound):
     """Peak traced allocation of a 257^2 field, in multiples of its bytes:
     x, y and z carry first partials only, on their operands' shapes."""
-    monkeypatch.setattr(isophote, "worker_count", lambda: 1)
     assert _field_grid_peak(cylinder, family, 257) <= bound
 
 
@@ -192,53 +192,16 @@ def _field_grid_peak(cylinder, family: str, n: int) -> float:
     return peak / (n * n * 8)
 
 
-def _recording_pool(monkeypatch, built):
-    """Replace the module's pool by one that records max_workers and runs
-    on at most two threads."""
-    real = isophote.ThreadPoolExecutor
+def test_field_grid_and_extract_start_no_thread(cylinder, monkeypatch):
+    def no_thread(self):
+        raise AssertionError(f"thread {self.name} started")
 
-    def pool(*args, max_workers=None, **kwargs):
-        built.append(max_workers)
-        return real(*args, max_workers=min(max_workers, 2), **kwargs)
-
-    monkeypatch.setattr(isophote, "ThreadPoolExecutor", pool)
-
-
-def test_field_grid_threads_equal_one_thread_on_large_grid(cylinder, monkeypatch):
-    built = []
-    _recording_pool(monkeypatch, built)
-    n = 725
-    assert n * n >= isophote.PARALLEL_MIN_POINTS
-    # the revolution as a plain SurfaceSpec: its field reads the partials
-    for surf, axis in _grid_surfaces(cylinder):
-        surf = dataclasses.replace(surf, normal=None)
-        U1, U2 = surf.grid(n, n)
-        monkeypatch.setattr(isophote, "worker_count", lambda: 1)
-        one = field_grid(surf, axis, U1[:, None], U2[None, :])
-        monkeypatch.setattr(isophote, "worker_count", lambda: 2)
-        two = field_grid(surf, axis, U1[:, None], U2[None, :])
-        assert two.tobytes() == one.tobytes()
-    # wavy and the revolution; the cylinder's field is one broadcast row
-    assert built == [2, 2]
-    del built[:]
-    U1, U2 = cylinder.grid(n, n)
-    field_grid(cylinder, Z_AXIS, U1[:, None], U2[None, :])
-    assert built == []
-
-
-def test_field_grid_pool_capped_by_blocks(cylinder, monkeypatch):
-    built = []
-    _recording_pool(monkeypatch, built)
-    monkeypatch.setattr(isophote, "worker_count", lambda: 64)
-    surf, axis = _grid_surfaces(cylinder)[0]
-    n = 725
-    U1, U2 = surf.grid(n, n)
-    F = field_grid(surf, axis, U1[:, None], U2[None, :])
-    monkeypatch.setattr(isophote, "worker_count", lambda: 1)
-    assert F.tobytes() == field_grid(surf, axis, U1[:, None], U2[None, :]).tobytes()
-    # block 0 runs before the pool starts, on the calling thread
-    blocks = -(-n // max(2, isophote.BLOCK_POINTS // n))
-    assert 2 < blocks < 64 and built == [blocks - 1]
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    wavy, axis = _grid_surfaces(cylinder)[0]
+    U1, U2 = wavy.grid(725, 725)
+    assert field_grid(wavy, axis, U1[:, None], U2[None, :]).shape == (725, 725)
+    iso = extract(wavy, IsophoteQuery.raw_level(axis, 0.5, grid=(724, 724)))
+    assert len(iso.closed) > 0 and iso.stats.failed_edges == 0
 
 
 def _block_cases(cylinder):
@@ -256,14 +219,15 @@ def _block_cases(cylinder):
             ("u1 only", ring, axis, 1801, 300), ("holes", holes, axis, 777, 777)]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_blocked_field_equals_one_block(cylinder, monkeypatch, threads):
-    monkeypatch.setattr(isophote, "worker_count", lambda: threads)
+def test_blocked_field_equals_one_block(cylinder):
     seen = {}
     for name, surf, axis, n1, n2 in _block_cases(cylinder):
         U1, U2 = surf.grid(n1, n2)
         assert max(2, isophote.BLOCK_POINTS // n2) < n1, name
-        whole = isophote._field_block(surf, axis, U1[:, None], U2[None, :])[0]
+        # one call on the whole grid, as a grid of one block runs
+        found = isophote._normal_field(surf, axis, U1[:, None], U2[None, :])
+        whole = (found if found is not None
+                 else isophote._shading_block(surf, axis, U1[:, None], U2[None, :]))[0]
         want = np.broadcast_to(whole, (n1, n2)).tobytes()
         F = field_grid(surf, axis, U1[:, None], U2[None, :])
         assert F.tobytes() == want, name
@@ -275,26 +239,10 @@ def test_blocked_field_equals_one_block(cylinder, monkeypatch, threads):
 
 
 @pytest.mark.parametrize("family, bound", [("wavy", 2.5), ("cylinder", 1.1), ("revolution", 2.5)])
-def test_field_grid_peak_allocation_blocked(cylinder, monkeypatch, family, bound):
+def test_field_grid_peak_allocation_blocked(cylinder, family, bound):
     """At 1025^2 the grid runs in row blocks, so the peak traced
     allocation stays near the output's own bytes."""
-    monkeypatch.setattr(isophote, "worker_count", lambda: 1)
     assert _field_grid_peak(cylinder, family, 1025) <= bound
-
-
-def test_field_grid_below_threshold_builds_no_pool(cylinder, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("thread pool started below the size threshold")
-
-    monkeypatch.setattr(isophote, "ThreadPoolExecutor", no_pool)
-    n = 724
-    assert n * n < isophote.PARALLEL_MIN_POINTS
-    U1, U2 = cylinder.grid(n, n)
-    monkeypatch.setattr(isophote, "worker_count", lambda: 2)
-    field_grid(cylinder, Z_AXIS, U1[:, None], U2[None, :])
-    monkeypatch.setattr(isophote, "worker_count", lambda: 4)
-    iso = extract(cylinder, IsophoteQuery.for_angle(Z_AXIS, math.pi / 3, grid=(64, 64)))
-    assert len(iso.polylines) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +768,7 @@ def test_refine_iterations_on_wavy_golden_case(monkeypatch):
         return F
 
     monkeypatch.setattr(isophote, "_field", counting)
-    surface, query, _ = GOLDEN_CASES["wavy_256"]()
+    surface, query = GOLDEN_CASES["wavy_256"]()
     stats = extract(surface, query).stats
     assert stats.refined_edges == 2088 and stats.failed_edges == 0
     assert stats.refine_iterations_max <= 12

@@ -8,7 +8,7 @@ surface is drawn from `perfbench/gen.py` with seed 1 and loaded as the
 benchmark loads it.  Every tape is an `expr.on_partials` tape.  For its
 sample tape (`surface._sample_parts`, `sample_surface`), its values tape
 (`surface._coordinate_values`, the lift and `tessellate`), its field
-tape (`isophote._field_block`, the field grid and the refinement) and its
+tape (`isophote._shading_block`, the field grid and the refinement) and its
 Darboux tape (`surface._darboux_parts`, `darboux` and every caller of
 `surface._darboux_arrays`) the table gives `expr.TapeOps`: the operations
 one call runs, those of them on the full grid when the operands are a
