@@ -8,12 +8,8 @@ InadmissibleTraceError, AxisError: the kinds EXIT_CODES maps to 1) or a
 failed verify check; 2 any other G3Error, which is a usage or parse
 error.  --grid may ask for at most MAX_GRID_POINTS points, --mesh for at
 most as many vertices, and --samples for at most MAX_SAMPLES; more is a
-usage error, raised before anything is computed.
-
-Field grids are evaluated in row blocks of about 2^16 points.  A grid of
-at least 2^19 points runs its blocks on one thread per CPU the process
-may run on, at most 8; smaller grids, and fields that depend on one
-parameter alone, run on the calling thread.
+usage error, raised before anything is computed, as is an empty path,
+scene or filter value.
 """
 
 from __future__ import annotations
@@ -188,7 +184,7 @@ def _parse_axis(text: str) -> GVec3:
 
 
 def _load_scene_opt(args) -> Scene | None:
-    return load_scene(args.scene) if getattr(args, "scene", None) else None
+    return load_scene(args.scene) if getattr(args, "scene", None) is not None else None
 
 
 def _inline_only(option: str, what: str) -> G3Error:
@@ -241,9 +237,9 @@ def cmd_frenet(args) -> int:
     print(f"{'s':>12} {'kappa':>16} {'tau':>16}")
     for f in samples:
         print(f"{f.s:12.6g} {f.kappa:16.10g} {f.tau:16.10g}")
-    if args.csv:
+    if args.csv is not None:
         _write(args.csv, export.write_csv(samples))
-    if args.json:
+    if args.json is not None:
         result = [{"s": f.s, "kappa": f.kappa, "tau": f.tau,
                    "T": f.T.to_list(), "N": f.N.to_list(), "B": f.B.to_list()}
                   for f in samples]
@@ -258,7 +254,7 @@ def cmd_darboux(args) -> int:
     print(f"{'s':>12} {'kg':>14} {'kn':>14} {'taug':>14} {'phi':>14}")
     for d in samples:
         print(f"{d.s:12.6g} {d.kg:14.8g} {d.kn:14.8g} {d.tau_g:14.8g} {d.phi:14.8g}")
-    if args.json:
+    if args.json is not None:
         result = [{"s": d.s, "kg": d.kg, "kn": d.kn, "taug": d.tau_g, "phi": d.phi,
                    "T": d.T.to_list(), "Q": d.Q.to_list(), "n": d.n.to_list()}
                   for d in samples]
@@ -272,7 +268,7 @@ def cmd_classify(args) -> int:
     print(f"geodesic           {c.geodesic}   (max |kg|   = {c.max_abs_kg:.3e})")
     print(f"asymptotic         {c.asymptotic}   (max |kn|   = {c.max_abs_kn:.3e})")
     print(f"line of curvature  {c.line_of_curvature}   (max |taug| = {c.max_abs_taug:.3e})")
-    if args.json:
+    if args.json is not None:
         _emit_json(args.json, "classify", asdict(c),
                    _defaults(samples=args.samples, tol=args.tol))
     return 0
@@ -289,7 +285,7 @@ def cmd_axis(args) -> int:
     print(f"residual {'n/a' if rep.residual is None else f'{rep.residual:.3e}'}")
     if rep.note:
         print(f"note     {rep.note}")
-    if args.json:
+    if args.json is not None:
         result = {**asdict(rep), "d": None if rep.d is None else rep.d.to_list()}
         _emit_json(args.json, "axis", result,
                    _defaults(samples=args.samples, tol=args.tol))
@@ -320,11 +316,11 @@ def cmd_isophote(args) -> int:
               f"matches_level={cf.matches_level}")
     print(f"cells       crossing={iso.stats.cells_crossing} "
           f"skipped={iso.stats.cells_skipped} of {iso.stats.cells_total}")
-    if args.obj:
+    if args.obj is not None:
         _write(args.obj, export.write_obj(iso))
-    if args.svg:
+    if args.svg is not None:
         _write(args.svg, export.write_svg(iso, surface.domain))
-    if args.json:
+    if args.json is not None:
         _emit_json(args.json, "isophote", iso.to_json_dict(),
                    _defaults(grid=list(grid), refine_tol=tol))
     return 0
@@ -363,9 +359,9 @@ def cmd_revolve(args) -> int:
           f"u2 in [{surf.domain[1][0]:g}, {surf.domain[1][1]:g}]")
     if mesh is not None:
         print(f"mesh    {len(mesh.vertices)} vertices, {len(mesh.faces)} triangles")
-        if args.obj:
+        if args.obj is not None:
             _write(args.obj, export.write_obj(mesh))
-    if args.json:
+    if args.json is not None:
         result = {"mode": mode,
                   "x": surf.x.source, "y": surf.y.source, "z": surf.z.source,
                   "domain": [list(surf.domain[0]), list(surf.domain[1])]}
@@ -392,7 +388,7 @@ def cmd_verify(args) -> int:
     print(f"{counts['passed']}/{counts['total']} checks passed")
     if counts["total"] == 0:
         print(f"no checks matched filter {args.filter!r}", file=sys.stderr)
-    if args.json:
+    if args.json is not None:
         _write_json(args.json, report)
     return 0 if report["passed"] else 1
 
@@ -508,6 +504,9 @@ def main(argv=None) -> int:
         if getattr(args, "samples", 0) > MAX_SAMPLES:
             raise G3Error(f"--samples {args.samples} is above the cap "
                           f"MAX_SAMPLES = {MAX_SAMPLES}")
+        for option in ("scene", "json", "csv", "obj", "svg", "filter"):
+            if getattr(args, option, None) == "":
+                raise G3Error(f"--{option} must not be empty, got ''")
         return args.func(args)
     except (G3Error, ValueError) as e:
         code = exit_code(e)

@@ -480,6 +480,16 @@ def test_malformed_option_text_names_its_option(option, argv, capsys):
     ["isophote", *_CYL, "--axis", "0,0,1", "--beta", "1", "--grid="],
     ["revolve", "--profile", "1+s^2", "--mode", "euclidean", "--domain="],
     ["revolve", "--profile", "1+s^2", "--mode", "euclidean", "--mesh="],
+    # an empty output path, scene or filter, in place of being ignored
+    ["frenet", "--curve", "s^2,s^3", "--samples", "2", "--json="],
+    ["frenet", "--curve", "s^2,s^3", "--samples", "2", "--csv="],
+    ["frenet", "--curve", "s^2,s^3", "--samples", "2", "--scene="],
+    ["isophote", "--surface", "u1,u2,u1*u2", "--axis", "0,0,1", "--level", "0.5",
+     "--grid", "8x8", "--obj=", "--svg="],
+    ["isophote", "--surface", "u1,u2,u1*u2", "--axis", "0,0,1", "--level", "0.5",
+     "--grid", "8x8", "--svg="],
+    ["revolve", "--profile", "1+s^2", "--mode", "euclidean", "--mesh", "4x4", "--obj="],
+    ["verify", "--filter="],
 ], ids=lambda argv: next(a for a in argv if a.endswith("=")))
 def test_empty_option_value_names_its_option(argv, capsys):
     # an empty value is a malformed value, not the option left out
