@@ -34,11 +34,13 @@ cylinder = SurfaceSpec.from_strings("u1", "sin(u2)", "cos(u2)",
                                     ((0.0, 2.0), (0.0, 2 * math.pi)))
 z_axis = GVec3(0.0, 0.0, 1.0)
 
+# polyline k is the rows offsets[k]:offsets[k+1] of the (u1, u2, x, y, z) vertices
 iso = extract(cylinder, IsophoteQuery.for_angle(z_axis, math.pi / 3))
-print(f"cylinder isophote at beta=pi/3: {len(iso.polylines)} polylines, "
+print(f"cylinder isophote at beta=pi/3: {len(iso.closed)} polylines, "
       f"level={iso.level}")
-for pl in iso.polylines:
-    print(f"  {len(pl.points)} vertices along u2 = {pl.points[0][1]:.9f} "
+o = iso.offsets.tolist()
+for a, b in zip(o, o[1:]):
+    print(f"  {b - a} vertices along u2 = {iso.vertices[a, 1]:.9f} "
           f"(pi/3 = {math.pi/3:.9f}, 5pi/3 = {5*math.pi/3:.9f})")
 
 (OUT / "cylinder_isophote.svg").write_bytes(write_svg(iso, cylinder.domain))
@@ -48,9 +50,9 @@ for pl in iso.polylines:
 print(f"wrote cylinder_isophote.{{svg,obj,json}} to {OUT}")
 
 sil = silhouette(cylinder, GVec3(0.0, 1.0, 0.0))
-print(f"\ncylinder silhouette for d=(0,1,0): {len(sil.polylines)} polylines at")
-for pl in sil.polylines:
-    print(f"  u2 = {pl.points[0][1]:.9f}")
+print(f"\ncylinder silhouette for d=(0,1,0): {len(sil.closed)} polylines at")
+for a in sil.offsets[:-1].tolist():
+    print(f"  u2 = {sil.vertices[a, 1]:.9f}")
 
 # degenerate case: the quadratic profile makes the whole surface an isophote
 profile = ProfileSpec.from_string("s^2/2", (1e-3, 5.0), c=1.0)
@@ -69,6 +71,6 @@ bowl = SurfaceSpec.from_strings("u1", "u2", "u1^2*u2 + u2^3/3",
 level = 1.0 / math.sqrt(1.0 + 0.64 ** 2)
 ring = extract(bowl, IsophoteQuery.raw_level(z_axis, level, grid=(128, 128)))
 print(f"\nclosed isophote on the cubic graph surface: "
-      f"{len(ring.polylines)} polyline, closed={ring.polylines[0].closed}, "
-      f"{len(ring.polylines[0].points)} vertices")
+      f"{len(ring.closed)} polyline, closed={ring.closed.tolist()[0]}, "
+      f"{ring.offsets[1] - ring.offsets[0]} vertices")
 (OUT / "closed_isophote.svg").write_bytes(write_svg(ring, bowl.domain))

@@ -34,6 +34,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 HERE = Path(__file__).resolve().parent.parent
 TOPOLOGY = ("polylines", "closed", "constant", "cells_crossing", "cells_skipped",
             "failed_edges", "refined_edges")
@@ -43,13 +45,12 @@ def _summary(iso) -> dict:
     stats = iso.stats
     return {"grid": list(stats.grid), "level": iso.level,
             "constant": iso.constant_field is not None,
-            "polylines": [len(p.points) for p in iso.polylines],
-            "closed": [p.closed for p in iso.polylines],
+            "polylines": np.diff(iso.offsets).tolist(), "closed": iso.closed.tolist(),
             "cells_crossing": stats.cells_crossing, "cells_skipped": stats.cells_skipped,
             "failed_edges": stats.failed_edges, "refined_edges": stats.refined_edges,
             "evaluations": stats.refine_iterations_total,
             "steps": stats.refine_iterations_max,
-            "uv": [p[:2] for pl in iso.polylines for p in pl.points]}
+            "uv": iso.vertices[:, :2].tolist()}
 
 
 def record(out: Path, tests: Path) -> None:
