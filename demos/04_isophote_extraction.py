@@ -71,6 +71,6 @@ bowl = SurfaceSpec.from_strings("u1", "u2", "u1^2*u2 + u2^3/3",
 level = 1.0 / math.sqrt(1.0 + 0.64 ** 2)
 ring = extract(bowl, IsophoteQuery.raw_level(z_axis, level, grid=(128, 128)))
 print(f"\nclosed isophote on the cubic graph surface: "
-      f"{len(ring.closed)} polyline, closed={ring.closed.tolist()[0]}, "
+      f"{len(ring.closed)} polyline, closed={bool(ring.closed[0])}, "
       f"{ring.offsets[1] - ring.offsets[0]} vertices")
 (OUT / "closed_isophote.svg").write_bytes(write_svg(ring, bowl.domain))
