@@ -219,7 +219,10 @@ def _block_cases(cylinder):
             ("u1 only", ring, axis, 1801, 300), ("holes", holes, axis, 777, 777)]
 
 
-def test_blocked_field_equals_one_block(cylinder):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blocked_field_equals_one_block(cylinder, monkeypatch, threads):
+    # the grid's bytes do not depend on the CPU count the process reports
+    monkeypatch.setattr(isophote, "worker_count", lambda: threads)
     seen = {}
     for name, surf, axis, n1, n2 in _block_cases(cylinder):
         U1, U2 = surf.grid(n1, n2)
