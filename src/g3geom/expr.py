@@ -76,6 +76,7 @@ are kept.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import struct
 import threading
@@ -494,8 +495,8 @@ def _real(slot):
 
 
 class _JetOps:
-    """Operators the jet classes share; each class supplies +, -, *, the
-    reciprocal, the chain rule and the list of its derivative slots."""
+    """Operators the jet classes share: +, - and negation slot by slot, in
+    field order; each class supplies *, the reciprocal and the chain rule."""
 
     @classmethod
     def _coerce(cls, x):
@@ -506,6 +507,24 @@ class _JetOps:
         """The jet of a value that depends on no variable: every derivative
         slot is the structural zero."""
         return cls(value, *[_ZERO] * (len(fields(cls)) - 1))
+
+    def _slots(self):
+        # the dataclass __init__ sets the fields in field order
+        return vars(self).values()
+
+    def derivatives(self) -> tuple:
+        return tuple(self._slots())[1:]
+
+    def __add__(self, other):
+        return type(self)(*map(operator.add, self._slots(), self._coerce(other)._slots()))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return type(self)(*map(operator.sub, self._slots(), self._coerce(other)._slots()))
+
+    def __neg__(self):
+        return type(self)(*map(operator.neg, self._slots()))
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
@@ -531,22 +550,6 @@ class Jet(_JetOps):
     d1: Real = 0.0
     d2: Real = 0.0
     d3: Real = 0.0
-
-    def derivatives(self) -> tuple:
-        return self.d1, self.d2, self.d3
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Jet(self.value + o.value, self.d1 + o.d1, self.d2 + o.d2, self.d3 + o.d3)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return Jet(self.value - o.value, self.d1 - o.d1, self.d2 - o.d2, self.d3 - o.d3)
-
-    def __neg__(self):
-        return Jet(-self.value, -self.d1, -self.d2, -self.d3)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -598,24 +601,6 @@ class Jet2(_JetOps):
     du1u1: Real = 0.0
     du1u2: Real = 0.0
     du2u2: Real = 0.0
-
-    def derivatives(self) -> tuple:
-        return self.du1, self.du2, self.du1u1, self.du1u2, self.du2u2
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Jet2(self.value + o.value, self.du1 + o.du1, self.du2 + o.du2,
-                    self.du1u1 + o.du1u1, self.du1u2 + o.du1u2, self.du2u2 + o.du2u2)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return Jet2(self.value - o.value, self.du1 - o.du1, self.du2 - o.du2,
-                    self.du1u1 - o.du1u1, self.du1u2 - o.du1u2, self.du2u2 - o.du2u2)
-
-    def __neg__(self):
-        return Jet2(-self.value, -self.du1, -self.du2, -self.du1u1, -self.du1u2, -self.du2u2)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -824,16 +809,24 @@ def eval_jet(ast: ExprAST, at, order: int = 3, *, check: bool = True) -> Jet:
     """
     if order not in (0, 1, 2, 3):
         raise ValueError("order must be 0..3")
-    if len(ast.variables) != 1:
-        raise _arity_error(ast, Jet)
-    (s,), point = _as_arrays((at,))
+    return _interpret(Jet, ast, (at,), order, check)
+
+
+def _interpret(kind, ast: ExprAST, at, order: int, check: bool):
+    """The body of eval_jet and eval_jet2: the jet of `kind` of `ast` at the
+    operands `at`, with the slots above `order` zeroed."""
+    if len(ast.variables) != (1 if kind is Jet else 2):
+        raise _arity_error(ast, kind)
+    at, point = _as_arrays(at)
     with np.errstate(all="ignore"):
-        j = _eval(ast.root, _seeds(ast.variables, (s,)), order, _Values(Jet, ast.params, check))
-    slots = [_real(x) for x in (j.value, *j.derivatives())][:order + 1]
-    slots += [0.0] * (3 - order)
+        j = _eval(ast.root, _seeds(ast.variables, at), order, _Values(kind, ast.params, check))
+    zeroed = kind.ORDER - order  # the Jet slots above order
+    slots = [_real(x) for x in (j.value, *j.derivatives())]
+    slots = slots[:len(slots) - zeroed] + [0.0] * zeroed
     if point:
-        return Jet(*(np.float64(_first(x)) for x in slots))
-    return Jet(*(_broadcast(x, s.shape) for x in slots))
+        return kind(*(np.float64(_first(x)) for x in slots))
+    shape = np.broadcast_shapes(*(a.shape for a in at))
+    return kind(*(_broadcast(x, shape) for x in slots))
 
 
 def _arity_error(ast: ExprAST, kind) -> ArityError:
@@ -846,7 +839,7 @@ def _arity_error(ast: ExprAST, kind) -> ArityError:
 def _seeds(variables: Sequence[str], at: Sequence) -> dict:
     """Each variable's seed at its operand, a Jet for one and Jet2s for two,
     with every slot but its own first derivative the structural zero."""
-    if len(at) == 1:
+    if len(variables) == 1:
         return {variables[0]: Jet(at[0], np.float64(1.0), _ZERO, _ZERO)}
     u1, u2 = at
     return {variables[0]: Jet2(u1, np.float64(1.0), _ZERO, _ZERO, _ZERO, _ZERO),
@@ -860,17 +853,7 @@ def eval_jet2(ast: ExprAST, at, *, check: bool = True) -> Jet2:
     point runs as one-element arrays and keeps its signed zeros; arrays
     give every slot their broadcast shape, as a new writable array.
     """
-    if len(ast.variables) != 2:
-        raise _arity_error(ast, Jet2)
-    (u1, u2), point = _as_arrays(at)
-    with np.errstate(all="ignore"):
-        j = _eval(ast.root, _seeds(ast.variables, (u1, u2)), 2,
-                  _Values(Jet2, ast.params, check))
-    slots = [_real(s) for s in (j.value, *j.derivatives())]
-    if point:
-        return Jet2(*map(_first, slots))
-    shape = np.broadcast_shapes(u1.shape, u2.shape)
-    return Jet2(*(_broadcast(s, shape) for s in slots))
+    return _interpret(Jet2, ast, at, 2, check)
 
 
 def _broadcast(slot, shape) -> np.ndarray:
