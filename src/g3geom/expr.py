@@ -51,7 +51,8 @@ are traced symbols, so the jet operators themselves record one
 straight-line numpy function for all the trees at once: a structural
 zero, an operation on constants only and x * 1.0 are decided while
 tracing, an operation repeated on the same slots is emitted once (so y
-and z of a revolution share their profile), the lines that no result of
+and z of a revolution share sin(u2), but each computes its own profile,
+which reads parameters), the lines that no result of
 fn reads are dropped (the higher derivatives when fn reads none, and in a
 field tape every value and partial the field does not read), and each
 temporary is deleted after its last use.  Every slot fn reads equals the
@@ -62,14 +63,15 @@ result keeps the shape of the operands it depends on, so with (n1, 1) and
 (1, n2) operands a u2-only coordinate stays a (1, n2) row.  A compiled
 tape keeps its operation counts (`TapeOps`).
 
-Tapes are cached by the trees' structure, not by object.  Parameter
-values and literals are read at call time, so every wavy surface, every
-revolution of one profile family, and every motion image of a surface in
-`verify` runs one tape.  A literal or a parameter in an exponent is
-instead a constant while tracing, so the tape knows every constant
-exponent; it is part of the key, as its exact bits: Num(0.0) and Num(-0.0) are equal
-nodes, and a NaN is not equal to itself.  A parameter name that the trees
-bind to different values is read per tree.  At most TAPE_CACHE_SIZE tapes
+Tapes are cached by the trees' structure alone, not by object.  Each
+tree's parameters are read from that tree, and literals from their list,
+at call time, so every wavy surface, every revolution of one profile
+family, and every motion image of a surface in `verify` runs one tape.
+The trees of one tape share an operation only when it reads no
+parameter.  A literal or a parameter in an exponent is instead a
+constant while tracing, so the tape knows every constant exponent; it is
+part of the key, as its exact bits: Num(0.0) and Num(-0.0) are equal
+nodes, and a NaN is not equal to itself.  At most TAPE_CACHE_SIZE tapes
 are kept.
 """
 
@@ -176,15 +178,15 @@ class ExprAST:
     params: dict[str, float] = field(default_factory=dict)
 
     @cached_property
-    def structure(self) -> tuple[tuple, frozenset[str], tuple]:
+    def structure(self) -> tuple[tuple, tuple]:
         """What a compiled tape reads of the expression: its key (the
-        tree's shape, offsets and variables), the names of the parameters
-        it reads, and its literals as float64 in tree order.  A literal or
-        a parameter in an exponent is a constant of the tape, which then
-        knows the value of every exponent that reads no variable, so it
-        enters the key as its exact bits (Num(0.0) == Num(-0.0) as nodes)
-        and not the list or the names."""
-        names: set[str] = set()
+        tree's shape, offsets, parameter names and variables) and its
+        literals as float64 in tree order.  The tape reads the parameters
+        themselves from `params` at call time.  A literal or a parameter in
+        an exponent is a constant of the tape, which then knows the value
+        of every exponent that reads no variable, so it enters the key as
+        its exact bits (Num(0.0) == Num(-0.0) as nodes) and not the
+        list."""
         literals: list = []
 
         def key(node: Node, exponent: bool) -> tuple:
@@ -199,11 +201,9 @@ class ExprAST:
                         key(node.rhs, exponent or node.op == "^"), node.offset)
             if isinstance(node, (Neg, Call)):
                 return (getattr(node, "fn", "neg"), key(node.arg, exponent), node.offset)
-            if isinstance(node, Param):
-                names.add(node.name)
             return (type(node).__name__, node.name, node.offset)
 
-        return (key(self.root, False), self.variables), frozenset(names), tuple(literals)
+        return (key(self.root, False), self.variables), tuple(literals)
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +888,6 @@ TAPE_CACHE_SIZE = 64
 
 _TAPES: dict[tuple, object] = {}
 _TAPES_LOCK = threading.Lock()
-_UNBOUND = object()
 # numpy ufuncs a traced value meets, written as the operators the
 # jet formulas use; every other ufunc is written as np.<name>(...)
 _OPERATORS = {"add": "{} + {}", "subtract": "{} - {}", "multiply": "{} * {}",
@@ -910,46 +909,31 @@ def on_partials(fn, asts: Sequence[ExprAST], at, args: Sequence[float | np.ndarr
     `eval_jet` at order 3 or `eval_jet2` before they make the structural
     zeros 0.0 and broadcast), on the shape of the operands it depends on; a
     point runs as one-element arrays and gives scalars, as there.  An error
-    is the interpreter's error, at the same offset.  The tape is cached by the
-    expressions' structure (literals and parameters in exponents by their
-    exact bits), by which parameter names they bind differently, and by
-    fn; the other parameter values and literals are read at call time.
+    is the interpreter's error, at the same offset.  The tape is cached by
+    the check mode, the expressions' structure (literals and parameters in
+    exponents by their exact bits), fn and the number of args; each
+    expression's other parameters and literals are read from it at call
+    time.
     """
     tape = _compiled(asts, check, fn, len(args))
     at, point = _as_arrays(at)
     with np.errstate(all="ignore"):
-        out = tape(at, asts, [a.structure[2] for a in asts], args)
+        out = tape(at, asts, [a.structure[1] for a in asts], args)
     return tuple(map(_first, out)) if point else out
 
 
 def _compiled(asts: Sequence[ExprAST], check: bool, fn, nargs: int):
     """The cached tape of on_partials."""
-    split = _split_parameters(asts)
-    key = (check, split, *[a.structure[0] for a in asts], fn, nargs)
+    key = (check, *[a.structure[0] for a in asts], fn, nargs)
     tape = _TAPES.get(key)
     if tape is None:
         with np.errstate(all="ignore"):
-            tape = _Tape(asts, check, split, fn, nargs).compile()
+            tape = _Tape(asts, check, fn, nargs).compile()
         with _TAPES_LOCK:
             if len(_TAPES) >= TAPE_CACHE_SIZE:
                 _TAPES.pop(next(iter(_TAPES)))
             _TAPES[key] = tape
     return tape
-
-
-def _split_parameters(asts: Sequence[ExprAST]) -> frozenset[str]:
-    """Parameter names the expressions reading them do not all bind to the
-    same float, bit for bit; the tape reads these once per expression."""
-    seen: dict = {}
-    split = set()
-    for a in asts:
-        for name in a.structure[1]:
-            v = a.params.get(name, _UNBOUND)
-            w = seen.setdefault(name, v)
-            if v is not w and not (type(v) is float and type(w) is float and v == w
-                                   and math.copysign(1.0, v) == math.copysign(1.0, w)):
-                split.add(name)
-    return frozenset(split)
 
 
 class _Sym:
@@ -1008,10 +992,9 @@ class _Tape(_Values):
     operation counts as `ops` (TapeOps).
     """
 
-    def __init__(self, asts: Sequence[ExprAST], check: bool, split: frozenset[str],
-                 fn, nargs: int):
+    def __init__(self, asts: Sequence[ExprAST], check: bool, fn, nargs: int):
         super().__init__(Jet if len(asts[0].variables) == 1 else Jet2, {}, check)
-        self.asts, self.split, self.fn, self.nargs = asts, split, fn, nargs
+        self.asts, self.fn, self.nargs = asts, fn, nargs
         self.operands = ("S",) if self.kind is Jet else ("U1", "U2")
         self.env = {"np": np, "ExprDomainError": ExprDomainError,
                     "_arity_error": _arity_error, "kind": self.kind}
@@ -1073,12 +1056,8 @@ class _Tape(_Values):
             # keyed by its bits, so the tape knows every constant exponent
             return super().leaf(node, exponent)
         if isinstance(node, Param):
-            # a name bound alike by every tree is read from the first reading it
-            i = self.i
-            if node.name not in self.split:
-                i = self.memo.setdefault(("param", node.name), i)
             return self.kind.constant(self.load(
-                f"np.float64(A[{i}].params[{node.name!r}])", pure=False))
+                f"np.float64(A[{self.i}].params[{node.name!r}])", pure=False))
         self.literals += 1
         return self.kind.constant(self.load(f"L[{self.i}][{self.literals - 1}]"))
 

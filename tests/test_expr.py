@@ -544,7 +544,7 @@ def test_tape_reads_literals_at_call_time():
             for check in (True, False):
                 _assert_tape_matches_jet2(trees(c, d), at, check)
     structures = tuple(t.structure[0] for t in trees(1.0, 1.0))
-    assert sum(key[2:] == (*structures, _all_slots, 0) for key in expr._TAPES) == 2
+    assert sum(key[1:] == (*structures, _all_slots, 0) for key in expr._TAPES) == 2
     got = _tape_jets([trees(-0.0, 0.0)[0]], (np.array([2.0]), 0.0))[0]
     assert np.signbit(got.value).all()
 
@@ -561,9 +561,15 @@ def test_tape_binds_parameters_per_expression():
             at = (np.abs(at[0]) + 0.5, at[1])
             for check in (True, False):
                 _assert_tape_matches_jet2((surface.x, surface.y, surface.z), at, check)
+                _assert_tape_matches_jet2((surface.x, surface.y), at, check)
         jx, jy, _ = _tape_jets((surface.x, surface.y, surface.z), (0.75, 0.25))
         assert (jx.value, jy.value) == (kx * 0.75 + math.sin(kx * 0.25),
                                         ky * 0.75 + math.sin(ky * 0.25))
+    # each tree reads its own parameters, so the bindings do not enter the
+    # key: x and y, which read k in no exponent, ran one tape per check mode
+    # for the three pairs
+    structures = (x.structure[0], y.structure[0])
+    assert sum(key[-4:] == (*structures, _all_slots, 0) for key in expr._TAPES) == 2
 
 
 def test_tape_key_includes_variable_order():
@@ -626,7 +632,7 @@ def test_tape_cache_holds_one_nan_exponent_tape_and_stays_bounded():
     assert nan_tree().root != nan_tree().root
     for _ in range(expr.TAPE_CACHE_SIZE + 2):
         _assert_tape_matches_jet2((nan_tree(),), _KEY_OPERANDS[1], False)
-    assert sum(key[2:] == (nan_tree().structure[0], _all_slots, 0)
+    assert sum(key[1:] == (nan_tree().structure[0], _all_slots, 0)
                for key in expr._TAPES) == 1
     # distinct structures beyond the bound evict the oldest
     for k in range(expr.TAPE_CACHE_SIZE + 3):
