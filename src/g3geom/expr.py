@@ -210,9 +210,10 @@ class ExprAST:
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"|(?P<name>{_NAME_RE.pattern})"
     r"|(?P<op>[+\-*/^()]))"
 )
 
@@ -349,6 +350,9 @@ def parse(
     params = dict(parameters or {})
     if not source or not source.strip():
         raise ExprSyntaxError("empty expression", 0)
+    bad = [k for k in params if not (isinstance(k, str) and _NAME_RE.fullmatch(k))]
+    if bad:
+        raise ValueError(f"parameter names must be identifiers, got {sorted(bad, key=str)}")
     overlap = set(variables) & set(params)
     if overlap:
         raise ValueError(f"names declared both variable and parameter: {sorted(overlap)}")

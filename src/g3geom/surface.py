@@ -328,6 +328,8 @@ class TraceClassification:
 
 def _classify(a: dict, tol: float) -> TraceClassification:
     """classify_trace of the Darboux arrays `a`."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {float(tol)!r}")
     mg, mn, mt = (float(np.abs(a[k]).max()) for k in ("kg", "kn", "taug"))
     return TraceClassification(mg <= tol, mn <= tol, mt <= tol, mg, mn, mt)
 

@@ -323,6 +323,9 @@ def test_scene_error_exit_2(tmp_path, capsys):
                 {"curves": {"c": {"f": "a*s^2", "g": "s^3", "domain": [0, 1],
                                   "params": {"a": "x"}}}},
                 {**SCENE, "queries": {}},
+                # parameter names that no expression can read
+                {"curves": {"cubic": {"f": "s^2", "g": "s^3", "domain": [0, 1],
+                                      "params": {"": 1, "a b": 2, "2x": 3}}}},
                 *NON_STRING_EXPRESSIONS, *BAD_DOMAIN_ENDS):
         bad.write_text(json.dumps(doc))
         rc = main(["frenet", "--curve", "cubic", "--scene", str(bad)])
@@ -464,6 +467,13 @@ _CYL = ["--surface", "u1,sin(u2),cos(u2)", "--surface-domain", "0:2,0:6"]
                           "--surface-domain", "0:1", "--axis", "0,0,1", "--beta", "1"]),
     ("--surface-domain", ["isophote", "--surface", "u1,sin(u2),cos(u2)",
                           "--surface-domain", "0:1,c:2", "--axis", "0,0,1", "--beta", "1"]),
+    ("parameter names", ["frenet", "--curve", "s^2,s^3", "--param", "2x=1", "--samples", "2"]),
+    ("parameter names", ["frenet", "--curve", "s^2,s^3", "--param", "=1", "--samples", "2"]),
+    ("tol", ["classify", "--surface", "u1,u2,0", "--trace", "s,2*s", "--surface-domain",
+             "0:1,0:2", "--trace-domain", "0:1", "--tol", "-1"]),
+    ("tol", ["axis", "--case", "isotropic", "--surface", "u1,u2,0", "--trace", "s,2*s",
+             "--surface-domain", "0:1,0:2", "--trace-domain", "0:1", "--angle", "0",
+             "--tol", "-1"]),
 ])
 def test_malformed_option_text_names_its_option(option, argv, capsys):
     assert main(argv) == 2
